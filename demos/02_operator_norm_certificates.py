@@ -3,8 +3,8 @@
 
 Every query returns a (lower, upper) certificate pair.  Closed-form exponent
 pairs come back exact; everything else pairs a witness-backed ascent estimate
-with a certified upper bound (crude Hoelder bounds, singular-value dimension
-factors, and real-scalar Riesz-Thorin interpolation).
+with a certified upper bound (the smaller of crude Hoelder bounds and
+singular-value dimension factors).
 """
 import numpy as np
 

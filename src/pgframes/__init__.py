@@ -32,11 +32,13 @@ from .opnorm import (
     matrix_opnorm,
     min_ratio_estimate,
     operator_norm_bounds,
+    upper_certificate_only,
 )
 from .operators import (
     OperatorSequence,
     analysis_apply,
     analysis_opnorm,
+    analysis_upper,
     synthesis_apply,
     synthesis_matrix,
     synthesis_opnorm,

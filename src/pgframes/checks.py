@@ -8,6 +8,7 @@ triple, timing fields aside.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -139,10 +140,10 @@ def _certificate_values(report) -> dict:
     return vals
 
 
-def _check_classify(inst: Instance, cfg: NumericsConfig) -> CheckResult:
+def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
     values, ok, notes = {}, True, []
     for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
-        report = classify(seq, cfg)
+        report = classified(tag)
         for k, v in _certificate_values(report).items():
             values[f"{tag}.{k}"] = v
         if len(set(report.frame_routes)) != 1:
@@ -196,9 +197,9 @@ def _check_duality(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     return CheckResult("duality", "pass" if ok else "fail", note, values)
 
 
-def _check_bounds(inst: Instance, cfg: NumericsConfig) -> CheckResult:
+def _check_bounds(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
     M = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
-    nb = norm_bounds(M, cfg)
+    nb = norm_bounds(M, cfg, classified("lam"), classified("theta"))
     values = {
         "upper": nb.upper.value,
         "estimate": nb.estimate.value,
@@ -226,12 +227,12 @@ def _check_bounds(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     return CheckResult("bounds", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_dual(inst: Instance, cfg: NumericsConfig) -> CheckResult:
+def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
     values, ok, notes = {}, True, []
     rng = _seeded(cfg, 3)
     any_run = False
     for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
-        report = classify(seq, cfg)
+        report = classified(tag)
         if not report.is_riesz:
             notes.append(f"{tag}: not a Riesz basis ({report.riesz_diagnosis})")
             continue
@@ -397,20 +398,24 @@ def run_checks(
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
+    # classify, bounds and dual share one report per sequence, made on first
+    # use so that a failure lands in the suite that asked for it
+    sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
+    classified = functools.cache(lambda tag: classify(sequences[tag](), cfg))
     results = []
     for name in chosen:
         t0 = time.perf_counter()
         try:
             if name == "classify":
-                res = _check_classify(inst, cfg)
+                res = _check_classify(inst, cfg, classified)
             elif name == "equivalences":
                 res = _check_equivalences(inst, cfg)
             elif name == "duality":
                 res = _check_duality(inst, cfg)
             elif name == "bounds":
-                res = _check_bounds(inst, cfg)
+                res = _check_bounds(inst, cfg, classified)
             elif name == "dual":
-                res = _check_dual(inst, cfg)
+                res = _check_dual(inst, cfg, classified)
             elif name == "multiply":
                 res = _check_multiply(inst, cfg)
             elif name == "invert":

@@ -20,8 +20,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .opnorm import (
     BoundCertificate,
-    _multistart_lower,
     min_ratio_estimate,
+    multistart_lower,
     operator_norm_bounds,
 )
 from .operators import OperatorSequence, synthesis_matrix
@@ -199,7 +199,7 @@ def _riesz_lower_certificates(S, coeff, xstar, lipschitz, cfg):
         cert = BoundCertificate(float(s[-1]), "exact", "singular-value", vt[-1])
         return cert, cert
     inv = np.linalg.inv(S)
-    inv_lower = _multistart_lower(inv, xstar, coeff, cfg, stream=24)
+    inv_lower = multistart_lower(inv, xstar, coeff, cfg, stream=24)
     if inv_lower.value <= 0.0:
         observed = BoundCertificate(0.0, "upper_certificate", "inverse-ascent")
         safe = BoundCertificate(0.0, "lower_estimate", "inverse-ascent")
@@ -303,10 +303,11 @@ def riesz_equivalences_check(
     xstar = seq.domain.dual
 
     upper = operator_norm_bounds(S, coeff, xstar, cfg, stream=31)
-    low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
     if coeff.is_euclidean and xstar.is_euclidean:
         s = np.linalg.svd(S, compute_uv=False)
         low_val = float(s[-1]) if S.shape[0] >= S.shape[1] else 0.0
+    else:
+        low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
     cond_inequality = low_val > cfg.frame_rel_threshold * upper.lower.value
 
     rank_S = int(np.linalg.matrix_rank(S))

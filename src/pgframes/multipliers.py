@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .frames import NotRieszError, classify, dual_riesz_basis
-from .operators import OperatorSequence, analysis_opnorm
+from .operators import OperatorSequence, analysis_upper
 from .opnorm import BoundCertificate, matrix_opnorm
 from .spaces import DimensionMismatchError, SpaceError, SpaceSpec, Vector
 
@@ -195,11 +195,11 @@ def norm_bounds(
     as a witness-backed lower estimate plus a certified upper companion.
     """
     cfg = cfg or DEFAULT_CONFIG
-    b_left = analysis_opnorm(M.left, cfg)
-    b_right = analysis_opnorm(M.right, cfg)
+    b_left = analysis_upper(M.left, cfg)
+    b_right = analysis_upper(M.right, cfg)
     sup = M.symbol.sup_norm
     upper = BoundCertificate(
-        b_left.upper.value * b_right.upper.value * sup,
+        b_left.value * b_right.value * sup,
         "upper_certificate",
         "bessel-product",
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .opnorm import BoundPair, operator_norm_bounds
+from .opnorm import BoundCertificate, BoundPair, operator_norm_bounds, upper_certificate_only
 from .spaces import (
     DimensionMismatchError,
     ProductSpaceSpec,
@@ -30,6 +30,7 @@ __all__ = [
     "synthesis_apply",
     "synthesis_matrix",
     "analysis_opnorm",
+    "analysis_upper",
     "synthesis_opnorm",
 ]
 
@@ -151,6 +152,12 @@ def analysis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) ->
     return operator_norm_bounds(
         seq.stacked(), seq.domain, seq.analysis_space(), cfg, stream=11
     )
+
+
+def analysis_upper(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundCertificate:
+    """Certified upper Bessel bound: the upper side of :func:`analysis_opnorm` alone."""
+    cfg = cfg or DEFAULT_CONFIG
+    return upper_certificate_only(seq.stacked(), seq.domain, seq.analysis_space(), cfg)
 
 
 def synthesis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:

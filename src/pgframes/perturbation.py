@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, assemble
-from .operators import OperatorSequence, analysis_opnorm, synthesis_matrix
+from .operators import OperatorSequence, analysis_opnorm, analysis_upper, synthesis_matrix
 from .opnorm import (
     BoundCertificate,
     matrix_opnorm,
@@ -75,14 +75,14 @@ def perturbation_check(
     p = lam.frame_exponent
     diffs = [ml - mt for ml, mt in zip(lam.mats, theta.mats)]
     per_term = tuple(
-        upper_certificate_only(d, lam.domain.exponent, y.exponent, cfg)
+        upper_certificate_only(d, lam.domain, y, cfg)
         for d, y in zip(diffs, lam.codomains)
     )
     k_val = pnorm(np.array([c.value for c in per_term]), p)
     k_kind = "exact" if all(c.kind == "exact" for c in per_term) else "upper_certificate"
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
-    B_base = analysis_opnorm(lam, cfg).upper
+    B_base = analysis_upper(lam, cfg)
     B_pert = analysis_opnorm(theta, cfg).lower
     slack = B_base.value + K.value - B_pert.value
 
@@ -163,7 +163,7 @@ def default_generator(
 
 def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg) -> float:
     vals = [
-        upper_certificate_only(mn - mb, base.domain.exponent, y.exponent, cfg).value
+        upper_certificate_only(mn - mb, base.domain, y, cfg).value
         for mn, mb, y in zip(new.mats, base.mats, base.codomains)
     ]
     return pnorm(np.array(vals), q1)
@@ -195,8 +195,8 @@ def continuity_suite(
     gen = generator or default_generator(kind, m, lam, theta, cfg)
 
     base_M = assemble(m, lam, theta)
-    B_lam = analysis_opnorm(lam, cfg).upper.value
-    B_theta = analysis_opnorm(theta, cfg).upper.value
+    B_lam = analysis_upper(lam, cfg).value
+    B_theta = analysis_upper(theta, cfg).value
     m_p1 = m.p_norm(p1)
 
     steps = []
@@ -212,8 +212,8 @@ def continuity_suite(
 
     B1 = B2 = None
     if kind == "joint":
-        B1 = max(analysis_opnorm(ll, cfg).upper.value for _, _, ll, _ in steps)
-        B2 = max(analysis_opnorm(tt, cfg).upper.value for _, _, _, tt in steps)
+        B1 = max(analysis_upper(ll, cfg).value for _, _, ll, _ in steps)
+        B2 = max(analysis_upper(tt, cfg).value for _, _, _, tt in steps)
 
     traces: list[ContinuityTrace] = []
     for n, mm, ll, tt in steps:

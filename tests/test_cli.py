@@ -51,13 +51,24 @@ def test_check_full_suite_passes(tmp_path, capsys):
     assert "overall: pass" in out
 
 
-def test_check_json_deterministic_modulo_timing(tmp_path, capsys):
+def test_check_json_deterministic_modulo_timing(tmp_path, capsys, monkeypatch):
     path, _ = _gen_instance(tmp_path)
+    classified = []
+
+    def counting_classify(seq, cfg=None):
+        classified.append(seq)
+        return pg.classify(seq, cfg)
+
+    monkeypatch.setattr("pgframes.checks.classify", counting_classify)
+    monkeypatch.setattr("pgframes.multipliers.classify", counting_classify)
     docs = []
     for _ in range(2):
         rc = main(["check", str(path), "--output", "json", "--n-max", "6",
                    "--suites", "classify,bounds,multiply,invert"])
         assert rc == 0
+        # classify and bounds share one report per sequence; invert makes
+        # its own two with the fast profile
+        assert len(classified) == 4 * (len(docs) + 1)
         doc = json.loads(capsys.readouterr().out)
         for c in doc["checks"]:
             c.pop("wall_ms")

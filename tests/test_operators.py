@@ -116,6 +116,7 @@ def test_analysis_opnorm_mixed_exponents_against_grid():
     seq = rows([[1.0, 2.0]], [[0.5, -1.0], [1.0, 0.0]], p=1.5, inner=[2.0, 3.0])
     lo, up = pg.analysis_opnorm(seq)
     assert lo.value <= up.value + 1e-12
+    assert pg.analysis_upper(seq) == up
     thetas = np.linspace(0.0, 2.0 * math.pi, 20001)
     xs = np.stack([np.cos(thetas), np.sin(thetas)])
     xs = xs / pnorm_many(xs, seq.domain.exponent)

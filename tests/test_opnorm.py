@@ -53,12 +53,21 @@ def test_exact_row_and_vertex_cases():
 
 def test_vertex_limit_behaviour():
     cfg = NumericsConfig(vertex_limit=3)
-    A = np.random.default_rng(0).standard_normal((2, 4))
-    with pytest.raises(pg.VertexLimitError):
-        pg.matrix_opnorm(A, INF, 1.5, cfg, exact="require")
-    lo, up = pg.matrix_opnorm(A, INF, 1.5, cfg)
-    assert lo.kind == "lower_estimate" and up.kind == "upper_certificate"
-    assert lo.value <= up.value + 1e-12
+    rng = np.random.default_rng(0)
+    for n in (cfg.vertex_limit, cfg.vertex_limit + 1):
+        A = rng.standard_normal((2, n))
+        if n <= cfg.vertex_limit:
+            lo, up = pg.matrix_opnorm(A, INF, 1.5, cfg, exact="require")
+            assert up.method == "vertex-enumeration" and lo.value == up.value
+        else:
+            with pytest.raises(pg.VertexLimitError):
+                pg.matrix_opnorm(A, INF, 1.5, cfg, exact="require")
+            lo, up = pg.matrix_opnorm(A, INF, 1.5, cfg)
+            assert lo.kind == "lower_estimate" and up.kind == "upper_certificate"
+        assert lo.value <= up.value + 1e-12
+        lo, up = pg.matrix_opnorm(A, 1.5, 3.0, cfg)
+        assert up.method in ("columns-holder", "rows-holder", "singular-dimension")
+        assert lo.value <= up.value + 1e-12
 
 
 def test_general_case_derived_example():
@@ -143,6 +152,25 @@ def test_operator_norm_bounds_mixed_spaces():
     assert lo.value <= up.value + 1e-12
     ratio = cod.norm(A @ lo.witness) / dom.norm(lo.witness)
     assert ratio == pytest.approx(lo.value, rel=1e-10)
+
+    # the upper-only route is the upper side of the pair, bit for bit
+    rng = np.random.default_rng(9)
+    blocks = pg.ProductSpaceSpec((pg.SpaceSpec(1, 3.0), pg.SpaceSpec(2, 1.5)), 1.5)
+    euclid = pg.ProductSpaceSpec((pg.SpaceSpec(2, 2.0), pg.SpaceSpec(1, 2.0)), 2.0)
+    cases = [
+        (rng.standard_normal((3, 2)), dom, blocks),        # row blocks
+        (rng.standard_normal((2, 3)), blocks, dom),        # column blocks
+        (rng.standard_normal((3, 2)), dom, euclid),        # all-Euclidean product
+        (np.zeros((3, 2)), dom, blocks),                   # zero matrix
+        (rng.standard_normal((3, 4)), pg.SpaceSpec(4, INF), pg.SpaceSpec(3, 1.5)),
+    ]
+    for M, d, c in cases:
+        only = pg.upper_certificate_only(M, d, c)
+        pair = pg.operator_norm_bounds(M, d, c)
+        assert (only.value, only.kind, only.method) == (
+            pair.upper.value, pair.upper.kind, pair.upper.method
+        )
+        assert pair.lower.value <= only.value
 
 
 def test_min_ratio_estimate_euclidean_matches_smallest_singular_value():

@@ -3,9 +3,9 @@
 
 A sequence of matrices L_i : X -> Y_i is a Bessel sequence (always, at finite
 size), a frame (two-sided analysis inequality), or a Riesz basis (bijective
-synthesis).  Classification runs three independent routes that must agree;
-Riesz bases yield dual sequences with exact biorthogonality and
-reconstruction.
+synthesis).  Classification runs two routes that must agree, the lower
+frame inequality and the rank of the stacked matrix; Riesz bases yield dual
+sequences with exact biorthogonality and reconstruction.
 """
 import numpy as np
 
@@ -27,7 +27,7 @@ def show(tag, rep):
     print(
         f"{tag:24s} A={rep.lower_bound.value:8.5f}  B={rep.bessel_bound.value:8.5f}  "
         f"frame={rep.is_frame!s:5}  riesz={rep.is_riesz!s:5}  "
-        f"g_complete={rep.g_complete!s:5}  routes={rep.frame_routes}"
+        f"g_complete={rep.g_complete!s:5}  routes(inequality, rank)={rep.frame_routes}"
     )
 
 
@@ -40,14 +40,13 @@ overcomplete = row_sequence([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
 show("overcomplete triple", pg.classify(overcomplete))
 
 print()
-print("the three Riesz-basis characterizations, evaluated independently")
+print("the two Riesz-basis characterizations, evaluated independently")
 print("-" * 72)
 for tag, seq in [("selectors", selectors), ("overcomplete", overcomplete)]:
     eq = pg.riesz_equivalences_check(seq)
     print(
         f"{tag:14s} inequality={eq.riesz_inequality!s:5} "
-        f"injective={eq.synthesis_injective!s:5} onto={eq.analysis_onto!s:5} "
-        f"agree={eq.agree}"
+        f"full rank={eq.full_rank!s:5} agree={eq.agree}"
     )
 
 print()

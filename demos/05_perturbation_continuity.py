@@ -2,7 +2,8 @@
 """Perturbation bounds and parameter continuity of multipliers.
 
 Perturbing a sequence by operators with aggregate norm gap K moves its Bessel
-bound by at most K, and moves the analysis/synthesis operators by at most K.
+bound by at most K, and moves the analysis operator, and with it its adjoint
+the synthesis operator, by at most K.
 Multipliers depend continuously on their three parameters; each convergence
 mode comes with an explicit bound that the measured gap must respect at every
 step.

@@ -41,7 +41,6 @@ from .operators import (
     analysis_upper,
     synthesis_apply,
     synthesis_matrix,
-    synthesis_opnorm,
 )
 from .frames import (
     DualSequence,

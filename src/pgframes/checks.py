@@ -164,11 +164,7 @@ def _check_equivalences(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     values, ok, notes = {}, True, []
     for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
         eq = riesz_equivalences_check(seq, cfg)
-        values[f"{tag}.conditions"] = [
-            eq.riesz_inequality,
-            eq.synthesis_injective,
-            eq.analysis_onto,
-        ]
+        values[f"{tag}.conditions"] = [eq.riesz_inequality, eq.full_rank]
         if not eq.agree:
             ok = False
             notes.append(f"{tag}: equivalence conditions disagree")

@@ -3,9 +3,13 @@
 ``classify`` decides, for an operator sequence, whether it is a Bessel
 sequence (always, at finite truncation), a frame (two-sided norm equivalence
 on the analysis side), and a Riesz basis (bijective synthesis from stacked
-dual coordinates onto X*).  The frame decision is carried by three
-independent routes that must agree: the lower-bound inequality, surjectivity
-of the synthesis matrix, and the rank of the stacked matrix.
+dual coordinates onto X*).  The frame decision is carried by two routes that
+must agree: the lower-bound inequality and the rank of the stacked matrix.
+
+The synthesis matrix S is the transpose of the stacked analysis matrix F and
+the synthesis operator is the adjoint of the analysis operator, so rank S =
+rank F and ||S|| = ||F||.  Each is computed once, the norm on the analysis
+side; only the synthesis infimum (the lower Riesz constant) needs S itself.
 
 ``dual_riesz_basis`` inverts the synthesis matrix and reads its block rows as
 the coefficient-extracting dual sequence; biorthogonality and reconstruction
@@ -24,7 +28,7 @@ from .opnorm import (
     multistart_lower,
     operator_norm_bounds,
 )
-from .operators import OperatorSequence, synthesis_matrix
+from .operators import OperatorSequence, analysis_upper, synthesis_matrix
 from .spaces import conjugate_exponent
 
 __all__ = [
@@ -49,6 +53,12 @@ class FrameReport:
     ``*_bound`` fields are the certified sides (safe to quote as constants in
     the defining inequalities); ``*_observed`` fields are witness-achieved
     companions used for thresholding and diagnostics.
+
+    ``riesz_upper``/``riesz_upper_observed`` are the Bessel pair itself: the
+    synthesis operator is the adjoint of the analysis operator, so its norm
+    is the Bessel bound (the observed witness lives in X, not in the
+    coefficient space).  ``rank_synthesis`` is the rank of the stacked
+    matrix, which is the rank of its transpose.
     """
 
     is_bessel: bool
@@ -64,22 +74,22 @@ class FrameReport:
     riesz_upper_observed: BoundCertificate | None
     g_complete: bool
     rank_synthesis: int
-    frame_routes: tuple[bool, bool, bool]  # inequality, surjectivity, rank
+    frame_routes: tuple[bool, bool]  # inequality, rank
     riesz_diagnosis: str
     zero_members: tuple[int, ...]
     witnesses: dict = field(default_factory=dict)
 
 
-def _infimum_certificates(A, dom, cod, lipschitz, cfg, stream):
+def _infimum_certificates(A, rank, dom, cod, lipschitz, cfg, stream):
     """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
 
-    ``observed`` is the best achieved ratio (>= true infimum, witness-backed).
-    ``safe`` is usable as the constant in the lower inequality: exact closed
-    form, a Lipschitz-corrected grid value, or the observed value minus the
-    estimate tolerance, with ``method`` disclosing which.
+    ``rank`` is the rank of ``A``.  ``observed`` is the best achieved ratio
+    (>= true infimum, witness-backed).  ``safe`` is usable as the constant in
+    the lower inequality: exact closed form, a Lipschitz-corrected grid
+    value, or the observed value minus the estimate tolerance, with
+    ``method`` disclosing which.
     """
     A = np.asarray(A, dtype=float)
-    rank = np.linalg.matrix_rank(A)
     if dom.is_euclidean and cod.is_euclidean:
         _, s, vt = np.linalg.svd(A)
         smin = float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0
@@ -122,17 +132,11 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
     prod = seq.analysis_space()
 
     bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
+    rank = int(np.linalg.matrix_rank(F))
     a_safe, a_observed = _infimum_certificates(
-        F, dom, prod, bessel.upper.value, cfg, stream=22
+        F, rank, dom, prod, bessel.upper.value, cfg, stream=22
     )
-
-    rank_F = int(np.linalg.matrix_rank(F))
-    g_complete = rank_F == dom.dim
-
-    S = synthesis_matrix(seq)
-    rank_S = int(np.linalg.matrix_rank(S))
-    route_surjective = rank_S == dom.dim
-    route_rank = g_complete
+    g_complete = rank == dom.dim
     route_inequality = a_safe.value > cfg.frame_rel_threshold * bessel.lower.value
     is_frame = route_inequality
 
@@ -150,14 +154,13 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         diagnosis = (
             f"dimension-mismatch: stacked dual dim {coeff.total_dim} != domain dim {dom.dim}"
         )
-    elif rank_S < dom.dim:
+    elif not g_complete:
         is_riesz = False
         diagnosis = "synthesis-singular"
     else:
-        riesz_pair = operator_norm_bounds(S, coeff, xstar, cfg, stream=23)
-        riesz_upper, riesz_upper_obs = riesz_pair.upper, riesz_pair.lower
+        riesz_upper, riesz_upper_obs = bessel.upper, bessel.lower
         riesz_lower, riesz_lower_obs = _riesz_lower_certificates(
-            S, coeff, xstar, riesz_pair.upper.value, cfg
+            synthesis_matrix(seq), coeff, xstar, bessel.upper.value, cfg
         )
         is_riesz = (
             riesz_lower_obs.value > cfg.frame_rel_threshold * riesz_upper_obs.value
@@ -179,8 +182,8 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         riesz_upper=riesz_upper,
         riesz_upper_observed=riesz_upper_obs,
         g_complete=g_complete,
-        rank_synthesis=rank_S,
-        frame_routes=(route_inequality, route_surjective, route_rank),
+        rank_synthesis=rank,
+        frame_routes=(route_inequality, g_complete),
         riesz_diagnosis=diagnosis,
         zero_members=seq.zero_members(),
         witnesses=witnesses,
@@ -280,11 +283,10 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
 
 @dataclass(frozen=True)
 class RieszEquivalences:
-    """Independent evaluations of the three Riesz-basis characterizations."""
+    """Evaluations of the two Riesz-basis characterizations."""
 
-    riesz_inequality: bool      # two-sided synthesis inequality constants positive
-    synthesis_injective: bool   # trivial kernel on stacked dual coordinates
-    analysis_onto: bool         # analysis range fills the whole product space
+    riesz_inequality: bool  # two-sided synthesis inequality constants positive
+    full_rank: bool         # synthesis injective, equivalently analysis onto
     agree: bool
     details: dict
 
@@ -292,9 +294,14 @@ class RieszEquivalences:
 def riesz_equivalences_check(
     seq: OperatorSequence, cfg: NumericsConfig | None = None
 ) -> RieszEquivalences:
-    """Evaluate the three equivalent Riesz-basis conditions independently.
+    """Evaluate the two equivalent Riesz-basis conditions independently.
 
-    Disagreement is reported, not raised; for a frame the three booleans are
+    The inequality condition compares a direct estimate of the synthesis
+    infimum with the certified Bessel bound, which is the synthesis norm
+    because synthesis is the adjoint of analysis.  The rank condition covers
+    both injectivity of the synthesis matrix S and surjectivity of the
+    stacked analysis matrix F = S^T, one condition since rank S = rank F.
+    Disagreement is reported, not raised; for a frame the two booleans are
     equivalent in exact arithmetic.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -302,31 +309,24 @@ def riesz_equivalences_check(
     coeff = seq.coefficient_space()
     xstar = seq.domain.dual
 
-    upper = operator_norm_bounds(S, coeff, xstar, cfg, stream=31)
+    upper = analysis_upper(seq, cfg)
     if coeff.is_euclidean and xstar.is_euclidean:
         s = np.linalg.svd(S, compute_uv=False)
         low_val = float(s[-1]) if S.shape[0] >= S.shape[1] else 0.0
     else:
         low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
-    cond_inequality = low_val > cfg.frame_rel_threshold * upper.lower.value
+    cond_inequality = low_val > cfg.frame_rel_threshold * upper.value
 
-    rank_S = int(np.linalg.matrix_rank(S))
-    cond_injective = rank_S == coeff.total_dim
-
-    rank_F = int(np.linalg.matrix_rank(seq.stacked()))
-    cond_onto = rank_F == coeff.total_dim
-
-    flags = (cond_inequality, cond_injective, cond_onto)
+    rank = int(np.linalg.matrix_rank(S))
+    cond_rank = rank == coeff.total_dim
     return RieszEquivalences(
         riesz_inequality=cond_inequality,
-        synthesis_injective=cond_injective,
-        analysis_onto=cond_onto,
-        agree=len(set(flags)) == 1,
+        full_rank=cond_rank,
+        agree=cond_inequality == cond_rank,
         details={
             "synthesis_lower": low_val,
-            "synthesis_upper": upper.upper.value,
-            "rank_synthesis": rank_S,
-            "rank_stacked": rank_F,
+            "synthesis_upper": upper.value,
+            "rank": rank,
             "stacked_dual_dim": coeff.total_dim,
         },
     )

@@ -250,19 +250,16 @@ def invert(
 
     The inverse of the multiplier of (m, L, T) is the multiplier of
     (1/m, dual(T), dual(L)): the adjoint slot is filled by the dual of the
-    *right* sequence and the apply slot by the dual of the *left* one.  Both
-    composition residuals are verified before returning.
+    *right* sequence and the apply slot by the dual of the *left* one.
+    Building the duals raises :class:`NotRieszError` unless both synthesis
+    matrices are square and invertible; both composition residuals are
+    verified before returning.
     """
     cfg = cfg or DEFAULT_CONFIG
     if m.inf_abs <= cfg.min_symbol:
         raise SymbolTooSmallError(
             f"symbol-too-small: inf |m_i| = {m.inf_abs:.3e} <= {cfg.min_symbol:.3e}"
         )
-    fast = cfg.fast()
-    if not classify(left, fast).is_riesz:
-        raise NotRieszError("left sequence is not a Riesz basis")
-    if not classify(right, fast).is_riesz:
-        raise NotRieszError("right sequence is not a Riesz basis")
     left_dual = dual_riesz_basis(left, cfg).as_operator_sequence()
     right_dual = dual_riesz_basis(right, cfg).as_operator_sequence()
     forward = assemble(m, left, right)
@@ -298,8 +295,7 @@ def injectivity_witness(
     zeros = right.zero_members()
     if zeros:
         raise ValueError(f"right sequence has zero members at {zeros}")
-    if not classify(left, cfg.fast()).is_riesz:
-        raise NotRieszError("left sequence is not a Riesz basis")
+    dual_riesz_basis(left, cfg)  # raises NotRieszError unless left is a Riesz basis
     M = assemble(m, left, right)
     k = int(np.argmax(np.abs(m.entries)))
     rows = np.linalg.norm(right.mats[k], axis=1)

@@ -3,8 +3,9 @@
 The analysis operator sends x to the tuple {L_i x} in the mixed-norm product;
 the synthesis operator sends stacked dual-block coordinates {g_i} to
 sum_i L_i^T g_i in X*.  Both are realized by one stacked matrix and its
-transpose, and their norms go through the certificate machinery in
-``opnorm``.
+transpose.  The synthesis operator is the adjoint of the analysis operator,
+so its norm is the analysis norm; only the analysis side goes through the
+certificate machinery in ``opnorm``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ __all__ = [
     "synthesis_matrix",
     "analysis_opnorm",
     "analysis_upper",
-    "synthesis_opnorm",
 ]
 
 
@@ -158,11 +158,3 @@ def analysis_upper(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> 
     """Certified upper Bessel bound: the upper side of :func:`analysis_opnorm` alone."""
     cfg = cfg or DEFAULT_CONFIG
     return upper_certificate_only(seq.stacked(), seq.domain, seq.analysis_space(), cfg)
-
-
-def synthesis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:
-    """Norm of the synthesis operator from stacked dual coordinates into X*."""
-    cfg = cfg or DEFAULT_CONFIG
-    return operator_norm_bounds(
-        synthesis_matrix(seq), seq.coefficient_space(), seq.domain.dual, cfg, stream=12
-    )

@@ -2,7 +2,9 @@
 
 ``perturbation_check`` certifies that perturbing a sequence by operators with
 aggregate gap K keeps the Bessel bound within B + K, and that the analysis
-and synthesis operators of the pair differ by at most K in norm.
+and synthesis operators of the pair differ by at most K in norm (the
+synthesis difference is the adjoint of the analysis difference, so one norm
+computation serves both).
 
 ``continuity_suite`` drives a deviation schedule through one of four
 parameter-convergence modes (symbol only, either sequence, or all three
@@ -18,13 +20,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, assemble
-from .operators import OperatorSequence, analysis_opnorm, analysis_upper, synthesis_matrix
-from .opnorm import (
-    BoundCertificate,
-    matrix_opnorm,
-    operator_norm_bounds,
-    upper_certificate_only,
-)
+from .operators import OperatorSequence, analysis_opnorm, analysis_upper
+from .opnorm import BoundCertificate, matrix_opnorm, upper_certificate_only
 from .spaces import DimensionMismatchError, conjugate_exponent, pnorm
 
 __all__ = [
@@ -53,7 +50,9 @@ class PerturbationReport:
     B_perturbed: BoundCertificate   # witness-backed lower estimate for the perturbed one
     slack: float                    # B_base + K - B_perturbed, nonnegative up to tolerance
     analysis_gap: BoundCertificate  # lower estimate of ||U_pert - U_base||
-    synthesis_gap: BoundCertificate  # lower estimate of ||T_pert - T_base||
+    # lower estimate of ||T_pert - T_base||: the analysis_gap certificate, as
+    # T_pert - T_base is the adjoint of U_pert - U_base and has the same norm
+    synthesis_gap: BoundCertificate
     per_term: tuple[BoundCertificate, ...]
 
 
@@ -88,20 +87,13 @@ def perturbation_check(
 
     diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
     analysis_gap = analysis_opnorm(diff_seq, cfg).lower
-    synthesis_gap = operator_norm_bounds(
-        synthesis_matrix(diff_seq),
-        diff_seq.coefficient_space(),
-        diff_seq.domain.dual,
-        cfg,
-        stream=41,
-    ).lower
     return PerturbationReport(
         K=K,
         B_base=B_base,
         B_perturbed=B_pert,
         slack=slack,
         analysis_gap=analysis_gap,
-        synthesis_gap=synthesis_gap,
+        synthesis_gap=analysis_gap,
         per_term=per_term,
     )
 
@@ -162,9 +154,11 @@ def default_generator(
 
 
 def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg) -> float:
+    # unchanged members give an exact 0.0, as the zero-matrix certificate would
+    diffs = [mn - mb for mn, mb in zip(new.mats, base.mats)]
     vals = [
-        upper_certificate_only(mn - mb, base.domain, y, cfg).value
-        for mn, mb, y in zip(new.mats, base.mats, base.codomains)
+        upper_certificate_only(d, base.domain, y, cfg).value if d.any() else 0.0
+        for d, y in zip(diffs, base.codomains)
     ]
     return pnorm(np.array(vals), q1)
 

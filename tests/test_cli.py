@@ -66,9 +66,9 @@ def test_check_json_deterministic_modulo_timing(tmp_path, capsys, monkeypatch):
         rc = main(["check", str(path), "--output", "json", "--n-max", "6",
                    "--suites", "classify,bounds,multiply,invert"])
         assert rc == 0
-        # classify and bounds share one report per sequence; invert makes
-        # its own two with the fast profile
-        assert len(classified) == 4 * (len(docs) + 1)
+        # classify and bounds share one report per sequence; invert
+        # classifies nothing
+        assert len(classified) == 2 * (len(docs) + 1)
         doc = json.loads(capsys.readouterr().out)
         for c in doc["checks"]:
             c.pop("wall_ms")
@@ -119,7 +119,7 @@ def test_check_rank_deficient_reports_consistently(tmp_path, capsys):
     assert classify["values"]["lam.is_riesz"] is False
     equiv = doc["checks"][1]
     assert equiv["status"] == "pass"
-    assert equiv["values"]["lam.conditions"] == [False, False, False]
+    assert equiv["values"]["lam.conditions"] == [False, False]
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

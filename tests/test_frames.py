@@ -35,7 +35,7 @@ def test_classify_parseval():
     assert rep.is_bessel and rep.is_frame and rep.is_riesz
     assert rep.lower_bound.value == pytest.approx(1.0, abs=1e-12)
     assert rep.bessel_bound.value == pytest.approx(1.0, abs=1e-12)
-    assert rep.frame_routes == (True, True, True)
+    assert rep.frame_routes == (True, True)
 
 
 def test_classify_single_selector_not_frame():
@@ -134,20 +134,12 @@ def test_dual_frame_bounds_sandwich():
 
 def test_riesz_equivalences_examples():
     eq = pg.riesz_equivalences_check(SELECTORS)
-    assert (eq.riesz_inequality, eq.synthesis_injective, eq.analysis_onto) == (
-        True,
-        True,
-        True,
-    )
+    assert (eq.riesz_inequality, eq.full_rank) == (True, True)
     assert eq.agree
 
     overcomplete = rows([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]])
     eq = pg.riesz_equivalences_check(overcomplete)
-    assert (eq.riesz_inequality, eq.synthesis_injective, eq.analysis_onto) == (
-        False,
-        False,
-        False,
-    )
+    assert (eq.riesz_inequality, eq.full_rank) == (False, False)
     assert eq.agree
 
     single_block = rows(np.eye(2))

@@ -124,6 +124,48 @@ def test_analysis_opnorm_mixed_exponents_against_grid():
     assert lo.value == pytest.approx(float(ratios.max()), abs=1e-3)
 
 
+def _sequence(domain_exponent, blocks, p):
+    """blocks: (matrix, codomain exponent) pairs."""
+    mats = tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m, _ in blocks)
+    return pg.OperatorSequence(
+        pg.SpaceSpec(mats[0].shape[1], domain_exponent),
+        tuple(pg.SpaceSpec(m.shape[0], r) for m, (_, r) in zip(mats, blocks)),
+        mats,
+        p,
+    )
+
+
+def test_synthesis_norm_is_the_analysis_norm():
+    # The synthesis operator is the adjoint of the analysis operator, so the
+    # package computes only the analysis side.  Reference: the certificate
+    # pair of the synthesis matrix itself.  Codomain blocks are not l^1 and
+    # the domain is not l^inf: there the sign-enumeration closed form exists
+    # for one side only, and the two upper certificates differ.
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal
+    dependent = g((1, 3))
+    cases = [
+        _sequence(1.5, [(g((2, 3)), 3.0), (g((1, 3)), 3.0)], 1.5),  # plain
+        _sequence(3.0, [(g((2, 4)), 1.5), (g((1, 4)), 4.0), (g((1, 4)), np.inf)], 2.5),
+        _sequence(2.0, [(g((2, 3)), 2.0), (g((1, 3)), 2.0)], 2.0),  # Euclidean
+        _sequence(1.5, [(g((2, 3)), 2.0), (g((2, 3)), 2.0)], 3.0),  # Euclidean blocks
+        _sequence(4.0, [(g((1, 3)), 2.0) for _ in range(3)], 1.5),  # 1-dim blocks
+        _sequence(1.0, [(g((1, 2)), 3.0), (g((1, 2)), 1.5)], 2.0),
+        _sequence(2.0, [(dependent, 3.0), (-2.0 * dependent, 3.0), (g((1, 3)), 3.0)], 1.5),
+    ]
+    assert np.linalg.matrix_rank(cases[-1].stacked()) == 2  # rank-deficient
+    for seq in cases:
+        synthesis = pg.operator_norm_bounds(
+            pg.synthesis_matrix(seq), seq.coefficient_space(), seq.domain.dual
+        )
+        analysis = pg.analysis_opnorm(seq)
+        upper = pg.analysis_upper(seq)
+        assert upper.value == analysis.upper.value
+        assert synthesis.upper.value == pytest.approx(upper.value, rel=1e-12, abs=0.0)
+        assert synthesis.lower.value <= upper.value
+        assert analysis.lower.value <= synthesis.upper.value
+
+
 def test_shape_validation():
     with pytest.raises(pg.DimensionMismatchError):
         pg.OperatorSequence(

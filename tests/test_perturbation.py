@@ -68,6 +68,25 @@ def test_perturbation_properties_random():
             assert rep.synthesis_gap.value <= rep.K.value + 1e-9
 
 
+def test_synthesis_gap_reference_below_K():
+    # the synthesis gap is reported as the analysis gap (adjoint operators);
+    # the ascent on the synthesis matrix of the difference stays below K too
+    rng = np.random.default_rng(5)
+    for p, inner in ((1.5, [3.0, 1.5]), (2.0, [2.0, 2.0]), (3.0, [4.0, 2.0])):
+        lam = rows(rng.standard_normal((2, 2)), rng.standard_normal((1, 2)), p=p, inner=inner)
+        mats = [m + 0.1 * rng.standard_normal(m.shape) for m in lam.mats]
+        theta = pg.OperatorSequence(lam.domain, lam.codomains, tuple(mats), p)
+        rep = pg.perturbation_check(lam, theta)
+        assert rep.synthesis_gap is rep.analysis_gap
+        diff = pg.OperatorSequence(
+            lam.domain, lam.codomains, tuple(a - b for a, b in zip(lam.mats, mats)), p
+        )
+        reference = pg.operator_norm_bounds(
+            pg.synthesis_matrix(diff), diff.coefficient_space(), diff.domain.dual
+        )
+        assert reference.lower.value <= rep.K.value + 1e-9
+
+
 def test_epsilon_family_gap_bound():
     # families with certified aggregate gap below eps keep both operator gaps there
     rng = np.random.default_rng(1)

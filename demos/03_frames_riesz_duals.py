@@ -6,6 +6,10 @@ size), a frame (two-sided analysis inequality), or a Riesz basis (bijective
 synthesis).  Classification runs two routes that must agree, the lower
 frame inequality and the rank of the stacked matrix; Riesz bases yield dual
 sequences with exact biorthogonality and reconstruction.
+
+Off the Euclidean case the lower frame bound A is the left-inverse
+certificate 1/upper(||F^{-1}||), a proven lower bound.  For a Riesz basis the
+lower Riesz constant is the same number, since S^{-1} = (F^{-1})^T.
 """
 import numpy as np
 
@@ -85,4 +89,5 @@ inst = pg.gen("riesz", x2_dim=3, y_dims=[2, 1], seed=7, frame_exponent=1.5)
 rep = pg.classify(inst.lam_sequence())
 print(f"  A = {rep.lower_bound.value:.6f}  [{rep.lower_bound.kind}: {rep.lower_bound.method}]")
 print(f"  B = {rep.bessel_bound.value:.6f}  [{rep.bessel_bound.kind}: {rep.bessel_bound.method}]")
-print(f"  riesz lower = {rep.riesz_lower.value:.6f}  [{rep.riesz_lower.method}]")
+print(f"  riesz lower = {rep.riesz_lower.value:.6f}  [{rep.riesz_lower.method}]  (the A certificate)")
+print(f"  observed infimum = {rep.lower_observed.value:.6f}  [{rep.lower_observed.method}]")

@@ -439,7 +439,6 @@ def run_checks(
     echo = {
         "seed": cfg.seed,
         "tol_exact": cfg.tol_exact,
-        "tol_estimate": cfg.tol_estimate,
         "restarts": cfg.restarts,
         "epsilon": epsilon,
         "n_max": n_max or cfg.n_max,

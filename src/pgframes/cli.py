@@ -48,7 +48,6 @@ def _add_globals(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS if suppress else v)
     p.add_argument("--seed", type=int, default=d(DEFAULT_CONFIG.seed))
     p.add_argument("--tol-exact", type=float, default=d(DEFAULT_CONFIG.tol_exact))
-    p.add_argument("--tol-estimate", type=float, default=d(DEFAULT_CONFIG.tol_estimate))
     p.add_argument("--restarts", type=int, default=d(DEFAULT_CONFIG.restarts))
     p.add_argument("--output", choices=("json", "text"), default=d("text"))
 
@@ -112,7 +111,6 @@ def _config_from(args) -> "DEFAULT_CONFIG.__class__":
         DEFAULT_CONFIG,
         seed=args.seed,
         tol_exact=args.tol_exact,
-        tol_estimate=args.tol_estimate,
         restarts=args.restarts,
     )
 

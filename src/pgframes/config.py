@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 class NumericsConfig:
     # tolerances
     tol_exact: float = 1e-10      # relative, for closed-form identities
-    tol_estimate: float = 1e-6    # for optimization-based estimates
     frame_rel_threshold: float = 1e-8   # lower frame bound counts as positive if A > thr * B
 
     # multistart ascent (norm maximization)
@@ -30,8 +29,7 @@ class NumericsConfig:
     # exact sign enumeration for the l^inf -> l^r norm
     vertex_limit: int = 20
 
-    # dense sphere-grid oracles
-    grid_cert_max_dim: int = 3    # Lipschitz-certified minima up to this dimension
+    # dense sphere-grid oracles (cross-checks only, never a certificate route)
     grid_axis_points: int = 240   # per-axis resolution of sphere grids
     grid_budget: int = 2_000_000  # hard cap on grid samples
 
@@ -48,7 +46,7 @@ class NumericsConfig:
 
     def fast(self) -> "NumericsConfig":
         """Cheaper profile for inner loops (generation, precondition checks)."""
-        return replace(self, restarts=6, polish_starts=0, grid_cert_max_dim=0)
+        return replace(self, restarts=6, polish_starts=0)
 
 
 DEFAULT_CONFIG = NumericsConfig()

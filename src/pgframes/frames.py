@@ -8,8 +8,11 @@ must agree: the lower-bound inequality and the rank of the stacked matrix.
 
 The synthesis matrix S is the transpose of the stacked analysis matrix F and
 the synthesis operator is the adjoint of the analysis operator, so rank S =
-rank F and ||S|| = ||F||.  Each is computed once, the norm on the analysis
-side; only the synthesis infimum (the lower Riesz constant) needs S itself.
+rank F and ||S|| = ||F||.  For a Riesz basis S^{-1} = (F^{-1})^T as well, so
+the lower Riesz constant is the lower frame bound 1/||F^{-1}||.  Every one of
+these numbers is computed once, on the analysis side.  The lower bound has a
+single proven route: the smallest singular value on Euclidean spaces, and a
+left-inverse certificate 1/upper(||P||) with P F = I otherwise.
 
 ``dual_riesz_basis`` inverts the synthesis matrix and reads its block rows as
 the coefficient-extracting dual sequence; biorthogonality and reconstruction
@@ -27,6 +30,7 @@ from .opnorm import (
     min_ratio_estimate,
     multistart_lower,
     operator_norm_bounds,
+    upper_certificate_only,
 )
 from .operators import OperatorSequence, analysis_upper, synthesis_matrix
 from .spaces import conjugate_exponent
@@ -56,9 +60,12 @@ class FrameReport:
 
     ``riesz_upper``/``riesz_upper_observed`` are the Bessel pair itself: the
     synthesis operator is the adjoint of the analysis operator, so its norm
-    is the Bessel bound (the observed witness lives in X, not in the
-    coefficient space).  ``rank_synthesis`` is the rank of the stacked
-    matrix, which is the rank of its transpose.
+    is the Bessel bound.  Likewise ``riesz_lower``/``riesz_lower_observed``
+    are the lower frame pair: for a Riesz basis S^{-1} = (F^{-1})^T, so the
+    synthesis infimum and the analysis infimum both equal 1/||F^{-1}||.  The
+    observed witnesses of both Riesz pairs live in X, not in the coefficient
+    space.  ``rank_synthesis`` is the rank of the stacked matrix, which is
+    the rank of its transpose.
     """
 
     is_bessel: bool
@@ -80,14 +87,16 @@ class FrameReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _infimum_certificates(A, rank, dom, cod, lipschitz, cfg, stream):
+def _infimum_certificates(A, rank, dom, cod, cfg, stream):
     """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
 
     ``rank`` is the rank of ``A``.  ``observed`` is the best achieved ratio
-    (>= true infimum, witness-backed).  ``safe`` is usable as the constant in
-    the lower inequality: exact closed form, a Lipschitz-corrected grid
-    value, or the observed value minus the estimate tolerance, with
-    ``method`` disclosing which.
+    (>= true infimum, witness-backed).  ``safe`` is a proven lower bound:
+    the smallest singular value on Euclidean spaces, 0 with a kernel vector
+    when ``A`` is rank deficient, and otherwise the left-inverse bound.  With
+    P A = I, ||x|| <= ||P|| ||A x||, so 1 / upper(||P||) is below the
+    infimum; P is the inverse of a square ``A`` and the pseudo-inverse of a
+    tall one.
     """
     A = np.asarray(A, dtype=float)
     if dom.is_euclidean and cod.is_euclidean:
@@ -104,23 +113,23 @@ def _infimum_certificates(A, rank, dom, cod, lipschitz, cfg, stream):
         obs = BoundCertificate(observed, "upper_certificate", "kernel", kernel)
         return cert, obs
 
-    value, witness = min_ratio_estimate(A, dom, cod, cfg, stream=stream)
-    observed = BoundCertificate(value, "upper_certificate", "multistart-descent", witness)
-    if 0 < dom.total_dim <= cfg.grid_cert_max_dim:
-        from . import gridsearch
-
-        certified, argmin, sampled = gridsearch.certified_min_ratio(
-            A, dom, cod, lipschitz, cfg.grid_axis_points, cfg.grid_budget
+    square = A.shape[0] == A.shape[1]
+    P = np.linalg.inv(A) if square else np.linalg.pinv(A)
+    safe = BoundCertificate(
+        1.0 / upper_certificate_only(P, cod, dom, cfg).value,
+        "lower_estimate",
+        "left-inverse",
+    )
+    if square:
+        # a witness y of ||P y|| / ||y|| = r maps to x = P y with ratio 1/r
+        inv_lower = multistart_lower(P, cod, dom, cfg, stream=24)
+        x = P @ inv_lower.witness
+        observed = BoundCertificate(
+            1.0 / inv_lower.value, "upper_certificate", "inverse-ascent", x / dom.norm(x)
         )
-        safe = BoundCertificate(certified, "lower_estimate", "grid-certified")
-        if sampled < value:
-            observed = BoundCertificate(
-                sampled, "upper_certificate", "grid-argmin", argmin
-            )
     else:
-        safe = BoundCertificate(
-            max(value - cfg.tol_estimate, 0.0), "lower_estimate", "descent-slack"
-        )
+        value, witness = min_ratio_estimate(A, dom, cod, cfg, stream=stream)
+        observed = BoundCertificate(value, "upper_certificate", "multistart-descent", witness)
     return safe, observed
 
 
@@ -133,15 +142,12 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
 
     bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
     rank = int(np.linalg.matrix_rank(F))
-    a_safe, a_observed = _infimum_certificates(
-        F, rank, dom, prod, bessel.upper.value, cfg, stream=22
-    )
+    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=22)
     g_complete = rank == dom.dim
     route_inequality = a_safe.value > cfg.frame_rel_threshold * bessel.lower.value
     is_frame = route_inequality
 
     coeff = seq.coefficient_space()
-    xstar = dom.dual
     witnesses: dict = {}
     if a_observed.witness is not None:
         witnesses["lower_frame"] = a_observed.witness
@@ -159,15 +165,11 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         diagnosis = "synthesis-singular"
     else:
         riesz_upper, riesz_upper_obs = bessel.upper, bessel.lower
-        riesz_lower, riesz_lower_obs = _riesz_lower_certificates(
-            synthesis_matrix(seq), coeff, xstar, bessel.upper.value, cfg
-        )
+        riesz_lower, riesz_lower_obs = a_safe, a_observed
         is_riesz = (
             riesz_lower_obs.value > cfg.frame_rel_threshold * riesz_upper_obs.value
         )
         diagnosis = "ok" if is_riesz else "inequality-threshold"
-        if riesz_lower_obs.witness is not None:
-            witnesses["riesz_lower"] = riesz_lower_obs.witness
 
     return FrameReport(
         is_bessel=True,
@@ -188,47 +190,6 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         zero_members=seq.zero_members(),
         witnesses=witnesses,
     )
-
-
-def _riesz_lower_certificates(S, coeff, xstar, lipschitz, cfg):
-    """Certificates for the lower synthesis constant of a square invertible S.
-
-    The observed value comes from ascending on S^{-1}: a witness x with
-    ||S^{-1} x|| / ||x|| = r maps to g = S^{-1} x achieving ratio 1/r for the
-    infimum, so the value stays witness-backed.
-    """
-    if coeff.is_euclidean and xstar.is_euclidean:
-        _, s, vt = np.linalg.svd(S)
-        cert = BoundCertificate(float(s[-1]), "exact", "singular-value", vt[-1])
-        return cert, cert
-    inv = np.linalg.inv(S)
-    inv_lower = multistart_lower(inv, xstar, coeff, cfg, stream=24)
-    if inv_lower.value <= 0.0:
-        observed = BoundCertificate(0.0, "upper_certificate", "inverse-ascent")
-        safe = BoundCertificate(0.0, "lower_estimate", "inverse-ascent")
-        return safe, observed
-    g = inv @ inv_lower.witness
-    gn = coeff.norm(g)
-    g = g / gn if gn > 0 else g
-    observed = BoundCertificate(
-        1.0 / inv_lower.value, "upper_certificate", "inverse-ascent", g
-    )
-    if coeff.total_dim <= cfg.grid_cert_max_dim:
-        from . import gridsearch
-
-        certified, argmin, sampled = gridsearch.certified_min_ratio(
-            S, coeff, xstar, lipschitz, cfg.grid_axis_points, cfg.grid_budget
-        )
-        safe = BoundCertificate(certified, "lower_estimate", "grid-certified")
-        if sampled < observed.value:
-            observed = BoundCertificate(
-                sampled, "upper_certificate", "grid-argmin", argmin
-            )
-    else:
-        safe = BoundCertificate(
-            max(observed.value - cfg.tol_estimate, 0.0), "lower_estimate", "descent-slack"
-        )
-    return safe, observed
 
 
 @dataclass(frozen=True)

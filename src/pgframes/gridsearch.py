@@ -1,8 +1,10 @@
 """Dense unit-sphere sampling oracles.
 
-Used as the slow cross-check route next to closed forms and ascent estimates:
-suprema by exhaustive sampling, and infima with a Lipschitz correction that
-turns a sampled minimum into a certified lower bound.
+A slow, independent oracle for cross-checks only; no certificate in the
+package is computed here.  Suprema come from exhaustive sampling, and infima
+from a sampled minimum with an optional Lipschitz correction.  Tests compare
+the closed forms, the ascent estimates and the left-inverse lower bounds of
+``frames`` against these values.
 
 Spheres are sampled by gridding the faces of the unit cube and renormalizing;
 the renormalization map y -> y / ||y|| is 2-Lipschitz on the cube surface, so

@@ -62,8 +62,8 @@ class BoundCertificate:
     ``exact`` (equal up to rounding), ``upper_certificate`` (proven >=), or
     ``lower_estimate`` (proven <=).  When ``witness`` is present, evaluating
     the underlying norm ratio at it reproduces ``value`` to rounding accuracy;
-    certificates obtained from aggregate bounds, grid corrections or slack
-    subtraction carry no witness and say so in ``method``.
+    certificates obtained from aggregate bounds or from the reciprocal of an
+    inverse's upper bound carry no witness and say so in ``method``.
     """
 
     value: float

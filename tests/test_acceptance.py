@@ -12,8 +12,7 @@ import pytest
 import pgframes as pg
 from pgframes.config import NumericsConfig
 
-FAST = NumericsConfig(polish_starts=0, grid_cert_max_dim=0)
-GRIDDED = NumericsConfig(polish_starts=0)  # keeps grid certification at dims <= 3
+FAST = NumericsConfig(polish_starts=0)
 
 
 def _report(criterion, text):
@@ -90,26 +89,26 @@ def test_criterion_3_lower_bound():
         margin = nb.estimate.value - nb.lower.value
         worst_exact = min(worst_exact, margin)
         assert margin >= -1e-9
-    worst_grid = math.inf
+    worst_cert = math.inf
     for trial in range(100):
         p = 1.5 if trial % 2 == 0 else 3.0
-        n = int(rng.integers(2, 4))  # dims <= 3 for the grid oracle
+        n = int(rng.integers(2, 4))
         lam = _row_seq(_conditioned_square(rng, n), p=p)
         theta = _row_seq(_conditioned_square(rng, n), p=pg.conjugate_exponent(p))
         m = pg.Symbol(rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n))
         M = pg.assemble(m, lam, theta)
-        left = pg.classify(lam, GRIDDED)
-        right = pg.classify(theta, GRIDDED)
-        assert left.riesz_lower.method in ("grid-certified", "singular-value")
-        nb = pg.norm_bounds(M, GRIDDED, left_report=left, right_report=right)
+        left = pg.classify(lam, FAST)
+        right = pg.classify(theta, FAST)
+        assert left.riesz_lower.method in ("left-inverse", "singular-value")
+        nb = pg.norm_bounds(M, FAST, left_report=left, right_report=right)
         assert nb.lower is not None
         margin = nb.estimate.value - nb.lower.value
-        worst_grid = min(worst_grid, margin)
+        worst_cert = min(worst_cert, margin)
         assert margin >= -1e-3
     _report(
         3,
         f"100 exact pairs margin >= {worst_exact:.1e}; "
-        f"100 grid-certified pairs margin >= {worst_grid:.1e}",
+        f"100 left-inverse pairs margin >= {worst_cert:.1e}",
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pgframes as pg
+from pgframes import gridsearch, opnorm
 from pgframes.config import NumericsConfig
 
 
@@ -147,6 +148,13 @@ def test_riesz_equivalences_examples():
     assert eq.agree and eq.riesz_inequality
 
 
+def _sampled_ratios(seq, rng, count=1000):
+    samples = rng.standard_normal((seq.domain.dim, count))
+    norms = seq.domain.norm_many(samples)
+    samples = samples[:, norms > 0] / norms[norms > 0]
+    return seq.analysis_space().norm_many(seq.stacked() @ samples)
+
+
 def test_frame_inequality_at_samples():
     rng = np.random.default_rng(2)
     for p in (1.5, 2.0, 3.0):
@@ -160,12 +168,28 @@ def test_frame_inequality_at_samples():
                 p,
             )
             rep = pg.classify(seq)
-            samples = rng.standard_normal((n, 1000))
-            norms = seq.domain.norm_many(samples)
-            samples = samples[:, norms > 0] / norms[norms > 0]
-            ratios = seq.analysis_space().norm_many(seq.stacked() @ samples)
+            ratios = _sampled_ratios(seq, rng)
             assert ratios.min() >= rep.lower_bound.value - 1e-9
             assert ratios.max() <= rep.bessel_bound.value + 1e-9
+    # exponent endpoints, square (Riesz) and tall (overcomplete) layouts
+    inf = math.inf
+    for dom_exp in (1.0, 2.0, inf):
+        for r in (1.0, 3.0, inf):
+            for dims in ([2, 1], [1, 1, 1], [2, 2], [3, 1, 1]):
+                for p in (1.5, 3.0):
+                    seq = pg.OperatorSequence(
+                        pg.SpaceSpec(3, dom_exp),
+                        tuple(pg.SpaceSpec(d, r) for d in dims),
+                        tuple(rng.standard_normal((d, 3)) for d in dims),
+                        p,
+                    )
+                    rep = pg.classify(seq)
+                    case = (dom_exp, r, dims, p)
+                    ratios = _sampled_ratios(seq, rng, 400)
+                    assert 0.0 < rep.lower_bound.value <= ratios.min() + 1e-12, case
+                    assert rep.lower_bound.value <= rep.lower_observed.value + 1e-12, case
+                    assert ratios.max() <= rep.bessel_bound.value + 1e-9, case
+                    assert rep.frame_routes == (True, True), case
 
 
 def test_classification_routes_agree_including_rank_deficient():
@@ -189,20 +213,52 @@ def test_classification_routes_agree_including_rank_deficient():
 
 
 def test_grid_certified_lower_bounds_are_lower():
-    cfg = NumericsConfig(grid_cert_max_dim=3)
+    # the sphere-grid minimum is an independent reference: every proven lower
+    # bound must sit below the sampled minimum of its ratio
     rng = np.random.default_rng(4)
+    cfg = NumericsConfig()
     for p in (1.5, 3.0):
         seq = random_riesz(rng, n=3, p=p, dims=[2, 1])
         rep = pg.classify(seq, cfg)
-        assert rep.lower_bound.method == "grid-certified"
-        assert rep.riesz_lower.method == "grid-certified"
-        samples = rng.standard_normal((3, 2000))
-        norms = seq.domain.norm_many(samples)
-        samples = samples / norms
-        ratios = seq.analysis_space().norm_many(seq.stacked() @ samples)
-        assert rep.lower_bound.value <= ratios.min() + 1e-12
-        coeff = seq.coefficient_space()
-        gs = rng.standard_normal((3, 2000))
-        gs = gs / coeff.norm_many(gs)
-        sratios = seq.domain.dual.norm_many(pg.synthesis_matrix(seq) @ gs)
-        assert rep.riesz_lower.value <= sratios.min() + 1e-12
+        assert rep.lower_bound.method == "left-inverse"
+        assert rep.riesz_lower.method == "left-inverse"
+        B = rep.bessel_bound.value
+        _, _, sampled = gridsearch.certified_min_ratio(
+            seq.stacked(), seq.domain, seq.analysis_space(), B,
+            cfg.grid_axis_points, cfg.grid_budget,
+        )
+        assert rep.lower_bound.value <= sampled + 1e-12
+        _, _, sampled = gridsearch.certified_min_ratio(
+            pg.synthesis_matrix(seq), seq.coefficient_space(), seq.domain.dual, B,
+            cfg.grid_axis_points, cfg.grid_budget,
+        )
+        assert rep.riesz_lower.value <= sampled + 1e-12
+
+
+def test_lower_frame_bound_positive_on_small_riesz_pair():
+    # a dim-2 Riesz basis whose Lipschitz-corrected grid bound used to be 0,
+    # so the inequality route said "not a frame" while the rank route did not
+    inst = pg.gen(
+        "riesz-pair", x2_dim=2, y_dims=[1, 1], frame_exponent=1.25,
+        y_exponents=[4.0, 4.0], x2_exponent=4.0, x1_exponent=1.25, seed=2009,
+    )
+    assert pg.run_checks(inst, suites=["classify"]).ok
+    rep = pg.classify(inst.lam_sequence())
+    assert rep.frame_routes == (True, True)
+    assert rep.lower_bound.value > 0
+
+
+def test_lower_frame_bound_below_witnessed_infimum():
+    # the infimum of ||F x|| / ||x|| is 1 / ||F^{-1}||; an ascent on F^{-1}
+    # witnesses a ratio the proven lower bound may not exceed
+    inst = pg.gen(
+        "riesz-pair", x2_dim=8, y_dims=[2] * 4, frame_exponent=1.5,
+        y_exponents=[3.0] * 4, seed=1001,
+    )
+    seq = inst.lam_sequence()
+    cfg = NumericsConfig()
+    rep = pg.classify(seq, cfg)
+    ascent = opnorm.multistart_lower(
+        np.linalg.inv(seq.stacked()), seq.analysis_space(), seq.domain, cfg, stream=5
+    )
+    assert rep.lower_bound.value <= 1.0 / ascent.value

@@ -274,7 +274,7 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
 def _check_multiply(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     m = inst.symbol_obj()
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
-    M = assemble(m, lam, theta, verify_bessel=True, cfg=cfg)
+    M = assemble(m, lam, theta, verify_bessel=True)
     rng = _seeded(cfg, 4)
     perm = rng.permutation(len(m))
     lam_p = OperatorSequence(

@@ -19,6 +19,7 @@ from .frames import NotRieszError, dual_riesz_basis
 from .generate import GEN_KINDS, GenerationError, gen
 from .instances import InstanceFormatError, load, serialize
 from .multipliers import SymbolTooSmallError, assemble, invert, norm_bounds
+from .operators import synthesis_matrix
 from .perturbation import CONTINUITY_KINDS, ContinuityViolation, continuity_suite
 
 
@@ -187,7 +188,7 @@ def _cmd_dual(args, cfg) -> int:
         except NotRieszError as exc:
             doc[tag] = f"skipped: {exc}"
             continue
-        S = np.hstack([m.T for m in seq.mats])
+        S = synthesis_matrix(seq)
         res = float(np.abs(np.vstack(dual.mats) @ S - np.eye(seq.domain.dim)).max())
         doc[f"{tag}.biorthogonality_residual"] = res
         doc[f"{tag}.mats"] = [m.tolist() for m in dual.mats]

@@ -15,16 +15,15 @@ class NumericsConfig:
     tol_exact: float = 1e-10      # relative, for closed-form identities
     frame_rel_threshold: float = 1e-8   # lower frame bound counts as positive if A > thr * B
 
-    # multistart ascent (norm maximization)
+    # multistart ascent (norm maximization; infima of square full-rank
+    # matrices are one over the ascent on the inverse)
     restarts: int = 16
     max_iterations: int = 500
     ratio_tol: float = 1e-12      # relative stop criterion on successive ratios
     seed: int = 0
 
-    # descent / infimum estimation
+    # infimum candidates for tall, wide or singular non-Euclidean matrices
     sample_batch: int = 2048      # vectorized random candidates for minima
-    polish_starts: int = 2        # Nelder-Mead polish runs (0 disables)
-    polish_maxfev: int = 200
 
     # exact sign enumeration for the l^inf -> l^r norm
     vertex_limit: int = 20
@@ -46,7 +45,7 @@ class NumericsConfig:
 
     def fast(self) -> "NumericsConfig":
         """Cheaper profile for inner loops (generation, precondition checks)."""
-        return replace(self, restarts=6, polish_starts=0)
+        return replace(self, restarts=6)
 
 
 DEFAULT_CONFIG = NumericsConfig()

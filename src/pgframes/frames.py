@@ -12,7 +12,9 @@ rank F and ||S|| = ||F||.  For a Riesz basis S^{-1} = (F^{-1})^T as well, so
 the lower Riesz constant is the lower frame bound 1/||F^{-1}||.  Every one of
 these numbers is computed once, on the analysis side.  The lower bound has a
 single proven route: the smallest singular value on Euclidean spaces, and a
-left-inverse certificate 1/upper(||P||) with P F = I otherwise.
+left-inverse certificate 1/upper(||P||) with P F = I otherwise.  Its
+witness-backed companion has a single route too, ``min_ratio_estimate``,
+which for a square F of full rank is one over the ascent on F^{-1}.
 
 ``dual_riesz_basis`` inverts the synthesis matrix and reads its block rows as
 the coefficient-extracting dual sequence; biorthogonality and reconstruction
@@ -28,7 +30,6 @@ from .config import DEFAULT_CONFIG, NumericsConfig
 from .opnorm import (
     BoundCertificate,
     min_ratio_estimate,
-    multistart_lower,
     operator_norm_bounds,
     upper_certificate_only,
 )
@@ -90,7 +91,7 @@ class FrameReport:
 def _infimum_certificates(A, rank, dom, cod, cfg, stream):
     """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
 
-    ``rank`` is the rank of ``A``.  ``observed`` is the best achieved ratio
+    ``rank`` is the rank of ``A``.  ``observed`` is :func:`min_ratio_estimate`
     (>= true infimum, witness-backed).  ``safe`` is a proven lower bound:
     the smallest singular value on Euclidean spaces, 0 with a kernel vector
     when ``A`` is rank deficient, and otherwise the left-inverse bound.  With
@@ -99,19 +100,18 @@ def _infimum_certificates(A, rank, dom, cod, cfg, stream):
     tall one.
     """
     A = np.asarray(A, dtype=float)
-    if dom.is_euclidean and cod.is_euclidean:
-        _, s, vt = np.linalg.svd(A)
-        smin = float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0
-        w = vt[-1]
-        cert = BoundCertificate(smin, "exact", "singular-value", w)
-        return cert, cert
-    if rank < dom.total_dim:
+    euclidean = dom.is_euclidean and cod.is_euclidean
+    if rank < dom.total_dim and not euclidean:
         _, _, vt = np.linalg.svd(A)
         kernel = vt[-1]
         observed = cod.norm(A @ kernel)
         cert = BoundCertificate(0.0, "exact", "kernel", kernel)
         obs = BoundCertificate(observed, "upper_certificate", "kernel", kernel)
         return cert, obs
+    value, witness = min_ratio_estimate(A, dom, cod, cfg, stream)
+    if euclidean:
+        cert = BoundCertificate(value, "exact", "singular-value", witness)
+        return cert, cert
 
     square = A.shape[0] == A.shape[1]
     P = np.linalg.inv(A) if square else np.linalg.pinv(A)
@@ -120,17 +120,8 @@ def _infimum_certificates(A, rank, dom, cod, cfg, stream):
         "lower_estimate",
         "left-inverse",
     )
-    if square:
-        # a witness y of ||P y|| / ||y|| = r maps to x = P y with ratio 1/r
-        inv_lower = multistart_lower(P, cod, dom, cfg, stream=24)
-        x = P @ inv_lower.witness
-        observed = BoundCertificate(
-            1.0 / inv_lower.value, "upper_certificate", "inverse-ascent", x / dom.norm(x)
-        )
-    else:
-        value, witness = min_ratio_estimate(A, dom, cod, cfg, stream=stream)
-        observed = BoundCertificate(value, "upper_certificate", "multistart-descent", witness)
-    return safe, observed
+    method = "inverse-ascent" if square else "candidate-search"
+    return safe, BoundCertificate(value, "upper_certificate", method, witness)
 
 
 def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameReport:
@@ -142,7 +133,7 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
 
     bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
     rank = int(np.linalg.matrix_rank(F))
-    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=22)
+    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=24)
     g_complete = rank == dom.dim
     route_inequality = a_safe.value > cfg.frame_rel_threshold * bessel.lower.value
     is_frame = route_inequality
@@ -259,7 +250,10 @@ def riesz_equivalences_check(
 
     The inequality condition compares a direct estimate of the synthesis
     infimum with the certified Bessel bound, which is the synthesis norm
-    because synthesis is the adjoint of analysis.  The rank condition covers
+    because synthesis is the adjoint of analysis.  The estimate is
+    :func:`min_ratio_estimate` on S; for square S it ascends on
+    S^{-1} = (F^{-1})^T between the dual spaces, a different iteration from
+    the one ``classify`` runs on F^{-1}.  The rank condition covers
     both injectivity of the synthesis matrix S and surjectivity of the
     stacked analysis matrix F = S^T, one condition since rank S = rank F.
     Disagreement is reported, not raised; for a frame the two booleans are
@@ -271,11 +265,7 @@ def riesz_equivalences_check(
     xstar = seq.domain.dual
 
     upper = analysis_upper(seq, cfg)
-    if coeff.is_euclidean and xstar.is_euclidean:
-        s = np.linalg.svd(S, compute_uv=False)
-        low_val = float(s[-1]) if S.shape[0] >= S.shape[1] else 0.0
-    else:
-        low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
+    low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
     cond_inequality = low_val > cfg.frame_rel_threshold * upper.value
 
     rank = int(np.linalg.matrix_rank(S))

@@ -20,7 +20,14 @@ from .config import DEFAULT_CONFIG, NumericsConfig
 from .frames import NotRieszError, classify, dual_riesz_basis
 from .operators import OperatorSequence, analysis_upper
 from .opnorm import BoundCertificate, matrix_opnorm
-from .spaces import DimensionMismatchError, SpaceError, SpaceSpec, Vector
+from .spaces import (
+    DimensionMismatchError,
+    SpaceError,
+    SpaceSpec,
+    Vector,
+    conjugate_exponent,
+    pnorm,
+)
 
 __all__ = [
     "Symbol",
@@ -64,8 +71,6 @@ class Symbol:
         return float(np.abs(self.entries).min())
 
     def p_norm(self, p: float) -> float:
-        from .spaces import pnorm
-
         return pnorm(self.entries, p)
 
     def reciprocal(self) -> "Symbol":
@@ -117,7 +122,6 @@ def assemble(
     left: OperatorSequence,
     right: OperatorSequence,
     verify_bessel: bool = False,
-    cfg: NumericsConfig | None = None,
 ) -> MultiplierOperator:
     """Sum the weighted products m_i left_i^T @ right_i into one matrix.
 
@@ -126,7 +130,6 @@ def assemble(
     truncation; ``verify_bessel=True`` still records advisory notes (zero
     members, mismatched aggregation exponents) instead of failing.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if len(m) != len(left) or len(left) != len(right):
         raise DimensionMismatchError(
             f"index sets differ: symbol {len(m)}, left {len(left)}, right {len(right)}"
@@ -143,8 +146,6 @@ def assemble(
     matrix = _fsum_stack(terms)
     advisories: list[str] = []
     if verify_bessel:
-        from .spaces import conjugate_exponent
-
         if not math.isclose(
             right.frame_exponent, conjugate_exponent(left.frame_exponent)
         ):

@@ -15,6 +15,9 @@ side, and for the upper side to the minimum of the Hoelder (column and row)
 and singular-value-times-dimension bounds, aggregated blockwise on product
 spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
+``min_ratio_estimate`` is the one witness-backed estimate of the smallest
+ratio; for a square matrix of full rank it is one over the ascent on the
+inverse.
 
 All certificate values are computed on the matrix scaled by its largest entry
 and rescaled afterwards, so both sides are exactly homogeneous.
@@ -335,19 +338,31 @@ def matrix_opnorm(
 def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = 1):
     """Best found value of min ||A x||_cod / ||x||_dom; returns (value, witness).
 
-    Candidate sampling (singular vectors, coordinate vectors, a random batch)
-    followed by optional Nelder-Mead polish.  The returned value is achieved
-    by the witness, hence an upper bound on the true infimum.
+    One branch by shape, each achieved by its witness, so the value is an
+    upper bound on the true infimum:
+
+    * both sides Euclidean: the smallest singular value and its right
+      singular vector (0.0 with a kernel vector for a wide ``A``);
+    * square ``A`` of full rank: 1 / r with r from :func:`multistart_lower`
+      on inv(A) between the swapped spaces (Boyd's power method run on the
+      inverse); its witness y maps to x = inv(A) y with ratio 1 / r;
+    * otherwise: the best of sampled candidates (singular vectors, coordinate
+      vectors, a random batch), plus x = P y for a tall ``A`` of full rank,
+      where P = pinv(A) and y is the ascent witness of P.
     """
     cfg = cfg or DEFAULT_CONFIG
     A = np.asarray(A, dtype=float)
-    n = dom.total_dim
-
-    def ratio(v: np.ndarray) -> float:
-        u = _normalize(dom, v)
-        if u is None:
-            return math.inf
-        return cod.norm(A @ u)
+    m, n = A.shape
+    if dom.is_euclidean and cod.is_euclidean:
+        _, s, vt = np.linalg.svd(A)
+        return (float(s[-1]) if m >= n else 0.0), vt[-1]
+    full_rank = np.linalg.matrix_rank(A) == n
+    if full_rank and m == n:
+        # a witness y of ||P y|| / ||y|| = r maps to x = P y with ratio 1/r
+        P = np.linalg.inv(A)
+        inv_lower = multistart_lower(P, cod, dom, cfg, stream)
+        x = P @ inv_lower.witness
+        return 1.0 / inv_lower.value, x / dom.norm(x)
 
     cands = [np.ones(n)]
     try:
@@ -360,6 +375,9 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
         e = np.zeros(n)
         e[j] = 1.0
         cands.append(e)
+    if full_rank:
+        P = np.linalg.pinv(A)
+        cands.append(P @ multistart_lower(P, cod, dom, cfg, stream).witness)
     batch = _rng(cfg, stream, 0).standard_normal((n, cfg.sample_batch))
     norms = dom.norm_many(batch)
     good = norms > 0.0
@@ -368,26 +386,10 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
     j = int(np.argmin(ratios))
     best_v, best_x = float(ratios[j]), batch[:, j]
     for c in cands:
-        val = ratio(c)
+        u = _normalize(dom, c)
+        if u is None:
+            continue
+        val = cod.norm(A @ u)
         if val < best_v:
-            u = _normalize(dom, c)
             best_v, best_x = val, u
-
-    if cfg.polish_starts > 0:
-        from scipy.optimize import minimize
-
-        starts = [best_x]
-        for i in range(cfg.polish_starts - 1):
-            starts.append(_rng(cfg, stream, 1000 + i).standard_normal(n))
-        for x0 in starts:
-            res = minimize(
-                ratio,
-                x0,
-                method="Nelder-Mead",
-                options={"maxfev": cfg.polish_maxfev, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            if res.fun < best_v and math.isfinite(res.fun):
-                u = _normalize(dom, res.x)
-                if u is not None:
-                    best_v, best_x = cod.norm(A @ u), u
     return best_v, best_x

@@ -12,7 +12,7 @@ import pytest
 import pgframes as pg
 from pgframes.config import NumericsConfig
 
-FAST = NumericsConfig(polish_starts=0)
+FAST = NumericsConfig()
 
 
 def _report(criterion, text):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +265,36 @@ def test_lower_frame_bound_below_witnessed_infimum():
         np.linalg.inv(seq.stacked()), seq.analysis_space(), seq.domain, cfg, stream=5
     )
     assert rep.lower_bound.value <= 1.0 / ascent.value
+
+
+_NO_SCIPY = """
+import sys
+import numpy as np
+import pgframes as pg
+
+inst = pg.gen("riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, seed=7)
+assert not inst.lam_sequence().coefficient_space().is_euclidean
+pg.run_checks(inst, n_max=4)
+tall = pg.OperatorSequence(
+    pg.SpaceSpec(2, 1.5),
+    tuple(pg.SpaceSpec(1, 3.0) for _ in range(3)),
+    (np.array([[1.0, 0.2]]), np.array([[-0.3, 1.0]]), np.array([[1.0, 1.0]])),
+    1.5,
+)
+rep = pg.classify(tall)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert rep.lower_observed.method == "candidate-search"
+"""
+
+
+def test_infimum_routes_do_not_import_scipy():
+    # a fresh interpreter: every suite on a non-Euclidean Riesz pair and the
+    # tall-frame infimum run on numpy alone
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

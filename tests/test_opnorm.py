@@ -173,11 +173,39 @@ def test_operator_norm_bounds_mixed_spaces():
         assert pair.lower.value <= only.value
 
 
-def test_min_ratio_estimate_euclidean_matches_smallest_singular_value():
+def _min_ratio_case(case):
+    """(A, domain exponent, codomain exponent) for one shape branch."""
     rng = np.random.default_rng(8)
-    A = rng.standard_normal((4, 3))
-    dom, cod = pg.SpaceSpec(3, 2.0), pg.SpaceSpec(4, 2.0)
+    if case == "tall-euclidean":
+        return rng.standard_normal((4, 3)), 2.0, 2.0
+    if case == "wide-euclidean":
+        return rng.standard_normal((2, 4)), 2.0, 2.0
+    A = rng.standard_normal((4, 4))
+    if case == "singular-lp":
+        A[1] = 0.0  # exactly singular: inv(A) would raise LinAlgError
+    return A, 1.5, 3.0
+
+
+@pytest.mark.parametrize(
+    "case", ["tall-euclidean", "square-lp", "singular-lp", "wide-euclidean"]
+)
+def test_min_ratio_estimate_by_shape(case):
+    A, p, r = _min_ratio_case(case)
+    dom, cod = pg.SpaceSpec(A.shape[1], p), pg.SpaceSpec(A.shape[0], r)
     val, w = pg.min_ratio_estimate(A, dom, cod)
-    smin = np.linalg.svd(A, compute_uv=False)[-1]
-    assert val == pytest.approx(smin, rel=1e-6)
-    assert cod.norm(A @ w) / dom.norm(w) == pytest.approx(val, rel=1e-10)
+    ratio = cod.norm(A @ w) / dom.norm(w)
+    if case == "tall-euclidean":
+        smin = np.linalg.svd(A, compute_uv=False)[-1]
+        assert val == pytest.approx(smin, rel=1e-6)
+        assert ratio == pytest.approx(val, rel=1e-10)
+    elif case == "square-lp":
+        assert ratio == pytest.approx(val, rel=1e-10)
+        X = np.random.default_rng(9).standard_normal((4, 2048))
+        X = X / dom.norm_many(X)
+        assert val <= cod.norm_many(A @ X).min()
+    elif case == "singular-lp":
+        assert val <= 1e-12 * np.abs(A).max()
+        assert ratio == pytest.approx(val, abs=1e-15)
+    else:
+        assert val == 0.0
+        assert ratio <= 1e-12 * np.abs(A).max()

@@ -35,6 +35,7 @@ __all__ = [
     "NormBounds",
     "SymbolTooSmallError",
     "assemble",
+    "check_pairing",
     "norm_bounds",
     "invert",
     "injectivity_witness",
@@ -117,19 +118,9 @@ def _fsum_stack(terms: list[np.ndarray]) -> np.ndarray:
     return out.reshape(terms[0].shape)
 
 
-def assemble(
-    m: Symbol,
-    left: OperatorSequence,
-    right: OperatorSequence,
-    verify_bessel: bool = False,
-) -> MultiplierOperator:
-    """Sum the weighted products m_i left_i^T @ right_i into one matrix.
-
-    Shapes must pair up (same index count, matching codomain dims).  The
-    Bessel hypotheses behind the defining series are vacuous at finite
-    truncation; ``verify_bessel=True`` still records advisory notes (zero
-    members, mismatched aggregation exponents) instead of failing.
-    """
+def check_pairing(m: Symbol, left: OperatorSequence, right: OperatorSequence) -> None:
+    """Raise :class:`DimensionMismatchError` unless the three index sets agree
+    and each pair of members shares its codomain dimension."""
     if len(m) != len(left) or len(left) != len(right):
         raise DimensionMismatchError(
             f"index sets differ: symbol {len(m)}, left {len(left)}, right {len(right)}"
@@ -139,6 +130,22 @@ def assemble(
             raise DimensionMismatchError(
                 f"member {i}: left codomain dim {yl.dim} != right codomain dim {yr.dim}"
             )
+
+
+def assemble(
+    m: Symbol,
+    left: OperatorSequence,
+    right: OperatorSequence,
+    verify_bessel: bool = False,
+) -> MultiplierOperator:
+    """Sum the weighted products m_i left_i^T @ right_i into one matrix.
+
+    Shapes must pair up (see :func:`check_pairing`).  The
+    Bessel hypotheses behind the defining series are vacuous at finite
+    truncation; ``verify_bessel=True`` still records advisory notes (zero
+    members, mismatched aggregation exponents) instead of failing.
+    """
+    check_pairing(m, left, right)
     terms = [
         mi * (ml.T @ mr)
         for mi, ml, mr in zip(m.entries, left.mats, right.mats)

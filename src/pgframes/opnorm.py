@@ -78,6 +78,9 @@ class BoundCertificate:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
+        if self.witness is not None:
+            # an owned copy: a row of an SVD factor would keep the factor alive
+            object.__setattr__(self, "witness", np.array(self.witness))
 
     def scaled(self, factor: float) -> "BoundCertificate":
         return BoundCertificate(factor * self.value, self.kind, self.method, self.witness)

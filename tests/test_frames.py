@@ -267,6 +267,19 @@ def test_lower_frame_bound_below_witnessed_infimum():
     assert rep.lower_bound.value <= 1.0 / ascent.value
 
 
+def test_classify_witnesses_own_their_memory():
+    # witnesses taken from SVD factors must not pin the factors in the report
+    seq = pg.gen("riesz-pair", x2_dim=8, y_dims=[2] * 4, seed=3).lam_sequence()
+    rep = pg.classify(seq)
+    certs = [v for v in vars(rep).values() if isinstance(v, pg.BoundCertificate)]
+    witnesses = list(rep.witnesses.values()) + [
+        c.witness for c in certs if c.witness is not None
+    ]
+    assert rep.witnesses and witnesses
+    for w in witnesses:
+        assert w.base is None or w.base.nbytes <= w.nbytes
+
+
 _NO_SCIPY = """
 import sys
 import numpy as np

@@ -96,6 +96,14 @@ def test_witness_reproduces_value():
         assert ratio == pytest.approx(lo.value, rel=1e-10)
 
 
+def test_singular_value_witness_owns_its_memory():
+    # a row of the SVD factor would keep the whole n x n factor alive
+    A = np.random.default_rng(4).standard_normal((12, 10))
+    cert = pg.upper_certificate_only(A, pg.SpaceSpec(10, 2.0), pg.SpaceSpec(12, 2.0))
+    assert cert.method == "singular-value"
+    assert cert.witness.base is None
+
+
 def test_sandwich_across_exponents():
     rng = np.random.default_rng(5)
     exps = [1.0, 1.5, 2.0, 3.0, INF]

@@ -1,7 +1,11 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import pgframes as pg
+from pgframes import perturbation
 
 
 def rows(*mats, domain_dim=2, p=2.0, inner=None):
@@ -172,3 +176,129 @@ def test_continuity_bad_generator_shapes():
         )
     with pytest.raises(ValueError):
         pg.continuity_suite("unknown", m, SELECTORS, SELECTORS, p1=2.0, n_max=3)
+
+
+def _exact_multiplier(m, lam, theta):
+    # sum_i m_i L_i^T T_i in exact rational arithmetic
+    rows_, cols = lam.domain.dim, theta.domain.dim
+    M = [[Fraction(0)] * cols for _ in range(rows_)]
+    for mi, L, T in zip(m.entries, lam.mats, theta.mats):
+        w = Fraction(float(mi))
+        for a in range(rows_):
+            for b in range(cols):
+                M[a][b] += w * sum(
+                    Fraction(float(L[k, a])) * Fraction(float(T[k, b]))
+                    for k in range(L.shape[0])
+                )
+    return M
+
+
+def _exact_gap_error(gap, base, new):
+    # max-entry error of a float gap against the exact difference, relative
+    # to the exact difference's largest entry
+    M0, M1 = _exact_multiplier(*base), _exact_multiplier(*new)
+    ref = [[b - a for a, b in zip(r0, r1)] for r0, r1 in zip(M0, M1)]
+    scale = max(abs(x) for r in ref for x in r)
+    err = max(
+        abs(Fraction(float(gap[a, b])) - ref[a][b])
+        for a in range(len(ref)) for b in range(len(ref[0]))
+    )
+    return float(err / scale)
+
+
+@pytest.fixture
+def recorded_gaps(monkeypatch):
+    # every matrix the continuity suite hands to its norm oracle
+    gaps = []
+    real = perturbation.matrix_opnorm
+
+    def recording(A, *args, **kwargs):
+        gaps.append(np.array(A))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "matrix_opnorm", recording)
+    return gaps
+
+
+PAIR6 = pg.gen("riesz-pair", x2_dim=6, y_dims=[2, 2, 2], seed=11)
+
+
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_continuity_gap_matches_exact_reference(kind, recorded_gaps):
+    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    cfg = pg.NumericsConfig()
+    pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
+    gen = perturbation.default_generator(kind, m, lam, theta, cfg)
+    for n in (10, 25, 40):
+        err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
+        assert err <= 1e-15, (n, err)
+
+
+def _with_mats(seq, mats):
+    return pg.OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
+
+
+def test_continuity_custom_generator_several_members(recorded_gaps):
+    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    rng = np.random.default_rng(3)
+    shifts = [rng.standard_normal(a.shape) for a in lam.mats + theta.mats]
+
+    def gen(n):
+        eps = 3.0 ** (-n)
+        e = m.entries.copy()
+        e[[0, 2]] += (eps, -2.0 * eps)
+        ll = [a + eps * s for a, s in zip(lam.mats, shifts[:3])]
+        ll[0] = lam.mats[0]
+        tt = [a + eps * s for a, s in zip(theta.mats, shifts[3:])]
+        tt[1] = theta.mats[1].copy()
+        return pg.Symbol(e), _with_mats(lam, ll), _with_mats(theta, tt)
+
+    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, n_max=20, generator=gen)
+    assert all(0.0 < t.measured <= t.bound + 1e-9 for t in traces)
+    for n in (1, 8, 20):
+        err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
+        assert err <= 1e-15, (n, err)
+
+
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_continuity_equal_copies_give_zero_gap(kind, recorded_gaps):
+    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
+
+    def copies(n):
+        return (
+            pg.Symbol(m.entries.copy()),
+            _with_mats(lam, [a.copy() for a in lam.mats]),
+            _with_mats(theta, [a.copy() for a in theta.mats]),
+        )
+
+    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=5, generator=copies)
+    assert all(t.measured == 0.0 and t.bound == 0.0 for t in traces)
+    assert all(t.deviation == 0.0 for t in traces)
+    assert all(not g.any() for g in recorded_gaps)
+
+
+def test_continuity_rejects_unpaired_ingredients():
+    with pytest.raises(pg.DimensionMismatchError):
+        pg.continuity_suite("symbol", pg.Symbol([1.0, 1.0, 1.0]), SELECTORS, SELECTORS, p1=2.0)
+    tall = rows(np.eye(2), [[0.0, 1.0]])  # codomain dims (2, 1) against (1, 1)
+    for lam, theta in ((SELECTORS, tall), (tall, SELECTORS)):
+        with pytest.raises(pg.DimensionMismatchError):
+            pg.continuity_suite("symbol", pg.Symbol([1.0, 1.0]), lam, theta, p1=2.0)
+
+
+def test_continuity_suite_assembles_nothing(monkeypatch):
+    calls = []
+    real = pg.multipliers.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.split(".")[0] == "pgframes" and getattr(mod, "assemble", None) is real:
+            monkeypatch.setattr(mod, "assemble", counting)
+    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    for kind in pg.CONTINUITY_KINDS:
+        pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40)
+    assert len(calls) == 0

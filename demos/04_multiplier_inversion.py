@@ -50,23 +50,20 @@ print(f"  upper product    = {nb.upper.value:.6f}")
 print()
 print("injectivity of the symbol map: a witness for a single-spike symbol")
 spike = pg.Symbol([0.0, 0.7])
-g = pg.injectivity_witness(lam, theta, spike)
 Ms = pg.assemble(spike, lam, theta)
+g = pg.injectivity_witness(Ms)
 print(f"  witness g = {g.entries}")
 print(f"  ||M g||   = {np.linalg.norm(Ms.apply(g).entries):.6f}  (nonzero)")
 
 print()
 print("inversion via dual sequences:")
-inv = pg.invert(m, lam, theta)
-fwd = pg.assemble(m, lam, theta)
-left = np.abs(inv.matrix @ fwd.matrix - np.eye(3)).max()
-right = np.abs(fwd.matrix @ inv.matrix - np.eye(3)).max()
+inv, left, right = pg.invert(M)
 print(f"  ||M^-1 M - I||_max = {left:.3e}")
 print(f"  ||M M^-1 - I||_max = {right:.3e}")
 
 print()
 print("the inverse refuses symbols with entries near zero:")
 try:
-    pg.invert(pg.Symbol([1.0, 1e-15, 1.0]), lam, theta)
+    pg.invert(pg.assemble(pg.Symbol([1.0, 1e-15]), lam, theta))
 except pg.SymbolTooSmallError as exc:
     print(f"  SymbolTooSmallError: {exc}")

@@ -52,6 +52,7 @@ from .frames import (
     riesz_equivalences_check,
 )
 from .multipliers import (
+    InverseVerificationError,
     MultiplierOperator,
     NormBounds,
     Symbol,

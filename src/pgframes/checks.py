@@ -193,9 +193,8 @@ def _check_duality(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     return CheckResult("duality", "pass" if ok else "fail", note, values)
 
 
-def _check_bounds(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
-    M = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
-    nb = norm_bounds(M, cfg, classified("lam"), classified("theta"))
+def _check_bounds(inst: Instance, cfg: NumericsConfig, classified, forward) -> CheckResult:
+    nb = norm_bounds(forward(), cfg, classified("lam"), classified("theta"))
     values = {
         "upper": nb.upper.value,
         "estimate": nb.estimate.value,
@@ -271,10 +270,9 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
     return CheckResult("dual", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_multiply(inst: Instance, cfg: NumericsConfig) -> CheckResult:
-    m = inst.symbol_obj()
-    lam, theta = inst.lam_sequence(), inst.theta_sequence()
-    M = assemble(m, lam, theta, verify_bessel=True)
+def _check_multiply(cfg: NumericsConfig, forward) -> CheckResult:
+    M = forward()
+    m, lam, theta = M.symbol, M.left, M.right
     rng = _seeded(cfg, 4)
     perm = rng.permutation(len(m))
     lam_p = OperatorSequence(
@@ -312,20 +310,15 @@ def _check_multiply(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     return CheckResult("multiply", "pass" if ok else "fail", "", values)
 
 
-def _check_invert(inst: Instance, cfg: NumericsConfig) -> CheckResult:
-    m = inst.symbol_obj()
-    lam, theta = inst.lam_sequence(), inst.theta_sequence()
+def _check_invert(cfg: NumericsConfig, forward) -> CheckResult:
+    # a failed verification raises InverseVerificationError, which
+    # run_checks reports as a failure with the residuals in its reason
     try:
-        inverse = invert(m, lam, theta, cfg)
+        _, res_l, res_r = invert(forward(), cfg)
     except SymbolTooSmallError as exc:
         return CheckResult("invert", "skipped", f"symbol-too-small: {exc}")
     except NotRieszError as exc:
         return CheckResult("invert", "skipped", f"not-riesz: {exc}")
-    forward = assemble(m, lam, theta)
-    n1 = forward.matrix.shape[1]
-    n2 = forward.matrix.shape[0]
-    res_l = float(np.abs(inverse.matrix @ forward.matrix - np.eye(n1)).max())
-    res_r = float(np.abs(forward.matrix @ inverse.matrix - np.eye(n2)).max())
     ok = max(res_l, res_r) <= 1e-8
     return CheckResult(
         "invert",
@@ -398,6 +391,10 @@ def run_checks(
     # use so that a failure lands in the suite that asked for it
     sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
     classified = functools.cache(lambda tag: classify(sequences[tag](), cfg))
+    # bounds, multiply and invert likewise share one forward multiplier
+    forward = functools.cache(
+        lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
+    )
     results = []
     for name in chosen:
         t0 = time.perf_counter()
@@ -409,13 +406,13 @@ def run_checks(
             elif name == "duality":
                 res = _check_duality(inst, cfg)
             elif name == "bounds":
-                res = _check_bounds(inst, cfg, classified)
+                res = _check_bounds(inst, cfg, classified, forward)
             elif name == "dual":
                 res = _check_dual(inst, cfg, classified)
             elif name == "multiply":
-                res = _check_multiply(inst, cfg)
+                res = _check_multiply(cfg, forward)
             elif name == "invert":
-                res = _check_invert(inst, cfg)
+                res = _check_invert(cfg, forward)
             elif name == "perturb":
                 res = _check_perturb(inst, cfg, epsilon)
             else:

@@ -18,7 +18,13 @@ from .config import DEFAULT_CONFIG
 from .frames import NotRieszError, dual_riesz_basis
 from .generate import GEN_KINDS, GenerationError, gen
 from .instances import InstanceFormatError, load, serialize
-from .multipliers import SymbolTooSmallError, assemble, invert, norm_bounds
+from .multipliers import (
+    InverseVerificationError,
+    SymbolTooSmallError,
+    assemble,
+    invert,
+    norm_bounds,
+)
 from .operators import synthesis_matrix
 from .perturbation import CONTINUITY_KINDS, ContinuityViolation, continuity_suite
 
@@ -200,9 +206,7 @@ def _cmd_dual(args, cfg) -> int:
 
 def _cmd_multiply(args, cfg) -> int:
     inst = load(args.instance)
-    M = assemble(
-        inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence(), verify_bessel=True
-    )
+    M = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
     doc = {
         "matrix": M.matrix.tolist(),
         "domain": {"dim": M.domain.dim, "exponent": str(M.domain.exponent)},
@@ -217,15 +221,17 @@ def _cmd_multiply(args, cfg) -> int:
 
 def _cmd_invert(args, cfg) -> int:
     inst = load(args.instance)
+    M = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
     try:
-        inv = invert(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence(), cfg)
+        inv, res_l, res_r = invert(M, cfg)
     except (SymbolTooSmallError, NotRieszError) as exc:
         print(f"invert skipped: {exc}", file=sys.stderr)
         _emit({"status": "skipped", "reason": str(exc)}, args.output)
         return 0
-    fwd = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
-    res_l = float(np.abs(inv.matrix @ fwd.matrix - np.eye(fwd.matrix.shape[1])).max())
-    res_r = float(np.abs(fwd.matrix @ inv.matrix - np.eye(fwd.matrix.shape[0])).max())
+    except InverseVerificationError as exc:
+        print(f"invert failed: {exc}", file=sys.stderr)
+        _emit({"status": "fail", "reason": str(exc)}, args.output)
+        return 1
     doc = {
         "inverse": inv.matrix.tolist(),
         "residual_left": res_l,

@@ -7,7 +7,10 @@ adjoints) and T (applied directly) is the finite sum
 
 acting between the dual coordinate spaces of the two domains.  Summation is
 entrywise compensated (fsum), so reordering the index set reproduces the
-matrix bit for bit.
+matrix bit for bit.  :func:`assemble` builds the :class:`MultiplierOperator`,
+which carries (m, L, T) along with the matrix; :func:`norm_bounds`,
+:func:`invert` and :func:`injectivity_witness` all take that assembled
+operator.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .frames import NotRieszError, classify, dual_riesz_basis
+from .frames import classify, dual_riesz_basis
 from .operators import OperatorSequence, analysis_upper
 from .opnorm import BoundCertificate, matrix_opnorm
 from .spaces import (
@@ -34,6 +37,7 @@ __all__ = [
     "MultiplierOperator",
     "NormBounds",
     "SymbolTooSmallError",
+    "InverseVerificationError",
     "assemble",
     "check_pairing",
     "norm_bounds",
@@ -44,6 +48,10 @@ __all__ = [
 
 class SymbolTooSmallError(ValueError):
     """Inversion refused: the symbol has entries too close to zero."""
+
+
+class InverseVerificationError(ArithmeticError):
+    """The assembled inverse multiplier failed its composition-residual check."""
 
 
 @dataclass(frozen=True)
@@ -132,18 +140,13 @@ def check_pairing(m: Symbol, left: OperatorSequence, right: OperatorSequence) ->
             )
 
 
-def assemble(
-    m: Symbol,
-    left: OperatorSequence,
-    right: OperatorSequence,
-    verify_bessel: bool = False,
-) -> MultiplierOperator:
+def assemble(m: Symbol, left: OperatorSequence, right: OperatorSequence) -> MultiplierOperator:
     """Sum the weighted products m_i left_i^T @ right_i into one matrix.
 
-    Shapes must pair up (see :func:`check_pairing`).  The
-    Bessel hypotheses behind the defining series are vacuous at finite
-    truncation; ``verify_bessel=True`` still records advisory notes (zero
-    members, mismatched aggregation exponents) instead of failing.
+    Shapes must pair up (see :func:`check_pairing`).  The Bessel hypotheses
+    behind the defining series are vacuous at finite truncation, so their
+    failures (zero members, mismatched aggregation exponents) are recorded as
+    advisory notes instead of errors.
     """
     check_pairing(m, left, right)
     terms = [
@@ -152,18 +155,15 @@ def assemble(
     ]
     matrix = _fsum_stack(terms)
     advisories: list[str] = []
-    if verify_bessel:
-        if not math.isclose(
-            right.frame_exponent, conjugate_exponent(left.frame_exponent)
-        ):
-            advisories.append(
-                "aggregation exponents are not conjugate: "
-                f"left p={left.frame_exponent}, right {right.frame_exponent}"
-            )
-        for tag, seq in (("left", left), ("right", right)):
-            zeros = seq.zero_members()
-            if zeros:
-                advisories.append(f"{tag} sequence has zero members at {zeros}")
+    if not math.isclose(right.frame_exponent, conjugate_exponent(left.frame_exponent)):
+        advisories.append(
+            "aggregation exponents are not conjugate: "
+            f"left p={left.frame_exponent}, right {right.frame_exponent}"
+        )
+    for tag, seq in (("left", left), ("right", right)):
+        zeros = seq.zero_members()
+        if zeros:
+            advisories.append(f"{tag} sequence has zero members at {zeros}")
     return MultiplierOperator(
         matrix=matrix,
         symbol=m,
@@ -249,70 +249,64 @@ def norm_bounds(
 
 
 def invert(
-    m: Symbol,
-    left: OperatorSequence,
-    right: OperatorSequence,
-    cfg: NumericsConfig | None = None,
-) -> MultiplierOperator:
+    M: MultiplierOperator, cfg: NumericsConfig | None = None
+) -> tuple[MultiplierOperator, float, float]:
     """Inverse multiplier via the dual bases: weights 1/m, roles swapped.
 
-    The inverse of the multiplier of (m, L, T) is the multiplier of
+    The inverse of the multiplier M of (m, L, T) is the multiplier of
     (1/m, dual(T), dual(L)): the adjoint slot is filled by the dual of the
     *right* sequence and the apply slot by the dual of the *left* one.
     Building the duals raises :class:`NotRieszError` unless both synthesis
-    matrices are square and invertible; both composition residuals are
-    verified before returning.
+    matrices are square and invertible.  Returns the inverse with its
+    composition residuals max|M^-1 M - I| and max|M M^-1 - I|; raises
+    :class:`InverseVerificationError` when either exceeds
+    max(1e-8, 100 tol_exact).
     """
     cfg = cfg or DEFAULT_CONFIG
+    m = M.symbol
     if m.inf_abs <= cfg.min_symbol:
         raise SymbolTooSmallError(
             f"symbol-too-small: inf |m_i| = {m.inf_abs:.3e} <= {cfg.min_symbol:.3e}"
         )
-    left_dual = dual_riesz_basis(left, cfg).as_operator_sequence()
-    right_dual = dual_riesz_basis(right, cfg).as_operator_sequence()
-    forward = assemble(m, left, right)
+    left_dual = dual_riesz_basis(M.left, cfg).as_operator_sequence()
+    right_dual = dual_riesz_basis(M.right, cfg).as_operator_sequence()
     inverse = assemble(m.reciprocal(), right_dual, left_dual)
-    n1, n2 = forward.matrix.shape[1], forward.matrix.shape[0]
-    res_left = float(np.abs(inverse.matrix @ forward.matrix - np.eye(n1)).max())
-    res_right = float(np.abs(forward.matrix @ inverse.matrix - np.eye(n2)).max())
+    n1, n2 = M.matrix.shape[1], M.matrix.shape[0]
+    res_left = float(np.abs(inverse.matrix @ M.matrix - np.eye(n1)).max())
+    res_right = float(np.abs(M.matrix @ inverse.matrix - np.eye(n2)).max())
     tol = max(1e-8, 100 * cfg.tol_exact)
     if max(res_left, res_right) > tol:
-        raise NotRieszError(
+        raise InverseVerificationError(
             f"inverse verification failed: residuals {res_left:.2e}, {res_right:.2e}"
         )
-    return inverse
+    return inverse, res_left, res_right
 
 
-def injectivity_witness(
-    left: OperatorSequence,
-    right: OperatorSequence,
-    m: Symbol,
-    cfg: NumericsConfig | None = None,
-) -> Vector:
-    """A vector g with multiplier(m, left, right) g != 0 for a nonzero symbol.
+def injectivity_witness(M: MultiplierOperator, cfg: NumericsConfig | None = None) -> Vector:
+    """A vector g with M g != 0 for a multiplier M with a nonzero symbol.
 
     Requires the left sequence to be a Riesz basis and every right member to
     be nonzero.  The witness targets the heaviest symbol entry k: g is the
     largest row of right_k, so right_k g != 0 and injectivity of the synthesis
-    map keeps the whole sum away from zero.  Falls back to a brute-force
-    search over coordinate vectors.
+    map keeps the whole sum away from zero.  When M g still rounds to zero
+    (extreme scaling), falls back to the coordinate vector of the first
+    nonzero column of M.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if m.sup_norm == 0.0:
+    if M.symbol.sup_norm == 0.0:
         raise ValueError("the symbol is identically zero")
-    zeros = right.zero_members()
+    zeros = M.right.zero_members()
     if zeros:
         raise ValueError(f"right sequence has zero members at {zeros}")
-    dual_riesz_basis(left, cfg)  # raises NotRieszError unless left is a Riesz basis
-    M = assemble(m, left, right)
-    k = int(np.argmax(np.abs(m.entries)))
-    rows = np.linalg.norm(right.mats[k], axis=1)
-    g = right.mats[k][int(np.argmax(rows))]
+    dual_riesz_basis(M.left, cfg)  # raises NotRieszError unless left is a Riesz basis
+    k = int(np.argmax(np.abs(M.symbol.entries)))
+    rows = np.linalg.norm(M.right.mats[k], axis=1)
+    g = M.right.mats[k][int(np.argmax(rows))]
     if float(np.abs(M.matrix @ g).max()) > 0.0:
         return Vector(g, M.domain)
-    for j in range(M.domain.dim):
-        e = np.zeros(M.domain.dim)
-        e[j] = 1.0
-        if float(np.abs(M.matrix @ e).max()) > 0.0:
-            return Vector(e, M.domain)
-    raise ValueError("no coordinate witness found; hypotheses violated")
+    nonzero = np.flatnonzero(np.any(M.matrix != 0.0, axis=0))
+    if nonzero.size == 0:
+        raise ValueError("no coordinate witness found; hypotheses violated")
+    e = np.zeros(M.domain.dim)
+    e[nonzero[0]] = 1.0
+    return Vector(e, M.domain)

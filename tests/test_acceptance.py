@@ -121,8 +121,8 @@ def test_criterion_4_invertibility():
         theta = _row_seq(_conditioned_square(rng, n), p=2.0)
         m = pg.Symbol(rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n))
         assert m.inf_abs >= 0.1
-        inv = pg.invert(m, lam, theta, FAST)
         fwd = pg.assemble(m, lam, theta)
+        inv, _, _ = pg.invert(fwd, FAST)
         res = max(
             float(np.abs(inv.matrix @ fwd.matrix - np.eye(n)).max()),
             float(np.abs(fwd.matrix @ inv.matrix - np.eye(n)).max()),
@@ -296,8 +296,8 @@ def test_criterion_10_injectivity():
             1.0 if rng.random() < 0.5 else -1.0
         )
         m = pg.Symbol(spike)
-        g = pg.injectivity_witness(lam, theta, m, FAST)
         M = pg.assemble(m, lam, theta)
+        g = pg.injectivity_witness(M, FAST)
         norm = float(np.linalg.norm(M.apply(g).entries))
         worst = min(worst, norm)
         assert norm >= 1e-12

@@ -97,6 +97,50 @@ def test_check_invert_skipped_for_tiny_symbol(tmp_path, capsys):
     assert "symbol-too-small" in doc["checks"][0]["reason"]
 
 
+def test_failed_inverse_verification_is_a_failure(tmp_path, capsys):
+    _, inst = _gen_instance(tmp_path, x2_dim=4, y_dims=[2, 2])
+    broken = pg.Instance(
+        x1=inst.x1,
+        x2=inst.x2,
+        components=inst.components,
+        frame_exponent=inst.frame_exponent,
+        lam=inst.lam,
+        theta=inst.theta,
+        symbol=np.array([1e-10, 1.0]),
+        seed=inst.seed,
+    )
+    path = tmp_path / "ill.json"
+    pg.save(broken, path)
+    rc = main(["check", str(path), "--suites", "invert", "--output", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["checks"][0]["status"] == "fail"
+    assert "residuals" in doc["checks"][0]["reason"]
+
+    rc = main(["invert", str(path), "--output", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["status"] == "fail"
+    assert "residuals" in doc["reason"]
+
+
+def test_check_assembles_each_multiplier_once(tmp_path, monkeypatch):
+    _, inst = _gen_instance(tmp_path)
+    calls = []
+    real = pg.multipliers.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("pgframes.checks.assemble", counting)
+    monkeypatch.setattr("pgframes.multipliers.assemble", counting)
+    report = pg.run_checks(inst, ["bounds", "multiply", "invert"])
+    assert report.ok
+    # forward (shared by the three suites), permuted, zero symbol, inverse
+    assert len(calls) == 4
+
+
 def test_check_rank_deficient_reports_consistently(tmp_path, capsys):
     rng = np.random.default_rng(0)
     base = rng.standard_normal((1, 2))

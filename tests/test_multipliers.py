@@ -119,17 +119,17 @@ def test_norm_bounds_lower_requires_riesz():
 
 
 def test_invert_examples():
-    inv = pg.invert(pg.Symbol([2.0, 2.0]), SELECTORS, SELECTORS)
+    inv, _, _ = pg.invert(pg.assemble(pg.Symbol([2.0, 2.0]), SELECTORS, SELECTORS))
     np.testing.assert_allclose(inv.matrix, 0.5 * np.eye(2), atol=1e-14)
 
-    inv = pg.invert(pg.Symbol([2.0, 3.0]), SELECTORS, SELECTORS)
+    inv, _, _ = pg.invert(pg.assemble(pg.Symbol([2.0, 3.0]), SELECTORS, SELECTORS))
     np.testing.assert_allclose(inv.matrix, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     lam = rows([[1.0, 1.0]], [[0.0, 1.0]])
-    inv = pg.invert(pg.Symbol([1.0, 2.0]), lam, SELECTORS)
+    fwd = pg.assemble(pg.Symbol([1.0, 2.0]), lam, SELECTORS)
+    inv, _, _ = pg.invert(fwd)
     # hand oracle via the explicit 2x2 dual bases
     np.testing.assert_allclose(inv.matrix, [[1.0, 0.0], [-0.5, 0.5]], atol=1e-12)
-    fwd = pg.assemble(pg.Symbol([1.0, 2.0]), lam, SELECTORS)
     np.testing.assert_allclose(inv.matrix @ fwd.matrix, np.eye(2), atol=1e-10)
 
 
@@ -148,29 +148,43 @@ def test_invert_random_riesz_pairs():
         lam = rows(*lam_mats, domain_dim=n)
         theta = rows(*theta_mats, domain_dim=n)
         m = pg.Symbol(rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n))
-        inv = pg.invert(m, lam, theta)
         fwd = pg.assemble(m, lam, theta)
+        inv, _, _ = pg.invert(fwd)
         assert np.abs(inv.matrix @ fwd.matrix - np.eye(n)).max() <= 1e-8
         assert np.abs(fwd.matrix @ inv.matrix - np.eye(n)).max() <= 1e-8
 
 
 def test_invert_guards():
     with pytest.raises(pg.SymbolTooSmallError):
-        pg.invert(pg.Symbol([1.0, 0.0]), SELECTORS, SELECTORS)
+        pg.invert(pg.assemble(pg.Symbol([1.0, 0.0]), SELECTORS, SELECTORS))
     overcomplete = rows([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]])
     with pytest.raises(pg.NotRieszError):
-        pg.invert(pg.Symbol([1.0, 1.0, 1.0]), overcomplete, overcomplete)
+        pg.invert(pg.assemble(pg.Symbol([1.0, 1.0, 1.0]), overcomplete, overcomplete))
+
+
+def _riesz_pair_with_symbol(symbol):
+    inst = pg.gen("riesz-pair", x2_dim=4, y_dims=[2, 2], seed=11)
+    return pg.assemble(pg.Symbol(symbol), inst.lam_sequence(), inst.theta_sequence())
+
+
+def test_invert_failed_verification_is_not_a_riesz_refusal():
+    # the symbol clears min_symbol, but 1/m = 1e10 amplifies rounding past
+    # the residual tolerance: a failure of the inverse, not a precondition
+    M = _riesz_pair_with_symbol([1e-10, 1.0])
+    with pytest.raises(pg.InverseVerificationError, match="residuals") as info:
+        pg.invert(M)
+    assert not isinstance(info.value, pg.NotRieszError)
 
 
 def test_injectivity_witness_examples():
-    g = pg.injectivity_witness(SELECTORS, SELECTORS, pg.Symbol([1.0, 0.0]))
-    np.testing.assert_array_equal(g.entries, [1.0, 0.0])
     M = pg.assemble(pg.Symbol([1.0, 0.0]), SELECTORS, SELECTORS)
+    g = pg.injectivity_witness(M)
+    np.testing.assert_array_equal(g.entries, [1.0, 0.0])
     np.testing.assert_array_equal(M.apply(g).entries, [1.0, 0.0])
 
-    g = pg.injectivity_witness(SELECTORS, SELECTORS, pg.Symbol([0.0, 5.0]))
-    np.testing.assert_array_equal(g.entries, [0.0, 1.0])
     M = pg.assemble(pg.Symbol([0.0, 5.0]), SELECTORS, SELECTORS)
+    g = pg.injectivity_witness(M)
+    np.testing.assert_array_equal(g.entries, [0.0, 1.0])
     np.testing.assert_array_equal(M.apply(g).entries, [0.0, 5.0])
 
 
@@ -188,8 +202,8 @@ def test_injectivity_witness_random_spikes():
         m = np.zeros(n)
         k = int(rng.integers(0, n))
         m[k] = rng.uniform(0.5, 2.0) * (1 if rng.random() < 0.5 else -1)
-        g = pg.injectivity_witness(lam, theta, pg.Symbol(m))
         M = pg.assemble(pg.Symbol(m), lam, theta)
+        g = pg.injectivity_witness(M)
         assert np.linalg.norm(M.apply(g).entries) >= 1e-12
         # brute-force coordinate oracle agrees that the multiplier is nonzero
         best = max(
@@ -198,20 +212,33 @@ def test_injectivity_witness_random_spikes():
         assert best > 0.0
 
 
+def test_injectivity_witness_coordinate_fallback_under_underflow():
+    right = rows([[1e-170, 2e-170]], [[3e-170, -1e-170]])
+    M = pg.assemble(pg.Symbol([1.0, 0.5]), SELECTORS, right)
+    # the targeted row g of right_0 gives M g = 0 by underflow
+    g = right.mats[0][0]
+    assert np.all(M.matrix @ g == 0.0)
+    w = pg.injectivity_witness(M)
+    np.testing.assert_array_equal(w.entries, [1.0, 0.0])
+    np.testing.assert_array_equal(M.apply(w).entries, [1e-170, 1.5e-170])
+
+
 def test_injectivity_witness_guards():
     with pytest.raises(ValueError):
-        pg.injectivity_witness(SELECTORS, SELECTORS, pg.Symbol([0.0, 0.0]))
+        pg.injectivity_witness(pg.assemble(pg.Symbol([0.0, 0.0]), SELECTORS, SELECTORS))
     zero_member = rows([[1.0, 0.0]], [[0.0, 0.0]])
     with pytest.raises(ValueError):
-        pg.injectivity_witness(SELECTORS, zero_member, pg.Symbol([1.0, 1.0]))
+        pg.injectivity_witness(pg.assemble(pg.Symbol([1.0, 1.0]), SELECTORS, zero_member))
     overcomplete = rows([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]])
     with pytest.raises(pg.NotRieszError):
-        pg.injectivity_witness(overcomplete, overcomplete, pg.Symbol([1.0, 1.0, 1.0]))
+        pg.injectivity_witness(
+            pg.assemble(pg.Symbol([1.0, 1.0, 1.0]), overcomplete, overcomplete)
+        )
 
 
 def test_multiplier_apply_and_advisories():
     lam = rows([[1.0, 0.0]], [[0.0, 0.0]])
-    M = pg.assemble(pg.Symbol([1.0, 1.0]), lam, lam, verify_bessel=True)
+    M = pg.assemble(pg.Symbol([1.0, 1.0]), lam, lam)
     assert any("zero members" in a for a in M.advisories)
     out = M.apply([2.0, 5.0])
     np.testing.assert_array_equal(out.entries, [2.0, 0.0])

@@ -185,10 +185,15 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
 
 @dataclass(frozen=True)
 class DualSequence:
-    """Block rows of the inverse synthesis matrix: the coefficient extractors."""
+    """Block rows of the inverse synthesis matrix: the coefficient extractors.
+
+    ``residual`` is max|S^-1 S - I|, the biorthogonality residual the dual
+    was verified with on construction.
+    """
 
     mats: tuple[np.ndarray, ...]
     source: OperatorSequence
+    residual: float
 
     def as_operator_sequence(self) -> OperatorSequence:
         """The dual family as a sequence on X* with conjugate exponents."""
@@ -207,7 +212,8 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
     Raises :class:`NotRieszError` when the synthesis matrix is not square or
     is numerically singular.  Construction verifies biorthogonality
     (dual_k @ L_i^T = delta_{k,i} I) and the reconstruction identity, both of
-    which reduce to S^{-1} S = I on blocks.
+    which reduce to S^{-1} S = I on blocks; the residual of that identity is
+    kept on the result.
     """
     cfg = cfg or DEFAULT_CONFIG
     S = synthesis_matrix(seq)
@@ -230,7 +236,7 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
     for c in seq.codomains:
         mats.append(Sinv[offs : offs + c.dim])
         offs += c.dim
-    return DualSequence(tuple(mats), seq)
+    return DualSequence(tuple(mats), seq, residual)
 
 
 @dataclass(frozen=True)

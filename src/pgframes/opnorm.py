@@ -20,7 +20,9 @@ ratio; for a square matrix of full rank it is one over the ascent on the
 inverse.
 
 All certificate values are computed on the matrix scaled by its largest entry
-and rescaled afterwards, so both sides are exactly homogeneous.
+and rescaled afterwards, so both sides are exactly homogeneous.  Callers may
+rely on this bit for bit: with s = max|A|, the largest entry of A / s is
+exactly 1.0, so the value at A equals s times the value at A / s.
 """
 from __future__ import annotations
 

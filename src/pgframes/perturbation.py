@@ -13,10 +13,16 @@ theorem bound it must respect.  The gap is summed over the members whose
 (m_i, L_i, T_i) changed, from the parameter differences themselves, so no
 multiplier is assembled and no digits are lost to subtracting two nearly
 equal matrices; the per-sequence gaps of the bounds skip unchanged members
-the same way.
+the same way.  Each run makes one oracle call per distinct normalized matrix:
+the opnorm values are exactly homogeneous (value(A) = s value(A / s) bit for
+bit, with s = max|A|), so a step whose gap is a scalar multiple of an
+earlier step's, as on a base^-n schedule that bumps one ingredient, reuses
+that step's call.
 """
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,12 +176,40 @@ def _changed(base: tuple, new: tuple) -> list[int]:
     ]
 
 
-def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg) -> float:
+def _lower_value(A, dom, cod, cfg) -> float:
+    return matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value
+
+
+def _upper_value(A, dom, cod, cfg) -> float:
+    return upper_certificate_only(A, dom, cod, cfg).value
+
+
+def _memo_norm(memo: dict, norm, A: np.ndarray, dom, cod, cfg) -> float:
+    """``norm(A, dom, cod, cfg)``, with one call per normalized matrix in ``memo``.
+
+    Exact, not approximate: with s = max|A|, the largest entry of A / s is
+    exactly 1.0, and the opnorm routes compute on the matrix divided by its
+    largest entry, so ``norm(A) == s * norm(A / s)`` bit for bit.  The memo
+    is keyed by the oracle, the spaces and a SHA-256 digest of A / s (a
+    digest, so a run holds no copies of its gaps) and must not outlive one
+    ``cfg``.  Zero and non-finite matrices go straight to the oracle.
+    """
+    s = float(np.abs(A).max(initial=0.0))
+    if s == 0.0 or not math.isfinite(s):
+        return norm(A, dom, cod, cfg)
+    B = A / s
+    key = (norm, dom, cod, hashlib.sha256(B.tobytes()).digest())
+    if key not in memo:
+        memo[key] = norm(B, dom, cod, cfg)
+    return s * memo[key]
+
+
+def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg, memo) -> float:
     # unchanged members give an exact 0.0, as the zero-matrix certificate would
     vals = np.zeros(len(base))
     for i in _changed(base.mats, new.mats):
         d = new.mats[i] - base.mats[i]
-        vals[i] = upper_certificate_only(d, base.domain, base.codomains[i], cfg).value
+        vals[i] = _memo_norm(memo, _upper_value, d, base.domain, base.codomains[i], cfg)
     return pnorm(vals, q1)
 
 
@@ -221,6 +255,12 @@ def continuity_suite(
     formed from a parameter difference and so is computed at the gap's own
     scale.
 
+    Every norm goes through a memo local to the call, keyed by the matrix
+    divided by its largest entry: the opnorm values are exactly homogeneous,
+    so a step whose gap is a scalar multiple of an earlier one (a base^-n
+    bump of the symbol or of one sequence) reuses that step's oracle call
+    and gets the value a fresh call would give, bit for bit.
+
     Every step asserts measured <= bound + 1e-9 (the finite-step form of the
     convergence statement) and the run asserts that the bounds decay; a
     violation raises :class:`ContinuityViolation`.
@@ -255,12 +295,11 @@ def continuity_suite(
         B1 = max(analysis_upper(ll, cfg).value for _, _, ll, _ in steps)
         B2 = max(analysis_upper(tt, cfg).value for _, _, _, tt in steps)
 
+    memo: dict = {}
     traces: list[ContinuityTrace] = []
     for n, mm, ll, tt in steps:
         gap = _multiplier_gap(m, lam, theta, mm, ll, tt)
-        measured = matrix_opnorm(
-            gap, theta.domain.exponent, lam.domain.dual.exponent, cfg
-        ).lower.value
+        measured = _memo_norm(memo, _lower_value, gap, theta.domain, lam.domain.dual, cfg)
 
         sym_gap = pnorm(mm.entries - m.entries, p1)
         sup_gap = float(np.abs(mm.entries - m.entries).max())
@@ -269,14 +308,14 @@ def continuity_suite(
             deviation = sym_gap
             bound = B_lam * B_theta * sym_gap
         elif kind == "theta":
-            deviation = _seq_gap_q1(theta, tt, q1, cfg)
+            deviation = _seq_gap_q1(theta, tt, q1, cfg, memo)
             bound = B_lam * m_p1 * deviation
         elif kind == "lambda":
-            deviation = _seq_gap_q1(lam, ll, q1, cfg)
+            deviation = _seq_gap_q1(lam, ll, q1, cfg, memo)
             bound = B_theta * m_p1 * deviation
         else:
-            lam_gap = _seq_gap_q1(lam, ll, q1, cfg)
-            theta_gap = _seq_gap_q1(theta, tt, q1, cfg)
+            lam_gap = _seq_gap_q1(lam, ll, q1, cfg, memo)
+            theta_gap = _seq_gap_q1(theta, tt, q1, cfg, memo)
             components = (
                 B1 * B2 * sym_gap,
                 B2 * m_p1 * lam_gap,

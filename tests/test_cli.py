@@ -124,6 +124,34 @@ def test_failed_inverse_verification_is_a_failure(tmp_path, capsys):
     assert "residuals" in doc["reason"]
 
 
+def test_returned_inverse_passes_at_inverts_own_threshold(tmp_path, capsys):
+    # with tol_exact = 1e-8, invert accepts residuals up to 1e-6; the suite
+    # and the CLI report what invert verified instead of judging it again
+    _, inst = _gen_instance(tmp_path, x2_dim=4, y_dims=[2, 2])
+    broken = pg.Instance(
+        x1=inst.x1,
+        x2=inst.x2,
+        components=inst.components,
+        frame_exponent=inst.frame_exponent,
+        lam=inst.lam,
+        theta=inst.theta,
+        symbol=np.array([1e-8, 1.0]),
+        seed=inst.seed,
+    )
+    path = tmp_path / "loose.json"
+    pg.save(broken, path)
+    cfg = pg.NumericsConfig(tol_exact=1e-8)
+    report = pg.run_checks(broken, ["invert"], cfg)
+    res = report.results[0]
+    assert res.status == "pass", res.reason
+    assert max(res.values["residual_left"], res.values["residual_right"]) > 1e-8
+
+    rc = main(["invert", str(path), "--tol-exact", "1e-8", "--output", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert max(doc["residual_left"], doc["residual_right"]) > 1e-8
+
+
 def test_check_assembles_each_multiplier_once(tmp_path, monkeypatch):
     _, inst = _gen_instance(tmp_path)
     calls = []

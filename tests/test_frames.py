@@ -115,6 +115,17 @@ def test_dual_properties_random():
                 assert np.abs(a - b).max() <= 1e-9
 
 
+def test_dual_carries_its_biorthogonality_residual():
+    # the residual the dual was verified with is the block-row product
+    rng = np.random.default_rng(4)
+    for p in (2.0, 1.5):
+        seq = random_riesz(rng, n=4, p=p, dims=[2, 2])
+        dual = pg.dual_riesz_basis(seq)
+        S = pg.synthesis_matrix(seq)
+        assert dual.residual == float(np.abs(np.vstack(dual.mats) @ S - np.eye(4)).max())
+        assert 0.0 <= dual.residual <= 1e-9
+
+
 def test_dual_frame_bounds_sandwich():
     rng = np.random.default_rng(1)
     for p in (2.0, 1.5):

@@ -217,3 +217,45 @@ def test_min_ratio_estimate_by_shape(case):
     else:
         assert val == 0.0
         assert ratio <= 1e-12 * np.abs(A).max()
+
+
+def _homogeneity_cases():
+    """(A, domain, codomain, route) covering every route of the two oracles."""
+    rng = np.random.default_rng(12)
+    sp = pg.SpaceSpec
+    blocks = pg.ProductSpaceSpec((sp(2, 3.0), sp(4, 1.5)), 1.5)
+    return [
+        (np.zeros((2, 3)), sp(3, 1.5), sp(2, 3.0), "zero-matrix"),
+        (rng.standard_normal((1, 6)), sp(6, 1.5), sp(1, 3.0), "row-functional"),
+        (rng.standard_normal((6, 1)), sp(1, 1.5), sp(6, 3.0), "column-vector"),
+        (rng.standard_normal((6, 5)), sp(5, 1.0), sp(6, 3.0), "max-column"),
+        (rng.standard_normal((6, 5)), sp(5, 1.5), sp(6, INF), "max-row"),
+        (rng.standard_normal((6, 5)), sp(5, INF), sp(6, 1.5), "vertex-enumeration"),
+        (rng.standard_normal((6, 5)), sp(5, 2.0), sp(6, 2.0), "singular-value"),
+        # Hoelder and singular-dimension candidates, multistart ascent below
+        (rng.standard_normal((6, 5)), sp(5, 1.5), sp(6, 3.0), "boyd-multistart"),
+        (rng.standard_normal((6, 5)), sp(5, 1.5), blocks, "blockwise-aggregate"),
+    ]
+
+
+@pytest.mark.parametrize("scale", [3e-7, 5e4])
+def test_values_exactly_homogeneous_in_the_largest_entry(scale):
+    # callers may rely on value(A) == s * value(A / s) bit for bit, s = max|A|
+    for A0, dom, cod, route in _homogeneity_cases():
+        A = scale * A0
+        if isinstance(cod, pg.ProductSpaceSpec):
+            pair = lambda M: pg.operator_norm_bounds(M, dom, cod)  # noqa: E731
+        else:
+            pair = lambda M: pg.matrix_opnorm(M, dom.exponent, cod.exponent)  # noqa: E731
+        lo, up = pair(A)
+        only = pg.upper_certificate_only(A, dom, cod)
+        assert route in (only.method, lo.method), route
+        s = float(np.abs(A).max())
+        if s == 0.0:
+            assert lo.value == up.value == only.value == 0.0
+            continue
+        B = A / s
+        lo_b, up_b = pair(B)
+        assert lo.value == s * lo_b.value, route
+        assert up.value == s * up_b.value, route
+        assert only.value == s * pg.upper_certificate_only(B, dom, cod).value, route

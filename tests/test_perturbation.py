@@ -208,15 +208,16 @@ def _exact_gap_error(gap, base, new):
 
 @pytest.fixture
 def recorded_gaps(monkeypatch):
-    # every matrix the continuity suite hands to its norm oracle
+    # every step's multiplier gap, as the continuity suite builds it
     gaps = []
-    real = perturbation.matrix_opnorm
+    real = perturbation._multiplier_gap
 
-    def recording(A, *args, **kwargs):
-        gaps.append(np.array(A))
-        return real(A, *args, **kwargs)
+    def recording(*args):
+        gap = real(*args)
+        gaps.append(np.array(gap))
+        return gap
 
-    monkeypatch.setattr(perturbation, "matrix_opnorm", recording)
+    monkeypatch.setattr(perturbation, "_multiplier_gap", recording)
     return gaps
 
 
@@ -302,3 +303,75 @@ def test_continuity_suite_assembles_nothing(monkeypatch):
     for kind in pg.CONTINUITY_KINDS:
         pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40)
     assert len(calls) == 0
+
+
+SMALL_GRID_PAIR = pg.gen(
+    "riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, y_exponents=[3, 3],
+    x1_exponent=1.5, x2_exponent=3, seed=11,
+)
+
+
+def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
+    # (deviation, measured, bound) per step from fresh oracle calls, no memo
+    q1 = pg.conjugate_exponent(p1)
+    gen = perturbation.default_generator(kind, m, lam, theta, cfg)
+
+    def seq_gap(base, new):
+        vals = [
+            pg.upper_certificate_only(b - a, base.domain, c, cfg).value
+            for a, b, c in zip(base.mats, new.mats, base.codomains)
+        ]
+        return pg.pnorm(np.array(vals), q1)
+
+    B_lam, B_theta = pg.analysis_upper(lam, cfg).value, pg.analysis_upper(theta, cfg).value
+    m_p1 = m.p_norm(p1)
+    steps = [gen(n) for n in range(1, n_max + 1)]
+    B1 = max(pg.analysis_upper(ll, cfg).value for _, ll, _ in steps)
+    B2 = max(pg.analysis_upper(tt, cfg).value for _, _, tt in steps)
+    out = []
+    for mm, ll, tt in steps:
+        gap = perturbation._multiplier_gap(m, lam, theta, mm, ll, tt)
+        measured = pg.matrix_opnorm(
+            gap, theta.domain.exponent, lam.domain.dual.exponent, cfg
+        ).lower.value
+        sym_gap = pg.pnorm(mm.entries - m.entries, p1)
+        if kind == "symbol":
+            deviation, bound = sym_gap, B_lam * B_theta * sym_gap
+        elif kind == "theta":
+            deviation = seq_gap(theta, tt)
+            bound = B_lam * m_p1 * deviation
+        elif kind == "lambda":
+            deviation = seq_gap(lam, ll)
+            bound = B_theta * m_p1 * deviation
+        else:
+            lam_gap, theta_gap = seq_gap(lam, ll), seq_gap(theta, tt)
+            deviation = max(sym_gap, lam_gap, theta_gap)
+            bound = sum((B1 * B2 * sym_gap, B2 * m_p1 * lam_gap, B_lam * m_p1 * theta_gap))
+        out.append((deviation, measured, bound))
+    return out
+
+
+def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
+    # on a base^-n schedule that bumps one ingredient, every gap is a scalar
+    # multiple of the first, so the memo serves most steps; the joint gaps
+    # carry cross-terms and differ step to step
+    inst = SMALL_GRID_PAIR
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    cfg = pg.NumericsConfig()
+    calls = []
+    real = perturbation.matrix_opnorm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "matrix_opnorm", counting)
+    per_kind = {}
+    for kind in pg.CONTINUITY_KINDS:
+        before = len(calls)
+        traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
+        per_kind[kind] = len(calls) - before
+        got = [(t.deviation, t.measured, t.bound) for t in traces]
+        assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind
+    assert per_kind["symbol"] + per_kind["theta"] + per_kind["lambda"] <= 10, per_kind
+    assert per_kind["joint"] == 40

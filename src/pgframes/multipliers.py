@@ -5,12 +5,14 @@ adjoints) and T (applied directly) is the finite sum
 
     M = sum_i m_i L_i^T @ T_i,
 
-acting between the dual coordinate spaces of the two domains.  Summation is
-entrywise compensated (fsum), so reordering the index set reproduces the
-matrix bit for bit.  :func:`assemble` builds the :class:`MultiplierOperator`,
-which carries (m, L, T) along with the matrix; :func:`norm_bounds`,
-:func:`invert` and :func:`injectivity_witness` all take that assembled
-operator.
+acting between the dual coordinate spaces of the two domains.  Each entry is
+the correctly rounded value of its exact sum (what ``math.fsum`` returns), so
+reordering the index set reproduces the matrix bit for bit; a vectorized
+TwoSum cascade certifies almost every entry and ``math.fsum`` sums the rest
+(see :func:`_fsum_stack`).  :func:`assemble` builds the
+:class:`MultiplierOperator`, which carries (m, L, T) along with the matrix;
+:func:`norm_bounds`, :func:`invert` and :func:`injectivity_witness` all take
+that assembled operator.
 """
 from __future__ import annotations
 
@@ -114,16 +116,61 @@ class MultiplierOperator:
         return Vector(self.matrix @ e, self.codomain)
 
 
-def _fsum_stack(terms: list[np.ndarray]) -> np.ndarray:
-    """Entrywise compensated sum of equally shaped matrices (order-invariant)."""
-    stack = np.stack(terms)
-    flat = stack.reshape(len(terms), -1)
-    out = np.fromiter(
-        (math.fsum(flat[:, j]) for j in range(flat.shape[1])),
-        dtype=float,
-        count=flat.shape[1],
-    )
-    return out.reshape(terms[0].shape)
+# math.fsum returns +0.0 for every exact zero sum on CPython, as the cascade
+# below does (its error sum starts at +0.0); where fsum keeps a negative zero
+# instead, exact zero sums go to the fallback.
+_FSUM_UNSIGNED_ZERO = math.copysign(1.0, math.fsum((-0.0,))) > 0.0
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = fl(a + b) and its rounding error e, a + b = s + e."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_stack(stack: np.ndarray) -> np.ndarray:
+    """Correctly rounded entrywise sum over the first axis of a (k, ...) stack.
+
+    Every entry is bit for bit what ``math.fsum`` returns for its k terms, so
+    the result does not depend on their order.  The certificate, with
+    u = 2^-53 (Ogita, Rump & Oishi, SISC 2005): the cascade
+    (s, e_i) = TwoSum(s, x_i) from s = x_1 leaves sum x = s + sum e_i
+    exactly.  With t = fl(sum e_i), a = fl(sum |e_i|) and
+    (r, d) = TwoSum(s, t), sum x = r + d + (sum e_i - t), and recursive
+    summation bounds the last term by gamma_(k-2) sum |e_i| < k u a, which
+    fl(2k u a) covers also under underflow: the term is a multiple of
+    2^-1074, so unless it is 0, k u a > 2^-1074 and
+    fl(2k u a) >= 2k u a - 2^-1075 > k u a.  Rounding is
+    monotone, so slack = fl(|d| + fl(2k u a)) below a float g proves
+    |sum x - r| < g.  r is the rounded sum when the slack is 0, or below half
+    the gap to r's neighbours (a quarter of the upper gap when |r| is a power
+    of two, where the lower gap halves; both limits are exact or round down
+    to 0).  Every other entry is summed by ``math.fsum``, as is every entry
+    with a term that is non-finite or of magnitude 2^(1022 - bitlength(k))
+    or more (below that no partial sum can overflow), so overflow and
+    inf - inf raise exactly as ``math.fsum`` raises them.
+    """
+    k = len(stack)
+    flat = stack.reshape(k, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = flat[0]
+        t = np.zeros_like(s)
+        a = np.zeros_like(s)
+        for x in flat[1:]:
+            s, e = _two_sum(s, x)
+            t += e
+            a += np.abs(e)
+        r, d = _two_sum(s, t)
+        slack = np.abs(d) + a * (k * 2.0**-52)
+        power_of_two = np.abs(np.frexp(r)[0]) == 0.5
+        limit = np.spacing(np.abs(r)) * np.where(power_of_two, 0.25, 0.5)
+    ok = (slack < limit) | ((slack == 0.0) & ((r != 0.0) | _FSUM_UNSIGNED_ZERO))
+    big = 2.0 ** (1022 - k.bit_length())
+    ok &= (flat.max(axis=0) < big) & (flat.min(axis=0) > -big)
+    for j in np.flatnonzero(~ok):
+        r[j] = math.fsum(flat[:, j])
+    return r.reshape(stack.shape[1:])
 
 
 def check_pairing(m: Symbol, left: OperatorSequence, right: OperatorSequence) -> None:
@@ -149,10 +196,9 @@ def assemble(m: Symbol, left: OperatorSequence, right: OperatorSequence) -> Mult
     advisory notes instead of errors.
     """
     check_pairing(m, left, right)
-    terms = [
-        mi * (ml.T @ mr)
-        for mi, ml, mr in zip(m.entries, left.mats, right.mats)
-    ]
+    terms = np.empty((len(m), left.domain.dim, right.domain.dim))
+    for term, mi, ml, mr in zip(terms, m.entries, left.mats, right.mats):
+        np.multiply(mi, ml.T @ mr, out=term)
     matrix = _fsum_stack(terms)
     advisories: list[str] = []
     if not math.isclose(right.frame_exponent, conjugate_exponent(left.frame_exponent)):

@@ -62,8 +62,9 @@ class OperatorSequence:
                 raise DimensionMismatchError(
                     f"member {i} has shape {m.shape}, expected ({y.dim}, {self.domain.dim})"
                 )
-            if not np.all(np.isfinite(m)):
-                raise SpaceError(f"member {i} has non-finite entries")
+        if not np.isfinite(np.vstack(mats)).all():
+            i = next(i for i, m in enumerate(mats) if not np.isfinite(m).all())
+            raise SpaceError(f"member {i} has non-finite entries")
         p = float(self.frame_exponent)
         if not 1.0 < p < np.inf:
             raise SpaceError(f"frame exponent must lie in (1, inf), got {p}")

@@ -1,7 +1,13 @@
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgframes as pg
+from pgframes import multipliers
 
 
 def rows(*mats, domain_dim=2, p=2.0, inner=None, dom_exp=2.0):
@@ -242,3 +248,128 @@ def test_multiplier_apply_and_advisories():
     assert any("zero members" in a for a in M.advisories)
     out = M.apply([2.0, 5.0])
     np.testing.assert_array_equal(out.entries, [2.0, 0.0])
+
+
+def _fsum_reference(stack):
+    flat = stack.reshape(len(stack), -1)
+    out = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
+    return out.reshape(stack.shape[1:])
+
+
+def _family(name, rng, k, n):
+    if name == "gaussian":
+        return rng.standard_normal((k, n))
+    if name == "wide-magnitudes":
+        return rng.standard_normal((k, n)) * 10.0 ** rng.integers(-300, 301, (k, n))
+    if name == "subnormals":
+        return rng.standard_normal((k, n)) * 2.0 ** rng.integers(-1080, -1015, (k, n))
+    if name == "integers-times-powers-of-two":
+        return rng.integers(-8, 9, (k, n)) * 2.0 ** rng.integers(-60, 61, (k, n))
+    if name == "cancellation":
+        x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-20, 21, (k, n))
+        x[-1] = -x[:-1].sum(axis=0) + rng.standard_normal(n) * 1e-30
+        return x[rng.permutation(k)]
+    if name == "ties":
+        x = np.zeros((k, n))
+        x[0] = 2.0 ** rng.integers(-4, 5, n)
+        x[1 % k] += 2.0 ** -53 * rng.integers(-3, 4, n)
+        x[2 % k] += 2.0 ** -106 * rng.integers(-2, 3, n)
+        return x
+    if name == "signed-zeros":
+        return rng.choice([0.0, -0.0], (k, n))
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "gaussian",
+        "wide-magnitudes",
+        "subnormals",
+        "integers-times-powers-of-two",
+        "cancellation",
+        "ties",
+        "signed-zeros",
+    ],
+)
+def test_fsum_stack_is_fsum_bitwise(family):
+    rng = np.random.default_rng(list(family.encode()))
+    for k in (1, 2, 3, 7, 30, 59):
+        for _ in range(4):
+            stack = _family(family, rng, k, 64).reshape(k, 8, 8)
+            want = _fsum_reference(stack)
+            got = multipliers._fsum_stack(stack)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (family, k)
+
+
+@pytest.mark.parametrize(
+    "column, error",
+    [
+        ([1e308, 1e308, -1e308], OverflowError),
+        # fsum's partials overflow where a plain cascade stays finite
+        ([np.finfo(float).max, 2.0**969, 2.0**969 + 2.0**918, -(2.0**1023)], OverflowError),
+        ([math.inf, -math.inf], ValueError),
+    ],
+)
+def test_fsum_stack_raises_as_fsum_does(column, error):
+    with pytest.raises(error):
+        math.fsum(column)
+    with pytest.raises(error):
+        multipliers._fsum_stack(np.array([[1.0, x] for x in column]))
+
+
+def test_fsum_stack_propagates_nan():
+    got = multipliers._fsum_stack(np.array([[1.0, 1.0], [math.nan, 2.0]]))
+    assert math.isnan(got[0]) and got[1] == 3.0
+
+
+@pytest.mark.parametrize("k", [7, 20, 59])
+def test_fsum_stack_bounds_what_the_error_sum_drops(k):
+    # every low term is below half an ulp of the running error sum, so
+    # fl(sum e_i) drops them all, yet together they carry the exact sum past
+    # the midpoint above 1.5
+    column = [1.5, 2.0**-53 - 2.0**-105] + [1.75 * 2.0**-108] * (k - 2)
+    stack = np.array(column)[:, None]
+    assert multipliers._fsum_stack(stack)[0] == math.fsum(column) == 1.5 + 2.0**-52
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=60))
+def test_fsum_stack_matches_fsum_on_any_column(column):
+    stack = np.array(column)[:, None]
+    try:
+        want = math.fsum(column)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            multipliers._fsum_stack(stack)
+        return
+    got = multipliers._fsum_stack(stack)[0]
+    assert np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64))
+
+
+def test_assemble_certifies_almost_every_entry(monkeypatch):
+    calls = []
+
+    def fsum(xs):
+        calls.append(1)
+        return math.fsum(xs)
+
+    monkeypatch.setattr(
+        multipliers, "math", types.SimpleNamespace(fsum=fsum, isclose=math.isclose)
+    )
+    inst = pg.gen(
+        kind="riesz-pair",
+        x2_dim=96,
+        y_dims=[2] * 48,
+        frame_exponent=2.0,
+        y_exponents=[2.0] * 48,
+        seed=1003,
+    )
+    lam, theta = inst.lam_sequence(), inst.theta_sequence()
+    M = pg.assemble(inst.symbol_obj(), lam, theta)
+    assert M.matrix.size == 9216
+    assert len(calls) <= 0.02 * M.matrix.size
+    calls.clear()
+    zero = pg.assemble(pg.Symbol(np.zeros(48)), lam, theta)
+    assert np.all(zero.matrix == 0.0)
+    assert len(calls) == 0

@@ -177,3 +177,18 @@ def test_shape_validation():
         pg.analysis_apply(SELECTORS, [1.0, 2.0, 3.0])
     with pytest.raises(pg.DimensionMismatchError):
         pg.synthesis_apply(SELECTORS, [[1.0]])
+
+
+def test_non_finite_member_is_named():
+    mats = [[[1.0, 0.0]], [[0.0, 1.0]], [[np.nan, 1.0]], [[np.inf, 0.0]]]
+    with pytest.raises(pg.SpaceError, match="member 2 has non-finite entries"):
+        rows(*mats)
+    # shapes are checked first, for every member
+    dom = pg.SpaceSpec(2, 2.0)
+    with pytest.raises(pg.DimensionMismatchError, match="member 1 has shape"):
+        pg.OperatorSequence(
+            dom,
+            (pg.SpaceSpec(1, 2.0), pg.SpaceSpec(1, 2.0)),
+            (np.array([[np.nan, 0.0]]), np.eye(2)),
+            2.0,
+        )

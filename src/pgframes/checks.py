@@ -245,9 +245,9 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
             for j in range(xs.shape[1])
         )
         dd = dual_riesz_basis(dual.as_operator_sequence(), cfg)
-        double = max(
-            float(np.abs(a - b).max()) for a, b in zip(dd.mats, seq.mats)
-        )
+        # relative to max_i max|L_i|, so a rescaled family reads the same
+        L = seq.stacked()
+        double = float(np.abs(np.vstack(dd.mats) - L).max() / np.abs(L).max())
         values[f"{tag}.biorth"] = biorth
         values[f"{tag}.reconstruction"] = recon
         values[f"{tag}.double_dual"] = double
@@ -338,10 +338,10 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
     notes = []
     if not ok:
         notes.append("Bessel-bound slack is negative")
-    for name, gap in (("analysis", rep.analysis_gap), ("synthesis", rep.synthesis_gap)):
-        if gap.value > rep.K.value + 1e-9:
-            ok = False
-            notes.append(f"{name} gap exceeds K")
+    # one certificate: the synthesis gap is the analysis gap (adjoints share norms)
+    if rep.analysis_gap.value > rep.K.value + 1e-9:
+        ok = False
+        notes.append("analysis (= synthesis) gap exceeds K")
     values = {
         "K": rep.K.value,
         "B_base": rep.B_base.value,

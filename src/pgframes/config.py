@@ -1,8 +1,15 @@
 """Shared numeric configuration.
 
-A single immutable config object feeds every tolerance, iteration budget and
-random stream in the package, so that identical (input, seed, config) triples
-reproduce identical results.
+A single immutable config object holds what a caller sets: the random seed,
+the one user tolerance ``tol_exact``, the effort setting ``restarts`` and the
+budgets (``max_iterations``, ``vertex_limit``, ``grid_axis_points``,
+``grid_budget``, ``retry_cap``, ``n_max``).  Identical (input, seed, config)
+triples reproduce identical results.
+
+Fixed numeric policy lives as constants beside its one reader:
+``frames.FRAME_REL_THRESHOLD``, ``opnorm.RATIO_TOL``, ``opnorm.SAMPLE_BATCH``,
+``multipliers.MIN_SYMBOL``, ``generate.MAX_CONDITION`` and
+``perturbation.DEVIATION_BASE``.
 """
 from __future__ import annotations
 
@@ -13,17 +20,12 @@ from dataclasses import dataclass, replace
 class NumericsConfig:
     # tolerances
     tol_exact: float = 1e-10      # relative, for closed-form identities
-    frame_rel_threshold: float = 1e-8   # lower frame bound counts as positive if A > thr * B
 
     # multistart ascent (norm maximization; infima of square full-rank
     # matrices are one over the ascent on the inverse)
     restarts: int = 16
     max_iterations: int = 500
-    ratio_tol: float = 1e-12      # relative stop criterion on successive ratios
     seed: int = 0
-
-    # infimum candidates for tall, wide or singular non-Euclidean matrices
-    sample_batch: int = 2048      # vectorized random candidates for minima
 
     # exact sign enumeration for the l^inf -> l^r norm
     vertex_limit: int = 20
@@ -32,16 +34,11 @@ class NumericsConfig:
     grid_axis_points: int = 240   # per-axis resolution of sphere grids
     grid_budget: int = 2_000_000  # hard cap on grid samples
 
-    # multiplier inversion
-    min_symbol: float = 1e-12
-
     # instance generation
     retry_cap: int = 64
-    max_condition: float = 200.0  # conditioning cap for generated Riesz syntheses
 
     # continuity suites
     n_max: int = 40
-    deviation_base: float = 2.0   # deviation schedule base^-n
 
     def fast(self) -> "NumericsConfig":
         """Cheaper profile for inner loops (generation, precondition checks)."""

@@ -46,6 +46,9 @@ __all__ = [
     "riesz_equivalences_check",
 ]
 
+# a lower frame (or Riesz) bound counts as positive if A > FRAME_REL_THRESHOLD * B
+FRAME_REL_THRESHOLD = 1e-8
+
 
 class NotRieszError(ValueError):
     """The sequence is not a Riesz basis (non-square or singular synthesis)."""
@@ -135,7 +138,7 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
     rank = int(np.linalg.matrix_rank(F))
     a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=24)
     g_complete = rank == dom.dim
-    route_inequality = a_safe.value > cfg.frame_rel_threshold * bessel.lower.value
+    route_inequality = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value
     is_frame = route_inequality
 
     coeff = seq.coefficient_space()
@@ -158,7 +161,7 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         riesz_upper, riesz_upper_obs = bessel.upper, bessel.lower
         riesz_lower, riesz_lower_obs = a_safe, a_observed
         is_riesz = (
-            riesz_lower_obs.value > cfg.frame_rel_threshold * riesz_upper_obs.value
+            riesz_lower_obs.value > FRAME_REL_THRESHOLD * riesz_upper_obs.value
         )
         diagnosis = "ok" if is_riesz else "inequality-threshold"
 
@@ -272,7 +275,7 @@ def riesz_equivalences_check(
 
     upper = analysis_upper(seq, cfg)
     low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
-    cond_inequality = low_val > cfg.frame_rel_threshold * upper.value
+    cond_inequality = low_val > FRAME_REL_THRESHOLD * upper.value
 
     rank = int(np.linalg.matrix_rank(S))
     cond_rank = rank == coeff.total_dim

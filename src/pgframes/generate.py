@@ -12,24 +12,17 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .frames import classify
 from .instances import Instance
-from .operators import OperatorSequence
+from .operators import OperatorSequence, synthesis_matrix
 from .spaces import SpaceSpec, conjugate_exponent
 
 __all__ = ["GenerationError", "GEN_KINDS", "gen"]
 
 GEN_KINDS = ("bessel", "frame", "riesz", "riesz-pair")
+MAX_CONDITION = 200.0  # conditioning cap for generated Riesz syntheses
 
 
 class GenerationError(RuntimeError):
     """Generation failed (infeasible request or retry cap exceeded)."""
-
-
-def _draw_mats(rng, y_dims, n):
-    return tuple(rng.standard_normal((m, n)) for m in y_dims)
-
-
-def _synthesis_cond(mats) -> float:
-    return float(np.linalg.cond(np.hstack([m.T for m in mats])))
 
 
 def gen(
@@ -78,48 +71,33 @@ def gen(
     rng = np.random.default_rng([seed, GEN_KINDS.index(kind)])
     fast = cfg.fast()
 
-    def lam_ok(mats) -> bool:
-        seq = OperatorSequence(x2, components, mats, frame_exponent)
-        if kind == "bessel":
-            return classify(seq, fast).is_bessel
-        if kind == "frame":
-            return classify(seq, fast).is_frame
-        if _synthesis_cond(mats) > cfg.max_condition:
+    def riesz(seq) -> bool:
+        if np.linalg.cond(synthesis_matrix(seq)) > MAX_CONDITION:
             return False
         return classify(seq, fast).is_riesz
 
-    def theta_ok(mats) -> bool:
-        if kind != "riesz-pair":
-            return True
-        seq = OperatorSequence(
-            x1.dual,
-            tuple(c.dual for c in components),
-            mats,
-            conjugate_exponent(frame_exponent),
+    def draw(domain, comps, exponent, accept, what):
+        for _ in range(cfg.retry_cap):
+            mats = tuple(rng.standard_normal((m, domain.dim)) for m in y_dims)
+            seq = OperatorSequence(domain, comps, mats, exponent)
+            if accept(seq):
+                return seq.mats
+        raise GenerationError(
+            f"retry cap {cfg.retry_cap} exceeded while drawing {what} (seed={seed})"
         )
-        if _synthesis_cond(mats) > cfg.max_condition:
-            return False
-        return classify(seq, fast).is_riesz
 
-    lam = theta = None
-    for _ in range(cfg.retry_cap):
-        cand = _draw_mats(rng, y_dims, x2_dim)
-        if lam_ok(cand):
-            lam = cand
-            break
-    if lam is None:
-        raise GenerationError(
-            f"retry cap {cfg.retry_cap} exceeded while drawing a {kind} family (seed={seed})"
-        )
-    for _ in range(cfg.retry_cap):
-        cand = _draw_mats(rng, y_dims, x1_dim)
-        if theta_ok(cand):
-            theta = cand
-            break
-    if theta is None:
-        raise GenerationError(
-            f"retry cap {cfg.retry_cap} exceeded while drawing the paired family (seed={seed})"
-        )
+    accept_lam = {
+        "bessel": lambda seq: classify(seq, fast).is_bessel,
+        "frame": lambda seq: classify(seq, fast).is_frame,
+    }.get(kind, riesz)
+    lam = draw(x2, components, frame_exponent, accept_lam, f"a {kind} family")
+    theta = draw(
+        x1.dual,
+        tuple(c.dual for c in components),
+        conjugate_exponent(frame_exponent),
+        riesz if kind == "riesz-pair" else lambda seq: True,
+        "the paired family",
+    )
 
     if kind == "riesz-pair":
         signs = np.where(rng.random(len(y_dims)) < 0.5, -1.0, 1.0)

@@ -47,6 +47,8 @@ __all__ = [
     "injectivity_witness",
 ]
 
+MIN_SYMBOL = 1e-12  # invert refuses a symbol with inf |m_i| at or below this
+
 
 class SymbolTooSmallError(ValueError):
     """Inversion refused: the symbol has entries too close to zero."""
@@ -310,9 +312,9 @@ def invert(
     """
     cfg = cfg or DEFAULT_CONFIG
     m = M.symbol
-    if m.inf_abs <= cfg.min_symbol:
+    if m.inf_abs <= MIN_SYMBOL:
         raise SymbolTooSmallError(
-            f"symbol-too-small: inf |m_i| = {m.inf_abs:.3e} <= {cfg.min_symbol:.3e}"
+            f"symbol-too-small: inf |m_i| = {m.inf_abs:.3e} <= {MIN_SYMBOL:.3e}"
         )
     left_dual = dual_riesz_basis(M.left, cfg).as_operator_sequence()
     right_dual = dual_riesz_basis(M.right, cfg).as_operator_sequence()

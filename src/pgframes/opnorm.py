@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 KINDS = ("exact", "upper_certificate", "lower_estimate")
+RATIO_TOL = 1e-12    # relative stop criterion of the ascent on successive ratios
+SAMPLE_BATCH = 2048  # vectorized random candidates for minima
 
 
 class VertexLimitError(RuntimeError):
@@ -131,7 +133,7 @@ def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCert
     Each step maps the current iterates through the norming functional of the
     codomain and back through the Hoelder witness of the domain; the achieved
     ratio is nondecreasing per column.  Stops when every column's successive
-    ratios agree to ``ratio_tol`` (relative).  Reduction is max by value with
+    ratios agree to ``RATIO_TOL`` (relative).  Reduction is max by value with
     ties to the earliest start, so the result is deterministic.
     """
     X = _start_vectors(A, dom, cfg, stream)
@@ -157,7 +159,7 @@ def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCert
         if np.any(improved):
             best_vals = np.where(improved, vals, best_vals)
             best_X[:, improved] = X[:, improved]
-        if np.all(np.abs(vals - prev) <= cfg.ratio_tol * np.maximum(np.abs(vals), np.abs(prev))):
+        if np.all(np.abs(vals - prev) <= RATIO_TOL * np.maximum(np.abs(vals), np.abs(prev))):
             break
         prev = vals
     j = int(np.argmax(best_vals))
@@ -383,7 +385,7 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
     if full_rank:
         P = np.linalg.pinv(A)
         cands.append(P @ multistart_lower(P, cod, dom, cfg, stream).witness)
-    batch = _rng(cfg, stream, 0).standard_normal((n, cfg.sample_batch))
+    batch = _rng(cfg, stream, 0).standard_normal((n, SAMPLE_BATCH))
     norms = dom.norm_many(batch)
     good = norms > 0.0
     batch = batch[:, good] / norms[good]

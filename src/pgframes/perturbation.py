@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 CONTINUITY_KINDS = ("symbol", "theta", "lambda", "joint")
+DEVIATION_BASE = 2.0  # deviation schedule base^-n
 
 
 class ContinuityViolation(RuntimeError):
@@ -136,22 +137,21 @@ def default_generator(
     theta: OperatorSequence,
     cfg: NumericsConfig,
 ) -> Callable[[int], tuple[Symbol, OperatorSequence, OperatorSequence]]:
-    """Schedule-driven deviations: a base^-n bump on the selected ingredients.
+    """Schedule-driven deviations: a ``DEVIATION_BASE``^-n bump on the selected ingredients.
 
     The symbol is bumped in its first entry; sequences in the (0, 0) entry of
     their first member, a matrix of operator norm exactly one for every
     exponent pair.
     """
-    base = cfg.deviation_base
 
     def bump_symbol(n: int) -> Symbol:
         e = m.entries.copy()
-        e[0] += base ** (-n)
+        e[0] += DEVIATION_BASE ** (-n)
         return Symbol(e)
 
     def bump_seq(seq: OperatorSequence, n: int) -> OperatorSequence:
         mats = list(seq.mats)
-        mats[0] = mats[0] + base ** (-n) * _bump_matrix(mats[0].shape)
+        mats[0] = mats[0] + DEVIATION_BASE ** (-n) * _bump_matrix(mats[0].shape)
         return OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
 
     def gen(n: int):

@@ -20,6 +20,11 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 
 INF = math.inf
+# p = 2 sums unscaled squares only where that is exact to rounding: squares of
+# entries below 2^480 cannot overflow, and once the norm exceeds 2^-500 a
+# square lost to underflow moves its square by at most 2^-75 relative.
+# Elsewhere the p = 2 norm takes the scaled form m * ||a / m||, m = max |a_i|.
+_SQUARES_BIG, _SQUARES_TINY = 2.0**480, 2.0**-500
 
 __all__ = [
     "INF",
@@ -77,7 +82,7 @@ def pnorm(entries, p: float) -> float:
         return m
     if p == 1.0:
         return float(a.sum())
-    if p == 2.0:
+    if p == 2.0 and _SQUARES_TINY < m < _SQUARES_BIG:
         return float(np.linalg.norm(a))
     return m * float(np.power(a / m, p).sum()) ** (1.0 / p)
 
@@ -89,9 +94,11 @@ def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
         return a.max(axis=0)
     if p == 1.0:
         return a.sum(axis=0)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=0))
-    m = a.max(axis=0)
+    if p == 2.0 and a.max(initial=0.0) < _SQUARES_BIG:
+        r = np.sqrt((a * a).sum(axis=0))
+        if r.min(initial=INF) > _SQUARES_TINY:
+            return r
+    m = a.max(axis=0, initial=0.0)
     safe = np.where(m > 0.0, m, 1.0)
     s = np.power(a / safe, p).sum(axis=0)
     return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,39 @@ def test_pnorm_many_matches_scalar():
     for p in EXPONENTS:
         expect = [pnorm(cols[:, j], p) for j in range(30)]
         np.testing.assert_allclose(pnorm_many(cols, p), expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("entries", [[1e-200, 1e-200], [1e200, 1e200], [1e200, 1e-200]])
+def test_p2_norms_survive_extreme_scaling(entries):
+    expected = math.hypot(*entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [
+            pnorm(entries, 2.0),
+            float(pnorm_many(np.array(entries)[:, None], 2.0)[0]),
+            vec(entries, 2.0).norm(),
+            pg.Symbol(entries).p_norm(2.0),
+        ]
+    assert got == pytest.approx([expected] * 4, rel=1e-15, abs=0.0)
+
+
+@given(
+    st.integers(1, 5),
+    st.lists(
+        st.floats(0.5, 1e3) | st.floats(-1e3, -0.5) | st.just(0.0), min_size=30, max_size=30
+    ),
+    st.integers(-495, 465),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_p2_norms_in_range_keep_the_unscaled_sum(d, entries, e):
+    # every column has an entry of magnitude in [0.5, 1e3] * 2^e, so its largest
+    # entry lies in (2^-500, 2^480), where the sum of squares is exact to rounding
+    cols = np.array(entries[: 6 * d]).reshape(d, 6) * 2.0**e
+    cols[0] = np.where(cols[0] == 0.0, 2.0**e, cols[0])
+    a = np.abs(cols)
+    assert np.array_equal(pnorm_many(cols, 2.0), np.sqrt((a * a).sum(axis=0)))
+    for j in range(cols.shape[1]):
+        assert pnorm(cols[:, j], 2.0) == float(np.linalg.norm(cols[:, j]))
 
 
 def test_product_space_norm_and_witness():

@@ -31,7 +31,7 @@ def show(tag, rep):
     print(
         f"{tag:24s} A={rep.lower_bound.value:8.5f}  B={rep.bessel_bound.value:8.5f}  "
         f"frame={rep.is_frame!s:5}  riesz={rep.is_riesz!s:5}  "
-        f"g_complete={rep.g_complete!s:5}  routes(inequality, rank)={rep.frame_routes}"
+        f"g_complete={rep.g_complete!s:5}  routes(inequality, rank)={(rep.is_frame, rep.g_complete)}"
     )
 
 
@@ -79,8 +79,8 @@ print("-" * 72)
 rep = pg.classify(seq)
 dual_seq = dual.as_operator_sequence()
 lo, up = pg.analysis_opnorm(dual_seq)
-print(f"  Riesz bounds of the original: A={rep.riesz_lower.value:.6f}  B={rep.riesz_upper.value:.6f}")
-print(f"  Bessel bound of the dual    : {up.value:.6f}  (1/A = {1.0 / rep.riesz_lower.value:.6f})")
+print(f"  Riesz bounds of the original: A={rep.lower_bound.value:.6f}  B={rep.bessel_bound.value:.6f}")
+print(f"  Bessel bound of the dual    : {up.value:.6f}  (1/A = {1.0 / rep.lower_bound.value:.6f})")
 
 print()
 print("a generated Riesz instance at p = 1.5 (certificates disclose provenance)")
@@ -89,5 +89,5 @@ inst = pg.gen("riesz", x2_dim=3, y_dims=[2, 1], seed=7, frame_exponent=1.5)
 rep = pg.classify(inst.lam_sequence())
 print(f"  A = {rep.lower_bound.value:.6f}  [{rep.lower_bound.kind}: {rep.lower_bound.method}]")
 print(f"  B = {rep.bessel_bound.value:.6f}  [{rep.bessel_bound.kind}: {rep.bessel_bound.method}]")
-print(f"  riesz lower = {rep.riesz_lower.value:.6f}  [{rep.riesz_lower.method}]  (the A certificate)")
+print(f"  riesz lower = {rep.lower_bound.value:.6f}  [{rep.lower_bound.method}]  (the A certificate)")
 print(f"  observed infimum = {rep.lower_observed.value:.6f}  [{rep.lower_observed.method}]")

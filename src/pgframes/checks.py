@@ -132,11 +132,10 @@ def _certificate_values(report) -> dict:
         "g_complete": report.g_complete,
         "rank_synthesis": report.rank_synthesis,
     }
-    if report.riesz_lower is not None:
-        vals["riesz_A"] = report.riesz_lower.value
-        vals["riesz_B"] = report.riesz_upper.value
-    for name, w in report.witnesses.items():
-        vals[f"witness.{name}"] = w
+    observed = {"lower_frame": report.lower_observed, "bessel": report.bessel_observed}
+    for name, cert in observed.items():
+        if cert.witness is not None:
+            vals[f"witness.{name}"] = cert.witness
     return vals
 
 
@@ -146,9 +145,11 @@ def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckRes
         report = classified(tag)
         for k, v in _certificate_values(report).items():
             values[f"{tag}.{k}"] = v
-        if len(set(report.frame_routes)) != 1:
+        if report.is_frame != report.g_complete:
             ok = False
-            notes.append(f"{tag}: frame routes disagree {report.frame_routes}")
+            notes.append(
+                f"{tag}: frame routes disagree {(report.is_frame, report.g_complete)}"
+            )
         samples = _unit_samples(seq.domain, 200, _seeded(cfg, 1))
         ratios = seq.analysis_space().norm_many(seq.stacked() @ samples)
         lo, hi = report.lower_bound.value, report.bessel_bound.value
@@ -254,8 +255,8 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
         if max(biorth, recon, double) > 1e-9:
             ok = False
             notes.append(f"{tag}: dual residuals exceed 1e-9")
-        a_safe = report.riesz_lower.value
-        b_up = report.riesz_upper.value
+        a_safe = report.lower_bound.value
+        b_up = report.bessel_bound.value
         dual_seq = dual.as_operator_sequence()
         samples = _unit_samples(dual_seq.domain, 100, rng)
         ratios = dual_seq.analysis_space().norm_many(dual_seq.stacked() @ samples)
@@ -348,7 +349,6 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
         "B_perturbed": rep.B_perturbed.value,
         "slack": rep.slack,
         "analysis_gap": rep.analysis_gap.value,
-        "synthesis_gap": rep.synthesis_gap.value,
     }
     return CheckResult("perturb", "pass" if ok else "fail", "; ".join(notes), values)
 

@@ -22,7 +22,7 @@ are checked on construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,35 +60,29 @@ class FrameReport:
 
     ``*_bound`` fields are the certified sides (safe to quote as constants in
     the defining inequalities); ``*_observed`` fields are witness-achieved
-    companions used for thresholding and diagnostics.
+    companions used for thresholding and diagnostics, and their witnesses
+    live in X.
 
-    ``riesz_upper``/``riesz_upper_observed`` are the Bessel pair itself: the
+    For a Riesz basis these two pairs are also its Riesz constants: the
     synthesis operator is the adjoint of the analysis operator, so its norm
-    is the Bessel bound.  Likewise ``riesz_lower``/``riesz_lower_observed``
-    are the lower frame pair: for a Riesz basis S^{-1} = (F^{-1})^T, so the
-    synthesis infimum and the analysis infimum both equal 1/||F^{-1}||.  The
-    observed witnesses of both Riesz pairs live in X, not in the coefficient
-    space.  ``rank_synthesis`` is the rank of the stacked matrix, which is
-    the rank of its transpose.
+    is the Bessel bound, and S^{-1} = (F^{-1})^T, so the synthesis infimum is
+    the lower frame bound 1/||F^{-1}||.  ``is_frame`` (the lower-bound
+    inequality) and ``g_complete`` (the rank of the stacked matrix) are the
+    two frame routes, which must agree.  ``rank_synthesis`` is the rank of
+    the stacked matrix, which is the rank of its transpose.  Every finite
+    family is a Bessel sequence, so no field says so.
     """
 
-    is_bessel: bool
     is_frame: bool
     is_riesz: bool
     bessel_bound: BoundCertificate
     bessel_observed: BoundCertificate
     lower_bound: BoundCertificate
     lower_observed: BoundCertificate
-    riesz_lower: BoundCertificate | None
-    riesz_lower_observed: BoundCertificate | None
-    riesz_upper: BoundCertificate | None
-    riesz_upper_observed: BoundCertificate | None
     g_complete: bool
     rank_synthesis: int
-    frame_routes: tuple[bool, bool]  # inequality, rank
     riesz_diagnosis: str
     zero_members: tuple[int, ...]
-    witnesses: dict = field(default_factory=dict)
 
 
 def _infimum_certificates(A, rank, dom, cod, cfg, stream):
@@ -138,17 +132,9 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
     rank = int(np.linalg.matrix_rank(F))
     a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=24)
     g_complete = rank == dom.dim
-    route_inequality = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value
-    is_frame = route_inequality
+    is_frame = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value
 
     coeff = seq.coefficient_space()
-    witnesses: dict = {}
-    if a_observed.witness is not None:
-        witnesses["lower_frame"] = a_observed.witness
-    if bessel.lower.witness is not None:
-        witnesses["bessel"] = bessel.lower.witness
-
-    riesz_lower = riesz_lower_obs = riesz_upper = riesz_upper_obs = None
     if coeff.total_dim != dom.dim:
         is_riesz = False
         diagnosis = (
@@ -158,31 +144,20 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
         is_riesz = False
         diagnosis = "synthesis-singular"
     else:
-        riesz_upper, riesz_upper_obs = bessel.upper, bessel.lower
-        riesz_lower, riesz_lower_obs = a_safe, a_observed
-        is_riesz = (
-            riesz_lower_obs.value > FRAME_REL_THRESHOLD * riesz_upper_obs.value
-        )
+        is_riesz = a_observed.value > FRAME_REL_THRESHOLD * bessel.lower.value
         diagnosis = "ok" if is_riesz else "inequality-threshold"
 
     return FrameReport(
-        is_bessel=True,
         is_frame=is_frame,
         is_riesz=is_riesz,
         bessel_bound=bessel.upper,
         bessel_observed=bessel.lower,
         lower_bound=a_safe,
         lower_observed=a_observed,
-        riesz_lower=riesz_lower,
-        riesz_lower_observed=riesz_lower_obs,
-        riesz_upper=riesz_upper,
-        riesz_upper_observed=riesz_upper_obs,
         g_complete=g_complete,
         rank_synthesis=rank,
-        frame_routes=(route_inequality, g_complete),
         riesz_diagnosis=diagnosis,
         zero_members=seq.zero_members(),
-        witnesses=witnesses,
     )
 
 

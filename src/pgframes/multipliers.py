@@ -276,7 +276,7 @@ def norm_bounds(
     right_report = right_report or classify(M.right, cfg)
     if left_report.is_riesz and right_report.is_riesz:
         lower = BoundCertificate(
-            left_report.riesz_lower.value * right_report.riesz_lower.value * sup,
+            left_report.lower_bound.value * right_report.lower_bound.value * sup,
             "lower_estimate",
             "riesz-product",
         )

@@ -168,11 +168,12 @@ def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCert
     )
 
 
-def _vertex_norm(B: np.ndarray, r: float, limit: int):
-    """Exact l^inf -> l^r norm by sign enumeration (first sign pinned to +1)."""
-    m, n = B.shape
-    if n > limit:
-        raise VertexLimitError(f"dimension {n} exceeds vertex enumeration limit {limit}")
+def _vertex_norm(B: np.ndarray, r: float):
+    """Exact l^inf -> l^r norm by sign enumeration (first sign pinned to +1).
+
+    2^(n-1) sign vectors: the caller keeps n within ``cfg.vertex_limit``.
+    """
+    n = B.shape[1]
     count = 1 << (n - 1) if n > 1 else 1
     best, sigma = -1.0, np.ones(n)
     chunk = 1 << 14
@@ -211,7 +212,7 @@ def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig):
         w = SpaceSpec(n, p).witness(B[i])
         return BoundCertificate(rows[i], "exact", "max-row", w)
     if math.isinf(p) and n <= cfg.vertex_limit:
-        val, sigma = _vertex_norm(B, r, cfg.vertex_limit)
+        val, sigma = _vertex_norm(B, r)
         return BoundCertificate(val, "exact", "vertex-enumeration", sigma)
     return None
 

@@ -54,16 +54,15 @@ class ContinuityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Certified aggregate gap K and the Bessel bounds it controls."""
+    """Certified aggregate gap K and the Bessel bounds and operator gaps it controls."""
 
     K: BoundCertificate
     B_base: BoundCertificate        # certified upper bound for the base sequence
     B_perturbed: BoundCertificate   # witness-backed lower estimate for the perturbed one
     slack: float                    # B_base + K - B_perturbed, nonnegative up to tolerance
-    analysis_gap: BoundCertificate  # lower estimate of ||U_pert - U_base||
-    # lower estimate of ||T_pert - T_base||: the analysis_gap certificate, as
-    # T_pert - T_base is the adjoint of U_pert - U_base and has the same norm
-    synthesis_gap: BoundCertificate
+    # lower estimate of ||U_pert - U_base||, and so of ||T_pert - T_base||:
+    # the synthesis gap is the adjoint of the analysis gap and has its norm
+    analysis_gap: BoundCertificate
     per_term: tuple[BoundCertificate, ...]
 
 
@@ -104,24 +103,24 @@ def perturbation_check(
         B_perturbed=B_pert,
         slack=slack,
         analysis_gap=analysis_gap,
-        synthesis_gap=analysis_gap,
         per_term=per_term,
     )
 
 
 @dataclass(frozen=True)
 class ContinuityTrace:
-    """One step of a continuity run: deviation in, measured gap vs bound out."""
+    """One step of a continuity run: deviation in, measured gap vs bound out.
+
+    The run's auxiliary exponent p1 is an input of :func:`continuity_suite`
+    and is not stored on its steps.
+    """
 
     n: int
     kind: str
     deviation: float        # the schedule input the bound is linear in
     measured: float         # witness-backed estimate of the multiplier gap norm
     bound: float            # theorem bound at this step
-    p1: float
-    q1: float
     components: tuple[float, ...] | None = None  # the three terms of the joint bound
-    symbol_sup_gap: float | None = None          # ||m_n - m||_inf, next to the p1 norm
 
 
 def _bump_matrix(shape) -> np.ndarray:
@@ -135,7 +134,6 @@ def default_generator(
     m: Symbol,
     lam: OperatorSequence,
     theta: OperatorSequence,
-    cfg: NumericsConfig,
 ) -> Callable[[int], tuple[Symbol, OperatorSequence, OperatorSequence]]:
     """Schedule-driven deviations: a ``DEVIATION_BASE``^-n bump on the selected ingredients.
 
@@ -272,7 +270,7 @@ def continuity_suite(
         raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
     n_max = n_max or cfg.n_max
     q1 = conjugate_exponent(p1)
-    gen = generator or default_generator(kind, m, lam, theta, cfg)
+    gen = generator or default_generator(kind, m, lam, theta)
 
     check_pairing(m, lam, theta)
     B_lam = analysis_upper(lam, cfg).value
@@ -302,7 +300,6 @@ def continuity_suite(
         measured = _memo_norm(memo, _lower_value, gap, theta.domain, lam.domain.dual, cfg)
 
         sym_gap = pnorm(mm.entries - m.entries, p1)
-        sup_gap = float(np.abs(mm.entries - m.entries).max())
         components = None
         if kind == "symbol":
             deviation = sym_gap
@@ -335,10 +332,7 @@ def continuity_suite(
                 deviation=deviation,
                 measured=measured,
                 bound=bound,
-                p1=p1,
-                q1=q1,
                 components=components,
-                symbol_sup_gap=sup_gap if kind in ("symbol", "joint") else None,
             )
         )
 

@@ -99,7 +99,7 @@ def test_criterion_3_lower_bound():
         M = pg.assemble(m, lam, theta)
         left = pg.classify(lam, FAST)
         right = pg.classify(theta, FAST)
-        assert left.riesz_lower.method in ("left-inverse", "singular-value")
+        assert left.lower_bound.method in ("left-inverse", "singular-value")
         nb = pg.norm_bounds(M, FAST, left_report=left, right_report=right)
         assert nb.lower is not None
         margin = nb.estimate.value - nb.lower.value
@@ -220,7 +220,6 @@ def test_criterion_7_perturbation():
         worst_slack = min(worst_slack, rep.slack)
         assert rep.slack >= -1e-9
         assert rep.analysis_gap.value <= rep.K.value + 1e-9
-        assert rep.synthesis_gap.value <= rep.K.value + 1e-9
     _report(7, f"200 perturbed pairs, min slack {worst_slack:.1e} >= -1e-9")
 
 
@@ -275,7 +274,7 @@ def test_criterion_9_equivalences_agree():
             deficient += 1
         seq = _row_seq(mats, p=p)
         rep = pg.classify(seq, FAST)
-        assert len(set(rep.frame_routes)) == 1, (trial, rep.frame_routes)
+        assert rep.is_frame == rep.g_complete, (trial, rep.is_frame, rep.g_complete)
         eq = pg.riesz_equivalences_check(seq, FAST)
         assert eq.agree, (trial, eq)
         checked += 1

@@ -40,10 +40,29 @@ def test_perturb_judges_its_one_gap_once(monkeypatch):
     def oversized_gap(lam, theta, cfg):
         rep = real(lam, theta, cfg)
         gap = BoundCertificate(2.0 * rep.K.value + 1.0, "lower_estimate", "forced")
-        return dataclasses.replace(rep, analysis_gap=gap, synthesis_gap=gap)
+        return dataclasses.replace(rep, analysis_gap=gap)
 
     monkeypatch.setattr(checks, "perturbation_check", oversized_gap)
     (res,) = checks.run_checks(_pair("l2"), suites=["perturb"]).results
     assert res.status == "fail"
     assert res.reason.count("exceeds K") == 1
-    assert res.values["analysis_gap"] == res.values["synthesis_gap"]
+    assert "synthesis_gap" not in res.values
+
+
+def test_classify_fails_when_frame_routes_disagree(monkeypatch):
+    real = checks.classify
+
+    def split_routes(seq, cfg):
+        rep = real(seq, cfg)
+        return dataclasses.replace(rep, is_frame=not rep.g_complete)
+
+    monkeypatch.setattr(checks, "classify", split_routes)
+    (res,) = checks.run_checks(_pair("l2"), suites=["classify"]).results
+    assert res.status == "fail"
+    assert "lam: frame routes disagree (False, True)" in res.reason
+    assert "theta: frame routes disagree (False, True)" in res.reason
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(ValueError, match="unknown suites"):
+        checks.run_checks(_pair("l2"), ["bogus"])

@@ -206,6 +206,13 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unknown_suite_exits_2(tmp_path, capsys):
+    path, _ = _gen_instance(tmp_path)
+    rc = main(["check", str(path), "--suites", "bogus"])
+    assert rc == 2
+    assert "unknown suites ['bogus']" in capsys.readouterr().err
+
+
 def test_bounds_and_multiply_commands(tmp_path, capsys):
     path, _ = _gen_instance(tmp_path)
     rc = main(["bounds", str(path), "--output", "json"])

@@ -36,15 +36,14 @@ def random_riesz(rng, n=3, p=2.0, dims=None):
 
 def test_classify_parseval():
     rep = pg.classify(SELECTORS)
-    assert rep.is_bessel and rep.is_frame and rep.is_riesz
+    assert rep.is_frame and rep.is_riesz
     assert rep.lower_bound.value == pytest.approx(1.0, abs=1e-12)
     assert rep.bessel_bound.value == pytest.approx(1.0, abs=1e-12)
-    assert rep.frame_routes == (True, True)
+    assert (rep.is_frame, rep.g_complete) == (True, True)
 
 
 def test_classify_single_selector_not_frame():
     rep = pg.classify(rows([[1.0, 0.0]]))
-    assert rep.is_bessel
     assert not rep.is_frame
     assert not rep.g_complete
     assert rep.bessel_bound.value == pytest.approx(1.0, abs=1e-12)
@@ -134,14 +133,14 @@ def test_dual_frame_bounds_sandwich():
         dual_seq = pg.dual_riesz_basis(seq).as_operator_sequence()
         dual_pair = pg.analysis_opnorm(dual_seq)
         # lower Riesz constant times the dual Bessel bound is at least one
-        assert rep.riesz_lower_observed.value * dual_pair.upper.value >= 1.0 - 1e-9
+        assert rep.lower_observed.value * dual_pair.upper.value >= 1.0 - 1e-9
         # sampled dual analysis ratios live inside [1/B, 1/A]
         samples = rng.standard_normal((dual_seq.domain.dim, 400))
         norms = dual_seq.domain.norm_many(samples)
         samples = samples[:, norms > 0] / norms[norms > 0]
         ratios = dual_seq.analysis_space().norm_many(dual_seq.stacked() @ samples)
-        b_up = rep.riesz_upper.value
-        a_safe = rep.riesz_lower.value
+        b_up = rep.bessel_bound.value
+        a_safe = rep.lower_bound.value
         assert ratios.min() >= 1.0 / b_up - 1e-9
         if a_safe > 0:
             assert ratios.max() <= 1.0 / a_safe + 1e-9
@@ -203,7 +202,7 @@ def test_frame_inequality_at_samples():
                     assert 0.0 < rep.lower_bound.value <= ratios.min() + 1e-12, case
                     assert rep.lower_bound.value <= rep.lower_observed.value + 1e-12, case
                     assert ratios.max() <= rep.bessel_bound.value + 1e-9, case
-                    assert rep.frame_routes == (True, True), case
+                    assert (rep.is_frame, rep.g_complete) == (True, True), case
 
 
 def test_classification_routes_agree_including_rank_deficient():
@@ -223,7 +222,7 @@ def test_classification_routes_agree_including_rank_deficient():
             p,
         )
         rep = pg.classify(seq)
-        assert len(set(rep.frame_routes)) == 1, (k, rep.frame_routes)
+        assert rep.is_frame == rep.g_complete, (k, rep.is_frame, rep.g_complete)
 
 
 def test_grid_certified_lower_bounds_are_lower():
@@ -235,7 +234,6 @@ def test_grid_certified_lower_bounds_are_lower():
         seq = random_riesz(rng, n=3, p=p, dims=[2, 1])
         rep = pg.classify(seq, cfg)
         assert rep.lower_bound.method == "left-inverse"
-        assert rep.riesz_lower.method == "left-inverse"
         B = rep.bessel_bound.value
         _, _, sampled = gridsearch.certified_min_ratio(
             seq.stacked(), seq.domain, seq.analysis_space(), B,
@@ -246,7 +244,8 @@ def test_grid_certified_lower_bounds_are_lower():
             pg.synthesis_matrix(seq), seq.coefficient_space(), seq.domain.dual, B,
             cfg.grid_axis_points, cfg.grid_budget,
         )
-        assert rep.riesz_lower.value <= sampled + 1e-12
+        # the same certificate bounds the synthesis infimum, S^{-1} = (F^{-1})^T
+        assert rep.lower_bound.value <= sampled + 1e-12
 
 
 def test_lower_frame_bound_positive_on_small_riesz_pair():
@@ -258,7 +257,7 @@ def test_lower_frame_bound_positive_on_small_riesz_pair():
     )
     assert pg.run_checks(inst, suites=["classify"]).ok
     rep = pg.classify(inst.lam_sequence())
-    assert rep.frame_routes == (True, True)
+    assert (rep.is_frame, rep.g_complete) == (True, True)
     assert rep.lower_bound.value > 0
 
 
@@ -283,10 +282,8 @@ def test_classify_witnesses_own_their_memory():
     seq = pg.gen("riesz-pair", x2_dim=8, y_dims=[2] * 4, seed=3).lam_sequence()
     rep = pg.classify(seq)
     certs = [v for v in vars(rep).values() if isinstance(v, pg.BoundCertificate)]
-    witnesses = list(rep.witnesses.values()) + [
-        c.witness for c in certs if c.witness is not None
-    ]
-    assert rep.witnesses and witnesses
+    witnesses = [c.witness for c in certs if c.witness is not None]
+    assert rep.lower_observed.witness is not None and rep.bessel_observed.witness is not None
     for w in witnesses:
         assert w.base is None or w.base.nbytes <= w.nbytes
 

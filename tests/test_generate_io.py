@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pgframes as pg
+from pgframes import generate
 from pgframes.config import NumericsConfig
 
 
@@ -64,9 +65,16 @@ def test_gen_frame_not_riesz_by_dimension():
     assert rep.is_frame and not rep.is_riesz
 
 
-def test_gen_bessel_always_classifies():
+def test_gen_bessel_draws_without_classifying(monkeypatch):
+    # every finite family is a Bessel sequence, so no draw is classified
+    calls = []
+    real = generate.classify
+    monkeypatch.setattr(
+        generate, "classify", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
     inst = pg.gen("bessel", x2_dim=3, y_dims=[2, 1], seed=5)
-    assert pg.classify(inst.lam_sequence()).is_bessel
+    assert calls == []
+    assert len(inst.lam) == 2
 
 
 def test_gen_riesz_pair_floors_symbol():

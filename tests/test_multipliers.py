@@ -174,7 +174,7 @@ def _riesz_pair_with_symbol(symbol):
 
 
 def test_invert_failed_verification_is_not_a_riesz_refusal():
-    # the symbol clears min_symbol, but 1/m = 1e10 amplifies rounding past
+    # the symbol clears MIN_SYMBOL, but 1/m = 1e10 amplifies rounding past
     # the residual tolerance: a failure of the inverse, not a precondition
     M = _riesz_pair_with_symbol([1e-10, 1.0])
     with pytest.raises(pg.InverseVerificationError, match="residuals") as info:

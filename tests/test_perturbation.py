@@ -26,7 +26,6 @@ def test_identical_sequences_give_zero():
     rep = pg.perturbation_check(SELECTORS, SELECTORS)
     assert rep.K.value == 0.0 and rep.K.kind == "exact"
     assert rep.analysis_gap.value == 0.0
-    assert rep.synthesis_gap.value == 0.0
     assert rep.slack == 0.0  # exact bounds on a Parseval family
 
 
@@ -69,7 +68,6 @@ def test_perturbation_properties_random():
             rep = pg.perturbation_check(lam, theta)
             assert rep.slack >= -1e-9
             assert rep.analysis_gap.value <= rep.K.value + 1e-9
-            assert rep.synthesis_gap.value <= rep.K.value + 1e-9
 
 
 def test_synthesis_gap_reference_below_K():
@@ -81,7 +79,6 @@ def test_synthesis_gap_reference_below_K():
         mats = [m + 0.1 * rng.standard_normal(m.shape) for m in lam.mats]
         theta = pg.OperatorSequence(lam.domain, lam.codomains, tuple(mats), p)
         rep = pg.perturbation_check(lam, theta)
-        assert rep.synthesis_gap is rep.analysis_gap
         diff = pg.OperatorSequence(
             lam.domain, lam.codomains, tuple(a - b for a, b in zip(lam.mats, mats)), p
         )
@@ -102,7 +99,6 @@ def test_epsilon_family_gap_bound():
         rep = pg.perturbation_check(lam, theta)
         assert rep.K.value < eps
         assert rep.analysis_gap.value <= eps + 1e-9
-        assert rep.synthesis_gap.value <= eps + 1e-9
 
 
 def test_continuity_symbol_exact_parseval():
@@ -113,7 +109,6 @@ def test_continuity_symbol_exact_parseval():
         assert t.measured == pytest.approx(2.0 ** (-t.n), rel=1e-12)
         assert t.bound == pytest.approx(2.0 ** (-t.n), rel=1e-12)
         assert t.measured <= t.bound + 1e-9
-        assert t.symbol_sup_gap <= t.deviation + 1e-15
     assert traces[33].measured < 1e-10  # 2^-34
     assert traces[39].bound < 1e-10
 
@@ -229,7 +224,7 @@ def test_continuity_gap_matches_exact_reference(kind, recorded_gaps):
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
     cfg = pg.NumericsConfig()
     pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
-    gen = perturbation.default_generator(kind, m, lam, theta, cfg)
+    gen = perturbation.default_generator(kind, m, lam, theta)
     for n in (10, 25, 40):
         err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
         assert err <= 1e-15, (n, err)
@@ -314,7 +309,7 @@ SMALL_GRID_PAIR = pg.gen(
 def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
     # (deviation, measured, bound) per step from fresh oracle calls, no memo
     q1 = pg.conjugate_exponent(p1)
-    gen = perturbation.default_generator(kind, m, lam, theta, cfg)
+    gen = perturbation.default_generator(kind, m, lam, theta)
 
     def seq_gap(base, new):
         vals = [

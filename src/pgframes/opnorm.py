@@ -150,7 +150,13 @@ def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCert
         Z = cod_dual.witness_many(A @ X)
         U = A.T @ Z
         Xn = dom.witness_many(U)
-        stalled = dom.norm_many(Xn) == 0.0
+        # The same test as norm == 0, without the norm: pnorm_many is 0 only
+        # on an all-zero column.  Its sums and maxima of |x_i| are positive
+        # otherwise, the scaled form m * s^(1/p) has m > 0 and s >= 1, and the
+        # unscaled p = 2 form is used only where every column's value exceeds
+        # 2^-500.  A nonzero product column has a positive inner norm, hence a
+        # positive outer norm.
+        stalled = ~Xn.any(axis=0)
         if np.any(stalled):
             Xn[:, stalled] = X[:, stalled]
         X = Xn

@@ -6,14 +6,28 @@ Product spaces carry one l^p norm per component plus an outer aggregation
 exponent; their duals swap every exponent for its conjugate.  Real scalars
 throughout.
 
+Column norms and witnesses on a product reduce its components in runs.  A
+run is a maximal stretch of consecutive components that share (dim,
+exponent); its rows of a (total_dim, N) array are viewed as one (k, dim, N)
+stack, and one ``pnorm_many`` or ``holder_witness_many`` call reduces the
+stack over axis -2.  The values are bit for bit those of one call per block.
+numpy sums a block in an order fixed by its memory layout: row by row,
+elementwise, when the reduced axis is not innermost in memory (a C-ordered
+block), pairwise along it otherwise.  The stack is a view that keeps each
+block's strides, so every block is summed in the same order as before.  The
+p = 2 choice between unscaled squares and the scaled form, and the p = 1
+argmax, are made per (dim, N) slice.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,20 +102,34 @@ def pnorm(entries, p: float) -> float:
 
 
 def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
-    """p-norms of the columns of a (d, N) array, vectorized."""
+    """p-norms of the columns of a (d, N) array, vectorized.
+
+    The input is at least 2-D (a single vector is a (d, 1) column).  A
+    (..., d, N) stack gives the (..., N) column norms of each (d, N) slice,
+    and the p = 2 choice between unscaled squares and the scaled form is made
+    per slice, exactly as a separate call on that slice would make it.
+    """
     a = np.abs(np.asarray(cols, dtype=float))
     if math.isinf(p):
-        return a.max(axis=0)
+        return a.max(axis=-2)
     if p == 1.0:
-        return a.sum(axis=0)
-    if p == 2.0 and a.max(initial=0.0) < _SQUARES_BIG:
-        r = np.sqrt((a * a).sum(axis=0))
-        if r.min(initial=INF) > _SQUARES_TINY:
+        return a.sum(axis=-2)
+    if p == 2.0:
+        # A slice with an entry of 2^480 or more is zeroed before squaring:
+        # its r is then 0, and it takes the scaled form like a tiny slice.
+        fits = a.max(axis=(-2, -1), initial=0.0) < _SQUARES_BIG
+        b = a if fits.all() else a * fits[..., None, None]
+        r = np.sqrt((b * b).sum(axis=-2))
+        plain = r.min(axis=-1, initial=INF) > _SQUARES_TINY
+        if plain.all():
             return r
-    m = a.max(axis=0, initial=0.0)
+    m = a.max(axis=-2, initial=0.0)
     safe = np.where(m > 0.0, m, 1.0)
-    s = np.power(a / safe, p).sum(axis=0)
-    return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+    s = np.power(a / safe[..., None, :], p).sum(axis=-2)
+    scaled = np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+    if p == 2.0 and plain.any():
+        return np.where(plain[..., None], r, scaled)
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -182,10 +210,28 @@ def dual_pairing(x: Vector, g: Vector) -> float:
     return float(np.dot(x.entries, g.entries))
 
 
+class _Run(NamedTuple):
+    """Consecutive components of a product that share one (dim, exponent)."""
+
+    space: SpaceSpec
+    blocks: slice
+    rows: slice
+
+    def slab(self, cols: np.ndarray) -> np.ndarray:
+        """The run's rows of a (total_dim, N) array as a (k, dim, N) view."""
+        k = self.blocks.stop - self.blocks.start
+        return cols[self.rows].reshape(k, self.space.dim, cols.shape[1])
+
+
 @dataclass(frozen=True)
 class ProductSpaceSpec:
     """Mixed-norm product: tuples (x_1, ..., x_k), x_i in R^{d_i} with its own
-    l^{r_i} norm, aggregated by the outer l^p norm of (||x_1||, ..., ||x_k||)."""
+    l^{r_i} norm, aggregated by the outer l^p norm of (||x_1||, ..., ||x_k||).
+
+    The block offsets and the runs of equal components are computed on first
+    use and cached outside the dataclass fields, so equality, hashing and
+    ``repr`` see only the components and the outer exponent.
+    """
 
     components: tuple[SpaceSpec, ...]
     outer_exponent: float
@@ -201,13 +247,18 @@ class ProductSpaceSpec:
     def total_dim(self) -> int:
         return sum(c.dim for c in self.components)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        offs, at = [], 0
-        for c in self.components:
-            offs.append(at)
-            at += c.dim
-        return tuple(offs)
+        return tuple(itertools.accumulate((c.dim for c in self.components[:-1]), initial=0))
+
+    @cached_property
+    def _runs(self) -> tuple[_Run, ...]:
+        runs, block = [], 0
+        for c, same in itertools.groupby(self.components):
+            k, row = len(tuple(same)), self.offsets[block]
+            runs.append(_Run(c, slice(block, block + k), slice(row, row + k * c.dim)))
+            block += k
+        return tuple(runs)
 
     @property
     def dual(self) -> "ProductSpaceSpec":
@@ -237,9 +288,9 @@ class ProductSpaceSpec:
 
     def norm_many(self, cols: np.ndarray) -> np.ndarray:
         cols = np.asarray(cols, dtype=float)
-        inner = np.vstack(
-            [c.norm_many(cols[o : o + c.dim]) for o, c in zip(self.offsets, self.components)]
-        )
+        inner = np.empty((len(self.components), cols.shape[1]))
+        for run in self._runs:
+            inner[run.blocks] = pnorm_many(run.slab(cols), run.space.exponent)
         return pnorm_many(inner, self.outer_exponent)
 
     def witness(self, functional) -> np.ndarray:
@@ -247,16 +298,15 @@ class ProductSpaceSpec:
 
     def witness_many(self, functionals: np.ndarray) -> np.ndarray:
         U = np.asarray(functionals, dtype=float)
-        duals = np.vstack(
-            [
-                pnorm_many(U[o : o + c.dim], conjugate_exponent(c.exponent))
-                for o, c in zip(self.offsets, self.components)
-            ]
-        )
+        slabs = [run.slab(U) for run in self._runs]
+        duals = np.empty((len(self.components), U.shape[1]))
+        for run, S in zip(self._runs, slabs):
+            duals[run.blocks] = pnorm_many(S, conjugate_exponent(run.space.exponent))
         weights = holder_witness_many(duals, self.outer_exponent)
         out = np.empty_like(U)
-        for i, (o, c) in enumerate(zip(self.offsets, self.components)):
-            out[o : o + c.dim] = weights[i] * c.witness_many(U[o : o + c.dim])
+        for run, S in zip(self._runs, slabs):
+            W = weights[run.blocks][:, None, :] * holder_witness_many(S, run.space.exponent)
+            out[run.rows] = W.reshape(S.shape[0] * S.shape[1], U.shape[1])
         return out
 
     def vector(self, flat) -> "ProductVector":
@@ -322,23 +372,22 @@ def holder_witness(functional, p: float) -> np.ndarray:
 
 
 def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
-    """Columnwise :func:`holder_witness` on a (d, N) array of functionals."""
+    """Columnwise :func:`holder_witness` on a (d, N) array of functionals,
+    or on each (d, N) slice of a (..., d, N) stack."""
     U = np.asarray(functionals, dtype=float)
     p = as_exponent(p)
     if p == 1.0:
-        rows = np.abs(U).argmax(axis=0)
-        cols = np.arange(U.shape[1])
-        W = np.zeros_like(U)
-        W[rows, cols] = np.sign(U[rows, cols])
-        return W
+        top = np.abs(U).argmax(axis=-2)
+        hit = np.arange(U.shape[-2])[:, None] == top[..., None, :]
+        return np.where(hit, np.sign(U), 0.0)
     if math.isinf(p):
         return np.sign(U)
     q = conjugate_exponent(p)
-    top = np.abs(U).max(axis=0)
+    top = np.abs(U).max(axis=-2)
     safe = np.where(top > 0.0, top, 1.0)
-    W = np.sign(U) * np.power(np.abs(U) / safe, q - 1.0)
+    W = np.sign(U) * np.power(np.abs(U) / safe[..., None, :], q - 1.0)
     norms = pnorm_many(W, p)
-    return W / np.where(norms > 0.0, norms, 1.0)
+    return W / np.where(norms > 0.0, norms, 1.0)[..., None, :]
 
 
 def _product_holder_witness(space: ProductSpaceSpec, functional) -> np.ndarray:

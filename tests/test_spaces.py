@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgframes as pg
-from pgframes.spaces import pnorm, pnorm_many
+from pgframes import spaces
+from pgframes.spaces import holder_witness_many, pnorm, pnorm_many
 
 INF = math.inf
 
@@ -138,6 +140,140 @@ def test_product_space_norm_and_witness():
         w = space.witness(u)
         assert space.norm(w) == pytest.approx(1.0, rel=1e-12)
         assert np.dot(w, u) == pytest.approx(space.dual.norm(u), rel=1e-12)
+
+
+def _per_block_norm_many(space, cols):
+    # the block-by-block loop that the grouped kernels replace
+    inner, at = [], 0
+    for c in space.components:
+        inner.append(pnorm_many(cols[at : at + c.dim], c.exponent))
+        at += c.dim
+    return pnorm_many(np.vstack(inner), space.outer_exponent)
+
+
+def _per_block_witness_many(space, U):
+    parts, at = [], 0
+    for c in space.components:
+        parts.append((slice(at, at + c.dim), c))
+        at += c.dim
+    duals = np.vstack([pnorm_many(U[sl], pg.conjugate_exponent(c.exponent)) for sl, c in parts])
+    weights = holder_witness_many(duals, space.outer_exponent)
+    out = np.empty_like(U)
+    for i, (sl, c) in enumerate(parts):
+        out[sl] = weights[i] * holder_witness_many(U[sl], c.exponent)
+    return out
+
+
+def _assert_grouped_matches_per_block(space, cols):
+    # C and Fortran order: numpy reduces a block along its innermost axis in
+    # memory, and the stacked views must keep that axis
+    for x in (np.ascontiguousarray(cols), np.asfortranarray(cols)):
+        assert np.array_equal(space.norm_many(x), _per_block_norm_many(space, x))
+        assert np.array_equal(space.witness_many(x), _per_block_witness_many(space, x))
+
+
+def _test_columns(total_dim, rng):
+    cols = rng.standard_normal((total_dim, 9)) * np.exp(rng.uniform(-4, 4, (total_dim, 9)))
+    cols[:, 0] = 0.0  # a zero column
+    cols[:, 1:4] = rng.integers(-1, 2, (total_dim, 3))  # argmax ties at p = 1
+    cols[: total_dim // 2, 4] = 0.0  # zero blocks beside nonzero ones
+    return cols
+
+
+@pytest.mark.parametrize("inner", EXPONENTS)
+@pytest.mark.parametrize("outer", EXPONENTS)
+def test_grouped_product_kernels_match_the_per_block_loop(inner, outer):
+    rng = np.random.default_rng([13, EXPONENTS.index(inner), EXPONENTS.index(outer)])
+    for d in range(1, 41):
+        for dims in ([d, d, d], [d, 1, d], [2, 3, 2]):
+            # [d, d, d] is one run of three blocks; in [d, 1, d] and [2, 3, 2]
+            # the equal blocks 0 and 2 are separate runs
+            space = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(k, inner) for k in dims), outer)
+            _assert_grouped_matches_per_block(space, _test_columns(space.total_dim, rng))
+    mixed = pg.ProductSpaceSpec(
+        tuple(pg.SpaceSpec(2, r) for r in EXPONENTS) + (pg.SpaceSpec(2, inner),), outer
+    )
+    _assert_grouped_matches_per_block(mixed, _test_columns(mixed.total_dim, rng))
+
+
+@pytest.mark.parametrize("scale", [2.0**490, 2.0**-540])
+@pytest.mark.parametrize("dims", [[4, 4, 4], [4, 5, 4]])
+def test_p2_choice_is_made_per_block(scale, dims):
+    # one block has entries >= 2^480, or a norm <= 2^-500, so it takes the
+    # scaled form; the other blocks must keep the unscaled sum of squares
+    rng = np.random.default_rng(29)
+    space = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, 2.0) for d in dims), 3.0)
+    cols = rng.standard_normal((space.total_dim, 40))
+    cols[-4:] *= scale  # the last block, in one run with block 0 for [4, 4, 4]
+    a = np.abs(cols[:4])
+    m = a.max(axis=0)
+    scaled = m * np.sqrt(((a / m) ** 2).sum(axis=0))
+    # the test can tell: a per-call choice would change block 0's norms
+    assert not np.array_equal(scaled, np.sqrt((a * a).sum(axis=0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_grouped_matches_per_block(space, cols)
+        _assert_grouped_matches_per_block(space.dual, cols)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_stacked_kernels_equal_a_stack_of_2d_calls(p):
+    rng = np.random.default_rng(31)
+    for shape in [(3, 1, 7), (4, 9, 5), (2, 3, 40, 6), (2, 5, 0)]:
+        X = rng.standard_normal(shape)
+        X[0, ..., :1] = 0.0
+        X[0, ..., 2:] *= 2.0**-540  # these slices take the scaled p = 2 form,
+        X[-1, ..., 1:] *= 2.0**490  # and so do these, beside unscaled ones
+        X[1:, ..., -1:] = -1.0  # argmax ties at p = 1
+        flat = X.reshape(math.prod(shape[:-2]), *shape[-2:])
+        for kernel in (pnorm_many, holder_witness_many):
+            expect = np.stack([kernel(x, p) for x in flat])
+            got = kernel(X, p)
+            assert np.array_equal(got, expect.reshape(got.shape))
+
+
+def test_p1_witness_takes_the_first_of_tied_entries():
+    ties = np.array([[[0.5], [-2.0], [2.0]], [[1.0], [1.0], [-1.0]]])
+    assert np.array_equal(holder_witness_many(ties, 1.0), [[[0], [-1], [0]], [[1], [0], [0]]])
+    assert np.array_equal(holder_witness_many(ties[1], 1.0), [[1], [0], [0]])
+
+
+def test_product_layout_is_invisible():
+    a = pg.ProductSpaceSpec((pg.SpaceSpec(2, 3), pg.SpaceSpec(3, 3), pg.SpaceSpec(2, 3)), 1.5)
+    b = pg.ProductSpaceSpec([pg.SpaceSpec(2, 3.0), pg.SpaceSpec(3, 3.0), pg.SpaceSpec(2, 3.0)], 1.5)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        "ProductSpaceSpec(components=(SpaceSpec(dim=2, exponent=3.0), "
+        "SpaceSpec(dim=3, exponent=3.0), SpaceSpec(dim=2, exponent=3.0)), "
+        "outer_exponent=1.5)"
+    )
+    assert [f.name for f in dataclasses.fields(a)] == ["components", "outer_exponent"]
+    assert a.dual.dual == a and hash(a.dual.dual) == hash(a)
+    assert a != pg.ProductSpaceSpec(a.components, 2.0)
+    assert a.offsets == (0, 2, 5)
+    a.norm_many(np.ones((7, 1)))  # computes and caches the layout of a alone
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "dims, runs", [([2] * 8, 1), ([2, 3, 2], 3), ([2, 2, 3, 3, 2], 3), ([5], 1)]
+)
+def test_one_kernel_call_per_run_of_equal_blocks(monkeypatch, dims, runs):
+    space = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, 3.0) for d in dims), 1.5)
+    calls = []
+    kernel = spaces.pnorm_many
+    monkeypatch.setattr(spaces, "pnorm_many", lambda a, p: calls.append(a.shape) or kernel(a, p))
+    space.norm_many(np.ones((space.total_dim, 4)))
+    assert len(calls) == runs + 1  # one per run, plus the outer norm
+
+
+def test_pnorm_many_needs_at_least_2d_input():
+    # a single vector is a (d, 1) column; a 1-D array has no axis -2
+    x = np.array([3.0, -4.0])
+    for p in EXPONENTS:
+        assert pnorm_many(x[:, None], p)[0] == pnorm(x, p)
+        with pytest.raises(ValueError):
+            pnorm_many(x, p)
 
 
 def test_product_duality_gap_trivial_cases():

@@ -435,6 +435,6 @@ def run_checks(
         "tol_exact": cfg.tol_exact,
         "restarts": cfg.restarts,
         "epsilon": epsilon,
-        "n_max": n_max or cfg.n_max,
+        "n_max": cfg.n_max if n_max is None else n_max,
     }
     return CheckReport(summary, echo, tuple(results))

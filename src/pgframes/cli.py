@@ -23,7 +23,6 @@ from .multipliers import (
     SymbolTooSmallError,
     assemble,
     invert,
-    norm_bounds,
 )
 from .perturbation import CONTINUITY_KINDS, ContinuityViolation, continuity_suite
 
@@ -35,6 +34,16 @@ def _exponent(text: str) -> float:
         return float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad exponent {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -84,10 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("instance")
     c.add_argument("--suites", default=None, metavar=",".join(SUITES[:3]) + ",...")
     c.add_argument("--epsilon", type=float, default=0.01)
-    c.add_argument("--n-max", type=int, default=None)
+    c.add_argument("--n-max", type=_positive_int, default=None)
 
     for name, help_text in (
-        ("bounds", "multiplier norm bounds and the direct estimate"),
+        ("bounds", "the bounds suite: multiplier norm bounds and the direct estimate"),
         ("dual", "dual Riesz bases with residuals"),
         ("multiply", "assemble the multiplier matrix"),
         ("invert", "invert the multiplier via the dual bases"),
@@ -108,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--kind", choices=CONTINUITY_KINDS, default="joint")
     p.add_argument("--p1", type=_exponent, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_positive_int, default=None)
     return ap
 
 
@@ -159,29 +168,15 @@ def _cmd_gen(args, cfg) -> int:
     return 0
 
 
-def _cmd_check(args, cfg) -> int:
-    inst = load(args.instance)
-    suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
-    report = run_checks(inst, suites, cfg, epsilon=args.epsilon, n_max=args.n_max)
+def _run_suites(args, cfg, suites, **kwargs) -> int:
+    report = run_checks(load(args.instance), suites, cfg, **kwargs)
     _emit(report.to_dict(), args.output, report.render_text)
     return 0 if report.ok else 1
 
 
-def _cmd_bounds(args, cfg) -> int:
-    inst = load(args.instance)
-    M = assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
-    nb = norm_bounds(M, cfg)
-    doc = {
-        "upper": nb.upper.value,
-        "upper_method": nb.upper.method,
-        "estimate": nb.estimate.value,
-        "estimate_upper": nb.estimate_upper.value,
-        "lower": nb.lower.value if nb.lower else None,
-        "lower_reason": nb.lower_reason,
-    }
-    _emit(doc, args.output)
-    ok = nb.estimate.value <= nb.upper.value + 1e-9
-    return 0 if ok else 1
+def _cmd_check(args, cfg) -> int:
+    suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
+    return _run_suites(args, cfg, suites, epsilon=args.epsilon, n_max=args.n_max)
 
 
 def _cmd_dual(args, cfg) -> int:
@@ -238,13 +233,6 @@ def _cmd_invert(args, cfg) -> int:
     return 0
 
 
-def _cmd_perturb(args, cfg) -> int:
-    inst = load(args.instance)
-    report = run_checks(inst, ["perturb"], cfg, epsilon=args.epsilon)
-    _emit(report.to_dict(), args.output, report.render_text)
-    return 0 if report.ok else 1
-
-
 def _cmd_continuity(args, cfg) -> int:
     inst = load(args.instance)
     p1 = args.p1 or inst.p1 or 2.0
@@ -298,7 +286,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args, cfg)
         if args.command == "bounds":
-            return _cmd_bounds(args, cfg)
+            return _run_suites(args, cfg, ["bounds"])
         if args.command == "dual":
             return _cmd_dual(args, cfg)
         if args.command == "multiply":
@@ -306,7 +294,7 @@ def main(argv=None) -> int:
         if args.command == "invert":
             return _cmd_invert(args, cfg)
         if args.command == "perturb":
-            return _cmd_perturb(args, cfg)
+            return _run_suites(args, cfg, ["perturb"], epsilon=args.epsilon)
         if args.command == "continuity":
             return _cmd_continuity(args, cfg)
     except InstanceFormatError as exc:

@@ -41,7 +41,11 @@ class NumericsConfig:
     n_max: int = 40
 
     def fast(self) -> "NumericsConfig":
-        """Cheaper profile for inner loops (generation, precondition checks)."""
+        """Cheaper profile for the ``frame`` rejection loop of ``generate.gen``.
+
+        That loop is its one caller: ``bessel`` draws are never classified,
+        and Riesz draws are accepted on the condition cap alone.
+        """
         return replace(self, restarts=6)
 
 

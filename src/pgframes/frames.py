@@ -224,7 +224,6 @@ class RieszEquivalences:
     riesz_inequality: bool  # two-sided synthesis inequality constants positive
     full_rank: bool         # synthesis injective, equivalently analysis onto
     agree: bool
-    details: dict
 
 
 def riesz_equivalences_check(
@@ -252,16 +251,9 @@ def riesz_equivalences_check(
     low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
     cond_inequality = low_val > FRAME_REL_THRESHOLD * upper.value
 
-    rank = int(np.linalg.matrix_rank(S))
-    cond_rank = rank == coeff.total_dim
+    cond_rank = int(np.linalg.matrix_rank(S)) == coeff.total_dim
     return RieszEquivalences(
         riesz_inequality=cond_inequality,
         full_rank=cond_rank,
         agree=cond_inequality == cond_rank,
-        details={
-            "synthesis_lower": low_val,
-            "synthesis_upper": upper.value,
-            "rank": rank,
-            "stacked_dual_dim": coeff.total_dim,
-        },
     )

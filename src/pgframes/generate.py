@@ -1,9 +1,27 @@
 """Random instance generation with rejection conditioning.
 
 Matrices are drawn with i.i.d. standard normal entries and resampled until
-the requested classification holds; Riesz kinds additionally cap the
-condition number of the synthesis matrix so downstream inversions stay well
-inside the acceptance tolerances.
+the requested kind holds.  ``bessel`` accepts every draw, ``frame`` accepts
+a draw that :func:`classify` calls a frame, and the Riesz kinds accept a
+draw whose synthesis matrix S has condition number at most
+``MAX_CONDITION``.  The cap keeps downstream inversions well inside the
+acceptance tolerances, and it alone settles ``classify(...).is_riesz``, so
+no Riesz draw is classified.
+
+Why the cap settles it, for x2_dim = n <= 700 (the benchmark workloads stop
+at 96).  The dimension checks in :func:`gen` make S and F = S^T square.
+kappa_2(S) <= 200 gives sigma_min >= sigma_max / 200, far above the rank
+cutoff sigma_max * n * eps of ``matrix_rank``, so the rank is full and
+``classify`` judges the draw by a_obs > ``FRAME_REL_THRESHOLD`` * B_obs.
+For a square F of full rank, a_obs is 1 over a lower estimate of
+||F^-1||_{P->X} and B_obs is at most ||F||_{X->P} (on l^2 both are exact
+singular values), so a_obs / B_obs >= 1 / (||F^-1||_{P->X} ||F||_{X->P}).
+Passing through l^2 costs the norm-equivalence constants c_X of X and c_P
+of the product P: ||F^-1||_{P->X} ||F||_{X->P} <= kappa_2(F) c_X c_P.  An
+l^r space of dim d has c <= d^|1/2 - 1/r| <= sqrt(d), so c_X <= sqrt(n);
+the mixed norm of k components of dims at most d_max has c_P <= d_max
+sqrt(k) <= n^(3/2).  Hence a_obs / B_obs >= 1 / (200 n^2) >= 1 / (200 *
+700^2) > 1e-8 = ``FRAME_REL_THRESHOLD``, and every capped draw is Riesz.
 """
 from __future__ import annotations
 
@@ -41,7 +59,10 @@ def gen(
     """Generate an instance whose left family classifies as ``kind``.
 
     ``riesz`` conditions the left family; ``riesz-pair`` conditions both
-    families and floors the symbol at ``symbol_min`` in absolute value.
+    families and floors the symbol at ``symbol_min`` in absolute value.  A
+    Riesz draw is accepted on the cap kappa_2(S) <= ``MAX_CONDITION`` alone,
+    which implies ``classify(...).is_riesz`` for x2_dim <= 700 (the proof is
+    in the module docstring); only ``frame`` draws are classified.
     Raises :class:`GenerationError` (echoing the seed) when the request is
     infeasible or the retry cap runs out.
     """
@@ -69,12 +90,11 @@ def gen(
     x2 = SpaceSpec(x2_dim, x2_exponent)
     components = tuple(SpaceSpec(m, r) for m, r in zip(y_dims, y_exponents))
     rng = np.random.default_rng([seed, GEN_KINDS.index(kind)])
-    fast = cfg.fast()
 
     def riesz(seq) -> bool:
-        if np.linalg.cond(synthesis_matrix(seq)) > MAX_CONDITION:
-            return False
-        return classify(seq, fast).is_riesz
+        # the cap implies classify(seq).is_riesz (module docstring); written
+        # as <= so that a NaN condition number rejects the draw
+        return bool(np.linalg.cond(synthesis_matrix(seq)) <= MAX_CONDITION)
 
     def draw(domain, comps, exponent, accept, what):
         for _ in range(cfg.retry_cap):
@@ -88,7 +108,7 @@ def gen(
 
     accept_lam = {
         "bessel": lambda seq: True,  # every finite family is a Bessel sequence
-        "frame": lambda seq: classify(seq, fast).is_frame,
+        "frame": lambda seq: classify(seq, cfg.fast()).is_frame,
     }.get(kind, riesz)
     lam = draw(x2, components, frame_exponent, accept_lam, f"a {kind} family")
     theta = draw(

@@ -9,7 +9,10 @@ the closed forms, the ascent estimates and the left-inverse lower bounds of
 Spheres are sampled by gridding the faces of the unit cube and renormalizing;
 the renormalization map y -> y / ||y|| is 2-Lipschitz on the cube surface, so
 a face grid of spacing h covers the sphere within h * ||ones|| in the target
-norm.
+norm.  The samples also include the coordinate vectors e_j, which are unit
+vectors in every l^p and product norm: they are the extreme points of the
+l^1 sphere, where a pairing's supremum over it sits, and an even face grid
+has no 0 coordinate and so never reaches them.
 """
 from __future__ import annotations
 
@@ -37,9 +40,11 @@ def _face_count(dim: int, axis_points: int) -> int:
 def sphere_samples(space, axis_points: int, budget: int):
     """Sample the unit sphere of ``space``; returns (samples, covering_radius).
 
-    ``samples`` has one row per unit vector.  Only faces with one coordinate
-    pinned at +1 are generated; objectives invariant under x -> -x (every norm
-    ratio and |pairing| used here) lose nothing.
+    ``samples`` has one row per unit vector: the face grid, then the ``dim``
+    coordinate vectors.  ``budget`` caps the face grid, and the coordinate
+    vectors come on top of it.  Only faces with one coordinate pinned at +1
+    are generated; objectives invariant under x -> -x (every norm ratio and
+    |pairing| used here) lose nothing.
     """
     dim = space.total_dim
     if dim == 1:
@@ -60,6 +65,7 @@ def sphere_samples(space, axis_points: int, budget: int):
         block[:, k] = 1.0
         block[:, [j for j in range(dim) if j != k]] = face
         rows.append(block)
+    rows.append(np.eye(dim))
     y = np.vstack(rows)
     norms = space.norm_many(y.T)
     samples = y / norms[:, None]

@@ -79,12 +79,28 @@ def _enc_exponent(p: float):
     return "inf" if math.isinf(p) else float(p)
 
 
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _dec_exponent(raw, field: str) -> float:
     if raw == "inf":
         return math.inf
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_number(raw):
         return float(raw)
     raise InstanceFormatError(f"{field}: exponent must be a number or 'inf', got {raw!r}")
+
+
+def _dec_seed(raw) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise InstanceFormatError(f"seed: expected an integer, got {raw!r}")
+
+
+def _dec_symbol(raw) -> np.ndarray:
+    if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
+        raise InstanceFormatError(f"symbol: expected a list of numbers, got {raw!r}")
+    return np.array(raw, dtype=float)
 
 
 def _enc_space(s: SpaceSpec) -> dict:
@@ -112,7 +128,7 @@ def serialize(inst: Instance) -> str:
         "symbol": inst.symbol.tolist(),
     }
     if inst.p1 is not None:
-        doc["p1"] = float(inst.p1)
+        doc["p1"] = _enc_exponent(inst.p1)
     if inst.seed is not None:
         doc["seed"] = int(inst.seed)
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -155,9 +171,9 @@ def parse(text: str) -> Instance:
             frame_exponent=_dec_exponent(doc["frame_exponent"], "frame_exponent"),
             lam=_dec_mats(doc["lam"], "lam"),
             theta=_dec_mats(doc["theta"], "theta"),
-            symbol=np.asarray(doc["symbol"], dtype=float),
-            p1=float(doc["p1"]) if "p1" in doc else None,
-            seed=int(doc["seed"]) if "seed" in doc else None,
+            symbol=_dec_symbol(doc["symbol"]),
+            p1=_dec_exponent(doc["p1"], "p1") if "p1" in doc else None,
+            seed=_dec_seed(doc["seed"]) if "seed" in doc else None,
             version=str(doc["version"]),
         )
     except InstanceFormatError:

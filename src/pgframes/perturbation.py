@@ -63,7 +63,6 @@ class PerturbationReport:
     # lower estimate of ||U_pert - U_base||, and so of ||T_pert - T_base||:
     # the synthesis gap is the adjoint of the analysis gap and has its norm
     analysis_gap: BoundCertificate
-    per_term: tuple[BoundCertificate, ...]
 
 
 def _same_shape(lam: OperatorSequence, theta: OperatorSequence) -> None:
@@ -103,7 +102,6 @@ def perturbation_check(
         B_perturbed=B_pert,
         slack=slack,
         analysis_gap=analysis_gap,
-        per_term=per_term,
     )
 
 
@@ -268,7 +266,9 @@ def continuity_suite(
         raise ValueError(f"kind must be one of {CONTINUITY_KINDS}, got {kind!r}")
     if p1 <= 1.0:
         raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
-    n_max = n_max or cfg.n_max
+    n_max = cfg.n_max if n_max is None else n_max
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     q1 = conjugate_exponent(p1)
     gen = generator or default_generator(kind, m, lam, theta)
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import pgframes as pg
 from pgframes.cli import main
@@ -213,12 +214,53 @@ def test_unknown_suite_exits_2(tmp_path, capsys):
     assert "unknown suites ['bogus']" in capsys.readouterr().err
 
 
+def test_malformed_instance_fields_exit_2(tmp_path, capsys):
+    path, _ = _gen_instance(tmp_path)
+    doc = json.loads(path.read_text())
+    for field, value in (("p1", [2]), ("p1", None), ("symbol", {"a": 1}), ("seed", 1.7)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, field: value}), encoding="utf-8")
+        rc = main(["check", str(bad), "--suites", "multiply"])
+        assert rc == 2, field
+        assert f"instance error: {field}" in capsys.readouterr().err
+
+
+def test_nonpositive_n_max_exits_2(tmp_path, capsys):
+    path, _ = _gen_instance(tmp_path)
+    for argv in (
+        ["check", str(path), "--n-max", "-1"],
+        ["check", str(path), "--n-max", "0", "--suites", "continuity"],
+        ["continuity", str(path), "--kind", "symbol", "--n-max", "-1"],
+        ["continuity", str(path), "--kind", "joint", "--n-max", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_bounds_command_reports_the_bounds_suite(tmp_path, capsys, monkeypatch):
+    import pgframes.checks as checks
+
+    path, _ = _gen_instance(tmp_path)
+    monkeypatch.setattr(
+        checks,
+        "_check_bounds",
+        lambda *a: checks.CheckResult("bounds", "fail", "lower bound exceeds the estimate"),
+    )
+    rc = main(["bounds", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL    bounds  (lower bound exceeds the estimate)" in out
+
+
 def test_bounds_and_multiply_commands(tmp_path, capsys):
     path, _ = _gen_instance(tmp_path)
     rc = main(["bounds", str(path), "--output", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert doc["estimate"] <= doc["upper"] + 1e-9
+    values = doc["checks"][0]["values"]
+    assert values["estimate"] <= values["upper"] + 1e-9
 
     rc = main(["multiply", str(path), "--apply", "1,0,0", "--output", "json"])
     doc = json.loads(capsys.readouterr().out)

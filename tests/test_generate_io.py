@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import pgframes as pg
 from pgframes import generate
 from pgframes.config import NumericsConfig
+from pgframes.frames import FRAME_REL_THRESHOLD
 
 
 def test_roundtrip_bitwise():
@@ -52,6 +55,16 @@ def test_parse_diagnostics():
             '"components":[{"dim":1,"exponent":2}],"frame_exponent":2,'
             '"lam":[[[1.0]]],"theta":[[[1.0]]],"symbol":[1.0]}'
         )
+    doc = json.loads(pg.serialize(pg.gen("bessel", x2_dim=2, y_dims=[1, 1], seed=0)))
+    for field, value in (
+        ("p1", [2]), ("p1", None), ("p1", "two"), ("seed", 1.7), ("seed", "1"),
+        ("seed", True), ("symbol", {"a": 1}), ("symbol", [1.0, None]), ("symbol", 1.0),
+    ):
+        with pytest.raises(pg.InstanceFormatError, match=field):
+            pg.parse(json.dumps({**doc, field: value}))
+    back = pg.parse(json.dumps({**doc, "p1": "inf", "seed": 3}))
+    assert math.isinf(back.p1) and back.seed == 3
+    assert pg.parse(pg.serialize(back)).p1 == math.inf
 
 
 def test_gen_riesz_confirms_kind():
@@ -66,15 +79,36 @@ def test_gen_frame_not_riesz_by_dimension():
 
 
 def test_gen_bessel_draws_without_classifying(monkeypatch):
-    # every finite family is a Bessel sequence, so no draw is classified
+    # every finite family is a Bessel sequence, and the condition cap alone
+    # makes a draw Riesz, so none of these kinds classifies a draw
     calls = []
     real = generate.classify
     monkeypatch.setattr(
         generate, "classify", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
-    inst = pg.gen("bessel", x2_dim=3, y_dims=[2, 1], seed=5)
-    assert calls == []
-    assert len(inst.lam) == 2
+    for kind in ("bessel", "riesz", "riesz-pair"):
+        inst = pg.gen(kind, x2_dim=3, y_dims=[2, 1], seed=5)
+        assert calls == [], kind
+        assert len(inst.lam) == 2
+
+
+def test_condition_cap_keeps_riesz_draws_above_the_frame_threshold():
+    # the premise of the proof in the generate docstring, at its stated range:
+    # a capped draw of dim n has a_obs / B_obs >= 1 / (MAX_CONDITION n^2)
+    assert generate.MAX_CONDITION * 700**2 < 1.0 / FRAME_REL_THRESHOLD
+    inf = math.inf
+    for x, y, p in itertools.product((1.0, inf), (1.0, inf), (1.25, 2.0, 4.0)):
+        for dims in ([2, 2], [1, 3]):
+            n = sum(dims)
+            inst = pg.gen(
+                "riesz-pair", x2_dim=n, y_dims=dims, seed=3, frame_exponent=p,
+                x1_exponent=x, x2_exponent=x, y_exponents=[y] * len(dims),
+            )
+            for seq in (inst.lam_sequence(), inst.theta_sequence()):
+                rep = pg.classify(seq)
+                ratio = rep.lower_observed.value / rep.bessel_observed.value
+                assert ratio >= 1.0 / (generate.MAX_CONDITION * n**2), (x, y, p, dims)
+                assert rep.is_riesz
 
 
 def test_gen_riesz_pair_floors_symbol():

@@ -173,6 +173,13 @@ def test_continuity_bad_generator_shapes():
         pg.continuity_suite("unknown", m, SELECTORS, SELECTORS, p1=2.0, n_max=3)
 
 
+def test_continuity_needs_a_step():
+    m = pg.Symbol([1.0, 1.0])
+    for n_max, cfg in ((0, None), (-1, None), (None, pg.NumericsConfig(n_max=0))):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            pg.continuity_suite("joint", m, SELECTORS, SELECTORS, p1=2.0, n_max=n_max, cfg=cfg)
+
+
 def _exact_multiplier(m, lam, theta):
     # sum_i m_i L_i^T T_i in exact rational arithmetic
     rows_, cols = lam.domain.dim, theta.domain.dim

@@ -316,6 +316,11 @@ def test_product_duality_gap_derived_example():
     assert pg.product_duality_gap(g, method="grid") <= 1e-3
     brute = _brute_force_product_sup((2, 2), (2.0, 2.0), 1.5, g.flatten())
     assert brute == pytest.approx(pg.mixed_norm(g), abs=1e-3)
+    # l^inf blocks pair with l^1 blocks, whose sphere's extreme points e_j
+    # carry the supremum; an even face grid has no 0 coordinate and misses them
+    for outer_q in (1.5, 3.0, math.inf):
+        g = pg.ProductVector((vec([2, 1], math.inf), vec([1, 3, -2], math.inf)), outer_q)
+        assert pg.product_duality_gap(g, method="grid") / pg.mixed_norm(g) <= 1e-3
 
 
 def test_product_duality_gap_random_witness():

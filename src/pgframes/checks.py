@@ -356,7 +356,7 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
 def _check_continuity(inst: Instance, cfg: NumericsConfig, n_max: int | None) -> CheckResult:
     m = inst.symbol_obj()
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
-    p1 = inst.p1 or 2.0
+    p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
     for kind in CONTINUITY_KINDS:
         try:

@@ -235,7 +235,9 @@ def _cmd_invert(args, cfg) -> int:
 
 def _cmd_continuity(args, cfg) -> int:
     inst = load(args.instance)
-    p1 = args.p1 or inst.p1 or 2.0
+    p1 = args.p1 if args.p1 is not None else inst.p1
+    if p1 is None:
+        p1 = 2.0
     try:
         traces = continuity_suite(
             args.kind,

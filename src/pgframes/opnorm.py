@@ -15,6 +15,10 @@ side, and for the upper side to the minimum of the Hoelder (column and row)
 and singular-value-times-dimension bounds, aggregated blockwise on product
 spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
+The ascent has one route, ``multistart_lower_many``, which runs a stack of
+matrices in lockstep and gives each the bits of a run on it alone;
+``multistart_lower`` is its one-matrix case, and ``continuity_suite`` sends
+all the non-exact gaps of a run to one call.
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
 inverse.
@@ -49,6 +53,7 @@ __all__ = [
     "operator_norm_bounds",
     "min_ratio_estimate",
     "multistart_lower",
+    "multistart_lower_many",
     "upper_certificate_only",
 ]
 
@@ -106,72 +111,150 @@ def _normalize(space, x: np.ndarray) -> np.ndarray | None:
     return x / n
 
 
-def _start_vectors(A: np.ndarray, dom, cfg: NumericsConfig, stream: int) -> np.ndarray:
-    """Deterministic start bundle, one column per restart."""
-    n = dom.total_dim
-    starts = []
+def _top_right_singular_vectors(As: np.ndarray):
+    """First right singular vector of each slice, and which slices have one.
+
+    One stacked SVD: LAPACK runs on each slice alone, so a row has the bits
+    of an SVD of that slice.  numpy raises for the whole stack when any slice
+    fails, so then each slice is retried alone and only the failing ones go
+    without.
+    """
     try:
-        _, _, vt = np.linalg.svd(A)
-        starts.append(vt[0])
+        return np.linalg.svd(As)[2][:, 0], np.ones(len(As), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    starts.append(np.ones(n))
-    for j in range(min(n, 8)):
-        e = np.zeros(n)
-        e[j] = 1.0
-        starts.append(e)
-    if cfg.restarts > 0:
-        starts.append(
-            _rng(cfg, stream, 0).standard_normal((n, cfg.restarts)).T
-        )
-    return np.column_stack([np.atleast_2d(s).T.reshape(n, -1) for s in starts])
+    rows, ok = np.zeros(As.shape[::2]), np.zeros(len(As), dtype=bool)
+    for i, A in enumerate(As):
+        try:
+            rows[i], ok[i] = np.linalg.svd(A)[2][0], True
+        except np.linalg.LinAlgError:
+            pass
+    return rows, ok
 
 
-def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCertificate:
-    """Alternating ascent on the norm ratio, all restarts iterated in lockstep.
+def _start_bundles(As: np.ndarray, dom, cfg: NumericsConfig, stream: int):
+    """Each slice's unit start columns, in groups of slices that keep the same columns.
 
-    Each step maps the current iterates through the norming functional of the
-    codomain and back through the Hoelder witness of the domain; the achieved
-    ratio is nondecreasing per column.  Stops when every column's successive
-    ratios agree to ``RATIO_TOL`` (relative).  Reduction is max by value with
-    ties to the earliest start, so the result is deterministic.
+    A slice's bundle is, in order: its first right singular vector (absent
+    where the SVD failed), the ones vector, the first eight coordinate
+    vectors, and ``cfg.restarts`` normal columns of (stream, index 0); all
+    but the first column are the same for every slice.  Columns of zero or
+    non-finite norm are dropped; the ones vector never is.  Yields (slice
+    indices, (g, n, N) normalized columns).
     """
-    X = _start_vectors(A, dom, cfg, stream)
-    norms = dom.norm_many(X)
-    keep = norms > 0.0
-    X = X[:, keep] / norms[keep]
-    if X.shape[1] == 0:
-        return BoundCertificate(0.0, "lower_estimate", "boyd-multistart", np.zeros(dom.total_dim))
+    n = As.shape[2]
+    shared = [np.ones((n, 1)), np.eye(n)[:, : min(n, 8)]]
+    if cfg.restarts > 0:
+        shared.append(_rng(cfg, stream, 0).standard_normal((n, cfg.restarts)))
+    tops, has_top = _top_right_singular_vectors(As)
+    for present in (True, False):
+        idx = np.flatnonzero(has_top == present)
+        if idx.size == 0:
+            continue
+        cols = [tops[idx, :, None]] if present else []
+        X = np.concatenate(cols + [np.broadcast_to(s, (idx.size, *s.shape)) for s in shared], -1)
+        norms = dom.norm_many(X)
+        keep = norms > 0.0
+        groups: dict[bytes, list[int]] = {}
+        for i, row in enumerate(keep):
+            groups.setdefault(row.tobytes(), []).append(i)
+        for sub in groups.values():
+            kept = keep[sub[0]]
+            # the boolean index also gives each slice the column-major layout
+            # its first product A @ X has always had
+            yield idx[sub], X[sub][:, :, kept] / norms[sub][:, kept][:, None, :]
+
+
+def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
+    """Lockstep ascent of each (m, n) slice of ``A`` from its (n, N) slice of ``X``.
+
+    Returns each slice's best value and its witness.  A slice leaves the
+    active set at the iteration where all of its columns meet ``RATIO_TOL``.
+    """
+    values, witnesses = np.empty(len(A)), np.empty(A.shape[::2])
+
+    def finish(slices, best_vals, best_X):
+        # max by value, ties to the earliest start
+        j = np.argmax(best_vals, axis=-1)
+        rows = np.arange(len(j))
+        values[slices] = best_vals[rows, j]
+        witnesses[slices] = best_X[rows, :, j]
+
+    live = np.arange(len(A))
     cod_dual = cod.dual
     best_vals = cod.norm_many(A @ X)
     best_X = X.copy()
     prev = best_vals.copy()
     for _ in range(cfg.max_iterations):
         Z = cod_dual.witness_many(A @ X)
-        U = A.T @ Z
-        Xn = dom.witness_many(U)
+        Xn = dom.witness_many(np.swapaxes(A, -1, -2) @ Z)
         # The same test as norm == 0, without the norm: pnorm_many is 0 only
         # on an all-zero column.  Its sums and maxima of |x_i| are positive
         # otherwise, the scaled form m * s^(1/p) has m > 0 and s >= 1, and the
         # unscaled p = 2 form is used only where every column's value exceeds
         # 2^-500.  A nonzero product column has a positive inner norm, hence a
         # positive outer norm.
-        stalled = ~Xn.any(axis=0)
-        if np.any(stalled):
-            Xn[:, stalled] = X[:, stalled]
+        stalled = ~Xn.any(axis=-2)
+        if stalled.any():
+            np.copyto(Xn, X, where=stalled[:, None, :])
         X = Xn
         vals = cod.norm_many(A @ X)
         improved = vals > best_vals
-        if np.any(improved):
+        if improved.any():
             best_vals = np.where(improved, vals, best_vals)
-            best_X[:, improved] = X[:, improved]
-        if np.all(np.abs(vals - prev) <= RATIO_TOL * np.maximum(np.abs(vals), np.abs(prev))):
-            break
+            np.copyto(best_X, X, where=improved[:, None, :])
+        done = np.all(
+            np.abs(vals - prev) <= RATIO_TOL * np.maximum(np.abs(vals), np.abs(prev)), axis=-1
+        )
+        if done.any():
+            finish(live[done], best_vals[done], best_X[done])
+            if done.all():
+                return values, witnesses
+            on = ~done
+            live, A, X, best_vals, best_X, vals = (
+                live[on], A[on], X[on], best_vals[on], best_X[on], vals[on]
+            )
         prev = vals
-    j = int(np.argmax(best_vals))
-    return BoundCertificate(
-        max(float(best_vals[j]), 0.0), "lower_estimate", "boyd-multistart", best_X[:, j]
-    )
+    finish(live, best_vals, best_X)
+    return values, witnesses
+
+
+def multistart_lower_many(
+    As, dom, cod, cfg: NumericsConfig, stream: int
+) -> list[BoundCertificate]:
+    """Alternating ascent on the norm ratio of each (m, n) slice of a (k, m, n) stack.
+
+    This is the one ascent route; :func:`multistart_lower` is its k = 1 case.
+    Each step maps the current iterates through the norming functional of the
+    codomain and back through the Hoelder witness of the domain; the achieved
+    ratio is nondecreasing per column.  Each slice starts from its own bundle
+    (see :func:`_start_bundles`), and the columns of all slices are iterated
+    in lockstep with stacked products and the stacked ``*_many`` kernels,
+    which choose per slice, never on a flattened (d, k N) view.  A slice
+    stops when every one of its columns' successive ratios agree to
+    ``RATIO_TOL`` (relative), which is the iteration it would stop at alone,
+    and its reduction is max by value with ties to the earliest start.  numpy
+    computes stacked products and SVDs slice by slice, so each certificate
+    has the bits of a run on its slice alone; the tests pin this, because
+    numpy does not promise it.
+    """
+    As = np.asarray(As, dtype=float)
+    values, witnesses = np.empty(len(As)), np.empty(As.shape[::2])
+    for idx, X in _start_bundles(As, dom, cfg, stream):
+        # the stack as given when the group is all of it: a copy could change
+        # a slice's memory layout, and so the rounding of its products
+        group = As if len(idx) == len(As) else As[idx]
+        values[idx], witnesses[idx] = _ascend(group, X, dom, cod, cfg)
+    return [
+        BoundCertificate(max(float(v), 0.0), "lower_estimate", "boyd-multistart", w)
+        for v, w in zip(values, witnesses)
+    ]
+
+
+def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCertificate:
+    """Witness-backed lower estimate of the dom -> cod norm of ``A``:
+    :func:`multistart_lower_many` on the one-matrix stack ``A[None]``."""
+    return multistart_lower_many(np.asarray(A, dtype=float)[None], dom, cod, cfg, stream)[0]
 
 
 def _vertex_norm(B: np.ndarray, r: float):

@@ -17,7 +17,10 @@ the same way.  Each run makes one oracle call per distinct normalized matrix:
 the opnorm values are exactly homogeneous (value(A) = s value(A / s) bit for
 bit, with s = max|A|), so a step whose gap is a scalar multiple of an
 earlier step's, as on a base^-n schedule that bumps one ingredient, reuses
-that step's call.
+that step's call.  The gaps whose upper certificate is not exact, such as
+the 40 distinct gaps of a ``joint`` run between non-Euclidean spaces, share
+one lockstep ascent (``opnorm.multistart_lower_many``), which gives each the
+value a call of its own would give, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,7 +34,12 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, check_pairing
 from .operators import OperatorSequence, analysis_opnorm, analysis_upper
-from .opnorm import BoundCertificate, matrix_opnorm, upper_certificate_only
+from .opnorm import (
+    BoundCertificate,
+    matrix_opnorm,
+    multistart_lower_many,
+    upper_certificate_only,
+)
 from .spaces import DimensionMismatchError, conjugate_exponent, pnorm
 
 __all__ = [
@@ -172,12 +180,18 @@ def _changed(base: tuple, new: tuple) -> list[int]:
     ]
 
 
-def _lower_value(A, dom, cod, cfg) -> float:
-    return matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value
-
-
 def _upper_value(A, dom, cod, cfg) -> float:
     return upper_certificate_only(A, dom, cod, cfg).value
+
+
+def _normalized(A: np.ndarray):
+    """(s, A / s, SHA-256 digest of A / s) with s = max|A|; B and digest are
+    None for a zero or non-finite A."""
+    s = float(np.abs(A).max(initial=0.0))
+    if s == 0.0 or not math.isfinite(s):
+        return s, None, None
+    B = A / s
+    return s, B, hashlib.sha256(B.tobytes()).digest()
 
 
 def _memo_norm(memo: dict, norm, A: np.ndarray, dom, cod, cfg) -> float:
@@ -190,14 +204,44 @@ def _memo_norm(memo: dict, norm, A: np.ndarray, dom, cod, cfg) -> float:
     digest, so a run holds no copies of its gaps) and must not outlive one
     ``cfg``.  Zero and non-finite matrices go straight to the oracle.
     """
-    s = float(np.abs(A).max(initial=0.0))
-    if s == 0.0 or not math.isfinite(s):
+    s, B, digest = _normalized(A)
+    if B is None:
         return norm(A, dom, cod, cfg)
-    B = A / s
-    key = (norm, dom, cod, hashlib.sha256(B.tobytes()).digest())
+    key = (norm, dom, cod, digest)
     if key not in memo:
         memo[key] = norm(B, dom, cod, cfg)
     return s * memo[key]
+
+
+def _lower_values(gaps, dom, cod, cfg, memo: dict) -> list[float]:
+    """``matrix_opnorm(A, ...).lower.value`` of each gap, bit for bit.
+
+    Memoized as in :func:`_memo_norm`.  Each new normalized gap first gets
+    :func:`upper_certificate_only`, as ``operator_norm_bounds`` does; an
+    exact certificate is its own lower value.  The other gaps are held until
+    every gap is seen and then go to one ``multistart_lower_many`` call with
+    stream 0, the stream ``matrix_opnorm`` uses: their largest entry is 1.0,
+    so ``operator_norm_bounds`` would run the ascent on them unscaled.  Only
+    those gaps are held, so a run of exact gaps keeps none of them.
+    """
+    steps, pending = [], {}  # steps: (s, key), or (value, None) for a zero or non-finite gap
+    for A in gaps:
+        s, B, digest = _normalized(A)
+        if B is None:
+            steps.append((matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value, None))
+            continue
+        key = (_lower_values, dom, cod, digest)
+        if key not in memo and key not in pending:
+            upper = upper_certificate_only(B, dom, cod, cfg)
+            if upper.kind == "exact":
+                memo[key] = upper.value
+            else:
+                pending[key] = B
+        steps.append((s, key))
+    if pending:
+        certs = multistart_lower_many(np.stack(list(pending.values())), dom, cod, cfg, 0)
+        memo.update(zip(pending, (c.value for c in certs)))
+    return [v if key is None else v * memo[key] for v, key in steps]
 
 
 def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg, memo) -> float:
@@ -255,7 +299,11 @@ def continuity_suite(
     divided by its largest entry: the opnorm values are exactly homogeneous,
     so a step whose gap is a scalar multiple of an earlier one (a base^-n
     bump of the symbol or of one sequence) reuses that step's oracle call
-    and gets the value a fresh call would give, bit for bit.
+    and gets the value a fresh call would give, bit for bit.  Every step's
+    gap is measured before any bound is checked: each distinct normalized
+    gap gets its upper certificate, and those that are not exact go to one
+    ``multistart_lower_many`` call, so ``measured`` is what
+    ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
 
     Every step asserts measured <= bound + 1e-9 (the finite-step form of the
     convergence statement) and the run asserts that the bounds decay; a
@@ -294,11 +342,10 @@ def continuity_suite(
         B2 = max(analysis_upper(tt, cfg).value for _, _, _, tt in steps)
 
     memo: dict = {}
+    gaps = (_multiplier_gap(m, lam, theta, mm, ll, tt) for _, mm, ll, tt in steps)
+    measured_all = _lower_values(gaps, theta.domain, lam.domain.dual, cfg, memo)
     traces: list[ContinuityTrace] = []
-    for n, mm, ll, tt in steps:
-        gap = _multiplier_gap(m, lam, theta, mm, ll, tt)
-        measured = _memo_norm(memo, _lower_value, gap, theta.domain, lam.domain.dual, cfg)
-
+    for (n, mm, ll, tt), measured in zip(steps, measured_all):
         sym_gap = pnorm(mm.entries - m.entries, p1)
         components = None
         if kind == "symbol":

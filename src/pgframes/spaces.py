@@ -9,7 +9,8 @@ throughout.
 Column norms and witnesses on a product reduce its components in runs.  A
 run is a maximal stretch of consecutive components that share (dim,
 exponent); its rows of a (total_dim, N) array are viewed as one (k, dim, N)
-stack, and one ``pnorm_many`` or ``holder_witness_many`` call reduces the
+stack (of each slice of a (..., total_dim, N) stack, as a (..., k, dim, N)
+stack), and one ``pnorm_many`` or ``holder_witness_many`` call reduces the
 stack over axis -2.  The values are bit for bit those of one call per block.
 numpy sums a block in an order fixed by its memory layout: row by row,
 elementwise, when the reduced axis is not innermost in memory (a C-ordered
@@ -218,9 +219,10 @@ class _Run(NamedTuple):
     rows: slice
 
     def slab(self, cols: np.ndarray) -> np.ndarray:
-        """The run's rows of a (total_dim, N) array as a (k, dim, N) view."""
+        """The run's rows of a (..., total_dim, N) array as a (..., k, dim, N) view."""
         k = self.blocks.stop - self.blocks.start
-        return cols[self.rows].reshape(k, self.space.dim, cols.shape[1])
+        lead, n = cols.shape[:-2], cols.shape[-1]
+        return cols[..., self.rows, :].reshape(*lead, k, self.space.dim, n)
 
 
 @dataclass(frozen=True)
@@ -287,26 +289,31 @@ class ProductSpaceSpec:
         return pnorm(inner, self.outer_exponent)
 
     def norm_many(self, cols: np.ndarray) -> np.ndarray:
+        """Norms of the columns of a (total_dim, N) array, or of each slice of a
+        (..., total_dim, N) stack."""
         cols = np.asarray(cols, dtype=float)
-        inner = np.empty((len(self.components), cols.shape[1]))
+        inner = np.empty((*cols.shape[:-2], len(self.components), cols.shape[-1]))
         for run in self._runs:
-            inner[run.blocks] = pnorm_many(run.slab(cols), run.space.exponent)
+            inner[..., run.blocks, :] = pnorm_many(run.slab(cols), run.space.exponent)
         return pnorm_many(inner, self.outer_exponent)
 
     def witness(self, functional) -> np.ndarray:
         return _product_holder_witness(self, functional)
 
     def witness_many(self, functionals: np.ndarray) -> np.ndarray:
+        """Columnwise :meth:`witness` on a (total_dim, N) array, or on each slice
+        of a (..., total_dim, N) stack."""
         U = np.asarray(functionals, dtype=float)
         slabs = [run.slab(U) for run in self._runs]
-        duals = np.empty((len(self.components), U.shape[1]))
+        duals = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
         for run, S in zip(self._runs, slabs):
-            duals[run.blocks] = pnorm_many(S, conjugate_exponent(run.space.exponent))
+            duals[..., run.blocks, :] = pnorm_many(S, conjugate_exponent(run.space.exponent))
         weights = holder_witness_many(duals, self.outer_exponent)
         out = np.empty_like(U)
         for run, S in zip(self._runs, slabs):
-            W = weights[run.blocks][:, None, :] * holder_witness_many(S, run.space.exponent)
-            out[run.rows] = W.reshape(S.shape[0] * S.shape[1], U.shape[1])
+            W = weights[..., run.blocks, None, :] * holder_witness_many(S, run.space.exponent)
+            *lead, k, d, n = S.shape
+            out[..., run.rows, :] = W.reshape(*lead, k * d, n)
         return out
 
     def vector(self, flat) -> "ProductVector":

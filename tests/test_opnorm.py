@@ -259,3 +259,157 @@ def test_values_exactly_homogeneous_in_the_largest_entry(scale):
         assert lo.value == s * lo_b.value, route
         assert up.value == s * up_b.value, route
         assert only.value == s * pg.upper_certificate_only(B, dom, cod).value, route
+
+
+def _per_call_multistart_lower(A, dom, cod, cfg, stream):
+    """The per-matrix ascent that the lockstep one replaces, kept as its reference.
+
+    Returns the certificate and the number of iterations the matrix ran.
+    """
+    n = dom.total_dim
+    starts = []
+    try:
+        _, _, vt = np.linalg.svd(A)
+        starts.append(vt[0])
+    except np.linalg.LinAlgError:
+        pass
+    starts.append(np.ones(n))
+    for j in range(min(n, 8)):
+        e = np.zeros(n)
+        e[j] = 1.0
+        starts.append(e)
+    if cfg.restarts > 0:
+        starts.append(np.random.default_rng([cfg.seed, 0x6F70, stream, 0])
+                      .standard_normal((n, cfg.restarts)).T)
+    X = np.column_stack([np.atleast_2d(s).T.reshape(n, -1) for s in starts])
+    norms = dom.norm_many(X)
+    keep = norms > 0.0
+    X = X[:, keep] / norms[keep]
+    cod_dual = cod.dual
+    best_vals = cod.norm_many(A @ X)
+    best_X = X.copy()
+    prev = best_vals.copy()
+    iterations = 0
+    for _ in range(cfg.max_iterations):
+        iterations += 1
+        Z = cod_dual.witness_many(A @ X)
+        U = A.T @ Z
+        Xn = dom.witness_many(U)
+        stalled = ~Xn.any(axis=0)
+        if np.any(stalled):
+            Xn[:, stalled] = X[:, stalled]
+        X = Xn
+        vals = cod.norm_many(A @ X)
+        improved = vals > best_vals
+        if np.any(improved):
+            best_vals = np.where(improved, vals, best_vals)
+            best_X[:, improved] = X[:, improved]
+        if np.all(np.abs(vals - prev) <= 1e-12 * np.maximum(np.abs(vals), np.abs(prev))):
+            break
+        prev = vals
+    j = int(np.argmax(best_vals))
+    cert = pg.BoundCertificate(
+        max(float(best_vals[j]), 0.0), "lower_estimate", "boyd-multistart", best_X[:, j]
+    )
+    return cert, iterations
+
+
+def _assert_lockstep_is_per_call(As, dom, cod, cfg=None, stream=3):
+    """Each lockstep certificate has the bits of the per-call one; returns the
+    per-call iteration counts."""
+    cfg = cfg or NumericsConfig()
+    got = pg.opnorm.multistart_lower_many(As, dom, cod, cfg, stream)
+    assert len(got) == len(As)
+    iterations = []
+    for A, cert in zip(As, got):
+        ref, its = _per_call_multistart_lower(A, dom, cod, cfg, stream)
+        assert (cert.value, cert.kind, cert.method) == (ref.value, ref.kind, ref.method)
+        assert np.array_equal(cert.witness, ref.witness)
+        iterations.append(its)
+    one = pg.opnorm.multistart_lower(As[0], dom, cod, cfg, stream)
+    assert one.value == got[0].value and np.array_equal(one.witness, got[0].witness)
+    return iterations
+
+
+def _lockstep_spaces(p, r):
+    sp = pg.SpaceSpec
+    yield sp(3, p), sp(3, r)
+    yield sp(4, p), sp(2, r)
+    yield sp(10, p), sp(12, r)  # more than eight coordinate starts
+    # product spaces on either side, as classify and perturbation_check use them
+    yield sp(3, p), pg.ProductSpaceSpec((sp(2, r), sp(2, r), sp(1, p)), 1.5)
+    yield pg.ProductSpaceSpec((sp(2, p), sp(3, r)), 3.0), sp(4, r)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, INF])
+def test_lockstep_ascent_equals_per_call_ascent(p, r):
+    rng = np.random.default_rng([41, int(min(p, 9) * 2), int(min(r, 9) * 2)])
+    for dom, cod in _lockstep_spaces(p, r):
+        As = rng.standard_normal((6, cod.total_dim, dom.total_dim))
+        As[1] *= 1e-3
+        As[2, 0] = 0.0  # a zero row
+        _assert_lockstep_is_per_call(As, dom, cod)
+
+
+def test_lockstep_slices_stop_at_their_own_iteration():
+    rng = np.random.default_rng(43)
+    dom, cod = pg.SpaceSpec(5, 1.5), pg.SpaceSpec(6, 3.0)
+    As = rng.standard_normal((12, 6, 5))
+    iterations = _assert_lockstep_is_per_call(As, dom, cod)
+    assert len(set(iterations)) >= 3, iterations
+    # a cap between the counts: some slices reach it, the others stop before
+    cap = sorted(iterations)[len(iterations) // 2]
+    capped = _assert_lockstep_is_per_call(As, dom, cod, NumericsConfig(max_iterations=cap))
+    assert min(capped) < cap == max(capped)
+    assert _assert_lockstep_is_per_call(As, dom, cod, NumericsConfig(max_iterations=0)) == [0] * 12
+
+
+def test_lockstep_slice_with_huge_entries_beside_ordinary_ones():
+    # min_ratio_estimate runs the ascent on an unnormalized inv(A)
+    rng = np.random.default_rng(47)
+    for dom, cod in [(pg.SpaceSpec(3, 2.0), pg.SpaceSpec(3, 3.0)),
+                     (pg.SpaceSpec(3, 1.5), pg.SpaceSpec(3, 2.0))]:
+        As = rng.standard_normal((4, 3, 3))
+        As[1] *= 2.0**490
+        As[2] *= 2.0**-540
+        with np.errstate(all="ignore"):
+            _assert_lockstep_is_per_call(As, dom, cod)
+
+
+def test_lockstep_start_bundles_survive_a_failed_svd(monkeypatch):
+    # numpy raises for the whole stack when one slice's SVD fails; only that
+    # slice may lose its singular-vector start
+    real = np.linalg.svd
+    poison = 7.0
+
+    def svd(a, *args, **kwargs):
+        if np.any(np.asarray(a)[..., 0, 0] == poison):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng(53)
+    for dom, cod in [(pg.SpaceSpec(3, 1.5), pg.SpaceSpec(4, 3.0)),
+                     (pg.SpaceSpec(3, 3.0), pg.ProductSpaceSpec((pg.SpaceSpec(2, 1.5),) * 2, 3.0))]:
+        As = rng.standard_normal((5, cod.total_dim, dom.total_dim))
+        As[1, 0, 0] = As[3, 0, 0] = poison
+        _assert_lockstep_is_per_call(As, dom, cod)
+        _assert_lockstep_is_per_call(As[1:2], dom, cod)
+
+
+@pytest.mark.parametrize("kind", ["symbol", "theta", "lambda", "joint"])
+def test_lockstep_equals_per_call_on_continuity_gaps(kind):
+    # the stack continuity_suite sends: every step's normalized gap of a small
+    # non-Euclidean pair, between the spaces the suite measures it in
+    from pgframes import perturbation
+
+    inst = pg.gen(
+        "riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, y_exponents=[3, 3],
+        x1_exponent=1.5, x2_exponent=3, seed=11,
+    )
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    gen = perturbation.default_generator(kind, m, lam, theta)
+    gaps = [perturbation._multiplier_gap(m, lam, theta, *gen(n)) for n in range(1, 41)]
+    As = np.stack([g / np.abs(g).max() for g in gaps])
+    _assert_lockstep_is_per_call(As, theta.domain, lam.domain.dual, stream=0)

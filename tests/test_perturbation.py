@@ -356,24 +356,41 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
 def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # on a base^-n schedule that bumps one ingredient, every gap is a scalar
     # multiple of the first, so the memo serves most steps; the joint gaps
-    # carry cross-terms and differ step to step
+    # carry cross-terms and differ step to step, and their ascents run as one
+    # lockstep call
     inst = SMALL_GRID_PAIR
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     cfg = pg.NumericsConfig()
-    calls = []
-    real = perturbation.matrix_opnorm
+    gap_spaces = (theta.domain, lam.domain.dual)
+    sent, ascents = [], []  # normalized gaps sent to the oracle; stack sizes of the ascents
+    upper, opnorm, many = (
+        perturbation.upper_certificate_only,
+        perturbation.matrix_opnorm,
+        perturbation.multistart_lower_many,
+    )
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_upper(A, dom, cod, *args):
+        if (dom, cod) == gap_spaces:
+            sent.append(A)
+        return upper(A, dom, cod, *args)
 
-    monkeypatch.setattr(perturbation, "matrix_opnorm", counting)
+    def counting_opnorm(A, *args):
+        sent.append(A)
+        return opnorm(A, *args)
+
+    def counting_many(As, *args):
+        ascents.append(len(As))
+        return many(As, *args)
+
+    monkeypatch.setattr(perturbation, "upper_certificate_only", counting_upper)
+    monkeypatch.setattr(perturbation, "matrix_opnorm", counting_opnorm)
+    monkeypatch.setattr(perturbation, "multistart_lower_many", counting_many)
     per_kind = {}
     for kind in pg.CONTINUITY_KINDS:
-        before = len(calls)
+        before = len(sent), len(ascents)
         traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
-        per_kind[kind] = len(calls) - before
+        per_kind[kind] = len(sent) - before[0], ascents[before[1]:]
         got = [(t.deviation, t.measured, t.bound) for t in traces]
         assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind
-    assert per_kind["symbol"] + per_kind["theta"] + per_kind["lambda"] <= 10, per_kind
-    assert per_kind["joint"] == 40
+    assert sum(per_kind[k][0] for k in ("symbol", "theta", "lambda")) <= 10, per_kind
+    assert per_kind["joint"] == (40, [40]), per_kind

@@ -216,8 +216,19 @@ def test_p2_choice_is_made_per_block(scale, dims):
         _assert_grouped_matches_per_block(space.dual, cols)
 
 
+def _products_of_dim(d, p):
+    # one block, and runs of equal blocks beside single ones
+    sp = pg.SpaceSpec
+    yield pg.ProductSpaceSpec((sp(d, p),), 1.5)
+    if d >= 3:
+        pairs = (sp(2, p),) * ((d - 1) // 2)
+        yield pg.ProductSpaceSpec((sp(1, p),) + pairs + (sp(1, 3.0),) * (1 - d % 2), p)
+
+
 @pytest.mark.parametrize("p", EXPONENTS)
 def test_stacked_kernels_equal_a_stack_of_2d_calls(p):
+    # the product kernels too: the lockstep ascent runs them on (k, d, N)
+    # stacks and must give each slice the bits of a 2-D call
     rng = np.random.default_rng(31)
     for shape in [(3, 1, 7), (4, 9, 5), (2, 3, 40, 6), (2, 5, 0)]:
         X = rng.standard_normal(shape)
@@ -226,9 +237,12 @@ def test_stacked_kernels_equal_a_stack_of_2d_calls(p):
         X[-1, ..., 1:] *= 2.0**490  # and so do these, beside unscaled ones
         X[1:, ..., -1:] = -1.0  # argmax ties at p = 1
         flat = X.reshape(math.prod(shape[:-2]), *shape[-2:])
-        for kernel in (pnorm_many, holder_witness_many):
-            expect = np.stack([kernel(x, p) for x in flat])
-            got = kernel(X, p)
+        kernels = [lambda x: pnorm_many(x, p), lambda x: holder_witness_many(x, p)]
+        for space in _products_of_dim(shape[-2], p):
+            kernels += [space.norm_many, space.witness_many]
+        for kernel in kernels:
+            expect = np.stack([kernel(x) for x in flat])
+            got = kernel(X)
             assert np.array_equal(got, expect.reshape(got.shape))
 
 

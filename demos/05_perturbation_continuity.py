@@ -54,21 +54,21 @@ print("continuity of the multiplier in each parameter (schedule 2^-n)")
 print("-" * 68)
 m = pg.Symbol([1.0, 1.0])
 for kind in pg.CONTINUITY_KINDS:
-    traces = pg.continuity_suite(kind, m, sel, sel, p1=2.0, n_max=12)
+    traces = pg.continuity_suite(kind, m, sel, sel, p1=2.0, cfg=pg.NumericsConfig(n_max=12))
     t0, tN = traces[0], traces[-1]
     print(f"  mode {kind:7s}: measured {t0.measured:.3e} -> {tN.measured:.3e}   "
           f"bound {t0.bound:.3e} -> {tN.bound:.3e}")
 
 print()
 print("one mode in detail (symbol bumps on the Parseval pair):")
-traces = pg.continuity_suite("symbol", m, sel, sel, p1=2.0, n_max=10)
+traces = pg.continuity_suite("symbol", m, sel, sel, p1=2.0, cfg=pg.NumericsConfig(n_max=10))
 print(f"  {'n':>3} {'deviation':>12} {'measured':>12} {'bound':>12}")
 for t in traces:
     print(f"  {t.n:3d} {t.deviation:12.3e} {t.measured:12.3e} {t.bound:12.3e}")
 
 print()
 print("joint mode decomposes its bound into three triangle terms:")
-traces = pg.continuity_suite("joint", m, sel, sel, p1=2.0, n_max=6)
+traces = pg.continuity_suite("joint", m, sel, sel, p1=2.0, cfg=pg.NumericsConfig(n_max=6))
 for t in traces:
     c = ", ".join(f"{x:.3e}" for x in t.components)
     print(f"  n={t.n}: bound = {t.bound:.3e} = sum({c})")

@@ -219,7 +219,7 @@ def _check_bounds(inst: Instance, cfg: NumericsConfig, classified, forward) -> C
             notes.append("lower bound exceeds the certified estimate upper")
     else:
         values["lower"] = None
-        notes.append(nb.lower_reason or "lower bound not applicable")
+        notes.append(nb.lower_reason)
     return CheckResult("bounds", "pass" if ok else "fail", "; ".join(notes), values)
 
 
@@ -241,9 +241,8 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
         recon_mat = S @ Sinv - np.eye(n)
         xs = rng.standard_normal((n, 100))
         xstar = seq.domain.dual
-        recon = max(
-            float(xstar.norm(recon_mat @ xs[:, j])) / max(float(xstar.norm(xs[:, j])), 1e-30)
-            for j in range(xs.shape[1])
+        recon = float(
+            (xstar.norm_many(recon_mat @ xs) / np.maximum(xstar.norm_many(xs), 1e-30)).max()
         )
         dd = dual_riesz_basis(dual.as_operator_sequence(), cfg)
         # relative to max_i max|L_i|, so a rescaled family reads the same
@@ -353,14 +352,14 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
     return CheckResult("perturb", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_continuity(inst: Instance, cfg: NumericsConfig, n_max: int | None) -> CheckResult:
+def _check_continuity(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     m = inst.symbol_obj()
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
     p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
     for kind in CONTINUITY_KINDS:
         try:
-            traces = continuity_suite(kind, m, lam, theta, p1, n_max, cfg)
+            traces = continuity_suite(kind, m, lam, theta, p1, cfg)
         except ContinuityViolation as exc:
             ok = False
             notes.append(f"{kind}: {exc}")
@@ -376,9 +375,13 @@ def run_checks(
     suites=None,
     cfg: NumericsConfig | None = None,
     epsilon: float = 0.01,
-    n_max: int | None = None,
 ) -> CheckReport:
-    """Run the selected suites (all of them by default) over an instance."""
+    """Run the selected suites (all of them by default) over an instance.
+
+    ``cfg`` carries every setting but ``epsilon``, the size of the
+    ``perturb`` suite's perturbation; the continuity runs take ``cfg.n_max``
+    steps.  The report echoes the settings it ran with.
+    """
     cfg = cfg or DEFAULT_CONFIG
     chosen = list(suites) if suites else list(SUITES)
     unknown = [s for s in chosen if s not in SUITES]
@@ -413,7 +416,7 @@ def run_checks(
             elif name == "perturb":
                 res = _check_perturb(inst, cfg, epsilon)
             else:
-                res = _check_continuity(inst, cfg, n_max)
+                res = _check_continuity(inst, cfg)
         except Exception as exc:
             res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
         wall = (time.perf_counter() - t0) * 1000.0
@@ -435,6 +438,6 @@ def run_checks(
         "tol_exact": cfg.tol_exact,
         "restarts": cfg.restarts,
         "epsilon": epsilon,
-        "n_max": cfg.n_max if n_max is None else n_max,
+        "n_max": cfg.n_max,
     }
     return CheckReport(summary, echo, tuple(results))

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("instance")
     c.add_argument("--suites", default=None, metavar=",".join(SUITES[:3]) + ",...")
     c.add_argument("--epsilon", type=float, default=0.01)
-    c.add_argument("--n-max", type=_positive_int, default=None)
+    c.add_argument("--n-max", type=_positive_int, default=DEFAULT_CONFIG.n_max)
 
     for name, help_text in (
         ("bounds", "the bounds suite: multiplier norm bounds and the direct estimate"),
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--kind", choices=CONTINUITY_KINDS, default="joint")
     p.add_argument("--p1", type=_exponent, default=None)
-    p.add_argument("--n-max", type=_positive_int, default=None)
+    p.add_argument("--n-max", type=_positive_int, default=DEFAULT_CONFIG.n_max)
     return ap
 
 
@@ -127,6 +127,7 @@ def _config_from(args) -> "DEFAULT_CONFIG.__class__":
         seed=args.seed,
         tol_exact=args.tol_exact,
         restarts=args.restarts,
+        n_max=getattr(args, "n_max", DEFAULT_CONFIG.n_max),
     )
 
 
@@ -176,7 +177,7 @@ def _run_suites(args, cfg, suites, **kwargs) -> int:
 
 def _cmd_check(args, cfg) -> int:
     suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
-    return _run_suites(args, cfg, suites, epsilon=args.epsilon, n_max=args.n_max)
+    return _run_suites(args, cfg, suites, epsilon=args.epsilon)
 
 
 def _cmd_dual(args, cfg) -> int:
@@ -245,7 +246,6 @@ def _cmd_continuity(args, cfg) -> int:
             inst.lam_sequence(),
             inst.theta_sequence(),
             p1,
-            args.n_max,
             cfg,
         )
     except ContinuityViolation as exc:

@@ -3,17 +3,18 @@
 A single immutable config object holds what a caller sets: the random seed,
 the one user tolerance ``tol_exact``, the effort setting ``restarts`` and the
 budgets (``max_iterations``, ``vertex_limit``, ``grid_axis_points``,
-``grid_budget``, ``retry_cap``, ``n_max``).  Identical (input, seed, config)
-triples reproduce identical results.
+``grid_budget``, ``retry_cap``, ``n_max``).  It is pure data, and each field
+has this one home: no function takes a parameter that overrides it.
+Identical (input, seed, config) triples reproduce identical results.
 
 Fixed numeric policy lives as constants beside its one reader:
 ``frames.FRAME_REL_THRESHOLD``, ``opnorm.RATIO_TOL``, ``opnorm.SAMPLE_BATCH``,
-``multipliers.MIN_SYMBOL``, ``generate.MAX_CONDITION`` and
-``perturbation.DEVIATION_BASE``.
+``multipliers.MIN_SYMBOL``, ``generate.MAX_CONDITION``,
+``generate.FRAME_RESTARTS`` and ``perturbation.DEVIATION_BASE``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,6 @@ class NumericsConfig:
 
     # continuity suites
     n_max: int = 40
-
-    def fast(self) -> "NumericsConfig":
-        """Cheaper profile for the ``frame`` rejection loop of ``generate.gen``.
-
-        That loop is its one caller: ``bessel`` draws are never classified,
-        and Riesz draws are accepted on the condition cap alone.
-        """
-        return replace(self, restarts=6)
 
 
 DEFAULT_CONFIG = NumericsConfig()

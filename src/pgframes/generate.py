@@ -25,6 +25,8 @@ sqrt(k) <= n^(3/2).  Hence a_obs / B_obs >= 1 / (200 n^2) >= 1 / (200 *
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
@@ -37,6 +39,7 @@ __all__ = ["GenerationError", "GEN_KINDS", "gen"]
 
 GEN_KINDS = ("bessel", "frame", "riesz", "riesz-pair")
 MAX_CONDITION = 200.0  # conditioning cap for generated Riesz syntheses
+FRAME_RESTARTS = 6  # ascent restarts when classifying a ``frame`` draw
 
 
 class GenerationError(RuntimeError):
@@ -108,7 +111,7 @@ def gen(
 
     accept_lam = {
         "bessel": lambda seq: True,  # every finite family is a Bessel sequence
-        "frame": lambda seq: classify(seq, cfg.fast()).is_frame,
+        "frame": lambda seq: classify(seq, replace(cfg, restarts=FRAME_RESTARTS)).is_frame,
     }.get(kind, riesz)
     lam = draw(x2, components, frame_exponent, accept_lam, f"a {kind} family")
     theta = draw(

@@ -103,16 +103,14 @@ def product_sup_pairing(
     The supremum separates: with s_i the per-block suprema over unit block
     spheres, it equals the supremum of sum t_i s_i over nonnegative weights t
     on the outer sphere.  Both layers are sampled exhaustively, so the value
-    never relies on the witness formulas it is meant to check.
+    never relies on the witness formulas it is meant to check.  The outer
+    sphere is sampled first, so a product whose outer grid exceeds the budget
+    raises :class:`OracleBudgetError` before any block is gridded.
     """
     parts = primal.split(functional)
+    outer = SpaceSpec(len(parts), primal.outer_exponent)
+    samples, _ = sphere_samples(outer, axis_points, budget)
     sups = np.array(
-        [
-            sup_pairing(c, u, axis_points, budget)
-            for c, u in zip(primal.components, parts)
-        ]
+        [sup_pairing(c, u, axis_points, budget) for c, u in zip(primal.components, parts)]
     )
-    outer = SpaceSpec(len(primal.components), primal.outer_exponent)
-    if len(primal.components) == 1:
-        return float(sups[0])
-    return sup_pairing(outer, sups, axis_points, budget)
+    return float(np.abs(samples @ sups).max())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .frames import classify, dual_riesz_basis
-from .operators import OperatorSequence, analysis_upper
+from .operators import OperatorSequence
 from .opnorm import BoundCertificate, matrix_opnorm
 from .spaces import (
     DimensionMismatchError,
@@ -239,60 +239,42 @@ def norm_bounds(
     cfg: NumericsConfig | None = None,
     left_report=None,
     right_report=None,
-    compute_lower: bool = True,
 ) -> NormBounds:
     """Bound the multiplier norm three ways.
 
     upper: product of the certified Bessel bounds with the symbol sup norm.
     lower: product of the certified Riesz lower constants with the sup norm,
-    present only when both ingredient sequences verify as Riesz bases
-    (``compute_lower=False`` skips that verification entirely).
+    present only when both ingredient sequences verify as Riesz bases.
     estimate: the multiplier matrix's own norm between the dual exponents,
     as a witness-backed lower estimate plus a certified upper companion.
+
+    Both Bessel bounds and both Riesz verdicts are read off the classify
+    reports of the two sequences; a report that is not passed in is made
+    here, with ``cfg``.
     """
     cfg = cfg or DEFAULT_CONFIG
-    b_left = analysis_upper(M.left, cfg)
-    b_right = analysis_upper(M.right, cfg)
+    left_report = left_report or classify(M.left, cfg)
+    right_report = right_report or classify(M.right, cfg)
     sup = M.symbol.sup_norm
     upper = BoundCertificate(
-        b_left.value * b_right.value * sup,
+        left_report.bessel_bound.value * right_report.bessel_bound.value * sup,
         "upper_certificate",
         "bessel-product",
     )
     est_pair = matrix_opnorm(M.matrix, M.domain.exponent, M.codomain.exponent, cfg)
 
-    if not compute_lower:
-        return NormBounds(
-            upper=upper,
-            lower=None,
-            estimate=est_pair.lower,
-            estimate_upper=est_pair.upper,
-            lower_reason="skipped",
-        )
-
-    lower = None
-    reason = None
-    left_report = left_report or classify(M.left, cfg)
-    right_report = right_report or classify(M.right, cfg)
-    if left_report.is_riesz and right_report.is_riesz:
-        lower = BoundCertificate(
-            left_report.lower_bound.value * right_report.lower_bound.value * sup,
-            "lower_estimate",
-            "riesz-product",
-        )
-    else:
-        sides = []
-        if not left_report.is_riesz:
-            sides.append("left")
-        if not right_report.is_riesz:
-            sides.append("right")
-        reason = f"not-riesz: {', '.join(sides)}"
+    sides = [tag for tag, r in (("left", left_report), ("right", right_report)) if not r.is_riesz]
+    lower = None if sides else BoundCertificate(
+        left_report.lower_bound.value * right_report.lower_bound.value * sup,
+        "lower_estimate",
+        "riesz-product",
+    )
     return NormBounds(
         upper=upper,
         lower=lower,
         estimate=est_pair.lower,
         estimate_upper=est_pair.upper,
-        lower_reason=reason,
+        lower_reason=f"not-riesz: {', '.join(sides)}" if sides else None,
     )
 
 

@@ -281,11 +281,10 @@ def continuity_suite(
     lam: OperatorSequence,
     theta: OperatorSequence,
     p1: float,
-    n_max: int | None = None,
     cfg: NumericsConfig | None = None,
     generator: Callable[[int], tuple[Symbol, OperatorSequence, OperatorSequence]] | None = None,
 ) -> list[ContinuityTrace]:
-    """Run one continuity mode and return its per-step traces.
+    """Run one continuity mode over ``cfg.n_max`` steps and return their traces.
 
     Each step's multiplier gap M(m_n, L_n, T_n) - M(m, L, T) is built from the
     members whose (m_i, L_i, T_i) changed, through the bilinear split
@@ -314,9 +313,8 @@ def continuity_suite(
         raise ValueError(f"kind must be one of {CONTINUITY_KINDS}, got {kind!r}")
     if p1 <= 1.0:
         raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
-    n_max = cfg.n_max if n_max is None else n_max
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if cfg.n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
     q1 = conjugate_exponent(p1)
     gen = generator or default_generator(kind, m, lam, theta)
 
@@ -326,7 +324,7 @@ def continuity_suite(
     m_p1 = m.p_norm(p1)
 
     steps = []
-    for n in range(1, n_max + 1):
+    for n in range(1, cfg.n_max + 1):
         mm, ll, tt = gen(n)
         if ll.domain != lam.domain or tt.domain != theta.domain:
             raise DimensionMismatchError(f"generated term {n} changed the domains")

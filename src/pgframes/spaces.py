@@ -17,7 +17,10 @@ elementwise, when the reduced axis is not innermost in memory (a C-ordered
 block), pairwise along it otherwise.  The stack is a view that keeps each
 block's strides, so every block is summed in the same order as before.  The
 p = 2 choice between unscaled squares and the scaled form, and the p = 1
-argmax, are made per (dim, N) slice.
+argmax, are made per (dim, N) slice.  A product has one witness route: the
+witness of a single functional is one column of ``witness_many``.  The
+scalar product ``norm`` keeps its loop over blocks, which is faster than a
+column of ``norm_many`` on products of one or two blocks.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -28,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,16 +276,17 @@ class ProductSpaceSpec:
     def is_euclidean(self) -> bool:
         return self.outer_exponent == 2.0 and all(c.is_euclidean for c in self.components)
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+    def _flat(self, flat) -> np.ndarray:
         flat = np.asarray(flat, dtype=float).ravel()
         if flat.size != self.total_dim:
             raise DimensionMismatchError(
                 f"expected flat dim {self.total_dim}, got {flat.size}"
             )
-        return [flat[o : o + c.dim] for o, c in zip(self.offsets, self.components)]
+        return flat
 
-    def join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        flat = self._flat(flat)
+        return [flat[o : o + c.dim] for o, c in zip(self.offsets, self.components)]
 
     def norm(self, flat) -> float:
         inner = np.array([c.norm(b) for c, b in zip(self.components, self.split(flat))])
@@ -298,11 +302,19 @@ class ProductSpaceSpec:
         return pnorm_many(inner, self.outer_exponent)
 
     def witness(self, functional) -> np.ndarray:
-        return _product_holder_witness(self, functional)
+        """The nested Hoelder witness of one functional: one column of
+        :meth:`witness_many`, so both give the same bits."""
+        return self.witness_many(self._flat(functional)[:, None])[:, 0]
 
     def witness_many(self, functionals: np.ndarray) -> np.ndarray:
-        """Columnwise :meth:`witness` on a (total_dim, N) array, or on each slice
-        of a (..., total_dim, N) stack."""
+        """Nested Hoelder witnesses of the columns of a (total_dim, N) array, or
+        of each slice of a (..., total_dim, N) stack.
+
+        Per block, the inner witness turns u_i into a unit-r_i vector attaining
+        ||u_i|| in the dual block norm; the outer witness of the dual block
+        norms weights the blocks so that the pairing equals the dual mixed
+        norm.  A zero functional gets the zero vector.
+        """
         U = np.asarray(functionals, dtype=float)
         slabs = [run.slab(U) for run in self._runs]
         duals = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
@@ -395,26 +407,6 @@ def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
     W = np.sign(U) * np.power(np.abs(U) / safe[..., None, :], q - 1.0)
     norms = pnorm_many(W, p)
     return W / np.where(norms > 0.0, norms, 1.0)[..., None, :]
-
-
-def _product_holder_witness(space: ProductSpaceSpec, functional) -> np.ndarray:
-    """Nested Hoelder witness on a mixed-norm product.
-
-    Per block, the inner witness turns u_i into a unit-r_i vector attaining
-    ||u_i|| in the dual block norm; the outer witness distributes weight over
-    blocks so the total pairing equals the dual mixed norm.
-    """
-    parts = space.split(functional)
-    duals = np.array(
-        [pnorm(ui, conjugate_exponent(c.exponent)) for ui, c in zip(parts, space.components)]
-    )
-    if duals.max(initial=0.0) == 0.0:
-        return np.zeros(space.total_dim)
-    weights = holder_witness(duals, space.outer_exponent)
-    out = []
-    for w, ui, c in zip(weights, parts, space.components):
-        out.append(w * holder_witness(ui, c.exponent))
-    return space.join(out)
 
 
 def product_duality_gap(

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Desk scale throughout: dimensions and index sets stay at or below
 8, aggregation exponents in {1.5, 2, 3}.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_criterion_2_upper_bound():
         theta = _row_seq([rng.standard_normal((1, n)) for _ in range(k)], p=q)
         m = pg.Symbol(rng.standard_normal(k))
         M = pg.assemble(m, lam, theta)
-        nb = pg.norm_bounds(M, FAST, compute_lower=False)
+        nb = pg.norm_bounds(M, FAST)
         excess = nb.estimate.value - nb.upper.value
         worst = max(worst, excess)
         assert excess <= 1e-9
@@ -70,7 +71,7 @@ def test_criterion_2_upper_bound():
             assert nb.estimate.value <= nb.upper.value + 1e-12
     # constructed diagonal instance attains equality
     sel = _selectors(2)
-    nb = pg.norm_bounds(pg.assemble(pg.Symbol([2.0, 3.0]), sel, sel), compute_lower=False)
+    nb = pg.norm_bounds(pg.assemble(pg.Symbol([2.0, 3.0]), sel, sel))
     assert abs(nb.estimate.value - nb.upper.value) <= 1e-13
     _report(2, f"500 Bessel pairs, worst estimate-upper gap {worst:.1e}; diagonal equality hit")
 
@@ -246,7 +247,9 @@ def test_criterion_8_continuity():
     final_bounds = []
     for m, lam, theta, p1, cfg in instances:
         for kind in pg.CONTINUITY_KINDS:
-            traces = pg.continuity_suite(kind, m, lam, theta, p1, 40, cfg)
+            traces = pg.continuity_suite(
+                kind, m, lam, theta, p1, dataclasses.replace(cfg or pg.DEFAULT_CONFIG, n_max=40)
+            )
             assert all(t.measured <= t.bound + 1e-9 for t in traces)
             assert traces[-1].bound < 1e-10
             final_bounds.append(traces[-1].bound)

@@ -29,7 +29,7 @@ def test_every_suite_passes_on_a_rescaled_riesz_pair(space, family, k):
     scaled = dataclasses.replace(
         inst, **{family: tuple(m * 10.0**k for m in getattr(inst, family))}
     )
-    report = checks.run_checks(scaled, n_max=6)
+    report = checks.run_checks(scaled, cfg=pg.NumericsConfig(n_max=6))
     failed = {r.name: r.reason for r in report.results if r.status != "pass"}
     assert failed == {}
 

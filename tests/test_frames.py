@@ -295,7 +295,7 @@ import pgframes as pg
 
 inst = pg.gen("riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, seed=7)
 assert not inst.lam_sequence().coefficient_space().is_euclidean
-pg.run_checks(inst, n_max=4)
+pg.run_checks(inst, cfg=pg.NumericsConfig(n_max=4))
 tall = pg.OperatorSequence(
     pg.SpaceSpec(2, 1.5),
     tuple(pg.SpaceSpec(1, 3.0) for _ in range(3)),

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_zero_symbol_annihilates():
     lam = rows([[1.0, 2.0]], [[3.0, -4.0]])
     M = pg.assemble(pg.Symbol([0.0, 0.0]), lam, lam)
     assert np.all(M.matrix == 0.0)
-    nb = pg.norm_bounds(M, compute_lower=False)
+    nb = pg.norm_bounds(M)
     assert nb.estimate.value == 0.0
     assert nb.upper.value == 0.0
 
@@ -111,9 +112,32 @@ def test_norm_bounds_sandwich_random():
                 p=pg.conjugate_exponent(p),
             )
             M = pg.assemble(pg.Symbol(rng.standard_normal(3)), lam, theta)
-            nb = pg.norm_bounds(M, compute_lower=False)
+            nb = pg.norm_bounds(M)
             assert nb.estimate.value <= nb.upper.value + 1e-9
             assert nb.estimate.value <= nb.estimate_upper.value + 1e-12
+
+
+def test_norm_bounds_reads_the_bessel_bounds_off_the_reports(monkeypatch):
+    rng = np.random.default_rng(41)
+    lam = rows(*[rng.standard_normal((1, 2)) for _ in range(3)], p=1.5)
+    theta = rows(*[rng.standard_normal((1, 2)) for _ in range(3)], p=3.0)
+    M = pg.assemble(pg.Symbol(rng.standard_normal(3)), lam, theta)
+    left, right = pg.classify(lam), pg.classify(theta)
+    calls = []
+    real = pg.operators.analysis_upper
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.split(".")[0] == "pgframes" and getattr(mod, "analysis_upper", None) is real:
+            monkeypatch.setattr(mod, "analysis_upper", counting)
+    nb = pg.norm_bounds(M, None, left, right)
+    assert calls == []
+    sup = M.symbol.sup_norm
+    assert nb.upper.value == left.bessel_bound.value * right.bessel_bound.value * sup
 
 
 def test_norm_bounds_lower_requires_riesz():

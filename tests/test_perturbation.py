@@ -103,7 +103,8 @@ def test_epsilon_family_gap_bound():
 
 def test_continuity_symbol_exact_parseval():
     m = pg.Symbol([1.0, 1.0])
-    traces = pg.continuity_suite("symbol", m, SELECTORS, SELECTORS, p1=2.0, n_max=40)
+    cfg = pg.NumericsConfig(n_max=40)
+    traces = pg.continuity_suite("symbol", m, SELECTORS, SELECTORS, p1=2.0, cfg=cfg)
     for t in traces:
         # rank-one symbol bump on a Parseval pair: gap is exactly 2^-n
         assert t.measured == pytest.approx(2.0 ** (-t.n), rel=1e-12)
@@ -115,7 +116,8 @@ def test_continuity_symbol_exact_parseval():
 
 def test_continuity_theta_bound():
     m = pg.Symbol([1.0, 1.0])
-    traces = pg.continuity_suite("theta", m, SELECTORS, SELECTORS, p1=2.0, n_max=20)
+    cfg = pg.NumericsConfig(n_max=20)
+    traces = pg.continuity_suite("theta", m, SELECTORS, SELECTORS, p1=2.0, cfg=cfg)
     for t in traces:
         assert t.measured <= t.bound + 1e-9
         # single-member unit-norm bump: the l^q1 gap is the schedule itself
@@ -127,8 +129,9 @@ def test_continuity_theta_bound():
 
 def test_continuity_lambda_and_joint():
     m = pg.Symbol([1.0, -0.5])
+    cfg = pg.NumericsConfig(n_max=15)
     for kind in ("lambda", "joint"):
-        traces = pg.continuity_suite(kind, m, SELECTORS, SELECTORS, p1=1.5, n_max=15)
+        traces = pg.continuity_suite(kind, m, SELECTORS, SELECTORS, p1=1.5, cfg=cfg)
         assert all(t.measured <= t.bound + 1e-9 for t in traces)
         assert traces[-1].bound < traces[0].bound
         if kind == "joint":
@@ -145,7 +148,7 @@ def test_continuity_constant_generator_all_zero():
         SELECTORS,
         SELECTORS,
         p1=2.0,
-        n_max=10,
+        cfg=pg.NumericsConfig(n_max=10),
         generator=lambda n: (m, SELECTORS, SELECTORS),
     )
     assert all(t.measured == 0.0 and t.bound == 0.0 for t in traces)
@@ -157,7 +160,7 @@ def test_continuity_mixed_exponents():
     theta = rows(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), p=3.0)
     m = pg.Symbol(rng.standard_normal(2))
     for kind in ("symbol", "theta", "lambda", "joint"):
-        traces = pg.continuity_suite(kind, m, lam, theta, p1=3.0, n_max=12)
+        traces = pg.continuity_suite(kind, m, lam, theta, p1=3.0, cfg=pg.NumericsConfig(n_max=12))
         assert all(t.measured <= t.bound + 1e-9 for t in traces)
 
 
@@ -166,18 +169,21 @@ def test_continuity_bad_generator_shapes():
     bad = rows(np.eye(2))
     with pytest.raises(pg.DimensionMismatchError):
         pg.continuity_suite(
-            "theta", m, SELECTORS, SELECTORS, p1=2.0, n_max=3,
+            "theta", m, SELECTORS, SELECTORS, p1=2.0, cfg=pg.NumericsConfig(n_max=3),
             generator=lambda n: (m, SELECTORS, bad),
         )
     with pytest.raises(ValueError):
-        pg.continuity_suite("unknown", m, SELECTORS, SELECTORS, p1=2.0, n_max=3)
+        pg.continuity_suite(
+            "unknown", m, SELECTORS, SELECTORS, p1=2.0, cfg=pg.NumericsConfig(n_max=3)
+        )
 
 
 def test_continuity_needs_a_step():
     m = pg.Symbol([1.0, 1.0])
-    for n_max, cfg in ((0, None), (-1, None), (None, pg.NumericsConfig(n_max=0))):
+    for n_max in (0, -1):
+        cfg = pg.NumericsConfig(n_max=n_max)
         with pytest.raises(ValueError, match="n_max must be at least 1"):
-            pg.continuity_suite("joint", m, SELECTORS, SELECTORS, p1=2.0, n_max=n_max, cfg=cfg)
+            pg.continuity_suite("joint", m, SELECTORS, SELECTORS, p1=2.0, cfg=cfg)
 
 
 def _exact_multiplier(m, lam, theta):
@@ -229,8 +235,8 @@ PAIR6 = pg.gen("riesz-pair", x2_dim=6, y_dims=[2, 2, 2], seed=11)
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
 def test_continuity_gap_matches_exact_reference(kind, recorded_gaps):
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-    cfg = pg.NumericsConfig()
-    pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
+    cfg = pg.NumericsConfig(n_max=40)
+    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
     gen = perturbation.default_generator(kind, m, lam, theta)
     for n in (10, 25, 40):
         err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
@@ -256,7 +262,8 @@ def test_continuity_custom_generator_several_members(recorded_gaps):
         tt[1] = theta.mats[1].copy()
         return pg.Symbol(e), _with_mats(lam, ll), _with_mats(theta, tt)
 
-    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, n_max=20, generator=gen)
+    cfg = pg.NumericsConfig(n_max=20)
+    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg, generator=gen)
     assert all(0.0 < t.measured <= t.bound + 1e-9 for t in traces)
     for n in (1, 8, 20):
         err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
@@ -274,7 +281,8 @@ def test_continuity_equal_copies_give_zero_gap(kind, recorded_gaps):
             _with_mats(theta, [a.copy() for a in theta.mats]),
         )
 
-    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=5, generator=copies)
+    cfg = pg.NumericsConfig(n_max=5)
+    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg, generator=copies)
     assert all(t.measured == 0.0 and t.bound == 0.0 for t in traces)
     assert all(t.deviation == 0.0 for t in traces)
     assert all(not g.any() for g in recorded_gaps)
@@ -303,7 +311,7 @@ def test_continuity_suite_assembles_nothing(monkeypatch):
             monkeypatch.setattr(mod, "assemble", counting)
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
     for kind in pg.CONTINUITY_KINDS:
-        pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40)
+        pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
     assert len(calls) == 0
 
 
@@ -360,7 +368,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # lockstep call
     inst = SMALL_GRID_PAIR
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
-    cfg = pg.NumericsConfig()
+    cfg = pg.NumericsConfig(n_max=40)
     gap_spaces = (theta.domain, lam.domain.dual)
     sent, ascents = [], []  # normalized gaps sent to the oracle; stack sizes of the ascents
     upper, opnorm, many = (
@@ -388,7 +396,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     per_kind = {}
     for kind in pg.CONTINUITY_KINDS:
         before = len(sent), len(ascents)
-        traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, n_max=40, cfg=cfg)
+        traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
         per_kind[kind] = len(sent) - before[0], ascents[before[1]:]
         got = [(t.deviation, t.measured, t.bound) for t in traces]
         assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgframes as pg
-from pgframes import spaces
+from pgframes import gridsearch, spaces
 from pgframes.spaces import holder_witness_many, pnorm, pnorm_many
 
 INF = math.inf
@@ -246,6 +246,22 @@ def test_stacked_kernels_equal_a_stack_of_2d_calls(p):
             assert np.array_equal(got, expect.reshape(got.shape))
 
 
+@pytest.mark.parametrize("inner", EXPONENTS)
+@pytest.mark.parametrize("outer", EXPONENTS)
+def test_stacked_kernels_give_the_witness_of_one_functional(inner, outer):
+    # the product witness of one functional is one column of witness_many,
+    # bit for bit: there is no second, per-block route
+    rng = np.random.default_rng([37, EXPONENTS.index(inner), EXPONENTS.index(outer)])
+    for dims in ([2], [1, 1], [2, 3, 2], [2] * 48):
+        space = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, inner) for d in dims), outer)
+        for u in _test_columns(space.total_dim, rng).T:
+            assert np.array_equal(space.witness(u), space.witness_many(u[:, None])[:, 0])
+        zero = space.witness(np.zeros(space.total_dim))
+        assert zero.shape == (space.total_dim,) and not zero.any()
+        with pytest.raises(pg.DimensionMismatchError):
+            space.witness(np.ones(space.total_dim + 1))
+
+
 def test_p1_witness_takes_the_first_of_tied_entries():
     ties = np.array([[[0.5], [-2.0], [2.0]], [[1.0], [1.0], [-1.0]]])
     assert np.array_equal(holder_witness_many(ties, 1.0), [[[0], [-1], [0]], [[1], [0], [0]]])
@@ -335,6 +351,22 @@ def test_product_duality_gap_derived_example():
     for outer_q in (1.5, 3.0, math.inf):
         g = pg.ProductVector((vec([2, 1], math.inf), vec([1, 3, -2], math.inf)), outer_q)
         assert pg.product_duality_gap(g, method="grid") / pg.mixed_norm(g) <= 1e-3
+
+
+def test_product_grid_checks_the_outer_budget_before_any_block(monkeypatch):
+    # 4 components: the outer grid needs 4 * 240^3 samples, over the budget,
+    # and no block sphere may be gridded before that is known
+    grids, real = [], gridsearch.sphere_samples
+
+    def recording(space, *args):
+        grids.append(space)
+        return real(space, *args)
+
+    monkeypatch.setattr(gridsearch, "sphere_samples", recording)
+    g = pg.ProductVector(tuple(vec([1.0, -2.0], 3.0) for _ in range(4)), 1.5)
+    with pytest.raises(gridsearch.OracleBudgetError, match="sphere grid needs 55296000 samples"):
+        pg.product_duality_gap(g, method="grid")
+    assert grids == [pg.SpaceSpec(4, 3.0)]  # the outer sphere alone
 
 
 def test_product_duality_gap_random_witness():

@@ -251,28 +251,30 @@ def _cmd_continuity(args, cfg) -> int:
     except ContinuityViolation as exc:
         print(f"continuity violated: {exc}", file=sys.stderr)
         return 1
+
+    def step(t) -> dict:
+        d = {"n": t.n, "deviation": t.deviation, "measured": t.measured, "bound": t.bound}
+        if t.components is not None:  # the three terms of a joint bound
+            d["components"] = list(t.components)
+        return d
+
     doc = {
         "kind": args.kind,
         "p1": p1,
-        "steps": [
-            {
-                "n": t.n,
-                "deviation": t.deviation,
-                "measured": t.measured,
-                "bound": t.bound,
-            }
-            for t in traces
-        ],
+        "steps": [step(t) for t in traces],
         "final_bound": traces[-1].bound,
     }
 
     def text():
         lines = [f"continuity kind={args.kind} p1={p1}"]
         for t in traces:
-            lines.append(
+            line = (
                 f"  n={t.n:3d}  deviation={t.deviation:.3e}  "
                 f"measured={t.measured:.3e}  bound={t.bound:.3e}"
             )
+            if t.components is not None:
+                line += "  components=" + ",".join(f"{c:.3e}" for c in t.components)
+            lines.append(line)
         return "\n".join(lines)
 
     _emit(doc, args.output, text)

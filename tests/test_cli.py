@@ -311,6 +311,29 @@ def test_perturb_and_continuity_commands(tmp_path, capsys):
     assert all(s["measured"] <= s["bound"] + 1e-9 for s in doc["steps"])
 
 
+def test_continuity_joint_shows_its_bound_components(tmp_path, capsys):
+    path, inst = _gen_instance(tmp_path)
+    rc = main(["continuity", str(path), "--kind", "joint", "--n-max", "6", "--output", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    traces = pg.continuity_suite(
+        "joint", inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence(), doc["p1"],
+        pg.NumericsConfig(n_max=6),
+    )
+    assert [s["components"] for s in doc["steps"]] == [list(t.components) for t in traces]
+    rc = main(["continuity", str(path), "--kind", "joint", "--n-max", "6"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert rc == 0 and len(lines) == 6
+    for line, t in zip(lines, traces):
+        assert line.endswith("components=" + ",".join(f"{c:.3e}" for c in t.components))
+    for kind in ("symbol", "theta", "lambda"):
+        main(["continuity", str(path), "--kind", kind, "--n-max", "3", "--output", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert all("components" not in s for s in doc["steps"])
+        main(["continuity", str(path), "--kind", kind, "--n-max", "3"])
+        assert "components" not in capsys.readouterr().out
+
+
 def test_failing_check_exits_1(tmp_path, capsys, monkeypatch):
     import pgframes.checks as checks
 

@@ -336,8 +336,9 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
     B_lam, B_theta = pg.analysis_upper(lam, cfg).value, pg.analysis_upper(theta, cfg).value
     m_p1 = m.p_norm(p1)
     steps = [gen(n) for n in range(1, n_max + 1)]
-    B1 = max(pg.analysis_upper(ll, cfg).value for _, ll, _ in steps)
-    B2 = max(pg.analysis_upper(tt, cfg).value for _, _, tt in steps)
+    # the default schedule's Bessel bounds come from its two ends
+    B1 = max(pg.analysis_upper(ll, cfg).value for _, ll, _ in (steps[0], steps[-1]))
+    B2 = max(pg.analysis_upper(tt, cfg).value for _, _, tt in (steps[0], steps[-1]))
     out = []
     for mm, ll, tt in steps:
         gap = perturbation._multiplier_gap(m, lam, theta, mm, ll, tt)
@@ -402,3 +403,96 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind
     assert sum(per_kind[k][0] for k in ("symbol", "theta", "lambda")) <= 10, per_kind
     assert per_kind["joint"] == (40, [40]), per_kind
+
+
+# small-grid seed 1, instance 6: the pair whose certified Bessel bound is not
+# convex along the schedule, so the endpoint B1 is below the all-step maximum
+GRID_PAIR_1006 = pg.gen(
+    "riesz-pair", x2_dim=3, y_dims=[3], frame_exponent=3, y_exponents=[1.5],
+    x1_exponent=3, x2_exponent=1.5, seed=1006,
+)
+
+
+@pytest.fixture
+def recorded_uppers(monkeypatch):
+    # (stacked matrix, value) of every analysis_upper call the suite makes
+    calls = []
+    real = perturbation.analysis_upper
+
+    def recording(seq, *args):
+        cert = real(seq, *args)
+        calls.append((seq.stacked(), cert.value))
+        return cert
+
+    monkeypatch.setattr(perturbation, "analysis_upper", recording)
+    return calls
+
+
+def _suite_bound(calls, seqs):
+    # the largest certificate the suite took on any of ``seqs``
+    return max(v for U, v in calls if any(np.array_equal(U, s.stacked()) for s in seqs))
+
+
+def test_joint_bessel_bounds_from_the_schedule_ends(recorded_uppers):
+    inst = GRID_PAIR_1006
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    cfg = pg.NumericsConfig(n_max=40)
+    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg)
+    gen = perturbation.default_generator("joint", m, lam, theta)
+    steps = [gen(n) for n in range(1, 41)]
+    lls, tts = [ll for _, ll, _ in steps], [tt for _, _, tt in steps]
+    B1, B2 = _suite_bound(recorded_uppers, lls), _suite_bound(recorded_uppers, tts)
+    assert B1 < max(pg.analysis_upper(ll, cfg).value for ll in lls)
+    assert B2 <= max(pg.analysis_upper(tt, cfg).value for tt in tts)
+    for ll, tt in zip(lls, tts):
+        assert B1 >= pg.analysis_opnorm(ll, cfg).lower.value
+        assert B2 >= pg.analysis_opnorm(tt, cfg).lower.value
+    for t, (mm, _, _) in zip(traces, steps):
+        assert t.components[0] == B1 * B2 * pg.pnorm(mm.entries - m.entries, 2.0)
+
+
+def _bump_two_members(lam, theta, m):
+    # member 0 by 2^-n and member 1 by 3^-n: not affine in one entry
+    def bump(seq, n):
+        mats = [a.copy() for a in seq.mats]
+        mats[0][0, 0] += 2.0 ** (-n)
+        mats[1][0, 0] += 3.0 ** (-n)
+        return _with_mats(seq, mats)
+
+    return lambda n: (m, bump(lam, n), bump(theta, n))
+
+
+@pytest.mark.parametrize(
+    "n_max, custom, calls",
+    [(40, False, 2 + 4), (1, False, 2 + 2), (5, True, 2 + 2 * 5)],
+)
+def test_joint_bessel_bound_call_count(recorded_uppers, n_max, custom, calls):
+    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    gen = _bump_two_members(lam, theta, m) if custom else None
+    cfg = pg.NumericsConfig(n_max=n_max)
+    pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg, generator=gen)
+    assert len(recorded_uppers) == calls
+    if custom:  # every step's perturbed sequences are certified
+        steps = [gen(n) for n in range(1, n_max + 1)]
+        got = [U for U, _ in recorded_uppers[2:]]
+        want = [ll.stacked() for _, ll, _ in steps] + [tt.stacked() for _, _, tt in steps]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("corner", [2.0 ** 60, -1.5, 0.0])
+def test_joint_endpoint_bound_at_rounding_edges(recorded_uppers, corner):
+    # l^2 pair, so every certificate is an exact SVD value: the endpoints'
+    # maximum is the all-step maximum up to the SVD's rounding
+    lam, theta = PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    mats = [a.copy() for a in lam.mats]
+    mats[0][0, 0] = corner
+    lam = _with_mats(lam, mats)
+    m = PAIR6.symbol_obj()
+    cfg = pg.NumericsConfig(n_max=40)
+    pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg)
+    gen = perturbation.default_generator("joint", m, lam, theta)
+    lls = [gen(n)[1] for n in range(1, 41)]
+    if corner == 2.0 ** 60:  # every bump rounds away
+        assert all(np.array_equal(ll.stacked(), lam.stacked()) for ll in lls)
+    all_steps = max(pg.analysis_upper(ll, cfg).value for ll in lls)
+    assert _suite_bound(recorded_uppers[2:], lls) >= all_steps * (1 - 1e-14)

@@ -9,11 +9,12 @@ computation serves both).
 ``continuity_suite`` drives a deviation schedule through one of four
 parameter-convergence modes (symbol only, either sequence, or all three
 jointly) and records, per step, the measured multiplier gap next to the
-theorem bound it must respect.  The gap is summed over the members whose
-(m_i, L_i, T_i) changed, from the parameter differences themselves, so no
-multiplier is assembled and no digits are lost to subtracting two nearly
-equal matrices; the per-sequence gaps of the bounds skip unchanged members
-the same way.  Each run makes one oracle call per distinct normalized matrix:
+theorem bound it must respect.  The schedule moves symbol entry 0 and entry
+(0, 0) of member 0 of the sequences, so the gap is member 0's three terms,
+formed from the parameter differences themselves: no multiplier is assembled
+and no digits are lost to subtracting two nearly equal matrices, and the
+per-sequence gaps of the bounds have one nonzero member.  Each run makes one
+oracle call per distinct normalized matrix:
 the opnorm values are exactly homogeneous (value(A) = s value(A / s) bit for
 bit, with s = max|A|), so a step whose gap is a scalar multiple of an
 earlier step's, as on a base^-n schedule that bumps one ingredient, reuses
@@ -22,16 +23,14 @@ the 40 distinct gaps of a ``joint`` run between non-Euclidean spaces, share
 one lockstep ascent (``opnorm.multistart_lower_many``), which gives each the
 value a call of its own would give, bit for bit.  The Bessel bounds B1, B2
 of the perturbed sequences in a ``joint`` run come from the two ends of the
-default schedule, whose bump is affine in one entry, so a norm of it is
-convex along the schedule (proof in :func:`continuity_suite`); a custom
-generator is certified at every step.
+schedule, whose bump is affine in one entry, so a norm of it is convex along
+the schedule (proof in :func:`continuity_suite`).
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,11 +52,36 @@ __all__ = [
     "CONTINUITY_KINDS",
     "perturbation_check",
     "continuity_suite",
-    "default_generator",
 ]
 
 CONTINUITY_KINDS = ("symbol", "theta", "lambda", "joint")
 DEVIATION_BASE = 2.0  # deviation schedule base^-n
+
+
+def _schedule(kind: str, m: Symbol, lam, theta, n_max: int) -> list:
+    """The steps (n, d_sym, L1, T1) of the ``DEVIATION_BASE``^-n schedule of ``kind``.
+
+    Step n bumps symbol entry 0 (``d_sym`` is the bumped symbol minus m) and
+    entry (0, 0) of member 0 of the sequences (L1, T1; the base's own member 0
+    where ``kind`` leaves that sequence alone), a matrix of operator norm
+    exactly one for every exponent pair.  Nothing else moves.
+    """
+
+    def bump(a: np.ndarray, n: int) -> np.ndarray:
+        e = np.zeros(a.shape)
+        e[0, 0] = 1.0
+        return a + DEVIATION_BASE ** (-n) * e
+
+    L, T = lam.mats[0], theta.mats[0]
+    steps = []
+    for n in range(1, n_max + 1):
+        e = m.entries.copy()
+        if kind in ("symbol", "joint"):
+            e[0] += DEVIATION_BASE ** (-n)
+        L1 = bump(L, n) if kind in ("lambda", "joint") else L
+        T1 = bump(T, n) if kind in ("theta", "joint") else T
+        steps.append((n, e - m.entries, L1, T1))
+    return steps
 
 
 class ContinuityViolation(RuntimeError):
@@ -133,57 +157,6 @@ class ContinuityTrace:
     components: tuple[float, ...] | None = None  # the three terms of the joint bound
 
 
-def _bump_matrix(shape) -> np.ndarray:
-    e = np.zeros(shape)
-    e[0, 0] = 1.0
-    return e
-
-
-def default_generator(
-    kind: str,
-    m: Symbol,
-    lam: OperatorSequence,
-    theta: OperatorSequence,
-) -> Callable[[int], tuple[Symbol, OperatorSequence, OperatorSequence]]:
-    """Schedule-driven deviations: a ``DEVIATION_BASE``^-n bump on the selected ingredients.
-
-    The symbol is bumped in its first entry; sequences in the (0, 0) entry of
-    their first member, a matrix of operator norm exactly one for every
-    exponent pair.
-    """
-
-    def bump_symbol(n: int) -> Symbol:
-        e = m.entries.copy()
-        e[0] += DEVIATION_BASE ** (-n)
-        return Symbol(e)
-
-    def bump_seq(seq: OperatorSequence, n: int) -> OperatorSequence:
-        mats = list(seq.mats)
-        mats[0] = mats[0] + DEVIATION_BASE ** (-n) * _bump_matrix(mats[0].shape)
-        return OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
-
-    def gen(n: int):
-        mm = bump_symbol(n) if kind in ("symbol", "joint") else m
-        ll = bump_seq(lam, n) if kind in ("lambda", "joint") else lam
-        tt = bump_seq(theta, n) if kind in ("theta", "joint") else theta
-        return mm, ll, tt
-
-    return gen
-
-
-def _changed(base: tuple, new: tuple) -> list[int]:
-    """Indices of the members of ``new`` that differ from ``base``.
-
-    Identity settles the common case (a generator reusing the base's
-    matrices); anything else is compared entrywise, so a generator returning
-    equal copies changes nothing.
-    """
-    return [
-        i for i, (b, c) in enumerate(zip(base, new))
-        if b is not c and not np.array_equal(b, c)
-    ]
-
-
 def _upper_value(A, dom, cod, cfg) -> float:
     return upper_certificate_only(A, dom, cod, cfg).value
 
@@ -248,34 +221,31 @@ def _lower_values(gaps, dom, cod, cfg, memo: dict) -> list[float]:
     return [v if key is None else v * memo[key] for v, key in steps]
 
 
-def _seq_gap_q1(base: OperatorSequence, new: OperatorSequence, q1: float, cfg, memo) -> float:
-    # unchanged members give an exact 0.0, as the zero-matrix certificate would
-    vals = np.zeros(len(base))
-    for i in _changed(base.mats, new.mats):
-        d = new.mats[i] - base.mats[i]
-        vals[i] = _memo_norm(memo, _upper_value, d, base.domain, base.codomains[i], cfg)
+def _seq_gap_q1(seq: OperatorSequence, M1: np.ndarray, q1: float, cfg, memo) -> float:
+    # only member 0 moves; the others give an exact 0.0, as the zero-matrix certificate would
+    vals = np.zeros(len(seq))
+    if not np.array_equal(M1, seq.mats[0]):
+        vals[0] = _memo_norm(
+            memo, _upper_value, M1 - seq.mats[0], seq.domain, seq.codomains[0], cfg
+        )
     return pnorm(vals, q1)
 
 
-def _multiplier_gap(m, lam, theta, mm, ll, tt) -> np.ndarray:
-    """M(mm, ll, tt) - M(m, lam, theta), summed over the changed members only.
+def _multiplier_gap(m, lam, theta, d_sym, L1, T1) -> np.ndarray:
+    """The multiplier gap of a step that moves member 0 only, to (m_0 + d_sym[0], L1, T1).
 
-    Member i contributes (m_i' - m_i) L_i'^T T_i' + m_i (L_i' - L_i)^T T_i'
-    + m_i L_i^T (T_i' - T_i), which telescopes to m_i' L_i'^T T_i' - m_i L_i^T T_i;
-    members are added in index order.
+    It is (m_0' - m_0) L1^T T1 + m_0 (L1 - L_0)^T T1 + m_0 L_0^T (T1 - T_0),
+    which telescopes to m_0' L1^T T1 - m_0 L_0^T T_0; a term whose parameter
+    difference is zero is left out.
     """
-    d_sym = mm.entries - m.entries
-    lam_changed = set(_changed(lam.mats, ll.mats))
-    theta_changed = set(_changed(theta.mats, tt.mats))
+    L, T = lam.mats[0], theta.mats[0]
     gap = np.zeros((lam.domain.dim, theta.domain.dim))
-    for i in sorted(lam_changed | theta_changed | set(np.flatnonzero(d_sym).tolist())):
-        L, T, L1, T1 = lam.mats[i], theta.mats[i], ll.mats[i], tt.mats[i]
-        if d_sym[i]:
-            gap += d_sym[i] * (L1.T @ T1)
-        if i in lam_changed:
-            gap += m.entries[i] * ((L1 - L).T @ T1)
-        if i in theta_changed:
-            gap += m.entries[i] * (L.T @ (T1 - T))
+    if d_sym[0]:
+        gap += d_sym[0] * (L1.T @ T1)
+    if not np.array_equal(L1, L):
+        gap += m.entries[0] * ((L1 - L).T @ T1)
+    if not np.array_equal(T1, T):
+        gap += m.entries[0] * (L.T @ (T1 - T))
     return gap
 
 
@@ -286,13 +256,12 @@ def continuity_suite(
     theta: OperatorSequence,
     p1: float,
     cfg: NumericsConfig | None = None,
-    generator: Callable[[int], tuple[Symbol, OperatorSequence, OperatorSequence]] | None = None,
 ) -> list[ContinuityTrace]:
     """Run one continuity mode over ``cfg.n_max`` steps and return their traces.
 
-    Each step's multiplier gap M(m_n, L_n, T_n) - M(m, L, T) is built from the
-    members whose (m_i, L_i, T_i) changed, through the bilinear split
-    (m_i' - m_i) L_i'^T T_i' + m_i (L_i' - L_i)^T T_i' + m_i L_i^T (T_i' - T_i).
+    The schedule moves member 0 only, so each step's multiplier gap
+    M(m_n, L_n, T_n) - M(m, L, T) is member 0's bilinear split
+    (m_0' - m_0) L_0'^T T_0' + m_0 (L_0' - L_0)^T T_0' + m_0 L_0^T (T_0' - T_0).
     Neither multiplier is assembled: subtracting two nearly equal matrices
     would cancel most of the gap's digits, while each term of the split is
     formed from a parameter difference and so is computed at the gap's own
@@ -309,13 +278,11 @@ def continuity_suite(
     ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
 
     The ``joint`` bound needs B1 >= ||U(L_n)|| and B2 >= ||U(T_n)|| at every
-    step, U the analysis operator.  With ``generator=None`` the two ends of
-    the schedule suffice, so B1 = max(upper(L_1), upper(L_{n_max})) and B2
-    likewise, four certificates per run; a custom generator has no such
-    proof and takes the maximum over every step.  The proof, for L (T is
-    the same):
+    step, U the analysis operator.  The two ends of the schedule suffice, so
+    B1 = max(upper(L_1), upper(L_{n_max})) and B2 likewise, four
+    certificates per run.  The proof, for L (T is the same):
 
-    * :func:`default_generator` changes only entry (0, 0) of member 0, from
+    * The schedule changes only entry (0, 0) of member 0, from
       a to a_n = fl(a + base^-n); every other entry x becomes x + 0 = x.
       The stacked matrix of L_n is therefore exactly U + s_n E, with
       s_n = a_n - a (a real number, not rounded) and E = e_1 e_1^T.
@@ -345,51 +312,45 @@ def continuity_suite(
     if cfg.n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
     q1 = conjugate_exponent(p1)
-    gen = generator or default_generator(kind, m, lam, theta)
 
     check_pairing(m, lam, theta)
     B_lam = analysis_upper(lam, cfg).value
     B_theta = analysis_upper(theta, cfg).value
     m_p1 = m.p_norm(p1)
+    steps = _schedule(kind, m, lam, theta, cfg.n_max)
 
-    steps = []
-    for n in range(1, cfg.n_max + 1):
-        mm, ll, tt = gen(n)
-        if ll.domain != lam.domain or tt.domain != theta.domain:
-            raise DimensionMismatchError(f"generated term {n} changed the domains")
-        if ll.codomains != lam.codomains or tt.codomains != theta.codomains:
-            raise DimensionMismatchError(f"generated term {n} changed the codomains")
-        if len(mm) != len(m):
-            raise DimensionMismatchError(f"generated term {n} changed the index set")
-        steps.append((n, mm, ll, tt))
+    def upper_with(seq: OperatorSequence, M1: np.ndarray) -> float:
+        # the certified Bessel bound of seq with member 0 replaced by M1
+        bumped = OperatorSequence(
+            seq.domain, seq.codomains, (M1,) + seq.mats[1:], seq.frame_exponent
+        )
+        return analysis_upper(bumped, cfg).value
 
     B1 = B2 = None
-    if kind == "joint":
-        # the default schedule is convex in its bump (docstring); a custom
-        # generator gets no such proof and is certified at every step
-        ends = steps if generator is not None or len(steps) == 1 else (steps[0], steps[-1])
-        B1 = max(analysis_upper(ll, cfg).value for _, _, ll, _ in ends)
-        B2 = max(analysis_upper(tt, cfg).value for _, _, _, tt in ends)
+    if kind == "joint":  # the schedule is convex in its bump (docstring)
+        ends = steps if len(steps) == 1 else (steps[0], steps[-1])
+        B1 = max(upper_with(lam, L1) for _, _, L1, _ in ends)
+        B2 = max(upper_with(theta, T1) for _, _, _, T1 in ends)
 
     memo: dict = {}
-    gaps = (_multiplier_gap(m, lam, theta, mm, ll, tt) for _, mm, ll, tt in steps)
+    gaps = (_multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
     measured_all = _lower_values(gaps, theta.domain, lam.domain.dual, cfg, memo)
     traces: list[ContinuityTrace] = []
-    for (n, mm, ll, tt), measured in zip(steps, measured_all):
-        sym_gap = pnorm(mm.entries - m.entries, p1)
+    for (n, d_sym, L1, T1), measured in zip(steps, measured_all):
+        sym_gap = pnorm(d_sym, p1)
         components = None
         if kind == "symbol":
             deviation = sym_gap
             bound = B_lam * B_theta * sym_gap
         elif kind == "theta":
-            deviation = _seq_gap_q1(theta, tt, q1, cfg, memo)
+            deviation = _seq_gap_q1(theta, T1, q1, cfg, memo)
             bound = B_lam * m_p1 * deviation
         elif kind == "lambda":
-            deviation = _seq_gap_q1(lam, ll, q1, cfg, memo)
+            deviation = _seq_gap_q1(lam, L1, q1, cfg, memo)
             bound = B_theta * m_p1 * deviation
         else:
-            lam_gap = _seq_gap_q1(lam, ll, q1, cfg, memo)
-            theta_gap = _seq_gap_q1(theta, tt, q1, cfg, memo)
+            lam_gap = _seq_gap_q1(lam, L1, q1, cfg, memo)
+            theta_gap = _seq_gap_q1(theta, T1, q1, cfg, memo)
             components = (
                 B1 * B2 * sym_gap,
                 B2 * m_p1 * lam_gap,

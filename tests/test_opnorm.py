@@ -399,17 +399,25 @@ def test_lockstep_start_bundles_survive_a_failed_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["symbol", "theta", "lambda", "joint"])
-def test_lockstep_equals_per_call_on_continuity_gaps(kind):
+def test_lockstep_equals_per_call_on_continuity_gaps(kind, monkeypatch):
     # the stack continuity_suite sends: every step's normalized gap of a small
     # non-Euclidean pair, between the spaces the suite measures it in
     from pgframes import perturbation
 
+    gaps = []
+    real = perturbation._multiplier_gap
+
+    def recording(*args):
+        gaps.append(real(*args))
+        return gaps[-1]
+
+    monkeypatch.setattr(perturbation, "_multiplier_gap", recording)
     inst = pg.gen(
         "riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, y_exponents=[3, 3],
         x1_exponent=1.5, x2_exponent=3, seed=11,
     )
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
-    gen = perturbation.default_generator(kind, m, lam, theta)
-    gaps = [perturbation._multiplier_gap(m, lam, theta, *gen(n)) for n in range(1, 41)]
+    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
+    assert len(gaps) == 40
     As = np.stack([g / np.abs(g).max() for g in gaps])
     _assert_lockstep_is_per_call(As, theta.domain, lam.domain.dual, stream=0)

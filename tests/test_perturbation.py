@@ -140,20 +140,6 @@ def test_continuity_lambda_and_joint():
                 assert t.bound == pytest.approx(sum(t.components), rel=1e-12)
 
 
-def test_continuity_constant_generator_all_zero():
-    m = pg.Symbol([1.0, 1.0])
-    traces = pg.continuity_suite(
-        "joint",
-        m,
-        SELECTORS,
-        SELECTORS,
-        p1=2.0,
-        cfg=pg.NumericsConfig(n_max=10),
-        generator=lambda n: (m, SELECTORS, SELECTORS),
-    )
-    assert all(t.measured == 0.0 and t.bound == 0.0 for t in traces)
-
-
 def test_continuity_mixed_exponents():
     rng = np.random.default_rng(2)
     lam = rows(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), p=1.5)
@@ -164,14 +150,8 @@ def test_continuity_mixed_exponents():
         assert all(t.measured <= t.bound + 1e-9 for t in traces)
 
 
-def test_continuity_bad_generator_shapes():
+def test_continuity_rejects_unknown_kind():
     m = pg.Symbol([1.0, 1.0])
-    bad = rows(np.eye(2))
-    with pytest.raises(pg.DimensionMismatchError):
-        pg.continuity_suite(
-            "theta", m, SELECTORS, SELECTORS, p1=2.0, cfg=pg.NumericsConfig(n_max=3),
-            generator=lambda n: (m, SELECTORS, bad),
-        )
     with pytest.raises(ValueError):
         pg.continuity_suite(
             "unknown", m, SELECTORS, SELECTORS, p1=2.0, cfg=pg.NumericsConfig(n_max=3)
@@ -214,6 +194,45 @@ def _exact_gap_error(gap, base, new):
     return float(err / scale)
 
 
+def _bump_matrix(shape) -> np.ndarray:
+    e = np.zeros(shape)
+    e[0, 0] = 1.0
+    return e
+
+
+def _reference_generator(kind, m, lam, theta):
+    """Whole (Symbol, lam, theta) steps of the continuity schedule, rebuilt as
+    fresh objects: the reference the suite's member-0 steps are checked against.
+
+    The symbol is bumped in its first entry; sequences in the (0, 0) entry of
+    their first member, a matrix of operator norm exactly one for every
+    exponent pair.
+    """
+    DEVIATION_BASE = perturbation.DEVIATION_BASE
+
+    def bump_symbol(n: int) -> pg.Symbol:
+        e = m.entries.copy()
+        e[0] += DEVIATION_BASE ** (-n)
+        return pg.Symbol(e)
+
+    def bump_seq(seq: pg.OperatorSequence, n: int) -> pg.OperatorSequence:
+        mats = list(seq.mats)
+        mats[0] = mats[0] + DEVIATION_BASE ** (-n) * _bump_matrix(mats[0].shape)
+        return pg.OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
+
+    def gen(n: int):
+        mm = bump_symbol(n) if kind in ("symbol", "joint") else m
+        ll = bump_seq(lam, n) if kind in ("lambda", "joint") else lam
+        tt = bump_seq(theta, n) if kind in ("theta", "joint") else theta
+        return mm, ll, tt
+
+    return gen
+
+
+def _with_mats(seq, mats):
+    return pg.OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
+
+
 @pytest.fixture
 def recorded_gaps(monkeypatch):
     # every step's multiplier gap, as the continuity suite builds it
@@ -237,55 +256,49 @@ def test_continuity_gap_matches_exact_reference(kind, recorded_gaps):
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
     cfg = pg.NumericsConfig(n_max=40)
     pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
-    gen = perturbation.default_generator(kind, m, lam, theta)
+    gen = _reference_generator(kind, m, lam, theta)
     for n in (10, 25, 40):
         err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
         assert err <= 1e-15, (n, err)
 
 
-def _with_mats(seq, mats):
-    return pg.OperatorSequence(seq.domain, seq.codomains, tuple(mats), seq.frame_exponent)
-
-
-def test_continuity_custom_generator_several_members(recorded_gaps):
-    m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-    rng = np.random.default_rng(3)
-    shifts = [rng.standard_normal(a.shape) for a in lam.mats + theta.mats]
-
-    def gen(n):
-        eps = 3.0 ** (-n)
-        e = m.entries.copy()
-        e[[0, 2]] += (eps, -2.0 * eps)
-        ll = [a + eps * s for a, s in zip(lam.mats, shifts[:3])]
-        ll[0] = lam.mats[0]
-        tt = [a + eps * s for a, s in zip(theta.mats, shifts[3:])]
-        tt[1] = theta.mats[1].copy()
-        return pg.Symbol(e), _with_mats(lam, ll), _with_mats(theta, tt)
-
-    cfg = pg.NumericsConfig(n_max=20)
-    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg, generator=gen)
-    assert all(0.0 < t.measured <= t.bound + 1e-9 for t in traces)
-    for n in (1, 8, 20):
-        err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
-        assert err <= 1e-15, (n, err)
-
-
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
-def test_continuity_equal_copies_give_zero_gap(kind, recorded_gaps):
+def test_continuity_schedule_that_rounds_away(kind, recorded_gaps):
+    # 2^60 + 2^-n rounds back to 2^60 for every n: no step moves anything
+    big = 2.0 ** 60
+    e = PAIR6.symbol_obj().entries.copy()
+    e[0] = big
+    lam, theta = PAIR6.lam_sequence(), PAIR6.theta_sequence()
+    seqs = []
+    for seq in (lam, theta):
+        mats = [a.copy() for a in seq.mats]
+        mats[0][0, 0] = big
+        seqs.append(_with_mats(seq, mats))
+    cfg = pg.NumericsConfig(n_max=40)
+    traces = pg.continuity_suite(kind, pg.Symbol(e), *seqs, p1=2.0, cfg=cfg)
+    assert len(traces) == 40
+    assert all(t.deviation == t.measured == t.bound == 0.0 for t in traces)
+    assert len(recorded_gaps) == 40 and not any(g.any() for g in recorded_gaps)
+
+
+@pytest.mark.parametrize(
+    "kind, n_max, built",
+    [("symbol", 40, 0), ("theta", 40, 0), ("lambda", 40, 0), ("joint", 40, 4), ("joint", 1, 2)],
+)
+def test_continuity_builds_sequences_at_the_joint_ends_only(monkeypatch, kind, n_max, built):
+    # a step holds member 0 of each sequence, not a whole sequence; only the
+    # joint Bessel bounds need one, at each end of the schedule
+    calls = []
+    real = perturbation.OperatorSequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "OperatorSequence", counting)
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-
-    def copies(n):
-        return (
-            pg.Symbol(m.entries.copy()),
-            _with_mats(lam, [a.copy() for a in lam.mats]),
-            _with_mats(theta, [a.copy() for a in theta.mats]),
-        )
-
-    cfg = pg.NumericsConfig(n_max=5)
-    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg, generator=copies)
-    assert all(t.measured == 0.0 and t.bound == 0.0 for t in traces)
-    assert all(t.deviation == 0.0 for t in traces)
-    assert all(not g.any() for g in recorded_gaps)
+    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=n_max))
+    assert len(calls) == built
 
 
 def test_continuity_rejects_unpaired_ingredients():
@@ -324,7 +337,7 @@ SMALL_GRID_PAIR = pg.gen(
 def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
     # (deviation, measured, bound) per step from fresh oracle calls, no memo
     q1 = pg.conjugate_exponent(p1)
-    gen = perturbation.default_generator(kind, m, lam, theta)
+    gen = _reference_generator(kind, m, lam, theta)
 
     def seq_gap(base, new):
         vals = [
@@ -341,7 +354,9 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
     B2 = max(pg.analysis_upper(tt, cfg).value for _, _, tt in (steps[0], steps[-1]))
     out = []
     for mm, ll, tt in steps:
-        gap = perturbation._multiplier_gap(m, lam, theta, mm, ll, tt)
+        gap = perturbation._multiplier_gap(
+            m, lam, theta, mm.entries - m.entries, ll.mats[0], tt.mats[0]
+        )
         measured = pg.matrix_opnorm(
             gap, theta.domain.exponent, lam.domain.dual.exponent, cfg
         ).lower.value
@@ -438,7 +453,7 @@ def test_joint_bessel_bounds_from_the_schedule_ends(recorded_uppers):
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     cfg = pg.NumericsConfig(n_max=40)
     traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg)
-    gen = perturbation.default_generator("joint", m, lam, theta)
+    gen = _reference_generator("joint", m, lam, theta)
     steps = [gen(n) for n in range(1, 41)]
     lls, tts = [ll for _, ll, _ in steps], [tt for _, _, tt in steps]
     B1, B2 = _suite_bound(recorded_uppers, lls), _suite_bound(recorded_uppers, tts)
@@ -451,32 +466,11 @@ def test_joint_bessel_bounds_from_the_schedule_ends(recorded_uppers):
         assert t.components[0] == B1 * B2 * pg.pnorm(mm.entries - m.entries, 2.0)
 
 
-def _bump_two_members(lam, theta, m):
-    # member 0 by 2^-n and member 1 by 3^-n: not affine in one entry
-    def bump(seq, n):
-        mats = [a.copy() for a in seq.mats]
-        mats[0][0, 0] += 2.0 ** (-n)
-        mats[1][0, 0] += 3.0 ** (-n)
-        return _with_mats(seq, mats)
-
-    return lambda n: (m, bump(lam, n), bump(theta, n))
-
-
-@pytest.mark.parametrize(
-    "n_max, custom, calls",
-    [(40, False, 2 + 4), (1, False, 2 + 2), (5, True, 2 + 2 * 5)],
-)
-def test_joint_bessel_bound_call_count(recorded_uppers, n_max, custom, calls):
+@pytest.mark.parametrize("n_max, calls", [(40, 2 + 4), (1, 2 + 2)])
+def test_joint_bessel_bound_call_count(recorded_uppers, n_max, calls):
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-    gen = _bump_two_members(lam, theta, m) if custom else None
-    cfg = pg.NumericsConfig(n_max=n_max)
-    pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg, generator=gen)
+    pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=n_max))
     assert len(recorded_uppers) == calls
-    if custom:  # every step's perturbed sequences are certified
-        steps = [gen(n) for n in range(1, n_max + 1)]
-        got = [U for U, _ in recorded_uppers[2:]]
-        want = [ll.stacked() for _, ll, _ in steps] + [tt.stacked() for _, _, tt in steps]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("corner", [2.0 ** 60, -1.5, 0.0])
@@ -490,7 +484,7 @@ def test_joint_endpoint_bound_at_rounding_edges(recorded_uppers, corner):
     m = PAIR6.symbol_obj()
     cfg = pg.NumericsConfig(n_max=40)
     pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=cfg)
-    gen = perturbation.default_generator("joint", m, lam, theta)
+    gen = _reference_generator("joint", m, lam, theta)
     lls = [gen(n)[1] for n in range(1, 41)]
     if corner == 2.0 ** 60:  # every bump rounds away
         assert all(np.array_equal(ll.stacked(), lam.stacked()) for ll in lls)

@@ -19,7 +19,7 @@ from .frames import NotRieszError, classify, dual_riesz_basis, riesz_equivalence
 from .gridsearch import OracleBudgetError
 from .instances import Instance
 from .multipliers import Symbol, SymbolTooSmallError, assemble, invert, norm_bounds
-from .operators import OperatorSequence, synthesis_matrix
+from .operators import OperatorSequence, analysis_upper, synthesis_matrix
 from .perturbation import (
     CONTINUITY_KINDS,
     ContinuityViolation,
@@ -161,10 +161,10 @@ def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckRes
     return CheckResult("classify", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_equivalences(inst: Instance, cfg: NumericsConfig) -> CheckResult:
+def _check_equivalences(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResult:
     values, ok, notes = {}, True, []
     for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
-        eq = riesz_equivalences_check(seq, cfg)
+        eq = riesz_equivalences_check(seq, cfg, bessel=bessel(tag))
         values[f"{tag}.conditions"] = [eq.riesz_inequality, eq.full_rank]
         if not eq.agree:
             ok = False
@@ -244,7 +244,8 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
         recon = float(
             (xstar.norm_many(recon_mat @ xs) / np.maximum(xstar.norm_many(xs), 1e-30)).max()
         )
-        dd = dual_riesz_basis(dual.as_operator_sequence(), cfg)
+        dual_seq = dual.as_operator_sequence()
+        dd = dual_riesz_basis(dual_seq, cfg)
         # relative to max_i max|L_i|, so a rescaled family reads the same
         L = seq.stacked()
         double = float(np.abs(np.vstack(dd.mats) - L).max() / np.abs(L).max())
@@ -256,7 +257,6 @@ def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
             notes.append(f"{tag}: dual residuals exceed 1e-9")
         a_safe = report.lower_bound.value
         b_up = report.bessel_bound.value
-        dual_seq = dual.as_operator_sequence()
         samples = _unit_samples(dual_seq.domain, 100, rng)
         ratios = dual_seq.analysis_space().norm_many(dual_seq.stacked() @ samples)
         if b_up > 0 and ratios.min(initial=np.inf) < 1.0 / b_up - 1e-9:
@@ -275,19 +275,16 @@ def _check_multiply(cfg: NumericsConfig, forward) -> CheckResult:
     m, lam, theta = M.symbol, M.left, M.right
     rng = _seeded(cfg, 4)
     perm = rng.permutation(len(m))
-    lam_p = OperatorSequence(
-        lam.domain,
-        tuple(lam.codomains[i] for i in perm),
-        tuple(lam.mats[i] for i in perm),
-        lam.frame_exponent,
-    )
-    theta_p = OperatorSequence(
-        theta.domain,
-        tuple(theta.codomains[i] for i in perm),
-        tuple(theta.mats[i] for i in perm),
-        theta.frame_exponent,
-    )
-    M_p = assemble(Symbol(m.entries[perm]), lam_p, theta_p)
+
+    def permuted(seq: OperatorSequence) -> OperatorSequence:
+        return OperatorSequence(
+            seq.domain,
+            tuple(seq.codomains[i] for i in perm),
+            tuple(seq.mats[i] for i in perm),
+            seq.frame_exponent,
+        )
+
+    M_p = assemble(Symbol(m.entries[perm]), permuted(lam), permuted(theta))
     identical = bool(np.array_equal(M.matrix, M_p.matrix))
 
     zero = assemble(Symbol(np.zeros(len(m))), lam, theta)
@@ -325,7 +322,9 @@ def _check_invert(cfg: NumericsConfig, forward) -> CheckResult:
     )
 
 
-def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> CheckResult:
+def _check_perturb(
+    inst: Instance, cfg: NumericsConfig, epsilon: float, bessel
+) -> CheckResult:
     lam = inst.lam_sequence()
     rng = _seeded(cfg, 5)
     mats = []
@@ -333,7 +332,7 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
         noise = rng.standard_normal(mat.shape)
         mats.append(mat + epsilon * noise / max(np.linalg.norm(noise), 1e-30))
     theta = OperatorSequence(lam.domain, lam.codomains, tuple(mats), lam.frame_exponent)
-    rep = perturbation_check(lam, theta, cfg)
+    rep = perturbation_check(lam, theta, cfg, bessel=bessel("lam"))
     ok = rep.slack >= -1e-9
     notes = []
     if not ok:
@@ -352,14 +351,16 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Check
     return CheckResult("perturb", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_continuity(inst: Instance, cfg: NumericsConfig) -> CheckResult:
+def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResult:
     m = inst.symbol_obj()
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
     p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
     for kind in CONTINUITY_KINDS:
         try:
-            traces = continuity_suite(kind, m, lam, theta, p1, cfg)
+            traces = continuity_suite(
+                kind, m, lam, theta, p1, cfg, bessel=(bessel("lam"), bessel("theta"))
+            )
         except ContinuityViolation as exc:
             ok = False
             notes.append(f"{kind}: {exc}")
@@ -391,6 +392,10 @@ def run_checks(
     # use so that a failure lands in the suite that asked for it
     sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
     classified = functools.cache(lambda tag: classify(sequences[tag](), cfg))
+    # equivalences, perturb and continuity assume one certified Bessel bound
+    # per sequence.  classify's report holds the same value, but reading it
+    # there would make those suites classify, and fail when classify fails
+    bessel = functools.cache(lambda tag: analysis_upper(sequences[tag](), cfg))
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(
         lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
@@ -402,7 +407,7 @@ def run_checks(
             if name == "classify":
                 res = _check_classify(inst, cfg, classified)
             elif name == "equivalences":
-                res = _check_equivalences(inst, cfg)
+                res = _check_equivalences(inst, cfg, bessel)
             elif name == "duality":
                 res = _check_duality(inst, cfg)
             elif name == "bounds":
@@ -414,9 +419,9 @@ def run_checks(
             elif name == "invert":
                 res = _check_invert(cfg, forward)
             elif name == "perturb":
-                res = _check_perturb(inst, cfg, epsilon)
+                res = _check_perturb(inst, cfg, epsilon, bessel)
             else:
-                res = _check_continuity(inst, cfg)
+                res = _check_continuity(inst, cfg, bessel)
         except Exception as exc:
             res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
         wall = (time.perf_counter() - t0) * 1000.0

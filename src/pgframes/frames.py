@@ -227,7 +227,9 @@ class RieszEquivalences:
 
 
 def riesz_equivalences_check(
-    seq: OperatorSequence, cfg: NumericsConfig | None = None
+    seq: OperatorSequence,
+    cfg: NumericsConfig | None = None,
+    bessel: BoundCertificate | None = None,
 ) -> RieszEquivalences:
     """Evaluate the two equivalent Riesz-basis conditions independently.
 
@@ -241,13 +243,18 @@ def riesz_equivalences_check(
     stacked analysis matrix F = S^T, one condition since rank S = rank F.
     Disagreement is reported, not raised; for a frame the two booleans are
     equivalent in exact arithmetic.
+
+    ``bessel``, when given, is taken as the Bessel bound and must be a proven
+    upper Bessel bound of ``seq``.  Any such bound is a valid synthesis upper
+    bound; only ``analysis_upper(seq, cfg)``, which runs when it is None,
+    leaves the verdicts unchanged.
     """
     cfg = cfg or DEFAULT_CONFIG
     S = synthesis_matrix(seq)
     coeff = seq.coefficient_space()
     xstar = seq.domain.dual
 
-    upper = analysis_upper(seq, cfg)
+    upper = analysis_upper(seq, cfg) if bessel is None else bessel
     low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
     cond_inequality = low_val > FRAME_REL_THRESHOLD * upper.value
 

@@ -4,7 +4,8 @@ An instance bundles the two coordinate spaces, the component spaces, both
 operator families, the symbol and the aggregation exponent.  Matrices are
 stored row-major as arrays of arrays of decimal floats; Python's JSON float
 formatting round-trips IEEE doubles exactly, so parse(serialize(x)) == x bit
-for bit.  Infinite exponents are spelled "inf".
+for bit.  Infinite exponents are spelled "inf".  A document carries
+``"version": "1"``, and parse rejects any other version.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class Instance:
     symbol: np.ndarray
     p1: float | None = None
     seed: int | None = None
-    version: str = FORMAT_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -91,8 +91,12 @@ def _dec_exponent(raw, field: str) -> float:
     raise InstanceFormatError(f"{field}: exponent must be a number or 'inf', got {raw!r}")
 
 
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _dec_seed(raw) -> int:
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if _is_int(raw):
         return raw
     raise InstanceFormatError(f"seed: expected an integer, got {raw!r}")
 
@@ -110,6 +114,8 @@ def _enc_space(s: SpaceSpec) -> dict:
 def _dec_space(raw, field: str) -> SpaceSpec:
     if not isinstance(raw, dict) or "dim" not in raw or "exponent" not in raw:
         raise InstanceFormatError(f"{field}: expected an object with dim and exponent")
+    if not _is_int(raw["dim"]):
+        raise InstanceFormatError(f"{field}: dim must be an integer, got {raw['dim']!r}")
     try:
         return SpaceSpec(raw["dim"], _dec_exponent(raw["exponent"], field))
     except ValueError as exc:
@@ -118,7 +124,7 @@ def _dec_space(raw, field: str) -> SpaceSpec:
 
 def serialize(inst: Instance) -> str:
     doc = {
-        "version": inst.version,
+        "version": FORMAT_VERSION,
         "x1": _enc_space(inst.x1),
         "x2": _enc_space(inst.x2),
         "components": [_enc_space(c) for c in inst.components],
@@ -159,6 +165,10 @@ def parse(text: str) -> Instance:
     for key in ("version", "x1", "x2", "components", "frame_exponent", "lam", "theta", "symbol"):
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
+    if doc["version"] != FORMAT_VERSION:
+        raise InstanceFormatError(
+            f"version: expected {FORMAT_VERSION!r}, got {doc['version']!r}"
+        )
     if not isinstance(doc["components"], list) or not doc["components"]:
         raise InstanceFormatError("components: expected a nonempty list")
     try:
@@ -174,7 +184,6 @@ def parse(text: str) -> Instance:
             symbol=_dec_symbol(doc["symbol"]),
             p1=_dec_exponent(doc["p1"], "p1") if "p1" in doc else None,
             seed=_dec_seed(doc["seed"]) if "seed" in doc else None,
-            version=str(doc["version"]),
         )
     except InstanceFormatError:
         raise

@@ -25,6 +25,9 @@ value a call of its own would give, bit for bit.  The Bessel bounds B1, B2
 of the perturbed sequences in a ``joint`` run come from the two ends of the
 schedule, whose bump is affine in one entry, so a norm of it is convex along
 the schedule (proof in :func:`continuity_suite`).
+
+Both functions take the base Bessel bounds the theorems assume as
+``bessel=``, and certify them with ``analysis_upper`` when it is None.
 """
 from __future__ import annotations
 
@@ -112,8 +115,15 @@ def perturbation_check(
     lam: OperatorSequence,
     theta: OperatorSequence,
     cfg: NumericsConfig | None = None,
+    bessel: BoundCertificate | None = None,
 ) -> PerturbationReport:
-    """Certify the Bessel-bound and operator-gap consequences of a perturbation."""
+    """Certify the Bessel-bound and operator-gap consequences of a perturbation.
+
+    ``bessel``, when given, is taken as ``B_base`` and must be a proven upper
+    Bessel bound of ``lam``.  Any such bound keeps the report's bound valid;
+    only ``analysis_upper(lam, cfg)``, which runs when it is None, leaves the
+    report's values unchanged.
+    """
     cfg = cfg or DEFAULT_CONFIG
     _same_shape(lam, theta)
     p = lam.frame_exponent
@@ -126,7 +136,7 @@ def perturbation_check(
     k_kind = "exact" if all(c.kind == "exact" for c in per_term) else "upper_certificate"
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
-    B_base = analysis_upper(lam, cfg)
+    B_base = analysis_upper(lam, cfg) if bessel is None else bessel
     B_pert = analysis_opnorm(theta, cfg).lower
     slack = B_base.value + K.value - B_pert.value
 
@@ -256,6 +266,7 @@ def continuity_suite(
     theta: OperatorSequence,
     p1: float,
     cfg: NumericsConfig | None = None,
+    bessel: tuple[BoundCertificate, BoundCertificate] | None = None,
 ) -> list[ContinuityTrace]:
     """Run one continuity mode over ``cfg.n_max`` steps and return their traces.
 
@@ -276,6 +287,12 @@ def continuity_suite(
     gap gets its upper certificate, and those that are not exact go to one
     ``multistart_lower_many`` call, so ``measured`` is what
     ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
+
+    ``bessel``, when given, is the pair (B_lam, B_theta) that the theorem
+    bounds assume and must hold proven upper Bessel bounds of ``lam`` and
+    ``theta``.  Any such bounds keep the theorem bounds valid; only
+    ``analysis_upper`` of each, which runs when it is None, leaves the traces
+    unchanged.
 
     The ``joint`` bound needs B1 >= ||U(L_n)|| and B2 >= ||U(T_n)|| at every
     step, U the analysis operator.  The two ends of the schedule suffice, so
@@ -314,8 +331,9 @@ def continuity_suite(
     q1 = conjugate_exponent(p1)
 
     check_pairing(m, lam, theta)
-    B_lam = analysis_upper(lam, cfg).value
-    B_theta = analysis_upper(theta, cfg).value
+    if bessel is None:
+        bessel = (analysis_upper(lam, cfg), analysis_upper(theta, cfg))
+    B_lam, B_theta = (b.value for b in bessel)
     m_p1 = m.p_norm(p1)
     steps = _schedule(kind, m, lam, theta, cfg.n_max)
 

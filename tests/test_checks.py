@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import importlib
+import sys
 
+import numpy as np
 import pytest
 
 import pgframes as pg
@@ -37,8 +40,8 @@ def test_every_suite_passes_on_a_rescaled_riesz_pair(space, family, k):
 def test_perturb_judges_its_one_gap_once(monkeypatch):
     real = checks.perturbation_check
 
-    def oversized_gap(lam, theta, cfg):
-        rep = real(lam, theta, cfg)
+    def oversized_gap(lam, theta, cfg, bessel):
+        rep = real(lam, theta, cfg, bessel=bessel)
         gap = BoundCertificate(2.0 * rep.K.value + 1.0, "lower_estimate", "forced")
         return dataclasses.replace(rep, analysis_gap=gap)
 
@@ -66,3 +69,71 @@ def test_classify_fails_when_frame_routes_disagree(monkeypatch):
 def test_unknown_suite_raises():
     with pytest.raises(ValueError, match="unknown suites"):
         checks.run_checks(_pair("l2"), ["bogus"])
+
+
+def _counted(monkeypatch, module: str, name: str) -> list:
+    # every pgframes binding of pgframes.<module>.<name> records its calls
+    original = getattr(importlib.import_module(f"pgframes.{module}"), name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and key.startswith("pgframes"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_a_full_pass_certifies_each_bessel_bound_once(monkeypatch):
+    # 2 shared base bounds + the 4 joint endpoint bounds; classify keeps its own
+    inst = pg.gen(
+        "riesz-pair", 16, [2] * 8, frame_exponent=1.5, y_exponents=[3] * 8, seed=3
+    )
+    uppers = _counted(monkeypatch, "operators", "analysis_upper")
+    classifies = _counted(monkeypatch, "frames", "classify")
+    report = checks.run_checks(inst)
+    assert report.ok
+    assert (len(uppers), len(classifies)) == (6, 2)
+
+
+@pytest.mark.parametrize("suite", ["perturb", "equivalences", "continuity"])
+def test_suites_that_assume_a_bessel_bound_do_not_classify(monkeypatch, suite):
+    classifies = _counted(monkeypatch, "frames", "classify")
+    (res,) = checks.run_checks(_pair("lp"), [suite], pg.NumericsConfig(n_max=6)).results
+    assert res.status == "pass"
+    assert classifies == []
+
+
+def _values(obj):
+    # nested plain values with arrays as lists, so == compares every float
+    if dataclasses.is_dataclass(obj):
+        return _values(dataclasses.astuple(obj))
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [_values(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("space", ["l2", "lp"])
+def test_a_passed_bessel_bound_changes_no_value(space):
+    inst, cfg = _pair(space), pg.NumericsConfig(n_max=6)
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    b_lam, b_theta = pg.analysis_upper(lam, cfg), pg.analysis_upper(theta, cfg)
+
+    for seq, b in ((lam, b_lam), (theta, b_theta)):
+        assert pg.riesz_equivalences_check(seq, cfg, bessel=b) == (
+            pg.riesz_equivalences_check(seq, cfg)
+        )
+    near = pg.OperatorSequence(
+        lam.domain, lam.codomains, tuple(1.01 * a for a in lam.mats), lam.frame_exponent
+    )
+    assert _values(pg.perturbation_check(lam, near, cfg, bessel=b_lam)) == _values(
+        pg.perturbation_check(lam, near, cfg)
+    )
+    for kind in pg.CONTINUITY_KINDS:
+        shared = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel=(b_lam, b_theta))
+        own = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg)
+        assert [_values(t) for t in shared] == [_values(t) for t in own]

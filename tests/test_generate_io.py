@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,27 @@ def test_parse_diagnostics():
     back = pg.parse(json.dumps({**doc, "p1": "inf", "seed": 3}))
     assert math.isinf(back.p1) and back.seed == 3
     assert pg.parse(pg.serialize(back)).p1 == math.inf
+
+
+def _bessel_doc() -> dict:
+    return json.loads(pg.serialize(pg.gen("bessel", x2_dim=2, y_dims=[1, 1], seed=0)))
+
+
+@pytest.mark.parametrize("version", ["99", 1, "1.0", None])
+def test_parse_rejects_an_unknown_version(version):
+    with pytest.raises(pg.InstanceFormatError, match="version"):
+        pg.parse(json.dumps({**_bessel_doc(), "version": version}))
+
+
+@pytest.mark.parametrize("field", ["x1", "x2", "components[1]"])
+@pytest.mark.parametrize("dim", [True, 2.0])
+def test_parse_rejects_a_non_integer_dim(field, dim):
+    # True == 1 and 2.0 == 2, so the space itself would accept both
+    doc = _bessel_doc()
+    space = doc["components"][1] if field == "components[1]" else doc[field]
+    space["dim"] = dim
+    with pytest.raises(pg.InstanceFormatError, match=rf"{re.escape(field)}: dim"):
+        pg.parse(json.dumps(doc))
 
 
 def test_gen_riesz_confirms_kind():

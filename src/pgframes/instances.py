@@ -79,6 +79,9 @@ def _enc_exponent(p: float):
     return "inf" if math.isinf(p) else float(p)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
@@ -151,6 +154,11 @@ def _dec_mats(raw, field: str) -> tuple[np.ndarray, ...]:
             raise InstanceFormatError(f"{field}[{i}]: not a numeric matrix") from exc
         if arr.ndim != 2:
             raise InstanceFormatError(f"{field}[{i}]: expected 2 dimensions, got {arr.ndim}")
+        # asarray reads true as 1.0, "1.5" as 1.5 and null as nan; a JSON
+        # number parses to exactly int or float (bool is a subclass of int)
+        if not all(_NUMBER_TYPES.issuperset(map(type, row)) for row in m):
+            bad = next(v for row in m for v in row if type(v) not in _NUMBER_TYPES)
+            raise InstanceFormatError(f"{field}[{i}]: entries must be numbers, got {bad!r}")
         out.append(arr)
     return tuple(out)
 

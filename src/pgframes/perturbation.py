@@ -12,9 +12,10 @@ jointly) and records, per step, the measured multiplier gap next to the
 theorem bound it must respect.  The schedule moves symbol entry 0 and entry
 (0, 0) of member 0 of the sequences, so the gap is member 0's three terms,
 formed from the parameter differences themselves: no multiplier is assembled
-and no digits are lost to subtracting two nearly equal matrices, and the
-per-sequence gaps of the bounds have one nonzero member.  Each run makes one
-oracle call per distinct normalized matrix:
+and no digits are lost to subtracting two nearly equal matrices.  The
+parameter distances of the bounds need no oracle: each is the norm of s e_1
+or s E with E = e_1 e_1^T, and ||s E|| = |s| for every exponent pair.  Each
+run makes one oracle call per distinct normalized gap:
 the opnorm values are exactly homogeneous (value(A) = s value(A / s) bit for
 bit, with s = max|A|), so a step whose gap is a scalar multiple of an
 earlier step's, as on a base^-n schedule that bumps one ingredient, reuses
@@ -46,7 +47,7 @@ from .opnorm import (
     multistart_lower_many,
     upper_certificate_only,
 )
-from .spaces import DimensionMismatchError, conjugate_exponent, pnorm
+from .spaces import DimensionMismatchError, pnorm
 
 __all__ = [
     "PerturbationReport",
@@ -161,63 +162,38 @@ class ContinuityTrace:
 
     n: int
     kind: str
-    deviation: float        # the schedule input the bound is linear in
+    deviation: float        # the parameter distance; for joint, the largest of the three
     measured: float         # witness-backed estimate of the multiplier gap norm
     bound: float            # theorem bound at this step
     components: tuple[float, ...] | None = None  # the three terms of the joint bound
 
 
-def _upper_value(A, dom, cod, cfg) -> float:
-    return upper_certificate_only(A, dom, cod, cfg).value
-
-
-def _normalized(A: np.ndarray):
-    """(s, A / s, SHA-256 digest of A / s) with s = max|A|; B and digest are
-    None for a zero or non-finite A."""
-    s = float(np.abs(A).max(initial=0.0))
-    if s == 0.0 or not math.isfinite(s):
-        return s, None, None
-    B = A / s
-    return s, B, hashlib.sha256(B.tobytes()).digest()
-
-
-def _memo_norm(memo: dict, norm, A: np.ndarray, dom, cod, cfg) -> float:
-    """``norm(A, dom, cod, cfg)``, with one call per normalized matrix in ``memo``.
-
-    Exact, not approximate: with s = max|A|, the largest entry of A / s is
-    exactly 1.0, and the opnorm routes compute on the matrix divided by its
-    largest entry, so ``norm(A) == s * norm(A / s)`` bit for bit.  The memo
-    is keyed by the oracle, the spaces and a SHA-256 digest of A / s (a
-    digest, so a run holds no copies of its gaps) and must not outlive one
-    ``cfg``.  Zero and non-finite matrices go straight to the oracle.
-    """
-    s, B, digest = _normalized(A)
-    if B is None:
-        return norm(A, dom, cod, cfg)
-    key = (norm, dom, cod, digest)
-    if key not in memo:
-        memo[key] = norm(B, dom, cod, cfg)
-    return s * memo[key]
-
-
-def _lower_values(gaps, dom, cod, cfg, memo: dict) -> list[float]:
+def _lower_values(gaps, dom, cod, cfg) -> list[float]:
     """``matrix_opnorm(A, ...).lower.value`` of each gap, bit for bit.
 
-    Memoized as in :func:`_memo_norm`.  Each new normalized gap first gets
-    :func:`upper_certificate_only`, as ``operator_norm_bounds`` does; an
-    exact certificate is its own lower value.  The other gaps are held until
-    every gap is seen and then go to one ``multistart_lower_many`` call with
-    stream 0, the stream ``matrix_opnorm`` uses: their largest entry is 1.0,
-    so ``operator_norm_bounds`` would run the ascent on them unscaled.  Only
-    those gaps are held, so a run of exact gaps keeps none of them.
+    One oracle call per distinct normalized gap, and exact: with s = max|A|,
+    the largest entry of A / s is exactly 1.0, and the opnorm routes compute
+    on the matrix divided by its largest entry, so value(A) == s * value(A / s)
+    bit for bit.  The memo is local to the call, whose gaps share one pair of
+    spaces, and keyed by a SHA-256 digest of A / s alone (so a run holds no
+    copies of its gaps).  Zero and non-finite gaps go straight to the oracle.
+
+    Each new normalized gap first gets :func:`upper_certificate_only`, as
+    ``operator_norm_bounds`` does; an exact certificate is its own lower
+    value.  The others are held until every gap is seen, then go to one
+    ``multistart_lower_many`` call with stream 0, the stream
+    ``matrix_opnorm`` uses (their largest entry is 1.0, so
+    ``operator_norm_bounds`` would run the ascent on them unscaled).
     """
-    steps, pending = [], {}  # steps: (s, key), or (value, None) for a zero or non-finite gap
+    memo, pending = {}, {}
+    steps = []  # (s, digest), or (value, None) for a zero or non-finite gap
     for A in gaps:
-        s, B, digest = _normalized(A)
-        if B is None:
+        s = float(np.abs(A).max(initial=0.0))
+        if s == 0.0 or not math.isfinite(s):
             steps.append((matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value, None))
             continue
-        key = (_lower_values, dom, cod, digest)
+        B = A / s
+        key = hashlib.sha256(B.tobytes()).digest()
         if key not in memo and key not in pending:
             upper = upper_certificate_only(B, dom, cod, cfg)
             if upper.kind == "exact":
@@ -229,16 +205,6 @@ def _lower_values(gaps, dom, cod, cfg, memo: dict) -> list[float]:
         certs = multistart_lower_many(np.stack(list(pending.values())), dom, cod, cfg, 0)
         memo.update(zip(pending, (c.value for c in certs)))
     return [v if key is None else v * memo[key] for v, key in steps]
-
-
-def _seq_gap_q1(seq: OperatorSequence, M1: np.ndarray, q1: float, cfg, memo) -> float:
-    # only member 0 moves; the others give an exact 0.0, as the zero-matrix certificate would
-    vals = np.zeros(len(seq))
-    if not np.array_equal(M1, seq.mats[0]):
-        vals[0] = _memo_norm(
-            memo, _upper_value, M1 - seq.mats[0], seq.domain, seq.codomains[0], cfg
-        )
-    return pnorm(vals, q1)
 
 
 def _multiplier_gap(m, lam, theta, d_sym, L1, T1) -> np.ndarray:
@@ -278,15 +244,18 @@ def continuity_suite(
     formed from a parameter difference and so is computed at the gap's own
     scale.
 
-    Every norm goes through a memo local to the call, keyed by the matrix
-    divided by its largest entry: the opnorm values are exactly homogeneous,
-    so a step whose gap is a scalar multiple of an earlier one (a base^-n
-    bump of the symbol or of one sequence) reuses that step's oracle call
-    and gets the value a fresh call would give, bit for bit.  Every step's
-    gap is measured before any bound is checked: each distinct normalized
-    gap gets its upper certificate, and those that are not exact go to one
-    ``multistart_lower_many`` call, so ``measured`` is what
+    Every gap is measured by :func:`_lower_values` before any bound is
+    checked, with one oracle call per distinct normalized gap: a step whose
+    gap is a scalar multiple of an earlier one (a base^-n bump of the symbol
+    or of one sequence) reuses that step's call, and ``measured`` is what
     ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
+
+    The parameter distances are read off the bumped entries.  The symbol
+    moves by s e_1 and member 0 of a sequence by s E, E = e_1 e_1^T, and
+    ||s E||_{p->q} = |s| for all p, q: ||E x||_q = |x_0| <= ||x||_p, with
+    equality at x = e_1.  The l^q1 aggregate over members with one nonzero
+    member is that member's norm, so every distance is |s|, as the oracle
+    and ``pnorm`` would give it bit for bit.
 
     ``bessel``, when given, is the pair (B_lam, B_theta) that the theorem
     bounds assume and must hold proven upper Bessel bounds of ``lam`` and
@@ -324,11 +293,10 @@ def continuity_suite(
     cfg = cfg or DEFAULT_CONFIG
     if kind not in CONTINUITY_KINDS:
         raise ValueError(f"kind must be one of {CONTINUITY_KINDS}, got {kind!r}")
-    if p1 <= 1.0:
+    if not p1 > 1.0:  # NaN included
         raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
     if cfg.n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
-    q1 = conjugate_exponent(p1)
 
     check_pairing(m, lam, theta)
     if bessel is None:
@@ -350,25 +318,26 @@ def continuity_suite(
         B1 = max(upper_with(lam, L1) for _, _, L1, _ in ends)
         B2 = max(upper_with(theta, T1) for _, _, _, T1 in ends)
 
-    memo: dict = {}
     gaps = (_multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
-    measured_all = _lower_values(gaps, theta.domain, lam.domain.dual, cfg, memo)
+    measured_all = _lower_values(gaps, theta.domain, lam.domain.dual, cfg)
+    L, T = lam.mats[0], theta.mats[0]
     traces: list[ContinuityTrace] = []
     for (n, d_sym, L1, T1), measured in zip(steps, measured_all):
-        sym_gap = pnorm(d_sym, p1)
+        # each parameter distance is the norm of a multiple of e_1 or E: |s| (docstring)
+        sym_gap = float(abs(d_sym[0]))
+        lam_gap = float(abs(L1[0, 0] - L[0, 0]))
+        theta_gap = float(abs(T1[0, 0] - T[0, 0]))
         components = None
         if kind == "symbol":
             deviation = sym_gap
             bound = B_lam * B_theta * sym_gap
         elif kind == "theta":
-            deviation = _seq_gap_q1(theta, T1, q1, cfg, memo)
-            bound = B_lam * m_p1 * deviation
+            deviation = theta_gap
+            bound = B_lam * m_p1 * theta_gap
         elif kind == "lambda":
-            deviation = _seq_gap_q1(lam, L1, q1, cfg, memo)
-            bound = B_theta * m_p1 * deviation
+            deviation = lam_gap
+            bound = B_theta * m_p1 * lam_gap
         else:
-            lam_gap = _seq_gap_q1(lam, L1, q1, cfg, memo)
-            theta_gap = _seq_gap_q1(theta, T1, q1, cfg, memo)
             components = (
                 B1 * B2 * sym_gap,
                 B2 * m_p1 * lam_gap,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,12 +243,12 @@ def test_nonpositive_n_max_exits_2(tmp_path, capsys):
 def test_p1_zero_is_rejected_not_defaulted(tmp_path, capsys):
     # p1 = 0 is a given value below 1, not a missing one
     path, _ = _gen_instance(tmp_path)
-    for p1 in ("0", "0.5"):
+    for p1 in ("0", "0.5", "nan"):
         rc = main(["continuity", str(path), "--kind", "joint", "--p1", p1])
         assert rc == 2, p1
         assert "p1 must exceed 1" in capsys.readouterr().err
     doc = json.loads(path.read_text())
-    for p1 in (0, 0.5):
+    for p1 in (0, 0.5, math.nan):  # json writes the nan as NaN, which parse reads back
         bad = tmp_path / "p1.json"
         bad.write_text(json.dumps({**doc, "p1": p1}), encoding="utf-8")
         rc = main(["check", str(bad), "--suites", "continuity"])

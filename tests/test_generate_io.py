@@ -89,6 +89,16 @@ def test_parse_rejects_a_non_integer_dim(field, dim):
         pg.parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("family", ["lam", "theta"])
+@pytest.mark.parametrize("entry", [True, "1.5", None])
+def test_parse_rejects_a_non_number_matrix_entry(family, entry):
+    # asarray alone would read True as 1.0, "1.5" as 1.5 and None as nan
+    doc = _bessel_doc()
+    doc[family][1][0][0] = entry
+    with pytest.raises(pg.InstanceFormatError, match=rf"{family}\[1\]: entries must be numbers"):
+        pg.parse(json.dumps(doc))
+
+
 def test_gen_riesz_confirms_kind():
     inst = pg.gen("riesz", x2_dim=4, y_dims=[2, 2], seed=7)
     assert pg.classify(inst.lam_sequence()).is_riesz

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -156,6 +158,33 @@ def test_continuity_rejects_unknown_kind():
         pg.continuity_suite(
             "unknown", m, SELECTORS, SELECTORS, p1=2.0, cfg=pg.NumericsConfig(n_max=3)
         )
+
+
+@pytest.mark.parametrize("p1", [1.0, 0.0, float("nan")])
+def test_continuity_rejects_p1_not_above_one(p1):
+    # a NaN p1 fails every comparison, so it needs the named rejection too
+    m = pg.Symbol([1.0, 1.0])
+    with pytest.raises(ValueError, match="p1 must exceed 1"):
+        pg.continuity_suite("joint", m, SELECTORS, SELECTORS, p1=p1, cfg=pg.NumericsConfig(n_max=3))
+
+
+BUMP_EXPONENTS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 96), (96, 2), (5, 7)])
+def test_one_entry_bump_norm_is_its_size(shape):
+    # the suite reads each parameter distance off the bumped entry: ||s E|| and
+    # the norm of s e_1 are exactly |s| for every exponent pair and scale
+    cfg = pg.NumericsConfig()
+    for p, q in itertools.product(BUMP_EXPONENTS, BUMP_EXPONENTS):
+        for s in (1.0, -(2.0 ** -40), 0.3, -1.7, 3e200, -5e-300, 2.0 ** -1074):
+            E = np.zeros(shape)
+            E[0, 0] = s
+            dom, cod = pg.SpaceSpec(shape[1], p), pg.SpaceSpec(shape[0], q)
+            assert pg.upper_certificate_only(E, dom, cod, cfg).value == abs(s), (p, q, s)
+            v = np.zeros(shape[0])
+            v[0] = s
+            assert pg.pnorm(v, q) == abs(s), (q, s)
 
 
 def test_continuity_needs_a_step():
@@ -387,6 +416,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     cfg = pg.NumericsConfig(n_max=40)
     gap_spaces = (theta.domain, lam.domain.dual)
     sent, ascents = [], []  # normalized gaps sent to the oracle; stack sizes of the ascents
+    member_shaped = []  # oracle calls on a matrix of member 0's shape: the deviations need none
     upper, opnorm, many = (
         perturbation.upper_certificate_only,
         perturbation.matrix_opnorm,
@@ -396,6 +426,8 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     def counting_upper(A, dom, cod, *args):
         if (dom, cod) == gap_spaces:
             sent.append(A)
+        if A.shape in (lam.mats[0].shape, theta.mats[0].shape):
+            member_shaped.append(A)
         return upper(A, dom, cod, *args)
 
     def counting_opnorm(A, *args):
@@ -418,6 +450,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind
     assert sum(per_kind[k][0] for k in ("symbol", "theta", "lambda")) <= 10, per_kind
     assert per_kind["joint"] == (40, [40]), per_kind
+    assert member_shaped == []
 
 
 # small-grid seed 1, instance 6: the pair whose certified Bessel bound is not

@@ -107,7 +107,16 @@ def _dec_seed(raw) -> int:
 def _dec_symbol(raw) -> np.ndarray:
     if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
         raise InstanceFormatError(f"symbol: expected a list of numbers, got {raw!r}")
-    return np.array(raw, dtype=float)
+    arr = np.array(raw, dtype=float)
+    _require_finite(arr, "symbol")
+    return arr
+
+
+def _require_finite(arr: np.ndarray, field: str) -> None:
+    # json.loads reads the literals NaN, Infinity and -Infinity as floats
+    if not np.isfinite(arr).all():
+        bad = float(arr[~np.isfinite(arr)][0])
+        raise InstanceFormatError(f"{field}: entries must be finite, got {bad!r}")
 
 
 def _enc_space(s: SpaceSpec) -> dict:
@@ -159,6 +168,7 @@ def _dec_mats(raw, field: str) -> tuple[np.ndarray, ...]:
         if not all(_NUMBER_TYPES.issuperset(map(type, row)) for row in m):
             bad = next(v for row in m for v in row if type(v) not in _NUMBER_TYPES)
             raise InstanceFormatError(f"{field}[{i}]: entries must be numbers, got {bad!r}")
+        _require_finite(arr, f"{field}[{i}]")
         out.append(arr)
     return tuple(out)
 

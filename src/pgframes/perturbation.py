@@ -14,14 +14,19 @@ theorem bound it must respect.  The schedule moves symbol entry 0 and entry
 formed from the parameter differences themselves: no multiplier is assembled
 and no digits are lost to subtracting two nearly equal matrices.  The
 parameter distances of the bounds need no oracle: each is the norm of s e_1
-or s E with E = e_1 e_1^T, and ||s E|| = |s| for every exponent pair.  Each
-run makes one oracle call per distinct normalized gap:
-the opnorm values are exactly homogeneous (value(A) = s value(A / s) bit for
-bit, with s = max|A|), so a step whose gap is a scalar multiple of an
-earlier step's, as on a base^-n schedule that bumps one ingredient, reuses
-that step's call.  The gaps whose upper certificate is not exact, such as
-the 40 distinct gaps of a ``joint`` run between non-Euclidean spaces, share
-one lockstep ascent (``opnorm.multistart_lower_many``), which gives each the
+or s E with E = e_1 e_1^T, and ||s E|| = |s| for every exponent pair.
+
+When both gap spaces are Euclidean, every gap of a run is measured from its
+factors: the gap is P Q^T with thin factors of 3k columns (k the row count of
+member 0), and its spectral norm is that of a core of at most 3k x 3k, so no
+n x n gap is formed.  The memo and the lockstep ascent serve non-Euclidean
+gap spaces only.  There each run makes one oracle call per distinct
+normalized gap: the opnorm values are exactly homogeneous (value(A) =
+s value(A / s) bit for bit, with s = max|A|), so a step whose gap is a
+scalar multiple of an earlier step's, as on a base^-n schedule that bumps
+one ingredient, reuses that step's call.  The gaps whose upper certificate
+is not exact, such as the 40 distinct gaps of a ``joint`` run, share one
+lockstep ascent (``opnorm.multistart_lower_many``), which gives each the
 value a call of its own would give, bit for bit.  The Bessel bounds B1, B2
 of the perturbed sequences in a ``joint`` run come from the two ends of the
 schedule, whose bump is affine in one entry, so a norm of it is convex along
@@ -163,7 +168,9 @@ class ContinuityTrace:
     n: int
     kind: str
     deviation: float        # the parameter distance; for joint, the largest of the three
-    measured: float         # witness-backed estimate of the multiplier gap norm
+    # the multiplier gap norm: exact up to rounding between Euclidean spaces,
+    # a witness-backed lower estimate otherwise
+    measured: float
     bound: float            # theorem bound at this step
     components: tuple[float, ...] | None = None  # the three terms of the joint bound
 
@@ -207,6 +214,50 @@ def _lower_values(gaps, dom, cod, cfg) -> list[float]:
     return [v if key is None else v * memo[key] for v, key in steps]
 
 
+def _euclidean_gap_norms(m, lam, theta, steps) -> list[float]:
+    """The spectral norm of each step's multiplier gap, computed from its factors.
+
+    A step's gap (:func:`_multiplier_gap`) is exactly P Q^T with
+    P = [L1^T | (L1 - L_0)^T | L_0^T] and
+    Q = [d T1^T | m_0 T1^T | m_0 (T1 - T_0)^T], d = d_sym[0]; a term whose
+    parameter difference is zero contributes zero columns, so the block
+    shapes stay uniform along the run and a step that moves nothing has a
+    zero core.  With thin QRs P = U_P R_P and Q = U_Q R_Q, the U with
+    orthonormal columns, P Q^T = U_P (R_P R_Q^T) U_Q^T, so
+    ||P Q^T||_2 = ||R_P R_Q^T||_2: one QR per stacked factor and one SVD of
+    the stacked cores, each at most 3k x 3k, serve the whole run.
+
+    The value is ||C v|| / ||v|| for a core C and its computed top right
+    singular vector v, not the computed singular value: its error is of
+    second order in v's, which roughly halves the worst error against the
+    exact gap norm.  Member 0 of each sequence is first divided by a power
+    of two at the largest entry along the run (exact), and the values are
+    scaled back at the end, so no factor overflows or underflows where the
+    gap does not (with lam x 1e306 and theta x 1e-306, say, d T1^T would
+    be subnormal).
+    """
+
+    def exponent(A: np.ndarray) -> int:
+        s = float(np.abs(A).max())
+        return math.frexp(s)[1] if math.isfinite(s) else 0
+
+    L1s = np.stack([L1 for _, _, L1, _ in steps])
+    T1s = np.stack([T1 for _, _, _, T1 in steps])
+    eL, eT = exponent(L1s), exponent(T1s)
+    L1s, L = np.ldexp(L1s, -eL), np.ldexp(lam.mats[0], -eL)
+    T1s, T = np.ldexp(T1s, -eT), np.ldexp(theta.mats[0], -eT)
+    m0 = m.entries[0]
+    d = np.array([d_sym[0] for _, d_sym, _, _ in steps])[:, None, None]
+    P = np.concatenate((L1s, L1s - L, np.broadcast_to(L, L1s.shape)), axis=1)
+    Q = np.concatenate((d * T1s, m0 * T1s, m0 * (T1s - T)), axis=1)
+    R_P = np.linalg.qr(P.transpose(0, 2, 1), mode="r")
+    R_Q = np.linalg.qr(Q.transpose(0, 2, 1), mode="r")
+    cores = R_P @ R_Q.transpose(0, 2, 1)
+    v = np.linalg.svd(cores)[2][:, 0, :, None]
+    norms = np.linalg.norm(cores @ v, axis=(1, 2)) / np.linalg.norm(v, axis=(1, 2))
+    return [math.ldexp(x, eL + eT) for x in norms.tolist()]
+
+
 def _multiplier_gap(m, lam, theta, d_sym, L1, T1) -> np.ndarray:
     """The multiplier gap of a step that moves member 0 only, to (m_0 + d_sym[0], L1, T1).
 
@@ -244,11 +295,17 @@ def continuity_suite(
     formed from a parameter difference and so is computed at the gap's own
     scale.
 
-    Every gap is measured by :func:`_lower_values` before any bound is
-    checked, with one oracle call per distinct normalized gap: a step whose
-    gap is a scalar multiple of an earlier one (a base^-n bump of the symbol
-    or of one sequence) reuses that step's call, and ``measured`` is what
-    ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
+    Every gap is measured before any bound is checked.  When both gap
+    spaces (``theta.domain`` and ``lam.domain.dual``) are Euclidean,
+    :func:`_euclidean_gap_norms` reads all of them off the SVDs of small
+    cores of their factors (proof there): no gap is formed, and ``measured``
+    is the gap's spectral norm up to rounding.  Otherwise the gaps go to
+    :func:`_lower_values`, whose memo and lockstep ascent serve the
+    non-Euclidean spaces only: one oracle call per distinct normalized gap,
+    so a step whose gap is a scalar multiple of an earlier one (a base^-n
+    bump of the symbol or of one sequence) reuses that step's call, and
+    ``measured`` is what ``matrix_opnorm(gap, ...).lower.value`` gives, bit
+    for bit.
 
     The parameter distances are read off the bumped entries.  The symbol
     moves by s e_1 and member 0 of a sequence by s E, E = e_1 e_1^T, and
@@ -318,8 +375,12 @@ def continuity_suite(
         B1 = max(upper_with(lam, L1) for _, _, L1, _ in ends)
         B2 = max(upper_with(theta, T1) for _, _, _, T1 in ends)
 
-    gaps = (_multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
-    measured_all = _lower_values(gaps, theta.domain, lam.domain.dual, cfg)
+    gap_dom, gap_cod = theta.domain, lam.domain.dual
+    if gap_dom.is_euclidean and gap_cod.is_euclidean:
+        measured_all = _euclidean_gap_norms(m, lam, theta, steps)
+    else:
+        gaps = (_multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
+        measured_all = _lower_values(gaps, gap_dom, gap_cod, cfg)
     L, T = lam.mats[0], theta.mats[0]
     traces: list[ContinuityTrace] = []
     for (n, d_sym, L1, T1), measured in zip(steps, measured_all):

@@ -99,6 +99,24 @@ def test_parse_rejects_a_non_number_matrix_entry(family, entry):
         pg.parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["symbol", "lam", "theta"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_a_non_finite_literal(field, literal):
+    # json.loads reads these literals as floats, so the type check passes them
+    doc = _bessel_doc()
+    value = float(literal.lower().replace("infinity", "inf"))
+    if field == "symbol":
+        doc["symbol"][0] = value
+        name = "symbol"
+    else:
+        doc[field][1][0][0] = value
+        name = f"{field}[1]"
+    text = json.dumps(doc)  # writes the literal
+    assert literal in text
+    with pytest.raises(pg.InstanceFormatError, match=rf"{re.escape(name)}: entries must be finite"):
+        pg.parse(text)
+
+
 def test_gen_riesz_confirms_kind():
     inst = pg.gen("riesz", x2_dim=4, y_dims=[2, 2], seed=7)
     assert pg.classify(inst.lam_sequence()).is_riesz

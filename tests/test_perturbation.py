@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -281,33 +282,154 @@ PAIR6 = pg.gen("riesz-pair", x2_dim=6, y_dims=[2, 2, 2], seed=11)
 
 
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
-def test_continuity_gap_matches_exact_reference(kind, recorded_gaps):
+def test_continuity_gap_matches_exact_reference(kind):
+    # the dense gap of the non-Euclidean route, entry by entry, against exact
+    # rational arithmetic; l^2 runs measure the same gaps from their factors
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-    cfg = pg.NumericsConfig(n_max=40)
-    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
+    steps = perturbation._schedule(kind, m, lam, theta, 40)
     gen = _reference_generator(kind, m, lam, theta)
     for n in (10, 25, 40):
-        err = _exact_gap_error(recorded_gaps[n - 1], (m, lam, theta), gen(n))
+        _, d_sym, L1, T1 = steps[n - 1]
+        gap = perturbation._multiplier_gap(m, lam, theta, d_sym, L1, T1)
+        err = _exact_gap_error(gap, (m, lam, theta), gen(n))
         assert err <= 1e-15, (n, err)
 
 
+def _exact_gap_norm(base, new):
+    # spectral norm of the exact rational gap, to 60 digits
+    import mpmath
+
+    M0, M1 = _exact_multiplier(*base), _exact_multiplier(*new)
+    with mpmath.workdps(60):
+        gap = mpmath.matrix(
+            [[mpmath.mpf(d.numerator) / d.denominator for d in (b - a for a, b in zip(r0, r1))]
+             for r0, r1 in zip(M0, M1)]
+        )
+        return max(mpmath.svd_r(gap, compute_uv=False))
+
+
+L2_PAIRS = [pg.gen("riesz-pair", x2_dim=d, y_dims=[2] * (d // 2), seed=11) for d in (6, 8, 16)]
+
+
+@pytest.mark.parametrize("inst", L2_PAIRS, ids=lambda inst: f"dim{inst.x2.dim}")
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
-def test_continuity_schedule_that_rounds_away(kind, recorded_gaps):
+def test_continuity_measured_matches_exact_reference(kind, inst):
+    # the factored l^2 route against the norm of the exact gap
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
+    gen = _reference_generator(kind, m, lam, theta)
+    for n in (10, 25, 40):
+        exact = _exact_gap_norm((m, lam, theta), gen(n))
+        err = float(abs(traces[n - 1].measured - exact) / exact)
+        assert err <= 1e-15, (n, err)
+
+
+def test_continuity_measured_at_a_step_where_the_core_svd_alone_is_off():
+    # joint step 33 on this pair: the core's computed top singular value
+    # alone misses the exact norm by about 1.0e-15 relative; ||C v|| / ||v||
+    # at its singular vector v does not
+    inst = pg.gen("riesz-pair", x2_dim=16, y_dims=[2] * 8, seed=1)
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
+    exact = _exact_gap_norm((m, lam, theta), _reference_generator("joint", m, lam, theta)(33))
+    assert float(abs(traces[32].measured - exact) / exact) <= 5e-16
+
+
+def _rounds_away_pair():
     # 2^60 + 2^-n rounds back to 2^60 for every n: no step moves anything
     big = 2.0 ** 60
     e = PAIR6.symbol_obj().entries.copy()
     e[0] = big
-    lam, theta = PAIR6.lam_sequence(), PAIR6.theta_sequence()
     seqs = []
-    for seq in (lam, theta):
+    for seq in (PAIR6.lam_sequence(), PAIR6.theta_sequence()):
         mats = [a.copy() for a in seq.mats]
         mats[0][0, 0] = big
         seqs.append(_with_mats(seq, mats))
+    return pg.Symbol(e), *seqs
+
+
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_continuity_schedule_that_rounds_away(kind):
+    # every factored core is zero, so every measured gap is exactly 0.0
     cfg = pg.NumericsConfig(n_max=40)
-    traces = pg.continuity_suite(kind, pg.Symbol(e), *seqs, p1=2.0, cfg=cfg)
+    traces = pg.continuity_suite(kind, *_rounds_away_pair(), p1=2.0, cfg=cfg)
     assert len(traces) == 40
     assert all(t.deviation == t.measured == t.bound == 0.0 for t in traces)
+
+
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_dense_gaps_of_a_schedule_that_rounds_away(kind, recorded_gaps):
+    # the same pair on non-Euclidean domains: the dense gaps are all zero
+    m, *seqs = _rounds_away_pair()
+    lam, theta = (
+        pg.OperatorSequence(pg.SpaceSpec(s.domain.dim, r), s.codomains, s.mats, s.frame_exponent)
+        for s, r in zip(seqs, (1.5, 3.0))
+    )
+    cfg = pg.NumericsConfig(n_max=40)
+    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
+    assert all(t.deviation == t.measured == t.bound == 0.0 for t in traces)
     assert len(recorded_gaps) == 40 and not any(g.any() for g in recorded_gaps)
+
+
+# x2_dim != x1_dim, and 3 k_0 = 6 columns per factor exceed both
+BESSEL_PAIR = pg.gen("bessel", x2_dim=4, x1_dim=3, y_dims=[2, 3], seed=5)
+
+
+def _scaled(inst, lam_factor, theta_factor):
+    lam, theta = inst.lam_sequence(), inst.theta_sequence()
+    return (
+        inst.symbol_obj(),
+        _with_mats(lam, [a * lam_factor for a in lam.mats]),
+        _with_mats(theta, [a * theta_factor for a in theta.mats]),
+    )
+
+
+PAIR4 = pg.gen("riesz-pair", x2_dim=4, y_dims=[2, 2], seed=11)
+
+
+@pytest.mark.parametrize(
+    "ingredients, n_max",
+    [
+        (_scaled(BESSEL_PAIR, 1.0, 1.0), 40),
+        (_scaled(PAIR6, 1.0, 1.0), 1),
+        (_scaled(PAIR4, 1e160, 1e-160), 40),  # the extreme-scaling CI instance
+        (_scaled(PAIR4, 1e306, 1e-306), 40),  # unscaled, d T1^T would be subnormal
+    ],
+    ids=["bessel-nonsquare", "n_max-1", "lam1e160-theta1e-160", "lam1e306-theta1e-306"],
+)
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_l2_gap_route_matches_dense(kind, ingredients, n_max):
+    m, lam, theta = ingredients
+    cfg = pg.NumericsConfig(n_max=n_max)
+    traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
+    assert len(traces) == n_max
+    for t, (_, d_sym, L1, T1) in zip(traces, perturbation._schedule(kind, m, lam, theta, n_max)):
+        gap = perturbation._multiplier_gap(m, lam, theta, d_sym, L1, T1)
+        dense = pg.matrix_opnorm(gap, 2.0, 2.0, cfg).lower.value
+        assert abs(t.measured - dense) <= 1e-15 * dense, (t.n, t.measured, dense)
+
+
+@pytest.mark.parametrize("inst", [PAIR6, BESSEL_PAIR], ids=["riesz-pair", "bessel"])
+@pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
+def test_l2_gap_route_forms_no_gap(monkeypatch, recorded_uppers, kind, inst):
+    # no dense gap is formed, hashed for the memo, or given an SVD: every
+    # n_L x n_T SVD of the run is a Bessel certificate's
+    gaps, digests, svd_shapes = [], [], []
+    real_gap, real_sha, real_svd = perturbation._multiplier_gap, hashlib.sha256, np.linalg.svd
+
+    def svd(A, *args, **kwargs):
+        svd_shapes.append(np.shape(A))
+        return real_svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "_multiplier_gap", lambda *a: gaps.append(a) or real_gap(*a))
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: digests.append(a) or real_sha(*a))
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
+    assert gaps == [] and digests == []
+    gap_shape = (lam.domain.dim, theta.domain.dim)
+    certified = sum(U.shape == gap_shape for U, _ in recorded_uppers)
+    assert svd_shapes.count(gap_shape) == certified, (svd_shapes, certified)
 
 
 @pytest.mark.parametrize(

@@ -44,10 +44,10 @@ overcomplete = row_sequence([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
 show("overcomplete triple", pg.classify(overcomplete))
 
 print()
-print("the two Riesz-basis characterizations, evaluated independently")
+print("the two Riesz-basis characterizations, read off the classification")
 print("-" * 72)
 for tag, seq in [("selectors", selectors), ("overcomplete", overcomplete)]:
-    eq = pg.riesz_equivalences_check(seq)
+    eq = pg.riesz_equivalences_check(seq, pg.classify(seq))
     print(
         f"{tag:14s} inequality={eq.riesz_inequality!s:5} "
         f"full rank={eq.full_rank!s:5} agree={eq.agree}"

@@ -26,7 +26,7 @@ from .perturbation import (
     continuity_suite,
     perturbation_check,
 )
-from .spaces import product_duality_gap
+from .spaces import SpaceSpec, product_duality_gap
 
 __all__ = ["CheckResult", "CheckReport", "SUITES", "run_checks"]
 
@@ -101,6 +101,8 @@ def _plain(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
+    if isinstance(obj, SpaceSpec):
+        return {"dim": obj.dim, "exponent": str(obj.exponent)}
     return obj
 
 
@@ -161,10 +163,10 @@ def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckRes
     return CheckResult("classify", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_equivalences(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResult:
+def _check_equivalences(inst: Instance, classified) -> CheckResult:
     values, ok, notes = {}, True, []
     for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
-        eq = riesz_equivalences_check(seq, cfg, bessel=bessel(tag))
+        eq = riesz_equivalences_check(seq, classified(tag))
         values[f"{tag}.conditions"] = [eq.riesz_inequality, eq.full_rank]
         if not eq.agree:
             ok = False
@@ -388,13 +390,13 @@ def run_checks(
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
-    # classify, bounds and dual share one report per sequence, made on first
-    # use so that a failure lands in the suite that asked for it
+    # classify, equivalences, bounds and dual share one report per sequence,
+    # made on first use so that a failure lands in the suite that asked for it
     sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
     classified = functools.cache(lambda tag: classify(sequences[tag](), cfg))
-    # equivalences, perturb and continuity assume one certified Bessel bound
-    # per sequence.  classify's report holds the same value, but reading it
-    # there would make those suites classify, and fail when classify fails
+    # perturb and continuity assume one certified Bessel bound per sequence.
+    # classify's report holds the same value, but reading it there would make
+    # those suites classify, and fail when classify fails
     bessel = functools.cache(lambda tag: analysis_upper(sequences[tag](), cfg))
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(
@@ -407,7 +409,7 @@ def run_checks(
             if name == "classify":
                 res = _check_classify(inst, cfg, classified)
             elif name == "equivalences":
-                res = _check_equivalences(inst, cfg, bessel)
+                res = _check_equivalences(inst, classified)
             elif name == "duality":
                 res = _check_duality(inst, cfg)
             elif name == "bounds":
@@ -428,12 +430,12 @@ def run_checks(
         results.append(
             CheckResult(res.name, res.status, res.reason, res.values, wall)
         )
+    # the instance's own specs, rendered by to_dict: a report kept alive holds
+    # no per-component copies
     summary = {
-        "x1": {"dim": inst.x1.dim, "exponent": str(inst.x1.exponent)},
-        "x2": {"dim": inst.x2.dim, "exponent": str(inst.x2.exponent)},
-        "components": [
-            {"dim": c.dim, "exponent": str(c.exponent)} for c in inst.components
-        ],
+        "x1": inst.x1,
+        "x2": inst.x2,
+        "components": inst.components,
         "frame_exponent": inst.frame_exponent,
         "index_count": len(inst.components),
         "seed": inst.seed,

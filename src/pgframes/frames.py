@@ -16,6 +16,13 @@ left-inverse certificate 1/upper(||P||) with P F = I otherwise.  Its
 witness-backed companion has a single route too, ``min_ratio_estimate``,
 which for a square F of full rank is one over the ascent on F^{-1}.
 
+``riesz_equivalences_check`` reads the paper's two Riesz-basis
+characterizations (g-complete with the two-sided synthesis inequality, and
+bijective synthesis) off that one report.  It is not a second route: an
+ascent on S would repeat the one on F^{-1}, and rank S is rank F.  The
+independent probes of the constants are sampled ratios, held against [A, B]
+by the ``classify`` suite and against [1/B, 1/A] by the ``dual`` suite.
+
 ``dual_riesz_basis`` inverts the synthesis matrix and reads its block rows as
 the coefficient-extracting dual sequence; biorthogonality and reconstruction
 are checked on construction.
@@ -33,7 +40,7 @@ from .opnorm import (
     operator_norm_bounds,
     upper_certificate_only,
 )
-from .operators import OperatorSequence, analysis_upper, synthesis_matrix
+from .operators import OperatorSequence, synthesis_matrix
 from .spaces import conjugate_exponent
 
 __all__ = [
@@ -221,46 +228,26 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
 class RieszEquivalences:
     """Evaluations of the two Riesz-basis characterizations."""
 
-    riesz_inequality: bool  # two-sided synthesis inequality constants positive
-    full_rank: bool         # synthesis injective, equivalently analysis onto
+    riesz_inequality: bool  # g-complete with two-sided synthesis inequality
+    full_rank: bool         # bijective synthesis
     agree: bool
 
 
-def riesz_equivalences_check(
-    seq: OperatorSequence,
-    cfg: NumericsConfig | None = None,
-    bessel: BoundCertificate | None = None,
-) -> RieszEquivalences:
-    """Evaluate the two equivalent Riesz-basis conditions independently.
+def riesz_equivalences_check(seq: OperatorSequence, report: FrameReport) -> RieszEquivalences:
+    """Read the two equivalent Riesz-basis conditions off ``classify``'s report.
 
-    The inequality condition compares a direct estimate of the synthesis
-    infimum with the certified Bessel bound, which is the synthesis norm
-    because synthesis is the adjoint of analysis.  The estimate is
-    :func:`min_ratio_estimate` on S; for square S it ascends on
-    S^{-1} = (F^{-1})^T between the dual spaces, a different iteration from
-    the one ``classify`` runs on F^{-1}.  The rank condition covers
-    both injectivity of the synthesis matrix S and surjectivity of the
-    stacked analysis matrix F = S^T, one condition since rank S = rank F.
-    Disagreement is reported, not raised; for a frame the two booleans are
-    equivalent in exact arithmetic.
-
-    ``bessel``, when given, is taken as the Bessel bound and must be a proven
-    upper Bessel bound of ``seq``.  Any such bound is a valid synthesis upper
-    bound; only ``analysis_upper(seq, cfg)``, which runs when it is None,
-    leaves the verdicts unchanged.
+    The inequality condition is ``report.is_riesz``: square, g-complete, and
+    the observed lower Riesz constant above ``FRAME_REL_THRESHOLD`` times the
+    observed Bessel norm, which is the synthesis norm because synthesis is
+    the adjoint of analysis.  The bijectivity condition is a square synthesis
+    matrix S of full rank, and rank S = rank F = ``report.rank_synthesis``.
+    Disagreement is reported, not raised; in exact arithmetic the two are
+    equivalent.  No second ascent or rank runs here (module docstring).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    S = synthesis_matrix(seq)
-    coeff = seq.coefficient_space()
-    xstar = seq.domain.dual
-
-    upper = analysis_upper(seq, cfg) if bessel is None else bessel
-    low_val, _ = min_ratio_estimate(S, coeff, xstar, cfg, stream=32)
-    cond_inequality = low_val > FRAME_REL_THRESHOLD * upper.value
-
-    cond_rank = int(np.linalg.matrix_rank(S)) == coeff.total_dim
+    coeff_dim = seq.coefficient_space().total_dim
+    full_rank = report.rank_synthesis == coeff_dim == seq.domain.dim
     return RieszEquivalences(
-        riesz_inequality=cond_inequality,
-        full_rank=cond_rank,
-        agree=cond_inequality == cond_rank,
+        riesz_inequality=report.is_riesz,
+        full_rank=full_rank,
+        agree=report.is_riesz == full_rank,
     )

@@ -278,7 +278,7 @@ def test_criterion_9_equivalences_agree():
         seq = _row_seq(mats, p=p)
         rep = pg.classify(seq, FAST)
         assert rep.is_frame == rep.g_complete, (trial, rep.is_frame, rep.g_complete)
-        eq = pg.riesz_equivalences_check(seq, FAST)
+        eq = pg.riesz_equivalences_check(seq, rep)
         assert eq.agree, (trial, eq)
         checked += 1
     assert deficient >= 50

@@ -100,12 +100,21 @@ def test_a_full_pass_certifies_each_bessel_bound_once(monkeypatch):
     assert (len(uppers), len(classifies)) == (6, 2)
 
 
-@pytest.mark.parametrize("suite", ["perturb", "equivalences", "continuity"])
+@pytest.mark.parametrize("suite", ["perturb", "continuity"])
 def test_suites_that_assume_a_bessel_bound_do_not_classify(monkeypatch, suite):
     classifies = _counted(monkeypatch, "frames", "classify")
     (res,) = checks.run_checks(_pair("lp"), [suite], pg.NumericsConfig(n_max=6)).results
     assert res.status == "pass"
     assert classifies == []
+
+
+def test_equivalences_reads_the_classify_reports(monkeypatch):
+    # one classify per sequence, shared by both suites, and no ascent of its own
+    classifies = _counted(monkeypatch, "frames", "classify")
+    ascents = _counted(monkeypatch, "opnorm", "min_ratio_estimate")
+    report = checks.run_checks(_pair("lp"), ["classify", "equivalences"])
+    assert [r.status for r in report.results] == ["pass", "pass"]
+    assert (len(classifies), len(ascents)) == (2, 2)
 
 
 def _values(obj):
@@ -123,10 +132,6 @@ def test_a_passed_bessel_bound_changes_no_value(space):
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     b_lam, b_theta = pg.analysis_upper(lam, cfg), pg.analysis_upper(theta, cfg)
 
-    for seq, b in ((lam, b_lam), (theta, b_theta)):
-        assert pg.riesz_equivalences_check(seq, cfg, bessel=b) == (
-            pg.riesz_equivalences_check(seq, cfg)
-        )
     near = pg.OperatorSequence(
         lam.domain, lam.codomains, tuple(1.01 * a for a in lam.mats), lam.frame_exponent
     )

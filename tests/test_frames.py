@@ -146,19 +146,34 @@ def test_dual_frame_bounds_sandwich():
             assert ratios.max() <= 1.0 / a_safe + 1e-9
 
 
+def _equivalences(seq):
+    return pg.riesz_equivalences_check(seq, pg.classify(seq))
+
+
 def test_riesz_equivalences_examples():
-    eq = pg.riesz_equivalences_check(SELECTORS)
+    eq = _equivalences(SELECTORS)
     assert (eq.riesz_inequality, eq.full_rank) == (True, True)
     assert eq.agree
 
     overcomplete = rows([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]])
-    eq = pg.riesz_equivalences_check(overcomplete)
+    eq = _equivalences(overcomplete)
     assert (eq.riesz_inequality, eq.full_rank) == (False, False)
     assert eq.agree
 
     single_block = rows(np.eye(2))
-    eq = pg.riesz_equivalences_check(single_block)
+    eq = _equivalences(single_block)
     assert eq.agree and eq.riesz_inequality
+
+    # fewer rows than the domain dimension: the synthesis is injective but
+    # not onto, so neither characterization holds
+    for short in (
+        rows([[1.0, 0.0]]),
+        rows([[1.0, 0.0]], p=1.5, inner=[3.0], dom_exp=3.0),
+        rows([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], domain_dim=3),
+    ):
+        eq = _equivalences(short)
+        assert (eq.riesz_inequality, eq.full_rank) == (False, False)
+        assert eq.agree
 
 
 def _sampled_ratios(seq, rng, count=1000):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .opnorm import BoundCertificate, BoundPair, operator_norm_bounds, upper_certificate_only
+from .opnorm import BoundCertificate, BoundPair, operator_norm_bounds_many, upper_certificate_only
 from .spaces import (
     DimensionMismatchError,
     ProductSpaceSpec,
@@ -31,6 +31,7 @@ __all__ = [
     "synthesis_apply",
     "synthesis_matrix",
     "analysis_opnorm",
+    "analysis_opnorm_many",
     "analysis_upper",
 ]
 
@@ -148,10 +149,22 @@ def synthesis_matrix(seq: OperatorSequence) -> np.ndarray:
 
 
 def analysis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:
-    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery."""
-    cfg = cfg or DEFAULT_CONFIG
-    return operator_norm_bounds(
-        seq.stacked(), seq.domain, seq.analysis_space(), cfg, stream=11
+    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery.
+    :func:`analysis_opnorm_many` on the one sequence ``seq``."""
+    return analysis_opnorm_many((seq,), cfg)[0]
+
+
+def analysis_opnorm_many(seqs, cfg: NumericsConfig | None = None) -> list[BoundPair]:
+    """:func:`analysis_opnorm` of each sequence, bit for bit, with one lockstep
+    ascent for all of them (``opnorm.operator_norm_bounds_many``).
+
+    The sequences must share the domain and the analysis space.
+    """
+    dom, cod = seqs[0].domain, seqs[0].analysis_space()
+    if any(s.domain != dom or s.analysis_space() != cod for s in seqs[1:]):
+        raise DimensionMismatchError("sequences live on different spaces")
+    return operator_norm_bounds_many(
+        np.stack([s.stacked() for s in seqs]), dom, cod, cfg, stream=11
     )
 
 

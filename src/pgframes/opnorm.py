@@ -17,8 +17,13 @@ spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
 The ascent has one route, ``multistart_lower_many``, which runs a stack of
 matrices in lockstep and gives each the bits of a run on it alone;
-``multistart_lower`` is its one-matrix case, and ``continuity_suite`` sends
-all the non-exact gaps of a run to one call.
+``multistart_lower`` is its one-matrix case.  Each iteration makes one
+norm-and-norming pass over A X (``norm_and_norming_many``): its norms end the
+iteration and its norming functionals start the next one.
+``operator_norm_bounds_many`` gives a stack its certificate pairs with one
+ascent for all its non-exact slices; ``operator_norm_bounds`` is its
+one-matrix case, ``perturbation_check`` sends its two Bessel-bound lower
+sides to one call, and ``continuity_suite`` its distinct gaps.
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
 inverse.
@@ -51,6 +56,7 @@ __all__ = [
     "VertexLimitError",
     "matrix_opnorm",
     "operator_norm_bounds",
+    "operator_norm_bounds_many",
     "min_ratio_estimate",
     "multistart_lower",
     "multistart_lower_many",
@@ -181,12 +187,12 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
         witnesses[slices] = best_X[rows, :, j]
 
     live = np.arange(len(A))
-    cod_dual = cod.dual
-    best_vals = cod.norm_many(A @ X)
+    # each norm step also gives the codomain norming functionals of A X,
+    # which the next iteration maps back: one product and one pass over A X
+    best_vals, Z = cod.norm_and_norming_many(A @ X)
     best_X = X.copy()
-    prev = best_vals.copy()
+    prev = best_vals
     for _ in range(cfg.max_iterations):
-        Z = cod_dual.witness_many(A @ X)
         Xn = dom.witness_many(np.swapaxes(A, -1, -2) @ Z)
         # The same test as norm == 0, without the norm: pnorm_many is 0 only
         # on an all-zero column.  Its sums and maxima of |x_i| are positive
@@ -198,21 +204,20 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
         if stalled.any():
             np.copyto(Xn, X, where=stalled[:, None, :])
         X = Xn
-        vals = cod.norm_many(A @ X)
+        vals, Z = cod.norm_and_norming_many(A @ X)
         improved = vals > best_vals
         if improved.any():
             best_vals = np.where(improved, vals, best_vals)
             np.copyto(best_X, X, where=improved[:, None, :])
-        done = np.all(
-            np.abs(vals - prev) <= RATIO_TOL * np.maximum(np.abs(vals), np.abs(prev)), axis=-1
-        )
+        # norms are nonnegative, so max(|vals|, |prev|) is max(vals, prev)
+        done = np.all(np.abs(vals - prev) <= RATIO_TOL * np.maximum(vals, prev), axis=-1)
         if done.any():
             finish(live[done], best_vals[done], best_X[done])
             if done.all():
                 return values, witnesses
             on = ~done
-            live, A, X, best_vals, best_X, vals = (
-                live[on], A[on], X[on], best_vals[on], best_X[on], vals[on]
+            live, A, X, Z, best_vals, best_X, vals = (
+                live[on], A[on], X[on], Z[on], best_vals[on], best_X[on], vals[on]
             )
         prev = vals
     finish(live, best_vals, best_X)
@@ -389,6 +394,34 @@ def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCer
     raise NotImplementedError("product-to-product norms are not needed here")
 
 
+def operator_norm_bounds_many(
+    As, dom, cod, cfg: NumericsConfig | None = None, stream: int = 0
+) -> list[BoundPair]:
+    """Certificate pairs for the dom -> cod operator norms of the slices of a
+    (k, m, n) stack.
+
+    Each slice's upper side is :func:`upper_certificate_only`, doubling as
+    the lower one when exact.  Every other slice is divided by its largest
+    entry, and all of them go to one :func:`multistart_lower_many` call,
+    whose certificates are scaled back; each pair has the bits of a call on
+    its slice alone.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    As = np.asarray(As, dtype=float)
+    uppers = [upper_certificate_only(A, dom, cod, cfg) for A in As]
+    idx = [i for i, u in enumerate(uppers) if u.kind != "exact"]
+    lowers = list(uppers)
+    if idx:
+        # the stack as given when every slice ascends: a copy could change a
+        # slice's memory layout, and so the rounding of its products
+        group = As if len(idx) == len(As) else As[idx]
+        scales = np.abs(group).max(axis=(-2, -1))
+        certs = multistart_lower_many(group / scales[:, None, None], dom, cod, cfg, stream)
+        for i, s, c in zip(idx, scales.tolist(), certs):
+            lowers[i] = c.scaled(s)
+    return [BoundPair(lo, up) for lo, up in zip(lowers, uppers)]
+
+
 def operator_norm_bounds(
     A: np.ndarray,
     dom,
@@ -397,24 +430,22 @@ def operator_norm_bounds(
     exact: str = "auto",
     stream: int = 0,
 ) -> BoundPair:
-    """Certificate pair for the dom -> cod operator norm of ``A``.
+    """Certificate pair for the dom -> cod operator norm of ``A``:
+    :func:`operator_norm_bounds_many` on the one-matrix stack ``A[None]``.
 
-    The upper side is :func:`upper_certificate_only`, doubling as the lower
-    one when exact; otherwise :func:`multistart_lower` supplies the lower side,
-    or ``exact='require'`` raises :class:`VertexLimitError`.
+    ``exact='require'`` runs no ascent: it returns the upper side as both
+    sides when exact, and otherwise raises :class:`VertexLimitError`.
     """
     cfg = cfg or DEFAULT_CONFIG
+    A = np.asarray(A, dtype=float)
+    if exact != "require":
+        return operator_norm_bounds_many(A[None], dom, cod, cfg, stream)[0]
     upper = upper_certificate_only(A, dom, cod, cfg)
-    if upper.kind == "exact":
-        return BoundPair(upper, upper)
-    if exact == "require":
+    if upper.kind != "exact":
         raise VertexLimitError(
             f"no closed form for this exponent pair (vertex_limit {cfg.vertex_limit})"
         )
-    A = np.asarray(A, dtype=float)
-    scale = float(np.abs(A).max())
-    lower = multistart_lower(A / scale, dom, cod, cfg, stream).scaled(scale)
-    return BoundPair(lower, upper)
+    return BoundPair(upper, upper)
 
 
 def matrix_opnorm(

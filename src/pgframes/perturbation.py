@@ -20,14 +20,15 @@ When both gap spaces are Euclidean, every gap of a run is measured from its
 factors: the gap is P Q^T with thin factors of 3k columns (k the row count of
 member 0), and its spectral norm is that of a core of at most 3k x 3k, so no
 n x n gap is formed.  The memo and the lockstep ascent serve non-Euclidean
-gap spaces only.  There each run makes one oracle call per distinct
-normalized gap: the opnorm values are exactly homogeneous (value(A) =
+gap spaces only.  There each run measures each distinct normalized gap
+once: the opnorm values are exactly homogeneous (value(A) =
 s value(A / s) bit for bit, with s = max|A|), so a step whose gap is a
 scalar multiple of an earlier step's, as on a base^-n schedule that bumps
-one ingredient, reuses that step's call.  The gaps whose upper certificate
-is not exact, such as the 40 distinct gaps of a ``joint`` run, share one
-lockstep ascent (``opnorm.multistart_lower_many``), which gives each the
-value a call of its own would give, bit for bit.  The Bessel bounds B1, B2
+one ingredient, reuses that step's value.  The distinct gaps go to one
+``opnorm.operator_norm_bounds_many`` call, in which those whose upper
+certificate is not exact, such as the 40 distinct gaps of a ``joint`` run,
+share one lockstep ascent that gives each the value a call of its own
+would give, bit for bit.  The Bessel bounds B1, B2
 of the perturbed sequences in a ``joint`` run come from the two ends of the
 schedule, whose bump is affine in one entry, so a norm of it is convex along
 the schedule (proof in :func:`continuity_suite`).
@@ -45,11 +46,11 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, check_pairing
-from .operators import OperatorSequence, analysis_opnorm, analysis_upper
+from .operators import OperatorSequence, analysis_opnorm_many, analysis_upper
 from .opnorm import (
     BoundCertificate,
     matrix_opnorm,
-    multistart_lower_many,
+    operator_norm_bounds_many,
     upper_certificate_only,
 )
 from .spaces import DimensionMismatchError, pnorm
@@ -143,11 +144,10 @@ def perturbation_check(
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
     B_base = analysis_upper(lam, cfg) if bessel is None else bessel
-    B_pert = analysis_opnorm(theta, cfg).lower
-    slack = B_base.value + K.value - B_pert.value
-
+    # both lower sides from one lockstep ascent, each with the bits of its own call
     diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
-    analysis_gap = analysis_opnorm(diff_seq, cfg).lower
+    B_pert, analysis_gap = (pair.lower for pair in analysis_opnorm_many((theta, diff_seq), cfg))
+    slack = B_base.value + K.value - B_pert.value
     return PerturbationReport(
         K=K,
         B_base=B_base,
@@ -178,21 +178,19 @@ class ContinuityTrace:
 def _lower_values(gaps, dom, cod, cfg) -> list[float]:
     """``matrix_opnorm(A, ...).lower.value`` of each gap, bit for bit.
 
-    One oracle call per distinct normalized gap, and exact: with s = max|A|,
+    One certificate pair per distinct normalized gap, and exact: with s = max|A|,
     the largest entry of A / s is exactly 1.0, and the opnorm routes compute
     on the matrix divided by its largest entry, so value(A) == s * value(A / s)
     bit for bit.  The memo is local to the call, whose gaps share one pair of
     spaces, and keyed by a SHA-256 digest of A / s alone (so a run holds no
     copies of its gaps).  Zero and non-finite gaps go straight to the oracle.
 
-    Each new normalized gap first gets :func:`upper_certificate_only`, as
-    ``operator_norm_bounds`` does; an exact certificate is its own lower
-    value.  The others are held until every gap is seen, then go to one
-    ``multistart_lower_many`` call with stream 0, the stream
-    ``matrix_opnorm`` uses (their largest entry is 1.0, so
-    ``operator_norm_bounds`` would run the ascent on them unscaled).
+    The distinct normalized gaps go to one ``operator_norm_bounds_many``
+    call with stream 0, the stream ``matrix_opnorm`` uses: its division by
+    their largest entry, 1.0, and the scaling back are exact, so the values
+    are those of one ``matrix_opnorm`` call per gap.
     """
-    memo, pending = {}, {}
+    distinct = {}
     steps = []  # (s, digest), or (value, None) for a zero or non-finite gap
     for A in gaps:
         s = float(np.abs(A).max(initial=0.0))
@@ -201,16 +199,12 @@ def _lower_values(gaps, dom, cod, cfg) -> list[float]:
             continue
         B = A / s
         key = hashlib.sha256(B.tobytes()).digest()
-        if key not in memo and key not in pending:
-            upper = upper_certificate_only(B, dom, cod, cfg)
-            if upper.kind == "exact":
-                memo[key] = upper.value
-            else:
-                pending[key] = B
+        distinct.setdefault(key, B)
         steps.append((s, key))
-    if pending:
-        certs = multistart_lower_many(np.stack(list(pending.values())), dom, cod, cfg, 0)
-        memo.update(zip(pending, (c.value for c in certs)))
+    memo = {}
+    if distinct:
+        pairs = operator_norm_bounds_many(np.stack(list(distinct.values())), dom, cod, cfg, 0)
+        memo = {key: pair.lower.value for key, pair in zip(distinct, pairs)}
     return [v if key is None else v * memo[key] for v, key in steps]
 
 
@@ -301,9 +295,9 @@ def continuity_suite(
     cores of their factors (proof there): no gap is formed, and ``measured``
     is the gap's spectral norm up to rounding.  Otherwise the gaps go to
     :func:`_lower_values`, whose memo and lockstep ascent serve the
-    non-Euclidean spaces only: one oracle call per distinct normalized gap,
-    so a step whose gap is a scalar multiple of an earlier one (a base^-n
-    bump of the symbol or of one sequence) reuses that step's call, and
+    non-Euclidean spaces only: each distinct normalized gap is measured
+    once, so a step whose gap is a scalar multiple of an earlier one (a base^-n
+    bump of the symbol or of one sequence) reuses that step's value, and
     ``measured`` is what ``matrix_opnorm(gap, ...).lower.value`` gives, bit
     for bit.
 

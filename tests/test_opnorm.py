@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import frozen_kernels as frozen
 import pgframes as pg
 from pgframes.config import NumericsConfig
 from pgframes.spaces import pnorm, pnorm_many
@@ -350,6 +351,23 @@ def test_lockstep_ascent_equals_per_call_ascent(p, r):
         As[1] *= 1e-3
         As[2, 0] = 0.0  # a zero row
         _assert_lockstep_is_per_call(As, dom, cod)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
+@pytest.mark.parametrize("r", [1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, INF])
+def test_lockstep_ascent_equals_the_frozen_loop(p, r):
+    # one norm-and-norming pass per iteration, carried into the next one,
+    # gives the values and witnesses of the loop that formed A X twice
+    rng = np.random.default_rng([67, int(min(p, 9) * 3), int(min(r, 9) * 3)])
+    cfg = NumericsConfig()
+    for dom, cod in _lockstep_spaces(p, r):
+        As = rng.standard_normal((6, cod.total_dim, dom.total_dim))
+        As[1] *= 1e-3
+        As[2, 0] = 0.0  # a zero row
+        for idx, X in pg.opnorm._start_bundles(As, dom, cfg, 3):
+            got = pg.opnorm._ascend(As[idx], X, dom, cod, cfg)
+            expect = frozen.ascend(As[idx], X, dom, cod, cfg.max_iterations)
+            assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
 
 
 def test_lockstep_slices_stop_at_their_own_iteration():

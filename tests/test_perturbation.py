@@ -52,6 +52,77 @@ def test_shape_mismatch_rejected():
         pg.perturbation_check(SELECTORS, rows(np.eye(2)))
 
 
+def _ladder_lp(n, seed):
+    return pg.gen("riesz-pair", x2_dim=n, y_dims=[2] * (n // 2), frame_exponent=1.5,
+                  y_exponents=[3.0] * (n // 2), seed=seed)
+
+
+def _small_grid(i, fe, ye, y_dims):
+    return pg.gen("riesz-pair", x2_dim=sum(y_dims), y_dims=list(y_dims), frame_exponent=fe,
+                  y_exponents=[ye] * len(y_dims), x2_exponent=ye, x1_exponent=fe, seed=1000 + i)
+
+
+# the seed-1 instances of the ladder-lp and small-grid benchmark workloads
+PERTURB_PAIR_INSTANCES = [_ladder_lp(n, 1000 + i) for i, n in enumerate((4, 8, 12, 16))] + [
+    _small_grid(4 * j + k, fe, ye, y_dims)
+    for j, (fe, ye) in enumerate(((1.5, 3.0), (3.0, 1.5), (1.25, 4.0)))
+    for k, y_dims in enumerate(((2,), (1, 1), (3,), (2, 1)))
+]
+
+
+def _per_call_bessel_lower(seq):
+    # one analysis_opnorm lower side on its own, by the route it took before
+    # the pair shared an ascent: upper first, then the ascent on U / max|U|
+    U, dom, cod = seq.stacked(), seq.domain, seq.analysis_space()
+    upper = pg.upper_certificate_only(U, dom, cod)
+    if upper.kind == "exact":
+        return upper
+    s = float(np.abs(U).max())
+    return pg.opnorm.multistart_lower(U / s, dom, cod, pg.NumericsConfig(), 11).scaled(s)
+
+
+def _assert_same_certificate(got, expect):
+    assert (got.value, got.kind, got.method) == (expect.value, expect.kind, expect.method)
+    assert np.array_equal(got.witness, expect.witness)
+
+
+def _assert_perturb_pair_is_two_calls(lam, theta):
+    rep = pg.perturbation_check(lam, theta)
+    diff = _with_mats(lam, [a - b for a, b in zip(lam.mats, theta.mats)])
+    for got, seq in ((rep.B_perturbed, theta), (rep.analysis_gap, diff)):
+        _assert_same_certificate(got, pg.analysis_opnorm(seq).lower)
+        _assert_same_certificate(got, _per_call_bessel_lower(seq))
+    return rep
+
+
+@pytest.mark.parametrize("inst", PERTURB_PAIR_INSTANCES, ids=lambda inst: str(inst.seed))
+def test_perturb_pair_equals_two_calls(inst):
+    # lam and a perturbation of it by 0.01 in Frobenius norm per member, as
+    # the perturb suite makes
+    lam = inst.lam_sequence()
+    rng = np.random.default_rng(inst.seed)
+    noise = [rng.standard_normal(m.shape) for m in lam.mats]
+    theta = _with_mats(lam, [m + 0.01 * e / np.linalg.norm(e) for m, e in zip(lam.mats, noise)])
+    rep = _assert_perturb_pair_is_two_calls(lam, theta)
+    assert rep.B_perturbed.kind == rep.analysis_gap.kind == "lower_estimate"
+
+
+def test_perturb_pair_with_an_exact_zero_gap():
+    # the gap of a sequence to itself is the zero matrix, exact without an
+    # ascent, beside a B_perturbed that does ascend
+    lam = PERTURB_PAIR_INSTANCES[1].lam_sequence()
+    rep = _assert_perturb_pair_is_two_calls(lam, lam)
+    assert (rep.analysis_gap.value, rep.analysis_gap.kind) == (0.0, "exact")
+    assert rep.B_perturbed.kind == "lower_estimate"
+
+
+def test_perturb_pair_needs_one_pair_of_spaces():
+    lam = PERTURB_PAIR_INSTANCES[0].lam_sequence()
+    other = PERTURB_PAIR_INSTANCES[4].lam_sequence()
+    with pytest.raises(pg.DimensionMismatchError):
+        pg.operators.analysis_opnorm_many((lam, other))
+
+
 def test_perturbation_properties_random():
     rng = np.random.default_rng(0)
     for p in (1.5, 2.0, 3.0):
@@ -539,10 +610,11 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     gap_spaces = (theta.domain, lam.domain.dual)
     sent, ascents = [], []  # normalized gaps sent to the oracle; stack sizes of the ascents
     member_shaped = []  # oracle calls on a matrix of member 0's shape: the deviations need none
-    upper, opnorm, many = (
+    upper, opnorm, bounds, many = (
         perturbation.upper_certificate_only,
         perturbation.matrix_opnorm,
-        perturbation.multistart_lower_many,
+        perturbation.operator_norm_bounds_many,
+        pg.opnorm.multistart_lower_many,
     )
 
     def counting_upper(A, dom, cod, *args):
@@ -556,13 +628,19 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         sent.append(A)
         return opnorm(A, *args)
 
+    def counting_bounds(As, dom, cod, *args):
+        if (dom, cod) == gap_spaces:
+            sent.extend(As)
+        return bounds(As, dom, cod, *args)
+
     def counting_many(As, *args):
         ascents.append(len(As))
         return many(As, *args)
 
     monkeypatch.setattr(perturbation, "upper_certificate_only", counting_upper)
     monkeypatch.setattr(perturbation, "matrix_opnorm", counting_opnorm)
-    monkeypatch.setattr(perturbation, "multistart_lower_many", counting_many)
+    monkeypatch.setattr(perturbation, "operator_norm_bounds_many", counting_bounds)
+    monkeypatch.setattr(pg.opnorm, "multistart_lower_many", counting_many)
     per_kind = {}
     for kind in pg.CONTINUITY_KINDS:
         before = len(sent), len(ascents)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frozen_kernels as frozen
 import pgframes as pg
 from pgframes import gridsearch, spaces
 from pgframes.spaces import holder_witness_many, pnorm, pnorm_many
@@ -260,6 +261,106 @@ def test_stacked_kernels_give_the_witness_of_one_functional(inner, outer):
         assert zero.shape == (space.total_dim,) and not zero.any()
         with pytest.raises(pg.DimensionMismatchError):
             space.witness(np.ones(space.total_dim + 1))
+
+
+# the exponents of the bitwise sweep: r = 4 does not survive conjugating
+# twice, and at 2^54 the conjugate is exactly 1.0, so the witness power is 0
+SWEEP_EXPONENTS = [1.0, 1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 7.0, INF, 2.0**54]
+
+
+def _sweep_stack(d, rng):
+    # a (3, d, 12) stack; every slice but one has only nonzero columns
+    X = rng.standard_normal((3, d, 12)) * np.exp(rng.uniform(-3, 3, (3, d, 12)))
+    X[0, :, 1:4] = rng.integers(1, 3, (d, 3)) * rng.choice([-1.0, 1.0], (d, 3))  # ties
+    X[0, : d // 2, 4] = 0.0  # zero entries in a nonzero column
+    X[1, :, 0] = 0.0  # a zero column inside the stack
+    X[1, :, 1] = 0.0
+    X[1, :1, 1] = 1.0  # a column with one nonzero entry
+    X[2] *= 2.0**-540  # this slice takes the scaled p = 2 form,
+    X[1, :, 5:] *= 2.0**540  # and so does this one, beside unscaled slice 0
+    return X
+
+
+def _nonfinite_stack(d, rng):
+    # an infinite entry in one slice, a NaN in another
+    X = rng.standard_normal((3, d, 5))
+    X[0, 0, 1] = INF
+    X[1, -1, 2] = np.nan
+    return X
+
+
+def _layouts(X):
+    # C and Fortran order of the stack and of its first slice
+    for x in (X, X[0]):
+        yield np.ascontiguousarray(x)
+        yield np.asfortranarray(x)
+
+
+def _assert_space_kernels_frozen(space, X, equal_nan=False):
+    for x in _layouts(X):
+        norms, norming = space.norm_and_norming_many(x)
+        pairs = [
+            (norms, frozen.norm_many(space, x)),
+            (norming, frozen.witness_many(space.dual, x)),
+            (space.norm_many(x), norms),
+            (space.witness_many(x), frozen.witness_many(space, x)),
+        ]
+        for got, expect in pairs:
+            assert np.array_equal(got, expect, equal_nan=equal_nan)
+
+
+@pytest.mark.parametrize("p", SWEEP_EXPONENTS)
+def test_frozen_kernels_equal_the_new_plain_kernels(p):
+    assert pg.conjugate_exponent(pg.conjugate_exponent(4.0)) != 4.0
+    assert pg.conjugate_exponent(2.0**54) == 1.0
+    rng = np.random.default_rng([59, SWEEP_EXPONENTS.index(p)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 9):
+            X = _sweep_stack(d, rng)
+            for x in _layouts(X):
+                assert np.array_equal(pnorm_many(x, p), frozen.pnorm_many(x, p))
+                assert np.array_equal(holder_witness_many(x, p), frozen.holder_witness_many(x, p))
+            _assert_space_kernels_frozen(pg.SpaceSpec(d, p), X)
+    with np.errstate(all="ignore"):
+        for d in range(1, 4):
+            X = _nonfinite_stack(d, rng)
+            for x in _layouts(X):
+                assert np.array_equal(pnorm_many(x, p), frozen.pnorm_many(x, p), equal_nan=True)
+                assert np.array_equal(
+                    holder_witness_many(x, p), frozen.holder_witness_many(x, p), equal_nan=True
+                )
+            _assert_space_kernels_frozen(pg.SpaceSpec(d, p), X, equal_nan=True)
+
+
+def test_frozen_witness_where_the_conjugate_is_one():
+    # q = 1 makes the witness power 0, so P is 1 at zero entries too and its
+    # sum counts them; at p = 2^54, 1000^(1/p) and 50^(1/p) round apart
+    u = np.zeros((1000, 1))
+    u[:50] = 1.0
+    assert np.array_equal(holder_witness_many(u, 2.0**54), frozen.holder_witness_many(u, 2.0**54))
+
+
+@pytest.mark.parametrize("outer", SWEEP_EXPONENTS[:-1])
+def test_frozen_kernels_equal_the_new_product_kernels(outer):
+    # products of 1 to 8 blocks: single blocks, runs of equal blocks, and
+    # mixed exponents, so a run whose exponent does not survive conjugating
+    # twice sits beside runs that reuse their block norms
+    sp = pg.SpaceSpec
+    rng = np.random.default_rng([61, SWEEP_EXPONENTS.index(outer)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in SWEEP_EXPONENTS[:-1]:
+            for dims in ([1], [3], [2, 1], [1, 1], [2, 3, 2], [2] * 4, [1] * 8):
+                space = pg.ProductSpaceSpec(tuple(sp(d, r) for d in dims), outer)
+                _assert_space_kernels_frozen(space, _sweep_stack(space.total_dim, rng))
+        mixed = pg.ProductSpaceSpec(
+            (sp(2, 4.0), sp(2, 4.0), sp(1, 3.0), sp(2, 1.0), sp(2, INF), sp(1, 4.0), sp(2, 2.0)),
+            outer,
+        )
+        _assert_space_kernels_frozen(mixed, _sweep_stack(mixed.total_dim, rng))
+    with np.errstate(all="ignore"):
+        _assert_space_kernels_frozen(mixed, _nonfinite_stack(mixed.total_dim, rng), equal_nan=True)
 
 
 def test_p1_witness_takes_the_first_of_tied_entries():

@@ -31,7 +31,6 @@ __all__ = [
     "synthesis_apply",
     "synthesis_matrix",
     "analysis_opnorm",
-    "analysis_opnorm_many",
     "analysis_upper",
 ]
 
@@ -149,22 +148,15 @@ def synthesis_matrix(seq: OperatorSequence) -> np.ndarray:
 
 
 def analysis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:
-    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery.
-    :func:`analysis_opnorm_many` on the one sequence ``seq``."""
-    return analysis_opnorm_many((seq,), cfg)[0]
+    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery."""
+    return _analysis_opnorms((seq,), cfg)[0]
 
 
-def analysis_opnorm_many(seqs, cfg: NumericsConfig | None = None) -> list[BoundPair]:
-    """:func:`analysis_opnorm` of each sequence, bit for bit, with one lockstep
-    ascent for all of them (``opnorm.operator_norm_bounds_many``).
-
-    The sequences must share the domain and the analysis space.
-    """
-    dom, cod = seqs[0].domain, seqs[0].analysis_space()
-    if any(s.domain != dom or s.analysis_space() != cod for s in seqs[1:]):
-        raise DimensionMismatchError("sequences live on different spaces")
+def _analysis_opnorms(seqs, cfg: NumericsConfig | None) -> list[BoundPair]:
+    """:func:`analysis_opnorm` of each sequence, bit for bit, from one lockstep
+    ascent.  The sequences must share the domain and analysis space of the first."""
     return operator_norm_bounds_many(
-        np.stack([s.stacked() for s in seqs]), dom, cod, cfg, stream=11
+        np.stack([s.stacked() for s in seqs]), seqs[0].domain, seqs[0].analysis_space(), cfg, 11
     )
 
 

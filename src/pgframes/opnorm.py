@@ -17,9 +17,9 @@ spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
 The ascent has one route, ``multistart_lower_many``, which runs a stack of
 matrices in lockstep and gives each the bits of a run on it alone;
-``multistart_lower`` is its one-matrix case.  Each iteration makes one
-norm-and-norming pass over A X (``norm_and_norming_many``): its norms end the
-iteration and its norming functionals start the next one.
+``multistart_lower`` is its one-matrix case.  Each iteration forms A X once:
+its codomain norms end the iteration and its norming functionals start the
+next one.
 ``operator_norm_bounds_many`` gives a stack its certificate pairs with one
 ascent for all its non-exact slices; ``operator_norm_bounds`` is its
 one-matrix case, ``perturbation_check`` sends its two Bessel-bound lower
@@ -187,12 +187,14 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
         witnesses[slices] = best_X[rows, :, j]
 
     live = np.arange(len(A))
-    # each norm step also gives the codomain norming functionals of A X,
-    # which the next iteration maps back: one product and one pass over A X
-    best_vals, Z = cod.norm_and_norming_many(A @ X)
+    cod_dual = cod.dual
+    # the product of each norm step is also the next iteration's functional
+    Y = A @ X
+    best_vals = cod.norm_many(Y)
     best_X = X.copy()
     prev = best_vals
     for _ in range(cfg.max_iterations):
+        Z = cod_dual.witness_many(Y)
         Xn = dom.witness_many(np.swapaxes(A, -1, -2) @ Z)
         # The same test as norm == 0, without the norm: pnorm_many is 0 only
         # on an all-zero column.  Its sums and maxima of |x_i| are positive
@@ -204,7 +206,8 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
         if stalled.any():
             np.copyto(Xn, X, where=stalled[:, None, :])
         X = Xn
-        vals, Z = cod.norm_and_norming_many(A @ X)
+        Y = A @ X
+        vals = cod.norm_many(Y)
         improved = vals > best_vals
         if improved.any():
             best_vals = np.where(improved, vals, best_vals)
@@ -216,8 +219,8 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
             if done.all():
                 return values, witnesses
             on = ~done
-            live, A, X, Z, best_vals, best_X, vals = (
-                live[on], A[on], X[on], Z[on], best_vals[on], best_X[on], vals[on]
+            live, A, X, Y, best_vals, best_X, vals = (
+                live[on], A[on], X[on], Y[on], best_vals[on], best_X[on], vals[on]
             )
         prev = vals
     finish(live, best_vals, best_X)
@@ -435,10 +438,14 @@ def operator_norm_bounds(
 
     ``exact='require'`` runs no ascent: it returns the upper side as both
     sides when exact, and otherwise raises :class:`VertexLimitError`.
+    ``exact`` is ``'auto'`` or ``'require'``; any other value raises
+    ``ValueError``.
     """
+    if exact not in ("auto", "require"):
+        raise ValueError(f"exact must be 'auto' or 'require', got {exact!r}")
     cfg = cfg or DEFAULT_CONFIG
     A = np.asarray(A, dtype=float)
-    if exact != "require":
+    if exact == "auto":
         return operator_norm_bounds_many(A[None], dom, cod, cfg, stream)[0]
     upper = upper_certificate_only(A, dom, cod, cfg)
     if upper.kind != "exact":

@@ -46,7 +46,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, check_pairing
-from .operators import OperatorSequence, analysis_opnorm_many, analysis_upper
+from .operators import OperatorSequence, _analysis_opnorms, analysis_upper
 from .opnorm import (
     BoundCertificate,
     matrix_opnorm,
@@ -144,9 +144,10 @@ def perturbation_check(
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
     B_base = analysis_upper(lam, cfg) if bessel is None else bessel
-    # both lower sides from one lockstep ascent, each with the bits of its own call
+    # both lower sides from one lockstep ascent, each with the bits of its own
+    # analysis_opnorm call; _same_shape put theta on lam's spaces
     diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
-    B_pert, analysis_gap = (pair.lower for pair in analysis_opnorm_many((theta, diff_seq), cfg))
+    B_pert, analysis_gap = (pair.lower for pair in _analysis_opnorms((theta, diff_seq), cfg))
     slack = B_base.value + K.value - B_pert.value
     return PerturbationReport(
         K=K,

@@ -10,8 +10,7 @@ Column norms and witnesses on a product reduce its components in runs.  A
 run is a maximal stretch of consecutive components that share (dim,
 exponent); its rows of a (total_dim, N) array are viewed as one (k, dim, N)
 stack (of each slice of a (..., total_dim, N) stack, as a (..., k, dim, N)
-stack), and one call of the column-norm or witness kernel (``pnorm_many``,
-``holder_witness_many``, or their private forms on |cols|) reduces the
+stack), and one ``pnorm_many`` or ``holder_witness_many`` call reduces the
 stack over axis -2.  The values are bit for bit those of one call per block.
 numpy sums a block in an order fixed by its memory layout: row by row,
 elementwise, when the reduced axis is not innermost in memory (a C-ordered
@@ -22,11 +21,6 @@ argmax, are made per (dim, N) slice.  A product has one witness route: the
 witness of a single functional is one column of ``witness_many``.  The
 scalar product ``norm`` keeps its loop over blocks, which is faster than a
 column of ``norm_many`` on products of one or two blocks.
-
-``norm_and_norming_many`` gives a space's column norms together with its
-dual's witnesses of the same columns (the norm step of the operator-norm
-ascent and its next norming step), bit for bit as the two calls give them,
-from one |cols| and, on a product, one set of block norms.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -96,13 +90,6 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _exponent_chain(p: float) -> tuple[float, float, float]:
-    """(p, p', p'') with p' = conj(p) and p'' = conj(p').  p'' is p except
-    where conjugation does not round-trip: conj(conj(4.0)) = 4.000000000000001."""
-    p1 = conjugate_exponent(p)
-    return p, p1, conjugate_exponent(p1)
-
-
 def pnorm(entries, p: float) -> float:
     """(sum |a_i|^p)^(1/p); max |a_i| for p = inf.  Scaled against overflow."""
     a = np.abs(np.asarray(entries, dtype=float)).ravel()
@@ -125,17 +112,12 @@ def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
     (..., d, N) stack gives the (..., N) column norms of each (d, N) slice,
     and the p = 2 choice between unscaled squares and the scaled form is made
     per slice, exactly as a separate call on that slice would make it.
-    """
-    return _pnorm_abs(np.abs(np.asarray(cols, dtype=float)), p)
-
-
-def _pnorm_abs(a: np.ndarray, p: float) -> np.ndarray:
-    """:func:`pnorm_many` of columns whose absolute values ``a`` are formed.
 
     Where every column's largest entry m is positive (a NaN is not), the
     scaled form skips both ``np.where``: where(m > 0, m, 1) is then m itself
     and where(m > 0, v, 0) is v, so the values keep their bits.
     """
+    a = np.abs(np.asarray(cols, dtype=float))
     if math.isinf(p):
         return a.max(axis=-2)
     if p == 1.0:
@@ -196,20 +178,7 @@ class SpaceSpec:
         return holder_witness(functional, self.exponent)
 
     def witness_many(self, functionals: np.ndarray) -> np.ndarray:
-        U = np.asarray(functionals, dtype=float)
-        return _witness_abs(U, np.abs(U), *self._chain[:2])
-
-    def norm_and_norming_many(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(self.norm_many(cols), self.dual.witness_many(cols))`` bit for bit,
-        from one |cols|."""
-        U = np.asarray(cols, dtype=float)
-        a = np.abs(U)
-        r, r1, r2 = self._chain
-        return _pnorm_abs(a, r), _witness_abs(U, a, r1, r2)
-
-    @cached_property
-    def _chain(self) -> tuple[float, float, float]:
-        return _exponent_chain(self.exponent)
+        return holder_witness_many(functionals, self.exponent)
 
     def vector(self, entries) -> "Vector":
         return Vector(np.asarray(entries, dtype=float), self)
@@ -354,56 +323,15 @@ class ProductSpaceSpec:
         norm.  A zero functional gets the zero vector.
         """
         U = np.asarray(functionals, dtype=float)
-        a = np.abs(U)
-        slabs = [(run.slab(U), run.slab(a)) for run in self._runs]
+        slabs = [run.slab(U) for run in self._runs]
         duals = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
-        runs, outer = self._chains
-        for run, (_, r1, _), (_, S) in zip(self._runs, runs, slabs):
-            duals[..., run.blocks, :] = _pnorm_abs(S, r1)
-        return self._nested_witness(U, slabs, duals, outer[:2], [c[:2] for c in runs])
-
-    def norm_and_norming_many(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(self.norm_many(cols), self.dual.witness_many(cols))`` bit for bit.
-
-        One |cols|, one set of run slabs and one set of block norms serve
-        both.  The dual witness weights the blocks by their norms in r'', the
-        conjugate of the dual run's exponent r' (:func:`_exponent_chain`).
-        That is the run's own exponent r, whose block norms are at hand,
-        except where conjugation does not round-trip; those runs get their
-        block norms again in r''.
-        """
-        U = np.asarray(cols, dtype=float)
-        a = np.abs(U)
-        slabs = [(run.slab(U), run.slab(a)) for run in self._runs]
-        inner = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
-        for run, (_, S) in zip(self._runs, slabs):
-            inner[..., run.blocks, :] = _pnorm_abs(S, run.space.exponent)
-        norms = _pnorm_abs(inner, self.outer_exponent)
-        duals = inner
-        runs, outer = self._chains
-        for run, (r, _, r2), (_, S) in zip(self._runs, runs, slabs):
-            if r2 != r:
-                duals = inner.copy() if duals is inner else duals
-                duals[..., run.blocks, :] = _pnorm_abs(S, r2)
-        witness = self._nested_witness(U, slabs, duals, outer[1:], [c[1:] for c in runs])
-        return norms, witness
-
-    @cached_property
-    def _chains(self):
-        """:func:`_exponent_chain` of each run's exponent, and of the outer one."""
-        runs = tuple(_exponent_chain(run.space.exponent) for run in self._runs)
-        return runs, _exponent_chain(self.outer_exponent)
-
-    def _nested_witness(self, U, slabs, duals, outer, runs) -> np.ndarray:
-        """The nested witness of ``U`` on a product of this layout, from its
-        run slabs and the dual block norms ``duals``: the outer witness of the
-        block norms weights each block's inner witness.  ``outer`` and each
-        entry of ``runs`` are a witness exponent and its conjugate."""
-        weights = _witness_abs(duals, duals, *outer)  # norms are their own |.|
+        for run, S in zip(self._runs, slabs):
+            duals[..., run.blocks, :] = pnorm_many(S, conjugate_exponent(run.space.exponent))
+        weights = holder_witness_many(duals, self.outer_exponent)
         out = np.empty_like(U)
-        for run, pq, (V, S) in zip(self._runs, runs, slabs):
-            W = weights[..., run.blocks, None, :] * _witness_abs(V, S, *pq)
-            *lead, k, d, n = V.shape
+        for run, S in zip(self._runs, slabs):
+            W = weights[..., run.blocks, None, :] * holder_witness_many(S, run.space.exponent)
+            *lead, k, d, n = S.shape
             out[..., run.rows, :] = W.reshape(*lead, k * d, n)
         return out
 
@@ -471,39 +399,36 @@ def holder_witness(functional, p: float) -> np.ndarray:
 
 def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
     """Columnwise :func:`holder_witness` on a (d, N) array of functionals,
-    or on each (d, N) slice of a (..., d, N) stack."""
-    U = np.asarray(functionals, dtype=float)
-    p = as_exponent(p)
-    return _witness_abs(U, np.abs(U), p, conjugate_exponent(p))
-
-
-def _witness_abs(U: np.ndarray, a: np.ndarray, p: float, q: float) -> np.ndarray:
-    """:func:`holder_witness_many` of ``U``, given a = |U|, a valid p and
-    q = conj(p).
+    or on each (d, N) slice of a (..., d, N) stack.
 
     For p in (1, inf) the unnormalized witness is W = sign(U) P with
-    P = (a / top)^(q - 1) columnwise, top the column's largest entry, and it
-    is divided by its p-norm.  Where every top is positive and finite and
-    q > 1, that norm is computed without ``pnorm_many`` and with the same bits:
+    P = (|U| / top)^(q - 1) columnwise, top the column's largest |entry|,
+    and it is divided by its p-norm.  Where every top is positive and finite
+    and q > 1, that norm is computed without ``pnorm_many`` and with the
+    same bits:
 
-    * Each column of P has largest entry exactly 1.0.  a / top is at most 1
-      (rounding is monotone) and exactly 1 at the top entry; pow(1, y) = 1;
+    * Each column of P has largest entry exactly 1.0.  |u| / top is at most
+      1 (rounding is monotone) and exactly 1 at the top entry; pow(1, y) = 1;
       for x < 1 the exact x^y is below 1, so a pow with error under one ulp
       returns at most 1.0.
-    * |W| is P bit for bit: sign(U) is +-1 where U is nonzero, and where U is
-      zero P is 0 too, because q - 1 > 0.
+    * |W| is P bit for bit: sign(U) is +-1 where U is nonzero, and where U
+      is zero P is 0 too, because q - 1 > 0.
     * So ``pnorm_many(W, p)`` takes its scaled form with scale 1.0, which is
       (sum P^p)^(1/p) (dividing by 1.0 and multiplying by it are exact), or
-      at p = 2 its unscaled form sqrt(sum P^2), since the largest entry 1.0 is
-      below 2^480 and the norm, at least 1.0, is above 2^-500.  The norm is
-      at least 1, so the division by it needs no guard.
+      at p = 2 its unscaled form sqrt(sum P^2), since the largest entry 1.0
+      is below 2^480 and the norm, at least 1.0, is above 2^-500.  The norm
+      is at least 1, so the division by it needs no guard.
     """
+    U = np.asarray(functionals, dtype=float)
+    p = as_exponent(p)
     if p == 1.0:
-        top = a.argmax(axis=-2)
+        top = np.abs(U).argmax(axis=-2)
         hit = np.arange(U.shape[-2])[:, None] == top[..., None, :]
         return np.where(hit, np.sign(U), 0.0)
     if math.isinf(p):
         return np.sign(U)
+    q = conjugate_exponent(p)
+    a = np.abs(U)
     top = a.max(axis=-2)
     if q > 1.0 and top.min(initial=INF) > 0.0 and top.max(initial=0.0) < INF:
         P = np.power(a / top[..., None, :], q - 1.0)

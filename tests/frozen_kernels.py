@@ -1,11 +1,12 @@
-"""Frozen copies of the column kernels and the ascent loop before the shared
-norm-and-norming pass, kept as bitwise references for the tests.
+"""Frozen copies of the column kernels and the ascent loop before their fast
+paths, kept as bitwise references for the tests.
 
-``pnorm_many`` and ``holder_witness_many`` each form |cols| themselves and
-take every scaled form through ``np.where``; the product kernels reduce one
-run of equal blocks per call; ``ascend`` forms A X once for the norm step and
-again for the next iteration's norming functional.  The current kernels and
-``opnorm._ascend`` must give the same bits.
+``pnorm_many`` and ``holder_witness_many`` take every scaled form through
+``np.where``, and the witness is normalized by a full ``pnorm_many``; the
+product kernels reduce one run of equal blocks per call; ``ascend`` forms
+A X once for the norm step and again for the next iteration's norming
+functional.  The current kernels and ``opnorm._ascend`` must give the same
+bits.
 """
 import itertools
 import math

@@ -71,6 +71,17 @@ def test_vertex_limit_behaviour():
         assert lo.value <= up.value + 1e-12
 
 
+def test_exact_mode_must_be_auto_or_require():
+    # a misspelt mode is an error, not a silent ascent
+    A = np.random.default_rng(1).standard_normal((3, 3))
+    dom, cod = pg.SpaceSpec(3, 1.5), pg.SpaceSpec(3, 3.0)
+    for bad in ("required", "Require", "", None, True):
+        with pytest.raises(ValueError, match="exact must be"):
+            pg.matrix_opnorm(A, 1.5, 3.0, exact=bad)
+        with pytest.raises(ValueError, match="exact must be"):
+            pg.operator_norm_bounds(A, dom, cod, exact=bad)
+
+
 def test_general_case_derived_example():
     # grid oracle certifies the estimate within 1e-3 on the l^1.5 circle
     A = np.array([[1.0, 1.0], [1.0, -1.0]])

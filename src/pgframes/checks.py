@@ -9,6 +9,7 @@ triple, timing fields aside.
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -178,11 +179,10 @@ def _check_duality(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     seq = inst.lam_sequence()
     coeff = seq.coefficient_space()
     rng = _seeded(cfg, 2)
-    worst_witness = 0.0
-    for _ in range(20):
-        g = coeff.vector(rng.standard_normal(coeff.total_dim))
-        scale = max(g.norm(), 1e-30)
-        worst_witness = max(worst_witness, product_duality_gap(g, cfg) / scale)
+    # one (20, d) draw holds the numbers of 20 draws of d, in order, and
+    # leaves the generator where they would; column j is draw j
+    gaps, norms = coeff.duality_gaps(rng.standard_normal((20, coeff.total_dim)).T)
+    worst_witness = float((gaps / np.maximum(norms, 1e-30)).max())
     values = {"witness_gap_rel": worst_witness}
     ok = worst_witness <= 1e-10
     note = ""
@@ -393,11 +393,23 @@ def run_checks(
     # classify, equivalences, bounds and dual share one report per sequence,
     # made on first use so that a failure lands in the suite that asked for it
     sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
-    classified = functools.cache(lambda tag: classify(sequences[tag](), cfg))
+    reports = {}
+
+    def classified(tag):
+        if tag not in reports:
+            reports[tag] = classify(sequences[tag](), cfg)
+        return reports[tag]
+
     # perturb and continuity assume one certified Bessel bound per sequence.
-    # classify's report holds the same value, but reading it there would make
-    # those suites classify, and fail when classify fails
-    bessel = functools.cache(lambda tag: analysis_upper(sequences[tag](), cfg))
+    # Once a sequence is classified, its report holds that bound: the same
+    # upper_certificate_only call as analysis_upper, so the same bits.  They
+    # never classify to get it, so a failing classify fails only the suites
+    # that asked for its report
+    bessel = functools.cache(
+        lambda tag: reports[tag].bessel_bound
+        if tag in reports
+        else analysis_upper(sequences[tag](), cfg)
+    )
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(
         lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
@@ -427,9 +439,10 @@ def run_checks(
         except Exception as exc:
             res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
         wall = (time.perf_counter() - t0) * 1000.0
-        results.append(
-            CheckResult(res.name, res.status, res.reason, res.values, wall)
-        )
+        # names such as "lam.A" are built per report; interned, every report
+        # kept alive shares one copy of each instead of holding its own
+        values = {sys.intern(k): v for k, v in res.values.items()}
+        results.append(CheckResult(res.name, res.status, res.reason, values, wall))
     # the instance's own specs, rendered by to_dict: a report kept alive holds
     # no per-component copies
     summary = {

@@ -13,6 +13,19 @@ norm.  The samples also include the coordinate vectors e_j, which are unit
 vectors in every l^p and product norm: they are the extreme points of the
 l^1 sphere, where a pairing's supremum over it sits, and an even face grid
 has no 0 coordinate and so never reaches them.
+
+The pairing suprema grid one orthant.  Every l^p and mixed norm is absolute:
+||x|| depends on |x| alone.  So for a unit x, |<x, u>| <= <|x|, |u|> with
+|x| a nonnegative unit vector, and a nonnegative unit x gives
+<x, |u|> = <x o sign(u), u> with x o sign(u) a unit vector again.  The
+supremum of |<x, u>| over the unit sphere is therefore the supremum of
+<x, |u|> over its nonnegative part.  That part is sampled by the faces with
+one coordinate at +1 and the others on the nonnegative half of the same
+axis, np.linspace(-1, 1, n)[n // 2:], plus the coordinate vectors: the
+samples of the full face grid whose coordinates are all nonnegative, 2^(d-1)
+times fewer at the same spacing.  The oracle still samples; it uses no
+witness formula.  An operator-norm ratio is invariant under x -> -x only,
+so ``certified_min_ratio`` keeps the full face grid.
 """
 from __future__ import annotations
 
@@ -33,32 +46,37 @@ class OracleBudgetError(RuntimeError):
     """The requested grid exceeds the configured sample budget."""
 
 
-def _face_count(dim: int, axis_points: int) -> int:
-    return dim * axis_points ** (dim - 1)
+def _orthant_axis(axis_points: int) -> np.ndarray:
+    """The nonnegative half of the full axis, which the pairing suprema grid."""
+    return np.linspace(-1.0, 1.0, axis_points)[axis_points // 2 :]
 
 
-def sphere_samples(space, axis_points: int, budget: int):
+def sphere_samples(space, axis, budget: int):
     """Sample the unit sphere of ``space``; returns (samples, covering_radius).
 
+    Each face of the cube has one coordinate pinned at +1, and its other
+    coordinates run over ``axis``: evenly spaced values, at least two.
     ``samples`` has one row per unit vector: the face grid, then the ``dim``
     coordinate vectors.  ``budget`` caps the face grid, and the coordinate
-    vectors come on top of it.  Only faces with one coordinate pinned at +1
-    are generated; objectives invariant under x -> -x (every norm ratio and
-    |pairing| used here) lose nothing.
+    vectors come on top of it.  With the full axis np.linspace(-1, 1, n) the
+    samples cover the sphere up to sign, which objectives invariant under
+    x -> -x (every norm ratio here) do not see; with its nonnegative half
+    they cover the nonnegative orthant, and the covering radius is that
+    orthant's.
     """
     dim = space.total_dim
     if dim == 1:
         return np.array([[1.0]]), 0.0
-    if axis_points < 2:
-        raise OracleBudgetError("axis_points must be at least 2")
-    total = _face_count(dim, axis_points)
+    axis = np.asarray(axis, dtype=float)
+    if axis.size < 2:
+        raise OracleBudgetError("a sphere grid needs at least 2 axis values")
+    total = dim * axis.size ** (dim - 1)
     if total > budget:
         raise OracleBudgetError(
             f"sphere grid needs {total} samples, budget is {budget}"
         )
-    axis = np.linspace(-1.0, 1.0, axis_points)
     grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
-    face = np.stack([g.ravel() for g in grids], axis=1)  # (axis_points^(dim-1), dim-1)
+    face = np.stack([g.ravel() for g in grids], axis=1)  # (axis.size^(dim-1), dim-1)
     rows = []
     for k in range(dim):
         block = np.empty((face.shape[0], dim))
@@ -69,16 +87,20 @@ def sphere_samples(space, axis_points: int, budget: int):
     y = np.vstack(rows)
     norms = space.norm_many(y.T)
     samples = y / norms[:, None]
-    h = 2.0 / (axis_points - 1)
+    h = float(axis[-1] - axis[0]) / (axis.size - 1)
     covering = float(space.norm(np.ones(dim))) * h
     return samples, covering
 
 
 def sup_pairing(space, functional, axis_points: int, budget: int) -> float:
-    """max |<x, u>| over sampled unit vectors x; a lower bound on the dual norm."""
-    samples, _ = sphere_samples(space, axis_points, budget)
-    u = np.asarray(functional, dtype=float).ravel()
-    return float(np.abs(samples @ u).max())
+    """max |<x, u>| over sampled unit vectors x; a lower bound on the dual norm.
+
+    Sampled as max <x, |u|> over the nonnegative orthant of the sphere (see
+    the module docstring).
+    """
+    samples, _ = sphere_samples(space, _orthant_axis(axis_points), budget)
+    u = np.abs(np.asarray(functional, dtype=float).ravel())
+    return float((samples @ u).max())
 
 
 def certified_min_ratio(matrix, dom, cod, lipschitz: float, axis_points: int, budget: int):
@@ -88,7 +110,7 @@ def certified_min_ratio(matrix, dom, cod, lipschitz: float, axis_points: int, bu
     certified = max(sampled_min - lipschitz * covering, 0).  ``lipschitz`` must
     upper-bound the dom->cod operator norm of A.
     """
-    samples, covering = sphere_samples(dom, axis_points, budget)
+    samples, covering = sphere_samples(dom, np.linspace(-1.0, 1.0, axis_points), budget)
     ratios = cod.norm_many(np.asarray(matrix, dtype=float) @ samples.T)
     i = int(np.argmin(ratios))
     sampled = float(ratios[i])
@@ -103,14 +125,16 @@ def product_sup_pairing(
     The supremum separates: with s_i the per-block suprema over unit block
     spheres, it equals the supremum of sum t_i s_i over nonnegative weights t
     on the outer sphere.  Both layers are sampled exhaustively, so the value
-    never relies on the witness formulas it is meant to check.  The outer
-    sphere is sampled first, so a product whose outer grid exceeds the budget
-    raises :class:`OracleBudgetError` before any block is gridded.
+    never relies on the witness formulas it is meant to check; the s_i are
+    nonnegative, so the outer sphere is sampled on its nonnegative orthant
+    too.  The outer sphere is sampled first, so a product whose outer grid
+    exceeds the budget raises :class:`OracleBudgetError` before any block is
+    gridded.
     """
     parts = primal.split(functional)
     outer = SpaceSpec(len(parts), primal.outer_exponent)
-    samples, _ = sphere_samples(outer, axis_points, budget)
+    samples, _ = sphere_samples(outer, _orthant_axis(axis_points), budget)
     sups = np.array(
         [sup_pairing(c, u, axis_points, budget) for c, u in zip(primal.components, parts)]
     )
-    return float(np.abs(samples @ sups).max())
+    return float((samples @ sups).max())

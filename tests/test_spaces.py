@@ -454,8 +454,8 @@ def test_product_duality_gap_derived_example():
 
 
 def test_product_grid_checks_the_outer_budget_before_any_block(monkeypatch):
-    # 4 components: the outer grid needs 4 * 240^3 samples, over the budget,
-    # and no block sphere may be gridded before that is known
+    # 4 components: the outer orthant grid needs 4 * 120^3 samples, over the
+    # budget, and no block sphere may be gridded before that is known
     grids, real = [], gridsearch.sphere_samples
 
     def recording(space, *args):
@@ -464,9 +464,99 @@ def test_product_grid_checks_the_outer_budget_before_any_block(monkeypatch):
 
     monkeypatch.setattr(gridsearch, "sphere_samples", recording)
     g = pg.ProductVector(tuple(vec([1.0, -2.0], 3.0) for _ in range(4)), 1.5)
-    with pytest.raises(gridsearch.OracleBudgetError, match="sphere grid needs 55296000 samples"):
+    with pytest.raises(gridsearch.OracleBudgetError, match="sphere grid needs 6912000 samples"):
         pg.product_duality_gap(g, method="grid")
     assert grids == [pg.SpaceSpec(4, 3.0)]  # the outer sphere alone
+
+
+@pytest.mark.parametrize("budget", [43200, 43199])
+def test_product_grid_budget_boundary(budget):
+    # three dim-3 blocks: the outer orthant grid and each block's need
+    # 3 * 120^2 = 43200 samples, so a budget of exactly that runs and one
+    # sample less raises before anything is gridded
+    g = pg.ProductVector(tuple(vec([1.0, -2.0, 0.5], 3.0) for _ in range(3)), 1.5)
+    cfg = pg.NumericsConfig(grid_budget=budget)
+    if budget < 43200:
+        with pytest.raises(gridsearch.OracleBudgetError, match="needs 43200 samples"):
+            pg.product_duality_gap(g, cfg, method="grid")
+    else:
+        assert pg.product_duality_gap(g, cfg, method="grid") / pg.mixed_norm(g) <= 1e-3
+
+
+def _full_grid_sup(space, u, axis_points=240):
+    # the supremum of |<x, u>| over the whole face grid, both signs of every
+    # free coordinate, as the oracle sampled it before it gridded one orthant
+    samples, _ = gridsearch.sphere_samples(
+        space, np.linspace(-1.0, 1.0, axis_points), 10**7
+    )
+    return float(np.abs(samples @ u).max())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_orthant_sup_pairing_matches_the_full_grid(dim):
+    rng = np.random.default_rng(26 + dim)
+    for p in SWEEP_EXPONENTS:
+        space = pg.SpaceSpec(dim, p)
+        for u in (rng.standard_normal(dim), -np.abs(rng.standard_normal(dim)), np.eye(dim)[-1]):
+            full = _full_grid_sup(space, u)
+            orthant = gridsearch.sup_pairing(space, u, 240, 10**7)
+            assert abs(orthant - full) <= 1e-15 * full, (p, u)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (3,), (2, 2, 2)])
+def test_orthant_product_sup_pairing_matches_the_full_grid(dims):
+    # the outer sphere too: the block suprema are nonnegative, so its orthant
+    # holds the supremum of their weighted sum
+    rng = np.random.default_rng(len(dims))
+    for p in SWEEP_EXPONENTS:
+        for outer in (1.0, 1.5, 3.0, INF):
+            primal = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, p) for d in dims), outer)
+            u = rng.standard_normal(primal.total_dim)
+            sups = np.array(
+                [_full_grid_sup(c, b) for c, b in zip(primal.components, primal.split(u))]
+            )
+            full = _full_grid_sup(pg.SpaceSpec(len(dims), outer), sups)
+            orthant = gridsearch.product_sup_pairing(primal, u, 240, 10**7)
+            assert abs(orthant - full) <= 1e-15 * full, (p, outer)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7, 48])
+def test_stacked_duality_gaps_match_the_per_vector_gaps(blocks):
+    # 20 random functionals and a zero one, on products with exponents 1 and
+    # inf among the blocks; each stacked column against its ProductVector
+    # alone and against the pairing by np.dot with the scalar mixed norm
+    rng = np.random.default_rng(blocks)
+    eps = np.finfo(float).eps
+    for outer in EXPONENTS:
+        comps = tuple(
+            pg.SpaceSpec(int(d), float(r))
+            for d, r in zip(rng.integers(1, 4, blocks), rng.choice(EXPONENTS, blocks))
+        )
+        space = pg.ProductSpaceSpec(comps, outer)
+        G = rng.standard_normal((20, space.total_dim)).T
+        G = np.concatenate([G, np.zeros((space.total_dim, 1))], axis=1)
+        gaps, norms = space.duality_gaps(G)
+        assert gaps[-1] == 0.0 and norms[-1] == 0.0
+        for j in range(G.shape[1]):
+            g = space.vector(G[:, j])
+            target = pg.mixed_norm(g)
+            sup = float(np.dot(space.dual.witness(G[:, j]), G[:, j]))
+            slack = 8 * eps * target
+            assert abs(norms[j] - target) <= slack
+            assert abs(gaps[j] - pg.product_duality_gap(g)) <= slack
+            assert abs(gaps[j] - abs(sup - target)) <= slack
+            assert gaps[j] <= 1e-10 * max(target, 1e-30)
+
+
+@pytest.mark.parametrize("d", [1, 7, 96])
+def test_one_draw_of_twenty_columns_is_twenty_draws(d):
+    # the duality suite's stacked draw: the same numbers as 20 draws of d,
+    # and the grid's functional drawn after it is unchanged
+    stacked, single = np.random.default_rng([1, 0xC5EC, 2]), np.random.default_rng([1, 0xC5EC, 2])
+    G = stacked.standard_normal((20, d)).T
+    cols = [single.standard_normal(d) for _ in range(20)]
+    assert np.array_equal(G, np.stack(cols, axis=1))
+    assert np.array_equal(stacked.standard_normal(d), single.standard_normal(d))
 
 
 def test_product_duality_gap_random_witness():

@@ -21,13 +21,15 @@ from .gridsearch import OracleBudgetError
 from .instances import Instance
 from .multipliers import Symbol, SymbolTooSmallError, assemble, invert, norm_bounds
 from .operators import OperatorSequence, analysis_upper, synthesis_matrix
+from .opnorm import operator_norm_bounds_many
 from .perturbation import (
     CONTINUITY_KINDS,
     ContinuityViolation,
+    continuity_gaps,
     continuity_suite,
     perturbation_check,
 )
-from .spaces import SpaceSpec, product_duality_gap
+from .spaces import SpaceError, SpaceSpec, product_duality_gap
 
 __all__ = ["CheckResult", "CheckReport", "SUITES", "run_checks"]
 
@@ -324,17 +326,21 @@ def _check_invert(cfg: NumericsConfig, forward) -> CheckResult:
     )
 
 
-def _check_perturb(
-    inst: Instance, cfg: NumericsConfig, epsilon: float, bessel
-) -> CheckResult:
+def _perturbed_family(inst: Instance, cfg: NumericsConfig, epsilon: float) -> OperatorSequence:
+    """The perturb suite's family: each member of lam plus epsilon times a
+    unit-Frobenius normal matrix (rng stream 5)."""
     lam = inst.lam_sequence()
     rng = _seeded(cfg, 5)
     mats = []
     for mat in lam.mats:
         noise = rng.standard_normal(mat.shape)
         mats.append(mat + epsilon * noise / max(np.linalg.norm(noise), 1e-30))
-    theta = OperatorSequence(lam.domain, lam.codomains, tuple(mats), lam.frame_exponent)
-    rep = perturbation_check(lam, theta, cfg, bessel=bessel("lam"))
+    return OperatorSequence(lam.domain, lam.codomains, tuple(mats), lam.frame_exponent)
+
+
+def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed, bessel, analysis) -> CheckResult:
+    shared = {} if analysis is None else {"analysis": analysis}
+    rep = perturbation_check(inst.lam_sequence(), perturbed(), cfg, bessel=bessel("lam"), **shared)
     ok = rep.slack >= -1e-9
     notes = []
     if not ok:
@@ -358,10 +364,13 @@ def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResul
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
     p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
+    # every kind's gaps from one batch, each kind's bounds checked on its own
+    measured = continuity_gaps(CONTINUITY_KINDS, m, lam, theta, cfg)
     for kind in CONTINUITY_KINDS:
         try:
             traces = continuity_suite(
-                kind, m, lam, theta, p1, cfg, bessel=(bessel("lam"), bessel("theta"))
+                kind, m, lam, theta, p1, cfg,
+                bessel=(bessel("lam"), bessel("theta")), measured=measured[kind],
             )
         except ContinuityViolation as exc:
             ok = False
@@ -371,6 +380,34 @@ def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResul
         values[f"{kind}.final_bound"] = traces[-1].bound
         values[f"{kind}.worst_excess"] = worst
     return CheckResult("continuity", "pass" if ok else "fail", "; ".join(notes), values)
+
+
+def _shared_lam_pairs(lam: OperatorSequence, perturbed, cfg: NumericsConfig):
+    """classify's Bessel pair of lam and perturb's two analysis pairs, from
+    one ``operator_norm_bounds_many`` call.
+
+    All three matrices map lam's domain to its analysis space: lam's stacked
+    matrix F on stream 21, as ``classify`` ascends it, and the perturbed
+    family and its difference from lam on stream 11, as
+    ``perturbation_check`` ascends them, so each pair has the bits of the
+    call its suite would make.  A perturbed family that cannot be built (a
+    non-finite epsilon), or whose difference from lam is not finite, stays
+    out: perturb then makes its own call and fails as it would alone, and
+    classify is not touched.  Returns (lam's pair, perturb's pairs or None).
+    """
+    F = lam.stacked()
+    stacks, streams = [F], [21]
+    try:
+        T = perturbed().stacked()
+    except SpaceError:  # perturb raises it again when it runs
+        T = None
+    if T is not None and np.isfinite(F - T).all():
+        stacks += [T, F - T]
+        streams += [11, 11]
+    pairs = operator_norm_bounds_many(
+        np.stack(stacks), lam.domain, lam.analysis_space(), cfg, streams
+    )
+    return pairs[0], (tuple(pairs[1:]) or None)
 
 
 def run_checks(
@@ -390,6 +427,17 @@ def run_checks(
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
+    # the perturb suite's family, built once
+    perturbed = functools.cache(lambda: _perturbed_family(inst, cfg, epsilon))
+    # When classify and perturb both run, lam's Bessel pair and perturb's two
+    # analysis pairs share lam's spaces and one lockstep ascent; each is
+    # handed to its suite as a caller-vouched value that leaves its report
+    # unchanged.  A suite that runs alone makes its own call.
+    both = "classify" in chosen and "perturb" in chosen
+    lam_side = functools.cache(
+        lambda: _shared_lam_pairs(inst.lam_sequence(), perturbed, cfg) if both else (None, None)
+    )
+
     # classify, equivalences, bounds and dual share one report per sequence,
     # made on first use so that a failure lands in the suite that asked for it
     sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
@@ -397,19 +445,23 @@ def run_checks(
 
     def classified(tag):
         if tag not in reports:
-            reports[tag] = classify(sequences[tag](), cfg)
+            pair = lam_side()[0] if tag == "lam" else None
+            shared = {} if pair is None else {"bessel": pair}
+            reports[tag] = classify(sequences[tag](), cfg, **shared)
         return reports[tag]
 
     # perturb and continuity assume one certified Bessel bound per sequence.
-    # Once a sequence is classified, its report holds that bound: the same
-    # upper_certificate_only call as analysis_upper, so the same bits.  They
-    # never classify to get it, so a failing classify fails only the suites
-    # that asked for its report
-    bessel = functools.cache(
-        lambda tag: reports[tag].bessel_bound
-        if tag in reports
-        else analysis_upper(sequences[tag](), cfg)
-    )
+    # Once a sequence is classified, its report holds that bound, and lam's
+    # shared pair holds it before: the same upper_certificate_only route as
+    # analysis_upper, so the same bits.  They never classify to get it, so a
+    # failing classify fails only the suites that asked for its report
+    def bessel_bound(tag):
+        if tag in reports:
+            return reports[tag].bessel_bound
+        pair = lam_side()[0] if tag == "lam" else None
+        return analysis_upper(sequences[tag](), cfg) if pair is None else pair.upper
+
+    bessel = functools.cache(bessel_bound)
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(
         lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
@@ -433,7 +485,7 @@ def run_checks(
             elif name == "invert":
                 res = _check_invert(cfg, forward)
             elif name == "perturb":
-                res = _check_perturb(inst, cfg, epsilon, bessel)
+                res = _check_perturb(inst, cfg, perturbed, bessel, lam_side()[1])
             else:
                 res = _check_continuity(inst, cfg, bessel)
         except Exception as exc:

@@ -36,6 +36,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .opnorm import (
     BoundCertificate,
+    BoundPair,
     min_ratio_estimate,
     operator_norm_bounds,
     upper_certificate_only,
@@ -128,14 +129,27 @@ def _infimum_certificates(A, rank, dom, cod, cfg, stream):
     return safe, BoundCertificate(value, "upper_certificate", method, witness)
 
 
-def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameReport:
-    """Full classification of an operator sequence at its frame exponent."""
+def classify(
+    seq: OperatorSequence,
+    cfg: NumericsConfig | None = None,
+    bessel: BoundPair | None = None,
+) -> FrameReport:
+    """Full classification of an operator sequence at its frame exponent.
+
+    ``bessel``, when given, is taken as the certificate pair of the analysis
+    operator's norm and must hold a proven upper side and a witness-backed
+    lower side.  Only ``operator_norm_bounds(F, ..., stream=21)`` on the
+    stacked matrix F, which runs when it is None, leaves the report
+    unchanged; a caller may take it from an ``operator_norm_bounds_many``
+    call that gives F's slice stream 21 and so shares its lockstep ascent.
+    """
     cfg = cfg or DEFAULT_CONFIG
     F = seq.stacked()
     dom = seq.domain
     prod = seq.analysis_space()
 
-    bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
+    if bessel is None:
+        bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
     rank = int(np.linalg.matrix_rank(F))
     a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=24)
     g_complete = rank == dom.dim

@@ -23,9 +23,10 @@ supremum of |<x, u>| over the unit sphere is therefore the supremum of
 one coordinate at +1 and the others on the nonnegative half of the same
 axis, np.linspace(-1, 1, n)[n // 2:], plus the coordinate vectors: the
 samples of the full face grid whose coordinates are all nonnegative, 2^(d-1)
-times fewer at the same spacing.  The oracle still samples; it uses no
-witness formula.  An operator-norm ratio is invariant under x -> -x only,
-so ``certified_min_ratio`` keeps the full face grid.
+times fewer at the same spacing.  ``sup_pairing`` takes the maximum one
+face at a time, so it never holds the whole grid.  The oracle still
+samples; it uses no witness formula.  An operator-norm ratio is invariant
+under x -> -x only, so ``certified_min_ratio`` keeps the full face grid.
 """
 from __future__ import annotations
 
@@ -51,6 +52,44 @@ def _orthant_axis(axis_points: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, axis_points)[axis_points // 2 :]
 
 
+def _unit_blocks(space, axis, budget: int):
+    """The unit samples of :func:`sphere_samples`, one block of rows per face
+    of the cube and then the coordinate vectors.
+
+    Checks the axis and the budget, and raises :class:`OracleBudgetError`,
+    before any block is built; the blocks come one at a time, so a caller
+    that reduces each block keeps one face in memory, not the whole grid.
+    Every row has an entry of magnitude one, so its norm takes the same
+    route in a block as in the whole grid: the rows are those of the whole
+    grid normalized at once.
+    """
+    dim = space.total_dim
+    if dim == 1:
+        return iter([np.array([[1.0]])])
+    if axis.size < 2:
+        raise OracleBudgetError("a sphere grid needs at least 2 axis values")
+    total = dim * axis.size ** (dim - 1)
+    if total > budget:
+        raise OracleBudgetError(
+            f"sphere grid needs {total} samples, budget is {budget}"
+        )
+
+    def unit(y: np.ndarray) -> np.ndarray:
+        return y / space.norm_many(y.T)[:, None]
+
+    def blocks():
+        grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
+        face = np.stack([g.ravel() for g in grids], axis=1)  # (axis.size^(dim-1), dim-1)
+        for k in range(dim):
+            block = np.empty((face.shape[0], dim))
+            block[:, k] = 1.0
+            block[:, [j for j in range(dim) if j != k]] = face
+            yield unit(block)
+        yield unit(np.eye(dim))
+
+    return blocks()
+
+
 def sphere_samples(space, axis, budget: int):
     """Sample the unit sphere of ``space``; returns (samples, covering_radius).
 
@@ -64,29 +103,11 @@ def sphere_samples(space, axis, budget: int):
     they cover the nonnegative orthant, and the covering radius is that
     orthant's.
     """
+    axis = np.asarray(axis, dtype=float)
+    samples = np.vstack(list(_unit_blocks(space, axis, budget)))
     dim = space.total_dim
     if dim == 1:
-        return np.array([[1.0]]), 0.0
-    axis = np.asarray(axis, dtype=float)
-    if axis.size < 2:
-        raise OracleBudgetError("a sphere grid needs at least 2 axis values")
-    total = dim * axis.size ** (dim - 1)
-    if total > budget:
-        raise OracleBudgetError(
-            f"sphere grid needs {total} samples, budget is {budget}"
-        )
-    grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
-    face = np.stack([g.ravel() for g in grids], axis=1)  # (axis.size^(dim-1), dim-1)
-    rows = []
-    for k in range(dim):
-        block = np.empty((face.shape[0], dim))
-        block[:, k] = 1.0
-        block[:, [j for j in range(dim) if j != k]] = face
-        rows.append(block)
-    rows.append(np.eye(dim))
-    y = np.vstack(rows)
-    norms = space.norm_many(y.T)
-    samples = y / norms[:, None]
+        return samples, 0.0
     h = float(axis[-1] - axis[0]) / (axis.size - 1)
     covering = float(space.norm(np.ones(dim))) * h
     return samples, covering
@@ -96,11 +117,13 @@ def sup_pairing(space, functional, axis_points: int, budget: int) -> float:
     """max |<x, u>| over sampled unit vectors x; a lower bound on the dual norm.
 
     Sampled as max <x, |u|> over the nonnegative orthant of the sphere (see
-    the module docstring).
+    the module docstring), one face of the grid at a time: the value is the
+    maximum over the samples of :func:`sphere_samples`, without holding them
+    all.
     """
-    samples, _ = sphere_samples(space, _orthant_axis(axis_points), budget)
     u = np.abs(np.asarray(functional, dtype=float).ravel())
-    return float((samples @ u).max())
+    blocks = _unit_blocks(space, _orthant_axis(axis_points), budget)
+    return float(max((block @ u).max() for block in blocks))
 
 
 def certified_min_ratio(matrix, dom, cod, lipschitz: float, axis_points: int, budget: int):

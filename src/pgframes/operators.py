@@ -148,16 +148,15 @@ def synthesis_matrix(seq: OperatorSequence) -> np.ndarray:
 
 
 def analysis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:
-    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery."""
-    return _analysis_opnorms((seq,), cfg)[0]
+    """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery.
 
-
-def _analysis_opnorms(seqs, cfg: NumericsConfig | None) -> list[BoundPair]:
-    """:func:`analysis_opnorm` of each sequence, bit for bit, from one lockstep
-    ascent.  The sequences must share the domain and analysis space of the first."""
+    The ascent runs on stream 11: a stack of analysis matrices on the same
+    spaces sent to ``operator_norm_bounds_many`` with stream 11 gives each
+    this pair, bit for bit.
+    """
     return operator_norm_bounds_many(
-        np.stack([s.stacked() for s in seqs]), seqs[0].domain, seqs[0].analysis_space(), cfg, 11
-    )
+        seq.stacked()[None], seq.domain, seq.analysis_space(), cfg, 11
+    )[0]
 
 
 def analysis_upper(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundCertificate:

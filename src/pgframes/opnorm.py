@@ -22,8 +22,17 @@ its codomain norms end the iteration and its norming functionals start the
 next one.
 ``operator_norm_bounds_many`` gives a stack its certificate pairs with one
 ascent for all its non-exact slices; ``operator_norm_bounds`` is its
-one-matrix case, ``perturbation_check`` sends its two Bessel-bound lower
-sides to one call, and ``continuity_suite`` its distinct gaps.
+one-matrix case.  Both stacked routes take a random stream per slice (one
+int, or one int per slice): a slice draws its start columns from its own
+stream, so callers whose ascents use different streams on the same spaces
+share one lockstep ascent, and each slice keeps the bits of its own call.
+Between plain spaces with no closed form, the stack's upper sides come from
+one pass too: stacked column and row norms, one stacked SVD, and the outer
+step per slice, with the bits of ``upper_certificate_only`` on each slice.
+``perturbation_check`` sends its two Bessel-bound lower sides to one call,
+``run_checks`` adds ``classify``'s Bessel pair of the same sequence when
+both suites run, and ``continuity_gaps`` sends the distinct gaps of all
+four continuity modes.
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
 inverse.
@@ -110,6 +119,11 @@ def _rng(cfg: NumericsConfig, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, 0x6F70, stream, index])
 
 
+def _per_slice(stream, k: int) -> np.ndarray:
+    """A stream argument, one int or one int per slice, as k ints."""
+    return np.broadcast_to(np.asarray(stream, dtype=np.int64), (k,))
+
+
 def _normalize(space, x: np.ndarray) -> np.ndarray | None:
     n = space.norm(x)
     if n == 0.0 or not math.isfinite(n):
@@ -117,48 +131,58 @@ def _normalize(space, x: np.ndarray) -> np.ndarray | None:
     return x / n
 
 
-def _top_right_singular_vectors(As: np.ndarray):
-    """First right singular vector of each slice, and which slices have one.
+def _stacked_svd(As: np.ndarray, pick, shape: tuple, **kwargs):
+    """``pick`` of each slice's ``np.linalg.svd``, as a (k, *shape) array, and
+    which slices have one.
 
-    One stacked SVD: LAPACK runs on each slice alone, so a row has the bits
-    of an SVD of that slice.  numpy raises for the whole stack when any slice
-    fails, so then each slice is retried alone and only the failing ones go
-    without.
+    One stacked SVD: LAPACK runs on each slice alone, so a slice's row has
+    the bits of an SVD of that slice.  numpy raises for the whole stack when
+    any slice fails, so then each slice is retried alone and only the
+    failing ones go without (their rows are zero).
     """
     try:
-        return np.linalg.svd(As)[2][:, 0], np.ones(len(As), dtype=bool)
+        return pick(np.linalg.svd(As, **kwargs)), np.ones(len(As), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    rows, ok = np.zeros(As.shape[::2]), np.zeros(len(As), dtype=bool)
-    for i, A in enumerate(As):
+    rows, ok = np.zeros((len(As), *shape)), np.zeros(len(As), dtype=bool)
+    for i in range(len(As)):
         try:
-            rows[i], ok[i] = np.linalg.svd(A)[2][0], True
+            rows[i], ok[i] = pick(np.linalg.svd(As[i : i + 1], **kwargs))[0], True
         except np.linalg.LinAlgError:
             pass
     return rows, ok
 
 
-def _start_bundles(As: np.ndarray, dom, cfg: NumericsConfig, stream: int):
+def _start_bundles(As: np.ndarray, dom, cfg: NumericsConfig, stream):
     """Each slice's unit start columns, in groups of slices that keep the same columns.
 
     A slice's bundle is, in order: its first right singular vector (absent
     where the SVD failed), the ones vector, the first eight coordinate
-    vectors, and ``cfg.restarts`` normal columns of (stream, index 0); all
-    but the first column are the same for every slice.  Columns of zero or
-    non-finite norm are dropped; the ones vector never is.  Yields (slice
+    vectors, and ``cfg.restarts`` normal columns of (its stream, index 0);
+    ``stream`` is one int for every slice or one int per slice.
+    Each distinct stream's normal columns are drawn once; the ones and
+    coordinate vectors are the same for every slice.  Columns of zero or
+    non-finite norm are dropped; the ones vector never is.  A group may mix
+    streams: it holds the slices that keep the same columns.  Yields (slice
     indices, (g, n, N) normalized columns).
     """
     n = As.shape[2]
     shared = [np.ones((n, 1)), np.eye(n)[:, : min(n, 8)]]
-    if cfg.restarts > 0:
-        shared.append(_rng(cfg, stream, 0).standard_normal((n, cfg.restarts)))
-    tops, has_top = _top_right_singular_vectors(As)
+    uniq, which = np.unique(_per_slice(stream, len(As)), return_inverse=True)
+    if cfg.restarts > 0 and uniq.size:
+        normals = np.stack(
+            [_rng(cfg, int(s), 0).standard_normal((n, cfg.restarts)) for s in uniq]
+        )
+    tops, has_top = _stacked_svd(As, lambda usv: usv[2][:, 0], (n,))
     for present in (True, False):
         idx = np.flatnonzero(has_top == present)
         if idx.size == 0:
             continue
         cols = [tops[idx, :, None]] if present else []
-        X = np.concatenate(cols + [np.broadcast_to(s, (idx.size, *s.shape)) for s in shared], -1)
+        cols += [np.broadcast_to(s, (idx.size, *s.shape)) for s in shared]
+        if cfg.restarts > 0:
+            cols.append(normals[which[idx]])
+        X = np.concatenate(cols, -1)
         norms = dom.norm_many(X)
         keep = norms > 0.0
         groups: dict[bytes, list[int]] = {}
@@ -228,11 +252,14 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
 
 
 def multistart_lower_many(
-    As, dom, cod, cfg: NumericsConfig, stream: int
+    As, dom, cod, cfg: NumericsConfig, stream
 ) -> list[BoundCertificate]:
     """Alternating ascent on the norm ratio of each (m, n) slice of a (k, m, n) stack.
 
     This is the one ascent route; :func:`multistart_lower` is its k = 1 case.
+    ``stream`` is one int for every slice or one int per slice: it picks the
+    slice's random start columns, so a slice gets the certificate of a call
+    on it alone with its own stream.
     Each step maps the current iterates through the norming functional of the
     codomain and back through the Hoelder witness of the domain; the achieved
     ratio is nondecreasing per column.  Each slice starts from its own bundle
@@ -287,8 +314,24 @@ def _vertex_norm(B: np.ndarray, r: float):
     return best, sigma
 
 
-def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig):
-    """Closed-form certificate for a plain l^p -> l^r matrix norm, or None."""
+def _has_closed_form(shape: tuple, p: float, r: float, cfg: NumericsConfig) -> bool:
+    """Whether :func:`_exact_simple` solves a plain l^p -> l^r matrix of this shape.
+
+    It depends on the shape and the exponents alone, never on the entries.
+    """
+    m, n = shape
+    return (
+        m == 1
+        or n == 1
+        or p == 1.0
+        or math.isinf(r)
+        or (math.isinf(p) and n <= cfg.vertex_limit)
+    )
+
+
+def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig) -> BoundCertificate:
+    """Closed-form certificate for a plain l^p -> l^r matrix norm; the caller
+    checks :func:`_has_closed_form` first."""
     m, n = B.shape
     if m == 1:
         # a single row is a functional; its norm is the conjugate p-norm
@@ -308,36 +351,42 @@ def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig):
         i = int(np.argmax(rows))
         w = SpaceSpec(n, p).witness(B[i])
         return BoundCertificate(rows[i], "exact", "max-row", w)
-    if math.isinf(p) and n <= cfg.vertex_limit:
-        val, sigma = _vertex_norm(B, r)
-        return BoundCertificate(val, "exact", "vertex-enumeration", sigma)
-    return None
+    val, sigma = _vertex_norm(B, r)
+    return BoundCertificate(val, "exact", "vertex-enumeration", sigma)
 
 
-def _upper_candidates_simple(B: np.ndarray, p: float, r: float) -> BoundCertificate:
-    """Smallest of the Hoelder and singular-dimension upper bounds.
+def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCertificate]:
+    """Smallest of the Hoelder and singular-dimension upper bounds of each
+    slice of a (k, m, n) stack.
+
+    One pass serves the stack: ``pnorm_many`` gives every slice's column and
+    row norms, one stacked SVD its largest singular value (a slice whose SVD
+    fails goes without that candidate), and ``pnorm`` per slice the outer
+    step.  The kernels and LAPACK work slice by slice, so each certificate
+    has the bits of a one-slice stack; :func:`upper_certificate_only` is that
+    case, with the slice's own memory layout.
 
     No Riesz-Thorin candidate: it costs a 2^(n-1) sign enumeration and was
     never the minimum on the benchmark workloads or on a sweep of structured
     matrices (dims 2-16, p and r from 1.05 to 50).  Measured, not proven.
     """
-    m, n = B.shape
+    _, m, n = Bs.shape
     q = conjugate_exponent(p)
-    cands = []
-    col_norms = pnorm_many(B, r)
-    cands.append((pnorm(col_norms, q), "columns-holder"))
-    if not math.isinf(r):
-        row_norms = pnorm_many(B.T, q)
-        cands.append((pnorm(row_norms, r), "rows-holder"))
-    try:
-        smax = float(np.linalg.svd(B, compute_uv=False)[0])
-        fac_in = n ** max(0.0, 0.5 - (0.0 if math.isinf(p) else 1.0 / p))
-        fac_out = 1.0 if math.isinf(r) else m ** max(0.0, 1.0 / r - 0.5)
-        cands.append((smax * fac_in * fac_out, "singular-dimension"))
-    except np.linalg.LinAlgError:
-        pass
-    val, tag = min(cands, key=lambda t: t[0])
-    return BoundCertificate(val, "upper_certificate", tag)
+    col_norms = pnorm_many(Bs, r)
+    row_norms = None if math.isinf(r) else pnorm_many(np.swapaxes(Bs, -1, -2), q)
+    smax, has_smax = _stacked_svd(Bs, lambda s: s[:, 0], (), compute_uv=False)
+    fac_in = n ** max(0.0, 0.5 - (0.0 if math.isinf(p) else 1.0 / p))
+    fac_out = 1.0 if math.isinf(r) else m ** max(0.0, 1.0 / r - 0.5)
+    certs = []
+    for i in range(len(Bs)):
+        cands = [(pnorm(col_norms[i], q), "columns-holder")]
+        if row_norms is not None:
+            cands.append((pnorm(row_norms[i], r), "rows-holder"))
+        if has_smax[i]:
+            cands.append((float(smax[i]) * fac_in * fac_out, "singular-dimension"))
+        val, tag = min(cands, key=lambda t: t[0])
+        certs.append(BoundCertificate(val, "upper_certificate", tag))
+    return certs
 
 
 def _block_slices(space: ProductSpaceSpec):
@@ -365,15 +414,50 @@ def upper_certificate_only(
         return BoundCertificate(0.0, "exact", "zero-matrix", np.zeros(dom.total_dim))
     B = A / scale
     plain = isinstance(dom, SpaceSpec) and isinstance(cod, SpaceSpec)
-    cert = _exact_simple(B, dom.exponent, cod.exponent, cfg) if plain else None
-    if cert is None and dom.is_euclidean and cod.is_euclidean:
+    if plain and _has_closed_form(B.shape, dom.exponent, cod.exponent, cfg):
+        cert = _exact_simple(B, dom.exponent, cod.exponent, cfg)
+    elif dom.is_euclidean and cod.is_euclidean:
         _, s, vt = np.linalg.svd(B)
         cert = BoundCertificate(s[0], "exact", "singular-value", vt[0])
-    if cert is None and plain:
-        cert = _upper_candidates_simple(B, dom.exponent, cod.exponent)
-    elif cert is None:
+    elif plain:
+        cert = _upper_candidates_simple(B[None], dom.exponent, cod.exponent)[0]
+    else:
         cert = _upper_from_blocks(B, dom, cod, cfg)
     return cert.scaled(scale)
+
+
+def _upper_many(As: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[BoundCertificate]:
+    """:func:`upper_certificate_only` of each slice of a (k, m, n) stack, bit for bit.
+
+    A plain stack with no closed form, between spaces that are not both
+    Euclidean, sends its nonzero finite slices to one
+    :func:`_upper_candidates_simple` pass; they take the route that
+    :func:`upper_certificate_only` takes on each, with the same division by
+    the largest entry and the same scaling back.  Every other slice, and
+    every other stack, goes through :func:`upper_certificate_only` one slice
+    at a time.
+    """
+    plain = isinstance(dom, SpaceSpec) and isinstance(cod, SpaceSpec)
+    if (
+        not plain
+        or (dom.is_euclidean and cod.is_euclidean)
+        or As.shape[1:] != (cod.dim, dom.dim)
+        or _has_closed_form(As.shape[1:], dom.exponent, cod.exponent, cfg)
+    ):
+        return [upper_certificate_only(A, dom, cod, cfg) for A in As]
+    scales = np.abs(As).max(axis=(-2, -1), initial=0.0)
+    regular = (scales > 0.0) & np.isfinite(scales)
+    certs = [None if ok else upper_certificate_only(A, dom, cod, cfg) for A, ok in zip(As, regular)]
+    idx = np.flatnonzero(regular)
+    if idx.size:
+        # the stack as given when every slice is regular: a copy could change
+        # a slice's memory layout, and so the rounding of its column sums
+        group = As if idx.size == len(As) else As[idx]
+        s = scales[idx]
+        cands = _upper_candidates_simple(group / s[:, None, None], dom.exponent, cod.exponent)
+        for i, si, c in zip(idx.tolist(), s.tolist(), cands):
+            certs[i] = c.scaled(si)
+    return certs
 
 
 def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCertificate:
@@ -398,20 +482,24 @@ def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCer
 
 
 def operator_norm_bounds_many(
-    As, dom, cod, cfg: NumericsConfig | None = None, stream: int = 0
+    As, dom, cod, cfg: NumericsConfig | None = None, stream=0
 ) -> list[BoundPair]:
     """Certificate pairs for the dom -> cod operator norms of the slices of a
     (k, m, n) stack.
 
-    Each slice's upper side is :func:`upper_certificate_only`, doubling as
-    the lower one when exact.  Every other slice is divided by its largest
-    entry, and all of them go to one :func:`multistart_lower_many` call,
-    whose certificates are scaled back; each pair has the bits of a call on
-    its slice alone.
+    Each slice's upper side is :func:`upper_certificate_only`'s, from one
+    stacked pass where the spaces are plain and no closed form applies (see
+    :func:`_upper_many`); it doubles as the lower side when exact.  Every
+    other slice is divided by its largest entry, and all of them go to one
+    :func:`multistart_lower_many` call, whose certificates are scaled back.
+    ``stream`` is one int for every slice or one int per slice, so stacks of
+    callers with different streams can share the ascent; each pair has the
+    bits of a call on its slice alone with its own stream.
     """
     cfg = cfg or DEFAULT_CONFIG
     As = np.asarray(As, dtype=float)
-    uppers = [upper_certificate_only(A, dom, cod, cfg) for A in As]
+    streams = _per_slice(stream, len(As))
+    uppers = _upper_many(As, dom, cod, cfg)
     idx = [i for i, u in enumerate(uppers) if u.kind != "exact"]
     lowers = list(uppers)
     if idx:
@@ -419,7 +507,9 @@ def operator_norm_bounds_many(
         # slice's memory layout, and so the rounding of its products
         group = As if len(idx) == len(As) else As[idx]
         scales = np.abs(group).max(axis=(-2, -1))
-        certs = multistart_lower_many(group / scales[:, None, None], dom, cod, cfg, stream)
+        certs = multistart_lower_many(
+            group / scales[:, None, None], dom, cod, cfg, streams[idx]
+        )
         for i, s, c in zip(idx, scales.tolist(), certs):
             lowers[i] = c.scaled(s)
     return [BoundPair(lo, up) for lo, up in zip(lowers, uppers)]

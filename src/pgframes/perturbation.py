@@ -16,29 +16,40 @@ and no digits are lost to subtracting two nearly equal matrices.  The
 parameter distances of the bounds need no oracle: each is the norm of s e_1
 or s E with E = e_1 e_1^T, and ||s E|| = |s| for every exponent pair.
 
-When both gap spaces are Euclidean, every gap of a run is measured from its
-factors: the gap is P Q^T with thin factors of 3k columns (k the row count of
-member 0), and its spectral norm is that of a core of at most 3k x 3k, so no
-n x n gap is formed.  The memo and the lockstep ascent serve non-Euclidean
-gap spaces only.  There each run measures each distinct normalized gap
-once: the opnorm values are exactly homogeneous (value(A) =
-s value(A / s) bit for bit, with s = max|A|), so a step whose gap is a
-scalar multiple of an earlier step's, as on a base^-n schedule that bumps
-one ingredient, reuses that step's value.  The distinct gaps go to one
+The gaps are measured in one batch per run of the ``continuity`` suite:
+``continuity_gaps`` takes the schedules of several modes, builds each
+mode's gaps as one stack, and measures all of them together, since every
+mode's gaps live between the same two spaces; ``continuity_suite`` then
+checks one mode's bounds on the values it is handed, so a violation in one
+mode fails that mode alone.  A ``continuity_suite`` call without values
+measures its own mode as a batch of one.
+
+When both gap spaces are Euclidean, every gap is measured from its factors:
+the gap is P Q^T with thin factors of 3k columns (k the row count of member
+0), and its spectral norm is that of a core of at most 3k x 3k, so no n x n
+gap is formed, and the cores of every mode share one QR/SVD stack.  The
+memo and the lockstep ascent serve non-Euclidean gap spaces only.  There
+each distinct normalized gap of the batch is measured once: the opnorm
+values are exactly homogeneous (value(A) = s value(A / s) bit for bit, with
+s = max|A|), so a step whose gap is a scalar multiple of an earlier step's,
+as on a base^-n schedule that bumps one ingredient, reuses that step's
+value.  The distinct gaps of all modes go to one
 ``opnorm.operator_norm_bounds_many`` call, in which those whose upper
 certificate is not exact, such as the 40 distinct gaps of a ``joint`` run,
-share one lockstep ascent that gives each the value a call of its own
-would give, bit for bit.  The Bessel bounds B1, B2
-of the perturbed sequences in a ``joint`` run come from the two ends of the
-schedule, whose bump is affine in one entry, so a norm of it is convex along
-the schedule (proof in :func:`continuity_suite`).
+share one lockstep ascent that gives each the value a call of its own would
+give, bit for bit.  The Bessel bounds B1, B2 of the perturbed sequences in a
+``joint`` run come from the two ends of the schedule, whose bump is affine
+in one entry, so a norm of it is convex along the schedule (proof in
+:func:`continuity_suite`).
 
 Both functions take the base Bessel bounds the theorems assume as
-``bessel=``, and certify them with ``analysis_upper`` when it is None.
+``bessel=``, and certify them with ``analysis_upper`` when it is None;
+``perturbation_check`` takes its two analysis pairs as ``analysis=`` in the
+same way, so that ``run_checks`` can ascend them with ``classify``'s
+Bessel pair of the same sequence.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -46,9 +57,10 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, check_pairing
-from .operators import OperatorSequence, _analysis_opnorms, analysis_upper
+from .operators import OperatorSequence, analysis_upper
 from .opnorm import (
     BoundCertificate,
+    BoundPair,
     matrix_opnorm,
     operator_norm_bounds_many,
     upper_certificate_only,
@@ -61,37 +73,12 @@ __all__ = [
     "ContinuityViolation",
     "CONTINUITY_KINDS",
     "perturbation_check",
+    "continuity_gaps",
     "continuity_suite",
 ]
 
 CONTINUITY_KINDS = ("symbol", "theta", "lambda", "joint")
 DEVIATION_BASE = 2.0  # deviation schedule base^-n
-
-
-def _schedule(kind: str, m: Symbol, lam, theta, n_max: int) -> list:
-    """The steps (n, d_sym, L1, T1) of the ``DEVIATION_BASE``^-n schedule of ``kind``.
-
-    Step n bumps symbol entry 0 (``d_sym`` is the bumped symbol minus m) and
-    entry (0, 0) of member 0 of the sequences (L1, T1; the base's own member 0
-    where ``kind`` leaves that sequence alone), a matrix of operator norm
-    exactly one for every exponent pair.  Nothing else moves.
-    """
-
-    def bump(a: np.ndarray, n: int) -> np.ndarray:
-        e = np.zeros(a.shape)
-        e[0, 0] = 1.0
-        return a + DEVIATION_BASE ** (-n) * e
-
-    L, T = lam.mats[0], theta.mats[0]
-    steps = []
-    for n in range(1, n_max + 1):
-        e = m.entries.copy()
-        if kind in ("symbol", "joint"):
-            e[0] += DEVIATION_BASE ** (-n)
-        L1 = bump(L, n) if kind in ("lambda", "joint") else L
-        T1 = bump(T, n) if kind in ("theta", "joint") else T
-        steps.append((n, e - m.entries, L1, T1))
-    return steps
 
 
 class ContinuityViolation(RuntimeError):
@@ -123,6 +110,7 @@ def perturbation_check(
     theta: OperatorSequence,
     cfg: NumericsConfig | None = None,
     bessel: BoundCertificate | None = None,
+    analysis: tuple[BoundPair, BoundPair] | None = None,
 ) -> PerturbationReport:
     """Certify the Bessel-bound and operator-gap consequences of a perturbation.
 
@@ -130,6 +118,15 @@ def perturbation_check(
     Bessel bound of ``lam``.  Any such bound keeps the report's bound valid;
     only ``analysis_upper(lam, cfg)``, which runs when it is None, leaves the
     report's values unchanged.
+
+    ``analysis``, when given, is taken as the analysis-operator certificate
+    pairs of ``theta`` and of the difference family lam - theta, and must
+    hold a witness-backed lower side each.  Only the pairs of one
+    ``operator_norm_bounds_many`` call on their stacked matrices, between
+    lam's domain and analysis space with stream 11, leave the report's
+    values unchanged; that call runs when it is None, so a caller that
+    stacks these two slices with others of the same spaces can share one
+    lockstep ascent.
     """
     cfg = cfg or DEFAULT_CONFIG
     _same_shape(lam, theta)
@@ -144,10 +141,13 @@ def perturbation_check(
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
     B_base = analysis_upper(lam, cfg) if bessel is None else bessel
-    # both lower sides from one lockstep ascent, each with the bits of its own
-    # analysis_opnorm call; _same_shape put theta on lam's spaces
-    diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
-    B_pert, analysis_gap = (pair.lower for pair in _analysis_opnorms((theta, diff_seq), cfg))
+    if analysis is None:
+        # both lower sides from one lockstep ascent, each with the bits of its
+        # own analysis_opnorm call; _same_shape put theta on lam's spaces
+        diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
+        stack = np.stack([theta.stacked(), diff_seq.stacked()])
+        analysis = operator_norm_bounds_many(stack, lam.domain, lam.analysis_space(), cfg, 11)
+    B_pert, analysis_gap = (pair.lower for pair in analysis)
     slack = B_base.value + K.value - B_pert.value
     return PerturbationReport(
         K=K,
@@ -176,99 +176,183 @@ class ContinuityTrace:
     components: tuple[float, ...] | None = None  # the three terms of the joint bound
 
 
-def _lower_values(gaps, dom, cod, cfg) -> list[float]:
-    """``matrix_opnorm(A, ...).lower.value`` of each gap, bit for bit.
+def _schedule(kind: str, m: Symbol, lam, theta, n_max: int):
+    """The ``DEVIATION_BASE``^-n schedule of ``kind`` over steps n = 1..n_max.
+
+    Step n bumps symbol entry 0 and entry (0, 0) of member 0 of the sequences
+    by base^-n, a matrix of operator norm exactly one for every exponent
+    pair; nothing else moves.  Returns (d, L1, T1): ``d`` holds each step's
+    bumped symbol entry 0 minus m_0 (zeros where ``kind`` leaves the symbol
+    alone), and L1, T1 each step's member 0 as an (n_max, k, dim) stack, or
+    the base's own member 0 itself where ``kind`` leaves that sequence alone.
+    """
+    sizes = np.array([DEVIATION_BASE ** (-n) for n in range(1, n_max + 1)])
+    m0 = m.entries[0]
+    d = (m0 + sizes) - m0 if kind in ("symbol", "joint") else np.zeros(n_max)
+
+    def bumped(a: np.ndarray) -> np.ndarray:
+        e = np.zeros(a.shape)
+        e[0, 0] = 1.0
+        return a + sizes[:, None, None] * e
+
+    L1 = bumped(lam.mats[0]) if kind in ("lambda", "joint") else lam.mats[0]
+    T1 = bumped(theta.mats[0]) if kind in ("theta", "joint") else theta.mats[0]
+    return d, L1, T1
+
+
+def _multiplier_gaps(m, lam, theta, d, L1, T1) -> np.ndarray:
+    """The multiplier gap of each step of a schedule, as an (n_max, n_L, n_T) stack.
+
+    Step n's gap is (m_0' - m_0) L1^T T1 + m_0 (L1 - L_0)^T T1 + m_0 L_0^T (T1 - T_0),
+    which telescopes to m_0' L1^T T1 - m_0 L_0^T T_0.  A term whose parameter
+    difference is zero at a step is left out of that step, not multiplied
+    by zero (0 * inf is NaN), and each term is added where it is present, in
+    this order, as one step at a time would add it.
+    """
+    L, T = lam.mats[0], theta.mats[0]
+    m0 = m.entries[0]
+    gaps = np.zeros((len(d), lam.domain.dim, theta.domain.dim))
+
+    def at(S: np.ndarray, i: np.ndarray) -> np.ndarray:
+        # a 2-D member 0 broadcasts in the products with its own layout
+        return S if S.ndim == 2 else S[i]
+
+    def moved(S: np.ndarray, base: np.ndarray):
+        # the steps whose member 0 differs from the base's; a 2-D S is the base
+        return S[:, 0, 0] != base[0, 0] if S.ndim == 3 else []
+
+    terms = (
+        (d != 0.0, lambda i: d[i, None, None] * (np.swapaxes(at(L1, i), -1, -2) @ at(T1, i))),
+        (moved(L1, L), lambda i: m0 * (np.swapaxes(L1[i] - L, -1, -2) @ at(T1, i))),
+        (moved(T1, T), lambda i: m0 * (L.T @ (T1[i] - T))),
+    )
+    for present, term in terms:
+        i = np.flatnonzero(present)
+        if i.size:
+            gaps[i] += term(i)
+    return gaps
+
+
+def _dense_gap_norms(gaps: np.ndarray, dom, cod, cfg) -> np.ndarray:
+    """``matrix_opnorm(A, ...).lower.value`` of each slice of a gap stack, bit for bit.
 
     One certificate pair per distinct normalized gap, and exact: with s = max|A|,
     the largest entry of A / s is exactly 1.0, and the opnorm routes compute
     on the matrix divided by its largest entry, so value(A) == s * value(A / s)
-    bit for bit.  The memo is local to the call, whose gaps share one pair of
-    spaces, and keyed by a SHA-256 digest of A / s alone (so a run holds no
-    copies of its gaps).  Zero and non-finite gaps go straight to the oracle.
+    bit for bit.  Gaps are distinct when their bytes are.  Zero and
+    non-finite gaps go straight to the oracle, one at a time.
 
     The distinct normalized gaps go to one ``operator_norm_bounds_many``
     call with stream 0, the stream ``matrix_opnorm`` uses: its division by
     their largest entry, 1.0, and the scaling back are exact, so the values
     are those of one ``matrix_opnorm`` call per gap.
     """
-    distinct = {}
-    steps = []  # (s, digest), or (value, None) for a zero or non-finite gap
-    for A in gaps:
-        s = float(np.abs(A).max(initial=0.0))
-        if s == 0.0 or not math.isfinite(s):
-            steps.append((matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value, None))
-            continue
-        B = A / s
-        key = hashlib.sha256(B.tobytes()).digest()
-        distinct.setdefault(key, B)
-        steps.append((s, key))
-    memo = {}
-    if distinct:
-        pairs = operator_norm_bounds_many(np.stack(list(distinct.values())), dom, cod, cfg, 0)
-        memo = {key: pair.lower.value for key, pair in zip(distinct, pairs)}
-    return [v if key is None else v * memo[key] for v, key in steps]
+    scales = np.abs(gaps).max(axis=(1, 2), initial=0.0)
+    regular = (scales > 0.0) & np.isfinite(scales)
+    values = np.empty(len(gaps))
+    for i in np.flatnonzero(~regular):
+        values[i] = matrix_opnorm(gaps[i], dom.exponent, cod.exponent, cfg).lower.value
+    idx = np.flatnonzero(regular)
+    if idx.size:
+        B = gaps[idx] / scales[idx, None, None]
+        keys = B.reshape(len(B), -1).view(np.dtype((np.void, B[0].nbytes)))[:, 0]
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        pairs = operator_norm_bounds_many(B[first], dom, cod, cfg, 0)
+        lowers = np.array([pair.lower.value for pair in pairs])
+        values[idx] = scales[idx] * lowers[which.ravel()]
+    return values
 
 
-def _euclidean_gap_norms(m, lam, theta, steps) -> list[float]:
-    """The spectral norm of each step's multiplier gap, computed from its factors.
+def _euclidean_gap_norms(m, lam, theta, schedules) -> list[list[float]]:
+    """The spectral norm of each step's multiplier gap, per schedule, from its factors.
 
-    A step's gap (:func:`_multiplier_gap`) is exactly P Q^T with
+    A step's gap (:func:`_multiplier_gaps`) is exactly P Q^T with
     P = [L1^T | (L1 - L_0)^T | L_0^T] and
-    Q = [d T1^T | m_0 T1^T | m_0 (T1 - T_0)^T], d = d_sym[0]; a term whose
-    parameter difference is zero contributes zero columns, so the block
-    shapes stay uniform along the run and a step that moves nothing has a
-    zero core.  With thin QRs P = U_P R_P and Q = U_Q R_Q, the U with
-    orthonormal columns, P Q^T = U_P (R_P R_Q^T) U_Q^T, so
-    ||P Q^T||_2 = ||R_P R_Q^T||_2: one QR per stacked factor and one SVD of
-    the stacked cores, each at most 3k x 3k, serve the whole run.
+    Q = [d T1^T | m_0 T1^T | m_0 (T1 - T_0)^T], d the step's symbol
+    difference; a term whose parameter difference is zero contributes zero
+    columns, so the block shapes stay uniform along the run and a step that
+    moves nothing has a zero core.  With thin QRs P = U_P R_P and
+    Q = U_Q R_Q, the U with orthonormal columns, P Q^T = U_P (R_P R_Q^T) U_Q^T,
+    so ||P Q^T||_2 = ||R_P R_Q^T||_2: one QR per stacked factor and one SVD
+    of the stacked cores, each at most 3k x 3k, serve every step of every
+    schedule.
 
     The value is ||C v|| / ||v|| for a core C and its computed top right
     singular vector v, not the computed singular value: its error is of
     second order in v's, which roughly halves the worst error against the
     exact gap norm.  Member 0 of each sequence is first divided by a power
-    of two at the largest entry along the run (exact), and the values are
-    scaled back at the end, so no factor overflows or underflows where the
-    gap does not (with lam x 1e306 and theta x 1e-306, say, d T1^T would
-    be subnormal).
+    of two at its largest entry along the schedule (exact, and per
+    schedule), and the values are scaled back at the end, so no factor
+    overflows or underflows where the gap does not (with lam x 1e306 and
+    theta x 1e-306, say, d T1^T would be subnormal).
     """
 
     def exponent(A: np.ndarray) -> int:
         s = float(np.abs(A).max())
         return math.frexp(s)[1] if math.isfinite(s) else 0
 
-    L1s = np.stack([L1 for _, _, L1, _ in steps])
-    T1s = np.stack([T1 for _, _, _, T1 in steps])
-    eL, eT = exponent(L1s), exponent(T1s)
-    L1s, L = np.ldexp(L1s, -eL), np.ldexp(lam.mats[0], -eL)
-    T1s, T = np.ldexp(T1s, -eT), np.ldexp(theta.mats[0], -eT)
     m0 = m.entries[0]
-    d = np.array([d_sym[0] for _, d_sym, _, _ in steps])[:, None, None]
-    P = np.concatenate((L1s, L1s - L, np.broadcast_to(L, L1s.shape)), axis=1)
-    Q = np.concatenate((d * T1s, m0 * T1s, m0 * (T1s - T)), axis=1)
-    R_P = np.linalg.qr(P.transpose(0, 2, 1), mode="r")
-    R_Q = np.linalg.qr(Q.transpose(0, 2, 1), mode="r")
+    Ps, Qs, exponents = [], [], []
+    for d, L1, T1 in schedules:
+        L1s = np.broadcast_to(L1, (len(d), *lam.mats[0].shape))
+        T1s = np.broadcast_to(T1, (len(d), *theta.mats[0].shape))
+        eL, eT = exponent(L1s), exponent(T1s)
+        L1s, L = np.ldexp(L1s, -eL), np.ldexp(lam.mats[0], -eL)
+        T1s, T = np.ldexp(T1s, -eT), np.ldexp(theta.mats[0], -eT)
+        Ps.append(np.concatenate((L1s, L1s - L, np.broadcast_to(L, L1s.shape)), axis=1))
+        Qs.append(np.concatenate((d[:, None, None] * T1s, m0 * T1s, m0 * (T1s - T)), axis=1))
+        exponents.append(eL + eT)
+    R_P = np.linalg.qr(np.concatenate(Ps).transpose(0, 2, 1), mode="r")
+    R_Q = np.linalg.qr(np.concatenate(Qs).transpose(0, 2, 1), mode="r")
     cores = R_P @ R_Q.transpose(0, 2, 1)
     v = np.linalg.svd(cores)[2][:, 0, :, None]
     norms = np.linalg.norm(cores @ v, axis=(1, 2)) / np.linalg.norm(v, axis=(1, 2))
-    return [math.ldexp(x, eL + eT) for x in norms.tolist()]
+    runs = np.split(norms, len(schedules))
+    return [[math.ldexp(x, e) for x in run.tolist()] for run, e in zip(runs, exponents)]
 
 
-def _multiplier_gap(m, lam, theta, d_sym, L1, T1) -> np.ndarray:
-    """The multiplier gap of a step that moves member 0 only, to (m_0 + d_sym[0], L1, T1).
+def _check_run(kinds, m: Symbol, lam, theta, cfg: NumericsConfig, p1=None) -> None:
+    """Raise for an unknown kind, an auxiliary exponent p1 (when given) not
+    above 1, fewer than one step, or ingredients that do not pair."""
+    for kind in kinds:
+        if kind not in CONTINUITY_KINDS:
+            raise ValueError(f"kind must be one of {CONTINUITY_KINDS}, got {kind!r}")
+    if p1 is not None and not p1 > 1.0:  # NaN included
+        raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
+    if cfg.n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
+    check_pairing(m, lam, theta)
 
-    It is (m_0' - m_0) L1^T T1 + m_0 (L1 - L_0)^T T1 + m_0 L_0^T (T1 - T_0),
-    which telescopes to m_0' L1^T T1 - m_0 L_0^T T_0; a term whose parameter
-    difference is zero is left out.
+
+def continuity_gaps(
+    kinds,
+    m: Symbol,
+    lam: OperatorSequence,
+    theta: OperatorSequence,
+    cfg: NumericsConfig | None = None,
+) -> dict[str, list[float]]:
+    """The measured multiplier gap of every step of each kind's schedule, as one batch.
+
+    Returns a dict from each kind to its ``cfg.n_max`` values, which are the
+    ``measured`` fields :func:`continuity_suite` gives that kind, bit for
+    bit.  The kinds share their gap spaces, so all their gaps are measured
+    together: on the l^2 route in one QR/SVD stack of factor cores, and
+    otherwise in one :func:`_dense_gap_norms` call, whose distinct
+    normalized gaps share one lockstep ascent.
     """
-    L, T = lam.mats[0], theta.mats[0]
-    gap = np.zeros((lam.domain.dim, theta.domain.dim))
-    if d_sym[0]:
-        gap += d_sym[0] * (L1.T @ T1)
-    if not np.array_equal(L1, L):
-        gap += m.entries[0] * ((L1 - L).T @ T1)
-    if not np.array_equal(T1, T):
-        gap += m.entries[0] * (L.T @ (T1 - T))
-    return gap
+    cfg = cfg or DEFAULT_CONFIG
+    _check_run(kinds, m, lam, theta, cfg)
+    if not kinds:
+        return {}
+    schedules = [_schedule(kind, m, lam, theta, cfg.n_max) for kind in kinds]
+    gap_dom, gap_cod = theta.domain, lam.domain.dual
+    if gap_dom.is_euclidean and gap_cod.is_euclidean:
+        runs = _euclidean_gap_norms(m, lam, theta, schedules)
+    else:
+        gaps = np.concatenate([_multiplier_gaps(m, lam, theta, *sched) for sched in schedules])
+        values = _dense_gap_norms(gaps, gap_dom, gap_cod, cfg)
+        runs = [run.tolist() for run in np.split(values, len(kinds))]
+    return dict(zip(kinds, runs))
 
 
 def continuity_suite(
@@ -279,6 +363,7 @@ def continuity_suite(
     p1: float,
     cfg: NumericsConfig | None = None,
     bessel: tuple[BoundCertificate, BoundCertificate] | None = None,
+    measured: list[float] | None = None,
 ) -> list[ContinuityTrace]:
     """Run one continuity mode over ``cfg.n_max`` steps and return their traces.
 
@@ -290,17 +375,17 @@ def continuity_suite(
     formed from a parameter difference and so is computed at the gap's own
     scale.
 
-    Every gap is measured before any bound is checked.  When both gap
+    Every gap is measured before any bound is checked, by
+    :func:`continuity_gaps` on this one kind.  When both gap
     spaces (``theta.domain`` and ``lam.domain.dual``) are Euclidean,
     :func:`_euclidean_gap_norms` reads all of them off the SVDs of small
     cores of their factors (proof there): no gap is formed, and ``measured``
     is the gap's spectral norm up to rounding.  Otherwise the gaps go to
-    :func:`_lower_values`, whose memo and lockstep ascent serve the
-    non-Euclidean spaces only: each distinct normalized gap is measured
-    once, so a step whose gap is a scalar multiple of an earlier one (a base^-n
-    bump of the symbol or of one sequence) reuses that step's value, and
-    ``measured`` is what ``matrix_opnorm(gap, ...).lower.value`` gives, bit
-    for bit.
+    :func:`_dense_gap_norms` as one stack, which measures each distinct
+    normalized gap once, so a step whose gap is a scalar multiple of an
+    earlier one (a base^-n bump of the symbol or of one sequence) reuses
+    that step's value, and ``measured`` is what
+    ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
 
     The parameter distances are read off the bumped entries.  The symbol
     moves by s e_1 and member 0 of a sequence by s E, E = e_1 e_1^T, and
@@ -313,7 +398,11 @@ def continuity_suite(
     bounds assume and must hold proven upper Bessel bounds of ``lam`` and
     ``theta``.  Any such bounds keep the theorem bounds valid; only
     ``analysis_upper`` of each, which runs when it is None, leaves the traces
-    unchanged.
+    unchanged.  ``measured``, when given, is taken as the run's measured
+    gaps, one per step; only this kind's values from a
+    :func:`continuity_gaps` call, which runs when it is None, leave the
+    traces unchanged.  So several kinds measured in one batch each keep
+    their own traces and their own violations.
 
     The ``joint`` bound needs B1 >= ||U(L_n)|| and B2 >= ||U(T_n)|| at every
     step, U the analysis operator.  The two ends of the schedule suffice, so
@@ -343,19 +432,12 @@ def continuity_suite(
     violation raises :class:`ContinuityViolation`.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if kind not in CONTINUITY_KINDS:
-        raise ValueError(f"kind must be one of {CONTINUITY_KINDS}, got {kind!r}")
-    if not p1 > 1.0:  # NaN included
-        raise ValueError(f"the auxiliary exponent p1 must exceed 1, got {p1}")
-    if cfg.n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
-
-    check_pairing(m, lam, theta)
+    _check_run((kind,), m, lam, theta, cfg, p1)
     if bessel is None:
         bessel = (analysis_upper(lam, cfg), analysis_upper(theta, cfg))
     B_lam, B_theta = (b.value for b in bessel)
     m_p1 = m.p_norm(p1)
-    steps = _schedule(kind, m, lam, theta, cfg.n_max)
+    d, L1, T1 = _schedule(kind, m, lam, theta, cfg.n_max)
 
     def upper_with(seq: OperatorSequence, M1: np.ndarray) -> float:
         # the certified Bessel bound of seq with member 0 replaced by M1
@@ -366,23 +448,23 @@ def continuity_suite(
 
     B1 = B2 = None
     if kind == "joint":  # the schedule is convex in its bump (docstring)
-        ends = steps if len(steps) == 1 else (steps[0], steps[-1])
-        B1 = max(upper_with(lam, L1) for _, _, L1, _ in ends)
-        B2 = max(upper_with(theta, T1) for _, _, _, T1 in ends)
+        ends = (0,) if cfg.n_max == 1 else (0, cfg.n_max - 1)
+        B1 = max(upper_with(lam, L1[i]) for i in ends)
+        B2 = max(upper_with(theta, T1[i]) for i in ends)
 
-    gap_dom, gap_cod = theta.domain, lam.domain.dual
-    if gap_dom.is_euclidean and gap_cod.is_euclidean:
-        measured_all = _euclidean_gap_norms(m, lam, theta, steps)
-    else:
-        gaps = (_multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
-        measured_all = _lower_values(gaps, gap_dom, gap_cod, cfg)
+    if measured is None:
+        measured = continuity_gaps((kind,), m, lam, theta, cfg)[kind]
+    elif len(measured) != cfg.n_max:
+        raise ValueError(f"{len(measured)} measured gaps for {cfg.n_max} steps")
     L, T = lam.mats[0], theta.mats[0]
+    # each parameter distance is the norm of a multiple of e_1 or E: |s| (docstring)
+    sym_gaps, lam_gaps, theta_gaps = (
+        np.broadcast_to(np.abs(g), (cfg.n_max,)).tolist()
+        for g in (d, L1[..., 0, 0] - L[0, 0], T1[..., 0, 0] - T[0, 0])
+    )
     traces: list[ContinuityTrace] = []
-    for (n, d_sym, L1, T1), measured in zip(steps, measured_all):
-        # each parameter distance is the norm of a multiple of e_1 or E: |s| (docstring)
-        sym_gap = float(abs(d_sym[0]))
-        lam_gap = float(abs(L1[0, 0] - L[0, 0]))
-        theta_gap = float(abs(T1[0, 0] - T[0, 0]))
+    steps = zip(measured, sym_gaps, lam_gaps, theta_gaps)
+    for n, (measured_n, sym_gap, lam_gap, theta_gap) in enumerate(steps, start=1):
         components = None
         if kind == "symbol":
             deviation = sym_gap
@@ -402,16 +484,16 @@ def continuity_suite(
             deviation = max(sym_gap, lam_gap, theta_gap)
             bound = sum(components)
 
-        if measured > bound + 1e-9:
+        if measured_n > bound + 1e-9:
             raise ContinuityViolation(
-                f"step {n}: measured {measured:.3e} exceeds bound {bound:.3e}"
+                f"step {n}: measured {measured_n:.3e} exceeds bound {bound:.3e}"
             )
         traces.append(
             ContinuityTrace(
                 n=n,
                 kind=kind,
                 deviation=deviation,
-                measured=measured,
+                measured=measured_n,
                 bound=bound,
                 components=components,
             )

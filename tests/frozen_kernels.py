@@ -1,5 +1,6 @@
 """Frozen copies of the column kernels and the ascent loop before their fast
-paths, kept as bitwise references for the tests.
+paths, and of the continuity suite before its batch, kept as bitwise
+references for the tests.
 
 ``pnorm_many`` and ``holder_witness_many`` take every scaled form through
 ``np.where``, and the witness is normalized by a full ``pnorm_many``; the
@@ -141,3 +142,137 @@ def ascend(A, X, dom, cod, max_iterations, ratio_tol=1e-12):
         prev = vals
     finish(live, best_vals, best_X)
     return values, witnesses
+
+
+# The continuity suite as it was: one kind per call, one gap per step, a
+# SHA-256 memo per kind, one opnorm call per kind for its distinct gaps, and
+# one factored QR/SVD stack per kind on the l^2 route.  The batched suite
+# must give the same traces, bit for bit.
+
+def continuity_schedule(kind, m, lam, theta, n_max):
+    """The steps (n, d_sym, L1, T1) of the 2^-n schedule of ``kind``."""
+
+    def bump(a, n):
+        e = np.zeros(a.shape)
+        e[0, 0] = 1.0
+        return a + 2.0 ** (-n) * e
+
+    L, T = lam.mats[0], theta.mats[0]
+    steps = []
+    for n in range(1, n_max + 1):
+        e = m.entries.copy()
+        if kind in ("symbol", "joint"):
+            e[0] += 2.0 ** (-n)
+        L1 = bump(L, n) if kind in ("lambda", "joint") else L
+        T1 = bump(T, n) if kind in ("theta", "joint") else T
+        steps.append((n, e - m.entries, L1, T1))
+    return steps
+
+
+def multiplier_gap(m, lam, theta, d_sym, L1, T1):
+    """One step's gap, a term whose parameter difference is zero left out."""
+    L, T = lam.mats[0], theta.mats[0]
+    gap = np.zeros((lam.domain.dim, theta.domain.dim))
+    if d_sym[0]:
+        gap += d_sym[0] * (L1.T @ T1)
+    if not np.array_equal(L1, L):
+        gap += m.entries[0] * ((L1 - L).T @ T1)
+    if not np.array_equal(T1, T):
+        gap += m.entries[0] * (L.T @ (T1 - T))
+    return gap
+
+
+def _lower_values(gaps, dom, cod, cfg):
+    import hashlib
+
+    from pgframes.opnorm import matrix_opnorm, operator_norm_bounds_many
+
+    distinct, steps = {}, []
+    for A in gaps:
+        s = float(np.abs(A).max(initial=0.0))
+        if s == 0.0 or not math.isfinite(s):
+            steps.append((matrix_opnorm(A, dom.exponent, cod.exponent, cfg).lower.value, None))
+            continue
+        B = A / s
+        key = hashlib.sha256(B.tobytes()).digest()
+        distinct.setdefault(key, B)
+        steps.append((s, key))
+    memo = {}
+    if distinct:
+        pairs = operator_norm_bounds_many(np.stack(list(distinct.values())), dom, cod, cfg, 0)
+        memo = {key: pair.lower.value for key, pair in zip(distinct, pairs)}
+    return [v if key is None else v * memo[key] for v, key in steps]
+
+
+def _euclidean_gap_norms(m, lam, theta, steps):
+    def exponent(A):
+        s = float(np.abs(A).max())
+        return math.frexp(s)[1] if math.isfinite(s) else 0
+
+    L1s = np.stack([L1 for _, _, L1, _ in steps])
+    T1s = np.stack([T1 for _, _, _, T1 in steps])
+    eL, eT = exponent(L1s), exponent(T1s)
+    L1s, L = np.ldexp(L1s, -eL), np.ldexp(lam.mats[0], -eL)
+    T1s, T = np.ldexp(T1s, -eT), np.ldexp(theta.mats[0], -eT)
+    m0 = m.entries[0]
+    d = np.array([d_sym[0] for _, d_sym, _, _ in steps])[:, None, None]
+    P = np.concatenate((L1s, L1s - L, np.broadcast_to(L, L1s.shape)), axis=1)
+    Q = np.concatenate((d * T1s, m0 * T1s, m0 * (T1s - T)), axis=1)
+    R_P = np.linalg.qr(P.transpose(0, 2, 1), mode="r")
+    R_Q = np.linalg.qr(Q.transpose(0, 2, 1), mode="r")
+    cores = R_P @ R_Q.transpose(0, 2, 1)
+    v = np.linalg.svd(cores)[2][:, 0, :, None]
+    norms = np.linalg.norm(cores @ v, axis=(1, 2)) / np.linalg.norm(v, axis=(1, 2))
+    return [math.ldexp(x, eL + eT) for x in norms.tolist()]
+
+
+def continuity_suite(kind, m, lam, theta, p1, cfg, bessel=None):
+    """One kind's traces as (n, deviation, measured, bound, components)
+    tuples, or the message of the violation it raised."""
+    from pgframes.operators import OperatorSequence, analysis_upper
+
+    if bessel is None:
+        bessel = (analysis_upper(lam, cfg), analysis_upper(theta, cfg))
+    B_lam, B_theta = (b.value for b in bessel)
+    m_p1 = m.p_norm(p1)
+    steps = continuity_schedule(kind, m, lam, theta, cfg.n_max)
+
+    def upper_with(seq, M1):
+        bumped = OperatorSequence(
+            seq.domain, seq.codomains, (M1,) + seq.mats[1:], seq.frame_exponent
+        )
+        return analysis_upper(bumped, cfg).value
+
+    B1 = B2 = None
+    if kind == "joint":
+        ends = steps if len(steps) == 1 else (steps[0], steps[-1])
+        B1 = max(upper_with(lam, L1) for _, _, L1, _ in ends)
+        B2 = max(upper_with(theta, T1) for _, _, _, T1 in ends)
+    gap_dom, gap_cod = theta.domain, lam.domain.dual
+    if gap_dom.is_euclidean and gap_cod.is_euclidean:
+        measured_all = _euclidean_gap_norms(m, lam, theta, steps)
+    else:
+        gaps = (multiplier_gap(m, lam, theta, d_sym, L1, T1) for _, d_sym, L1, T1 in steps)
+        measured_all = _lower_values(gaps, gap_dom, gap_cod, cfg)
+    L, T = lam.mats[0], theta.mats[0]
+    traces = []
+    for (n, d_sym, L1, T1), measured in zip(steps, measured_all):
+        sym_gap = float(abs(d_sym[0]))
+        lam_gap = float(abs(L1[0, 0] - L[0, 0]))
+        theta_gap = float(abs(T1[0, 0] - T[0, 0]))
+        components = None
+        if kind == "symbol":
+            deviation, bound = sym_gap, B_lam * B_theta * sym_gap
+        elif kind == "theta":
+            deviation, bound = theta_gap, B_lam * m_p1 * theta_gap
+        elif kind == "lambda":
+            deviation, bound = lam_gap, B_theta * m_p1 * lam_gap
+        else:
+            components = (B1 * B2 * sym_gap, B2 * m_p1 * lam_gap, B_lam * m_p1 * theta_gap)
+            deviation, bound = max(sym_gap, lam_gap, theta_gap), sum(components)
+        if measured > bound + 1e-9:
+            return f"step {n}: measured {measured:.3e} exceeds bound {bound:.3e}"
+        traces.append((n, deviation, measured, bound, components))
+    if len(traces) >= 2 and traces[0][3] > 0.0 and traces[-1][3] > 0.5 * traces[0][3]:
+        return f"bounds do not decay: {traces[0][3]:.3e} -> {traces[-1][3]:.3e}"
+    return traces

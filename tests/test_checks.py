@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import importlib
 import sys
 
@@ -205,3 +206,92 @@ def test_a_passed_bessel_bound_changes_no_value(space):
         shared = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel=(b_lam, b_theta))
         own = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg)
         assert [_values(t) for t in shared] == [_values(t) for t in own]
+
+
+def _results(report) -> dict:
+    # each suite's deterministic fields, wall time left out
+    out = {}
+    for r in report.results:
+        doc = r.to_dict()
+        doc.pop("wall_ms")
+        out[r.name] = doc
+    return out
+
+
+def _counted_ascents(monkeypatch) -> list:
+    # (stack size, dom, cod) of every lockstep ascent
+    calls = []
+    real = pg.opnorm._ascend
+
+    def counting(A, X, dom, cod, cfg):
+        calls.append((len(A), dom, cod))
+        return real(A, X, dom, cod, cfg)
+
+    monkeypatch.setattr(pg.opnorm, "_ascend", counting)
+    return calls
+
+
+def test_ascents_per_seed_1_workload_pass(monkeypatch):
+    # the four continuity kinds share one ascent, and lam's Bessel ascent
+    # shares perturb's: 20 -> 16 ascents on ladder-lp, 120 -> 72 on small-grid
+    calls = _counted_ascents(monkeypatch)
+    counts = []
+    for group in (slice(0, 4), slice(4, 8), slice(8, 20)):
+        calls.clear()
+        for inst in _workload_instances()[group]:
+            checks.run_checks(inst)
+        counts.append(len(calls))
+    assert counts == [16, 0, 72]
+
+
+@pytest.mark.parametrize(
+    "suites, sizes", [(["classify", "perturb"], [3]), (["classify"], [1]), (["perturb"], [2])]
+)
+def test_classify_and_perturb_share_one_ascent_on_lams_spaces(monkeypatch, suites, sizes):
+    inst = _pair("lp")
+    lam = inst.lam_sequence()
+    calls = _counted_ascents(monkeypatch)
+    report = checks.run_checks(inst, suites)
+    assert report.ok
+    on_lam = [n for n, dom, cod in calls if (dom, cod) == (lam.domain, lam.analysis_space())]
+    assert on_lam == sizes
+
+
+def test_a_full_run_gives_classify_and_perturb_their_own_results():
+    for inst in _workload_instances():
+        full = _results(checks.run_checks(inst))
+        for suite in ("classify", "perturb"):
+            assert _results(checks.run_checks(inst, [suite]))[suite] == full[suite], inst.seed
+
+
+@pytest.mark.parametrize("epsilon", [1e300, np.inf, np.nan])
+def test_an_unusable_perturbation_fails_only_perturb(epsilon):
+    # classify keeps its bits whatever the perturbation, and perturb reads as
+    # it does when it runs alone
+    inst = _pair("lp")
+    both = _results(checks.run_checks(inst, ["classify", "perturb"], epsilon=epsilon))
+    alone = _results(checks.run_checks(inst, ["perturb"], epsilon=epsilon))
+    assert both["classify"] == _results(checks.run_checks(inst, ["classify"]))["classify"]
+    assert json.dumps(both["perturb"]) == json.dumps(alone["perturb"])
+    if not np.isfinite(epsilon):
+        assert both["perturb"]["status"] == "fail"
+        assert "non-finite" in both["perturb"]["reason"]
+
+
+def test_a_bessel_bound_too_small_for_some_kinds_fails_only_those(monkeypatch):
+    # lam's bound 100 times too small: the symbol and theta kinds fail, and
+    # the lambda and joint kinds still report their values
+    inst = _pair("lp")
+    real, L = checks.analysis_upper, inst.lam_sequence().stacked()
+
+    def small_for_lam(seq, cfg=None):
+        cert = real(seq, cfg)
+        return cert.scaled(0.01) if np.array_equal(seq.stacked(), L) else cert
+
+    monkeypatch.setattr(checks, "analysis_upper", small_for_lam)
+    (res,) = checks.run_checks(inst, ["continuity"], pg.NumericsConfig(n_max=6)).results
+    assert res.status == "fail"
+    assert [note.split(":")[0] for note in res.reason.split("; ")] == ["symbol", "theta"]
+    assert sorted(res.values) == [
+        "joint.final_bound", "joint.worst_excess", "lambda.final_bound", "lambda.worst_excess"
+    ]

@@ -427,26 +427,143 @@ def test_lockstep_start_bundles_survive_a_failed_svd(monkeypatch):
         _assert_lockstep_is_per_call(As[1:2], dom, cod)
 
 
-@pytest.mark.parametrize("kind", ["symbol", "theta", "lambda", "joint"])
-def test_lockstep_equals_per_call_on_continuity_gaps(kind, monkeypatch):
-    # the stack continuity_suite sends: every step's normalized gap of a small
-    # non-Euclidean pair, between the spaces the suite measures it in
+@pytest.mark.parametrize("kind", ["symbol", "theta", "lambda", "joint", None])
+def test_lockstep_equals_per_call_on_continuity_gaps(kind):
+    # the stack continuity_gaps sends: every step's normalized gap of a small
+    # non-Euclidean pair, between the spaces the suite measures it in; None
+    # stacks all four kinds, as one batch does
     from pgframes import perturbation
 
-    gaps = []
-    real = perturbation._multiplier_gap
-
-    def recording(*args):
-        gaps.append(real(*args))
-        return gaps[-1]
-
-    monkeypatch.setattr(perturbation, "_multiplier_gap", recording)
     inst = pg.gen(
         "riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, y_exponents=[3, 3],
         x1_exponent=1.5, x2_exponent=3, seed=11,
     )
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
-    pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
-    assert len(gaps) == 40
-    As = np.stack([g / np.abs(g).max() for g in gaps])
+    kinds = pg.CONTINUITY_KINDS if kind is None else (kind,)
+    gaps = np.concatenate([
+        perturbation._multiplier_gaps(m, lam, theta, *perturbation._schedule(k, m, lam, theta, 40))
+        for k in kinds
+    ])
+    assert len(gaps) == 40 * len(kinds)
+    As = gaps / np.abs(gaps).max(axis=(1, 2))[:, None, None]
     _assert_lockstep_is_per_call(As, theta.domain, lam.domain.dual, stream=0)
+
+
+def _assert_same_pair(got, expect):
+    # bit for bit, a NaN value (of a non-finite slice) included
+    for g, e in zip(got, expect):
+        assert np.float64(g.value).tobytes() == np.float64(e.value).tobytes()
+        assert (g.kind, g.method) == (e.kind, e.method)
+        assert (g.witness is None) == (e.witness is None)
+        assert g.witness is None or g.witness.tobytes() == e.witness.tobytes()
+
+
+STREAMS = [21, 11, 11, 0, 21, 5]
+
+
+def _mixed_stream_stack(rng, dom, cod):
+    As = rng.standard_normal((len(STREAMS), cod.total_dim, dom.total_dim))
+    As[1] *= 1e-3
+    As[2, 0] = 0.0  # a zero row
+    As[3] = 0.0     # a zero slice
+    return As
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, INF])
+def test_mixed_stream_stack_equals_each_slices_own_stream(p, r):
+    # one stream per slice: each slice's certificates have the bits of a
+    # call on it alone with its own stream
+    rng = np.random.default_rng([71, int(min(p, 9) * 2), int(min(r, 9) * 2)])
+    cfg = NumericsConfig()
+    for dom, cod in _lockstep_spaces(p, r):
+        As = _mixed_stream_stack(rng, dom, cod)
+        got = pg.opnorm.operator_norm_bounds_many(As, dom, cod, cfg, STREAMS)
+        lowers = pg.opnorm.multistart_lower_many(As, dom, cod, cfg, STREAMS)
+        for A, stream, pair, lower in zip(As, STREAMS, got, lowers):
+            _assert_same_pair(pair, pg.operator_norm_bounds(A, dom, cod, cfg, stream=stream))
+            _assert_same_pair([lower], [pg.opnorm.multistart_lower(A, dom, cod, cfg, stream)])
+
+
+def test_mixed_stream_stack_where_the_kept_columns_differ_by_stream(monkeypatch):
+    # stream 13's first normal column is zero and is dropped, so its slices
+    # keep other columns than the rest; an SVD that fails drops the first
+    # column of others.  Slices still share an ascent by the columns they
+    # keep, whatever their stream, and each keeps its own bits
+    real_rng, real_svd = pg.opnorm._rng, np.linalg.svd
+    poison = 7.0
+
+    class Holed:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            x = self.rng.standard_normal(shape)
+            x[:, 0] = 0.0
+            return x
+
+    def rng(cfg, stream, index):
+        g = real_rng(cfg, stream, index)
+        return Holed(g) if stream == 13 else g
+
+    def svd(a, *args, **kwargs):
+        if np.any(np.asarray(a)[..., 0, 0] == poison):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(pg.opnorm, "_rng", rng)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    groups = []
+    real_ascend = pg.opnorm._ascend
+    monkeypatch.setattr(
+        pg.opnorm, "_ascend", lambda A, X, *a: groups.append(X.shape) or real_ascend(A, X, *a)
+    )
+    cfg = NumericsConfig()
+    streams = [13, 21, 13, 21, 11, 13]
+    dom, cod = pg.SpaceSpec(4, 1.5), pg.SpaceSpec(5, 3.0)
+    As = np.random.default_rng(73).standard_normal((len(streams), 5, 4))
+    As[[2, 3], 0, 0] = poison
+    lowers = pg.opnorm.multistart_lower_many(As, dom, cod, cfg, streams)
+    # (top, stream 13), (top, others), (no top, 13), (no top, others)
+    assert sorted(groups) == [(1, 4, 20), (1, 4, 21), (2, 4, 21), (2, 4, 22)], groups
+    for A, stream, lower in zip(As, streams, lowers):
+        _assert_same_pair([lower], [pg.opnorm.multistart_lower(A, dom, cod, cfg, stream)])
+
+
+def test_a_stream_list_must_give_one_stream_per_slice():
+    As = np.ones((3, 2, 2))
+    with pytest.raises(ValueError):
+        pg.opnorm.operator_norm_bounds_many(As, pg.SpaceSpec(2, 1.5), pg.SpaceSpec(2, 3.0),
+                                            stream=[1, 2])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF])
+@pytest.mark.parametrize("r", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF])
+def test_stacked_upper_side_equals_upper_certificate_only(p, r, monkeypatch):
+    # the stacked candidates pass gives each slice the bits of its own
+    # upper_certificate_only call: zero, non-finite and failing-SVD slices,
+    # shapes whose column sums are long enough to be summed pairwise, and a
+    # stack whose slices are column-major
+    real = np.linalg.svd
+    poison = 7.0
+
+    def svd(a, *args, **kwargs):
+        if np.any(np.asarray(a)[..., 0, 0] == poison):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng([79, int(min(p, 9) * 4), int(min(r, 9) * 4)])
+    cfg = NumericsConfig()
+    for m, n in [(3, 3), (2, 5), (12, 10), (17, 24), (1, 4), (4, 1)]:
+        dom, cod = pg.SpaceSpec(n, p), pg.SpaceSpec(m, r)
+        As = rng.standard_normal((6, m, n)) * 10.0 ** rng.integers(-30, 30, (6, 1, 1))
+        As[1] = 0.0
+        if not p == r == 2.0:  # where the SVD is the route, it raises alone too
+            As[2, 0, 0] = poison
+            As[3, -1, -1] = np.inf
+        for stack in (As[[0, 2, 4, 5]], As, np.ascontiguousarray(As.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = pg.opnorm.operator_norm_bounds_many(stack, dom, cod, cfg)
+                for A, pair in zip(stack, got):
+                    _assert_same_pair([pair.upper], [pg.upper_certificate_only(A, dom, cod, cfg)])

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import sys
@@ -7,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import frozen_kernels as frozen
 import pgframes as pg
 from pgframes import perturbation
 
@@ -329,17 +329,24 @@ def _with_mats(seq, mats):
 
 @pytest.fixture
 def recorded_gaps(monkeypatch):
-    # every step's multiplier gap, as the continuity suite builds it
+    # every step's multiplier gap, as the continuity suite builds its stack
     gaps = []
-    real = perturbation._multiplier_gap
+    real = perturbation._multiplier_gaps
 
     def recording(*args):
-        gap = real(*args)
-        gaps.append(np.array(gap))
-        return gap
+        stack = real(*args)
+        gaps.extend(np.array(g) for g in stack)
+        return stack
 
-    monkeypatch.setattr(perturbation, "_multiplier_gap", recording)
+    monkeypatch.setattr(perturbation, "_multiplier_gaps", recording)
     return gaps
+
+
+def _schedule_gaps(kind, m, lam, theta, n_max):
+    # the stacked gaps of one kind's schedule, step n at index n - 1
+    return perturbation._multiplier_gaps(
+        m, lam, theta, *perturbation._schedule(kind, m, lam, theta, n_max)
+    )
 
 
 PAIR6 = pg.gen("riesz-pair", x2_dim=6, y_dims=[2, 2, 2], seed=11)
@@ -350,12 +357,10 @@ def test_continuity_gap_matches_exact_reference(kind):
     # the dense gap of the non-Euclidean route, entry by entry, against exact
     # rational arithmetic; l^2 runs measure the same gaps from their factors
     m, lam, theta = PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()
-    steps = perturbation._schedule(kind, m, lam, theta, 40)
+    gaps = _schedule_gaps(kind, m, lam, theta, 40)
     gen = _reference_generator(kind, m, lam, theta)
     for n in (10, 25, 40):
-        _, d_sym, L1, T1 = steps[n - 1]
-        gap = perturbation._multiplier_gap(m, lam, theta, d_sym, L1, T1)
-        err = _exact_gap_error(gap, (m, lam, theta), gen(n))
+        err = _exact_gap_error(gaps[n - 1], (m, lam, theta), gen(n))
         assert err <= 1e-15, (n, err)
 
 
@@ -467,8 +472,7 @@ def test_l2_gap_route_matches_dense(kind, ingredients, n_max):
     cfg = pg.NumericsConfig(n_max=n_max)
     traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
     assert len(traces) == n_max
-    for t, (_, d_sym, L1, T1) in zip(traces, perturbation._schedule(kind, m, lam, theta, n_max)):
-        gap = perturbation._multiplier_gap(m, lam, theta, d_sym, L1, T1)
+    for t, gap in zip(traces, _schedule_gaps(kind, m, lam, theta, n_max)):
         dense = pg.matrix_opnorm(gap, 2.0, 2.0, cfg).lower.value
         assert abs(t.measured - dense) <= 1e-15 * dense, (t.n, t.measured, dense)
 
@@ -476,21 +480,23 @@ def test_l2_gap_route_matches_dense(kind, ingredients, n_max):
 @pytest.mark.parametrize("inst", [PAIR6, BESSEL_PAIR], ids=["riesz-pair", "bessel"])
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
 def test_l2_gap_route_forms_no_gap(monkeypatch, recorded_uppers, kind, inst):
-    # no dense gap is formed, hashed for the memo, or given an SVD: every
-    # n_L x n_T SVD of the run is a Bessel certificate's
-    gaps, digests, svd_shapes = [], [], []
-    real_gap, real_sha, real_svd = perturbation._multiplier_gap, hashlib.sha256, np.linalg.svd
+    # no dense gap is formed, deduplicated for the oracle, or given an SVD:
+    # every n_L x n_T SVD of the run is a Bessel certificate's
+    gaps, dense, svd_shapes = [], [], []
+    real_gaps, real_dense, real_svd = (
+        perturbation._multiplier_gaps, perturbation._dense_gap_norms, np.linalg.svd
+    )
 
     def svd(A, *args, **kwargs):
         svd_shapes.append(np.shape(A))
         return real_svd(A, *args, **kwargs)
 
-    monkeypatch.setattr(perturbation, "_multiplier_gap", lambda *a: gaps.append(a) or real_gap(*a))
-    monkeypatch.setattr(hashlib, "sha256", lambda *a: digests.append(a) or real_sha(*a))
+    monkeypatch.setattr(perturbation, "_multiplier_gaps", lambda *a: gaps.append(a) or real_gaps(*a))
+    monkeypatch.setattr(perturbation, "_dense_gap_norms", lambda *a: dense.append(a) or real_dense(*a))
     monkeypatch.setattr(np.linalg, "svd", svd)
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
-    assert gaps == [] and digests == []
+    assert gaps == [] and dense == []
     gap_shape = (lam.domain.dim, theta.domain.dim)
     certified = sum(U.shape == gap_shape for U, _ in recorded_uppers)
     assert svd_shapes.count(gap_shape) == certified, (svd_shapes, certified)
@@ -569,7 +575,7 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
     B2 = max(pg.analysis_upper(tt, cfg).value for _, _, tt in (steps[0], steps[-1]))
     out = []
     for mm, ll, tt in steps:
-        gap = perturbation._multiplier_gap(
+        gap = frozen.multiplier_gap(
             m, lam, theta, mm.entries - m.entries, ll.mats[0], tt.mats[0]
         )
         measured = pg.matrix_opnorm(
@@ -595,13 +601,17 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
 def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # on a base^-n schedule that bumps one ingredient, every gap is a scalar
     # multiple of the first, so the memo serves most steps; the joint gaps
-    # carry cross-terms and differ step to step, and their ascents run as one
-    # lockstep call
+    # carry cross-terms and differ step to step.  Run alone, each kind sends
+    # its distinct gaps to one oracle call and one lockstep ascent; in one
+    # batch, the four kinds send all of theirs to one call and one ascent
     inst = SMALL_GRID_PAIR
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     cfg = pg.NumericsConfig(n_max=40)
+    references = {
+        kind: _reference_traces(kind, m, lam, theta, 2.0, 40, cfg) for kind in pg.CONTINUITY_KINDS
+    }
     gap_spaces = (theta.domain, lam.domain.dual)
-    sent, ascents = [], []  # normalized gaps sent to the oracle; stack sizes of the ascents
+    sent, ascents = [], []  # the gaps of each oracle call; stack sizes of the ascents
     # matrices of member 0's shape that perturbation sends to an oracle: the
     # deviations need none
     member_shaped = []
@@ -619,18 +629,18 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
 
     def counting_upper(A, dom, cod, *args):
         if (dom, cod) == gap_spaces:
-            sent.append(A)
+            sent.append([A])
         note_member_shaped(A)
         return upper(A, dom, cod, *args)
 
     def counting_opnorm(A, *args):
-        sent.append(A)
+        sent.append([A])
         note_member_shaped(A)
         return opnorm(A, *args)
 
     def counting_bounds(As, dom, cod, *args):
         if (dom, cod) == gap_spaces:
-            sent.extend(As)
+            sent.append(list(As))
         note_member_shaped(*As)
         return bounds(As, dom, cod, *args)
 
@@ -642,17 +652,32 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     monkeypatch.setattr(perturbation, "matrix_opnorm", counting_opnorm)
     monkeypatch.setattr(perturbation, "operator_norm_bounds_many", counting_bounds)
     monkeypatch.setattr(pg.opnorm, "multistart_lower_many", counting_many)
+
+    def traced(traces):
+        return [(t.deviation, t.measured, t.bound) for t in traces]
+
     per_kind = {}
     for kind in pg.CONTINUITY_KINDS:
         before = len(sent), len(ascents)
         traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
-        per_kind[kind] = len(sent) - before[0], ascents[before[1]:]
-        got = [(t.deviation, t.measured, t.bound) for t in traces]
-        assert got == _reference_traces(kind, m, lam, theta, 2.0, 40, cfg), kind
+        assert len(sent) - before[0] == 1, kind
+        per_kind[kind] = len(sent[-1]), ascents[before[1]:]
+        assert traced(traces) == references[kind], kind
     assert sum(per_kind[k][0] for k in ("symbol", "theta", "lambda")) <= 10, per_kind
     assert per_kind["joint"] == (40, [40]), per_kind
+
+    before = len(sent), len(ascents)
+    measured = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, cfg)
+    (batch,) = sent[before[0]:]
+    assert len(batch) == sum(n for n, _ in per_kind.values())
+    assert ascents[before[1]:] == [sum(sum(a) for _, a in per_kind.values())]
+    for kind in pg.CONTINUITY_KINDS:
+        traces = pg.continuity_suite(
+            kind, m, lam, theta, p1=2.0, cfg=cfg, measured=measured[kind]
+        )
+        assert traced(traces) == references[kind], kind
     # the gaps themselves are not of member 0's shape
-    assert member_shaped == [] and sent[0].shape != lam.mats[0].shape
+    assert member_shaped == [] and batch[0].shape != lam.mats[0].shape
 
 
 # small-grid seed 1, instance 6: the pair whose certified Bessel bound is not
@@ -725,3 +750,129 @@ def test_joint_endpoint_bound_at_rounding_edges(recorded_uppers, corner):
         assert all(np.array_equal(ll.stacked(), lam.stacked()) for ll in lls)
     all_steps = max(pg.analysis_upper(ll, cfg).value for ll in lls)
     assert _suite_bound(recorded_uppers[2:], lls) >= all_steps * (1 - 1e-14)
+
+
+def _bump_rounds_away_at(n_away):
+    # 2^k + 2^-n is exact for n <= 52 - k and rounds back to 2^k beyond:
+    # steps 1..n_away move, the later ones do not
+    k = 52 - n_away
+    e = SMALL_GRID_PAIR.symbol_obj().entries.copy()
+    e[0] = 2.0 ** k
+    seqs = []
+    for seq in (SMALL_GRID_PAIR.lam_sequence(), SMALL_GRID_PAIR.theta_sequence()):
+        mats = [a.copy() for a in seq.mats]
+        mats[0][0, 0] = 2.0 ** k
+        seqs.append(_with_mats(seq, mats))
+    return pg.Symbol(e), *seqs
+
+
+def _on_lp_domains(m, lam, theta):
+    # the same matrices on non-Euclidean domains: the dense route
+    lam, theta = (
+        pg.OperatorSequence(pg.SpaceSpec(s.domain.dim, r), s.codomains, s.mats, s.frame_exponent)
+        for s, r in zip((lam, theta), (1.5, 3.0))
+    )
+    return m, lam, theta
+
+
+FROZEN_CASES = {
+    "lp-pair": ((SMALL_GRID_PAIR.symbol_obj(), SMALL_GRID_PAIR.lam_sequence(),
+                 SMALL_GRID_PAIR.theta_sequence()), 40),
+    "lp-pair-n_max-1": ((SMALL_GRID_PAIR.symbol_obj(), SMALL_GRID_PAIR.lam_sequence(),
+                         SMALL_GRID_PAIR.theta_sequence()), 1),
+    "lp-grid-1006": ((GRID_PAIR_1006.symbol_obj(), GRID_PAIR_1006.lam_sequence(),
+                      GRID_PAIR_1006.theta_sequence()), 40),
+    "lp-rounds-away": (_on_lp_domains(*_rounds_away_pair()), 40),
+    "lp-rounds-away-mid-schedule": (_bump_rounds_away_at(20), 40),
+    "l2-pair": ((PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()), 40),
+    "l2-pair-n_max-1": ((PAIR6.symbol_obj(), PAIR6.lam_sequence(), PAIR6.theta_sequence()), 1),
+    "l2-bessel-nonsquare": (_scaled(BESSEL_PAIR, 1.0, 1.0), 40),
+    "l2-lam1e306-theta1e-306": (_scaled(PAIR4, 1e306, 1e-306), 40),
+    "l2-rounds-away": (_rounds_away_pair(), 40),
+    "l2-rounds-away-mid-schedule": (
+        (lambda m, lam, theta: (m, *(
+            pg.OperatorSequence(pg.SpaceSpec(s.domain.dim, 2.0), s.codomains, s.mats,
+                                s.frame_exponent) for s in (lam, theta)
+        )))(*_bump_rounds_away_at(20)),
+        40,
+    ),
+}
+
+
+def _as_frozen(run):
+    # a trace list or a violation, in the frozen copy's form
+    if isinstance(run, pg.ContinuityViolation):
+        return str(run)
+    return [(t.n, t.deviation, t.measured, t.bound, t.components) for t in run]
+
+
+@pytest.mark.parametrize("case", FROZEN_CASES)
+def test_batched_continuity_equals_the_frozen_per_kind_route(case):
+    # every kind's traces from one batch of gaps, and from a run of its own,
+    # are those of the per-kind, per-step route they replace, bit for bit
+    (m, lam, theta), n_max = FROZEN_CASES[case]
+    cfg = pg.NumericsConfig(n_max=n_max)
+    measured = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, cfg)
+    for kind in pg.CONTINUITY_KINDS:
+        expect = frozen.continuity_suite(kind, m, lam, theta, 2.0, cfg)
+        runs = []
+        for given in (measured[kind], None):
+            try:
+                runs.append(pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, measured=given))
+            except pg.ContinuityViolation as exc:
+                runs.append(exc)
+        assert [_as_frozen(r) for r in runs] == [expect, expect], kind
+        if isinstance(expect, list):
+            assert measured[kind] == [t[2] for t in expect], kind
+
+
+def test_a_mid_schedule_round_away_case_moves_then_stops():
+    # the case above: steps 1..20 move member 0 and the symbol, the rest do not
+    m, lam, theta = _bump_rounds_away_at(20)
+    d, L1, _ = perturbation._schedule("joint", m, lam, theta, 40)
+    moved = L1[:, 0, 0] != lam.mats[0][0, 0]
+    assert moved[:20].all() and not moved[20:].any()
+    assert (d[:20] != 0.0).all() and not d[20:].any()
+
+
+def test_four_kinds_of_a_non_euclidean_pair_share_one_ascent(monkeypatch):
+    calls = []
+    real = pg.opnorm._ascend
+    monkeypatch.setattr(pg.opnorm, "_ascend", lambda A, *a: calls.append(len(A)) or real(A, *a))
+    m, lam, theta = FROZEN_CASES["lp-pair"][0]
+    perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, pg.NumericsConfig())
+    assert len(calls) == 1 and calls[0] > 40, calls
+
+
+def test_measured_gaps_must_cover_the_schedule():
+    m, lam, theta = FROZEN_CASES["lp-pair"][0]
+    with pytest.raises(ValueError, match="3 measured gaps for 40 steps"):
+        pg.continuity_suite("symbol", m, lam, theta, 2.0, measured=[0.0] * 3)
+
+
+def test_continuity_gaps_reject_an_unknown_kind():
+    m, lam, theta = FROZEN_CASES["lp-pair"][0]
+    with pytest.raises(ValueError, match="kind must be one of"):
+        perturbation.continuity_gaps(("symbol", "bogus"), m, lam, theta)
+
+
+@pytest.mark.parametrize("case", ["lp-pair", "l2-pair"])
+def test_batched_continuity_violations_equal_the_frozen_route(case):
+    # a Bessel bound of lam 100 times too small: the symbol and theta kinds,
+    # whose bounds scale with it, raise the violation the per-kind route
+    # raised; the lambda and joint kinds keep their traces (the joint bound
+    # certifies its own B1 and carries the small bound in one term only)
+    (m, lam, theta), n_max = FROZEN_CASES[case]
+    cfg = pg.NumericsConfig(n_max=n_max)
+    b_lam, b_theta = pg.analysis_upper(lam, cfg), pg.analysis_upper(theta, cfg)
+    bessel = (b_lam.scaled(0.01), b_theta)
+    measured = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, cfg)
+    outcomes = {}
+    for kind in pg.CONTINUITY_KINDS:
+        try:
+            run = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel, measured[kind])
+        except pg.ContinuityViolation as exc:
+            run = exc
+        outcomes[kind] = _as_frozen(run)
+        assert outcomes[kind] == frozen.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel)
+    assert [isinstance(o, str) for o in outcomes.values()] == [True, True, False, False]

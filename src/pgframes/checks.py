@@ -390,8 +390,8 @@ def _shared_lam_pairs(lam: OperatorSequence, perturbed, cfg: NumericsConfig):
     matrix F on stream 21, as ``classify`` ascends it, and the perturbed
     family and its difference from lam on stream 11, as
     ``perturbation_check`` ascends them, so each pair has the bits of the
-    call its suite would make.  A perturbed family that cannot be built (a
-    non-finite epsilon), or whose difference from lam is not finite, stays
+    call its suite would make.  A perturbed family that cannot be built (an
+    overflowing epsilon), or whose difference from lam is not finite, stays
     out: perturb then makes its own call and fails as it would alone, and
     classify is not touched.  Returns (lam's pair, perturb's pairs or None).
     """
@@ -418,7 +418,7 @@ def run_checks(
 ) -> CheckReport:
     """Run the selected suites (all of them by default) over an instance.
 
-    ``cfg`` carries every setting but ``epsilon``, the size of the
+    ``cfg`` carries every setting but ``epsilon``, the finite size of the
     ``perturb`` suite's perturbation; the continuity runs take ``cfg.n_max``
     steps.  The report echoes the settings it ran with.
     """
@@ -427,6 +427,8 @@ def run_checks(
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     # the perturb suite's family, built once
     perturbed = functools.cache(lambda: _perturbed_family(inst, cfg, epsilon))
     # When classify and perturb both run, lam's Bessel pair and perturb's two

@@ -360,11 +360,11 @@ def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCe
     slice of a (k, m, n) stack.
 
     One pass serves the stack: ``pnorm_many`` gives every slice's column and
-    row norms, one stacked SVD its largest singular value (a slice whose SVD
-    fails goes without that candidate), and ``pnorm`` per slice the outer
-    step.  The kernels and LAPACK work slice by slice, so each certificate
-    has the bits of a one-slice stack; :func:`upper_certificate_only` is that
-    case, with the slice's own memory layout.
+    row norms and then their outer Hoelder step, one stacked SVD the largest
+    singular value (a slice whose SVD fails goes without that candidate).
+    The kernels and LAPACK work slice by slice, so each certificate has the
+    bits of a one-slice stack; :func:`upper_certificate_only` is that case,
+    with the slice's own memory layout.
 
     No Riesz-Thorin candidate: it costs a 2^(n-1) sign enumeration and was
     never the minimum on the benchmark workloads or on a sweep of structured
@@ -372,16 +372,16 @@ def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCe
     """
     _, m, n = Bs.shape
     q = conjugate_exponent(p)
-    col_norms = pnorm_many(Bs, r)
-    row_norms = None if math.isinf(r) else pnorm_many(np.swapaxes(Bs, -1, -2), q)
+    holders = [(pnorm_many(pnorm_many(Bs, r)[..., None], q), "columns-holder")]
+    if not math.isinf(r):
+        rows = pnorm_many(np.swapaxes(Bs, -1, -2), q)
+        holders.append((pnorm_many(rows[..., None], r), "rows-holder"))
     smax, has_smax = _stacked_svd(Bs, lambda s: s[:, 0], (), compute_uv=False)
     fac_in = n ** max(0.0, 0.5 - (0.0 if math.isinf(p) else 1.0 / p))
     fac_out = 1.0 if math.isinf(r) else m ** max(0.0, 1.0 / r - 0.5)
     certs = []
     for i in range(len(Bs)):
-        cands = [(pnorm(col_norms[i], q), "columns-holder")]
-        if row_norms is not None:
-            cands.append((pnorm(row_norms[i], r), "rows-holder"))
+        cands = [(float(vals[i, 0]), tag) for vals, tag in holders]
         if has_smax[i]:
             cands.append((float(smax[i]) * fac_in * fac_out, "singular-dimension"))
         val, tag = min(cands, key=lambda t: t[0])

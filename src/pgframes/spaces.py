@@ -17,10 +17,9 @@ elementwise, when the reduced axis is not innermost in memory (a C-ordered
 block), pairwise along it otherwise.  The stack is a view that keeps each
 block's strides, so every block is summed in the same order as before.  The
 p = 2 choice between unscaled squares and the scaled form, and the p = 1
-argmax, are made per (dim, N) slice.  A product has one witness route: the
-witness of a single functional is one column of ``witness_many``.  The
-scalar product ``norm`` keeps its loop over blocks, which is faster than a
-column of ``norm_many`` on products of one or two blocks.
+argmax, are made per (dim, N) slice.  Every scalar norm and witness is the
+one-column case of its stacked kernel, on its entries as one contiguous
+(d, 1) column, and no norm calls BLAS, so no norm depends on the BLAS build.
 
 The duality of a product with its conjugate-exponent dual is checked on a
 stack: ``duality_gaps`` takes a (total_dim, N) array of functionals, their
@@ -99,18 +98,9 @@ def conjugate_exponent(p: float) -> float:
 
 
 def pnorm(entries, p: float) -> float:
-    """(sum |a_i|^p)^(1/p); max |a_i| for p = inf.  Scaled against overflow."""
-    a = np.abs(np.asarray(entries, dtype=float)).ravel()
-    if a.size == 0:
-        return 0.0
-    m = float(a.max())
-    if m == 0.0 or math.isinf(p):
-        return m
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0 and _SQUARES_TINY < m < _SQUARES_BIG:
-        return float(np.linalg.norm(a))
-    return m * float(np.power(a / m, p).sum()) ** (1.0 / p)
+    """(sum |a_i|^p)^(1/p), max |a_i| for p = inf, 0.0 for no entries: the
+    entries as one contiguous (d, 1) column of :func:`pnorm_many`."""
+    return float(pnorm_many(np.asarray(entries, dtype=float).reshape(-1, 1), p)[0])
 
 
 def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
@@ -127,7 +117,7 @@ def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
     """
     a = np.abs(np.asarray(cols, dtype=float))
     if math.isinf(p):
-        return a.max(axis=-2)
+        return a.max(axis=-2, initial=0.0)
     if p == 1.0:
         return a.sum(axis=-2)
     if p == 2.0:
@@ -304,8 +294,8 @@ class ProductSpaceSpec:
         return [flat[o : o + c.dim] for o, c in zip(self.offsets, self.components)]
 
     def norm(self, flat) -> float:
-        inner = np.array([c.norm(b) for c, b in zip(self.components, self.split(flat))])
-        return pnorm(inner, self.outer_exponent)
+        """The mixed norm of one flat vector: one column of :meth:`norm_many`."""
+        return float(self.norm_many(self._flat(flat)[:, None])[0])
 
     def norm_many(self, cols: np.ndarray) -> np.ndarray:
         """Norms of the columns of a (total_dim, N) array, or of each slice of a
@@ -392,37 +382,21 @@ class ProductVector:
 
 def mixed_norm(pv: ProductVector) -> float:
     """(sum_i ||x_i||_{r_i}^p)^(1/p) with each block in its own norm."""
-    inner = np.array([b.norm() for b in pv.blocks])
-    return pnorm(inner, pv.outer_exponent)
+    return pv.space.norm(pv.flatten())
 
 
 def holder_witness(functional, p: float) -> np.ndarray:
-    """Unit-l^p vector x attaining <x, u> = ||u||_q for the given functional u.
-
-    For p in (1, inf): x_i proportional to sign(u_i) |u_i|^(q-1).  Endpoints:
-    p = 1 uses a signed coordinate indicator at argmax |u_i|; p = inf uses the
-    sign vector.  The zero functional returns the zero vector.
-    """
-    u = np.asarray(functional, dtype=float).ravel()
-    p = as_exponent(p)
-    top = float(np.abs(u).max(initial=0.0))
-    if top == 0.0:
-        return np.zeros_like(u)
-    if p == 1.0:
-        j = int(np.argmax(np.abs(u)))
-        x = np.zeros_like(u)
-        x[j] = math.copysign(1.0, u[j])
-        return x
-    if math.isinf(p):
-        return np.sign(u)
-    q = conjugate_exponent(p)
-    w = np.sign(u) * np.power(np.abs(u) / top, q - 1.0)
-    return w / pnorm(w, p)
+    """Unit-l^p vector x attaining <x, u> = ||u||_q for the given functional u:
+    the one-column case of :func:`holder_witness_many`."""
+    return holder_witness_many(np.asarray(functional, dtype=float).reshape(-1, 1), p)[:, 0]
 
 
 def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
-    """Columnwise :func:`holder_witness` on a (d, N) array of functionals,
-    or on each (d, N) slice of a (..., d, N) stack.
+    """Unit-l^p witnesses x, with <x, u> = ||u||_q, of the columns u of a
+    (d, N) array of functionals, or of each (d, N) slice of a stack.
+
+    p = 1 takes a signed indicator at the first argmax |u_i|, p = inf the
+    sign vector.  A zero functional, or one of no entries, gets zero.
 
     For p in (1, inf) the unnormalized witness is W = sign(U) P with
     P = (|U| / top)^(q - 1) columnwise, top the column's largest |entry|,
@@ -444,6 +418,8 @@ def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
     """
     U = np.asarray(functionals, dtype=float)
     p = as_exponent(p)
+    if not U.size:
+        return np.zeros_like(U)
     if p == 1.0:
         top = np.abs(U).argmax(axis=-2)
         hit = np.arange(U.shape[-2])[:, None] == top[..., None, :]

@@ -1,6 +1,8 @@
 """Frozen copies of the column kernels and the ascent loop before their fast
 paths, and of the continuity suite before its batch, kept as bitwise
-references for the tests.
+references for the tests; and of the scalar norm and witness routes before
+they became one column of their kernels, kept as references for the size of
+that value change.
 
 ``pnorm_many`` and ``holder_witness_many`` take every scaled form through
 ``np.where``, and the witness is normalized by a full ``pnorm_many``; the
@@ -8,6 +10,12 @@ product kernels reduce one run of equal blocks per call; ``ascend`` forms
 A X once for the norm step and again for the next iteration's norming
 functional.  The current kernels and ``opnorm._ascend`` must give the same
 bits.
+
+The scalar ``pnorm`` took its p = 2 norm from ``np.linalg.norm`` (a BLAS
+dot product) and every other root from Python's float pow, ``holder_witness``
+normalized by that ``pnorm``, and a product's scalar norm looped over its
+blocks.  The current routes must agree with them within the rounding bound
+that the tests derive.
 """
 import itertools
 import math
@@ -56,6 +64,51 @@ def holder_witness_many(functionals, p):
     W = np.sign(U) * np.power(np.abs(U) / safe[..., None, :], q - 1.0)
     norms = pnorm_many(W, p)
     return W / np.where(norms > 0.0, norms, 1.0)[..., None, :]
+
+
+def pnorm(entries, p):
+    """The scalar p-norm as it was, with its own branches."""
+    a = np.abs(np.asarray(entries, dtype=float)).ravel()
+    if a.size == 0:
+        return 0.0
+    m = float(a.max())
+    if m == 0.0 or math.isinf(p):
+        return m
+    if p == 1.0:
+        return float(a.sum())
+    if p == 2.0 and _SQUARES_TINY < m < _SQUARES_BIG:
+        return float(np.linalg.norm(a))
+    return m * float(np.power(a / m, p).sum()) ** (1.0 / p)
+
+
+def holder_witness(functional, p):
+    """The scalar Hoelder witness as it was, normalized by the scalar pnorm."""
+    u = np.asarray(functional, dtype=float).ravel()
+    p = as_exponent(p)
+    top = float(np.abs(u).max(initial=0.0))
+    if top == 0.0:
+        return np.zeros_like(u)
+    if p == 1.0:
+        j = int(np.argmax(np.abs(u)))
+        x = np.zeros_like(u)
+        x[j] = math.copysign(1.0, u[j])
+        return x
+    if math.isinf(p):
+        return np.sign(u)
+    q = conjugate_exponent(p)
+    w = np.sign(u) * np.power(np.abs(u) / top, q - 1.0)
+    return w / pnorm(w, p)
+
+
+def product_norm(space, flat):
+    """A product's scalar norm as it was: the scalar pnorm of each block, then
+    of the block norms (``mixed_norm`` looped the same way)."""
+    flat = np.asarray(flat, dtype=float).ravel()
+    inner, at = [], 0
+    for c in space.components:
+        inner.append(pnorm(flat[at : at + c.dim], c.exponent))
+        at += c.dim
+    return pnorm(np.array(inner), space.outer_exponent)
 
 
 def _slabs(space, cols):

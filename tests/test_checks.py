@@ -267,15 +267,18 @@ def test_a_full_run_gives_classify_and_perturb_their_own_results():
 @pytest.mark.parametrize("epsilon", [1e300, np.inf, np.nan])
 def test_an_unusable_perturbation_fails_only_perturb(epsilon):
     # classify keeps its bits whatever the perturbation, and perturb reads as
-    # it does when it runs alone
+    # it does when it runs alone; a non-finite epsilon is refused before any
+    # suite runs
     inst = _pair("lp")
+    if not np.isfinite(epsilon):
+        for suites in (["classify", "perturb"], ["perturb"], ["classify"]):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                checks.run_checks(inst, suites, epsilon=epsilon)
+        return
     both = _results(checks.run_checks(inst, ["classify", "perturb"], epsilon=epsilon))
     alone = _results(checks.run_checks(inst, ["perturb"], epsilon=epsilon))
     assert both["classify"] == _results(checks.run_checks(inst, ["classify"]))["classify"]
     assert json.dumps(both["perturb"]) == json.dumps(alone["perturb"])
-    if not np.isfinite(epsilon):
-        assert both["perturb"]["status"] == "fail"
-        assert "non-finite" in both["perturb"]["reason"]
 
 
 def test_a_bessel_bound_too_small_for_some_kinds_fails_only_those(monkeypatch):

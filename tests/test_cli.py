@@ -258,6 +258,17 @@ def test_p1_zero_is_rejected_not_defaulted(tmp_path, capsys):
         )
 
 
+def test_a_non_finite_epsilon_is_a_usage_error(tmp_path, capsys):
+    path, _ = _gen_instance(tmp_path)
+    for argv in (["check"], ["check", "--suites", "classify"], ["perturb"]):
+        for epsilon in ("nan", "inf", "-inf"):
+            rc = main([argv[0], str(path), *argv[1:], f"--epsilon={epsilon}"])
+            assert rc == 2, (argv, epsilon)
+            captured = capsys.readouterr()
+            assert "epsilon must be finite" in captured.err
+            assert captured.out == ""
+
+
 def test_bounds_command_reports_the_bounds_suite(tmp_path, capsys, monkeypatch):
     import pgframes.checks as checks
 

@@ -130,7 +130,7 @@ def test_p2_norms_in_range_keep_the_unscaled_sum(d, entries, e):
     a = np.abs(cols)
     assert np.array_equal(pnorm_many(cols, 2.0), np.sqrt((a * a).sum(axis=0)))
     for j in range(cols.shape[1]):
-        assert pnorm(cols[:, j], 2.0) == float(np.linalg.norm(cols[:, j]))
+        assert pnorm(cols[:, j], 2.0) == pnorm_many(cols[:, j][:, None], 2.0)[0]
 
 
 def test_product_space_norm_and_witness():
@@ -360,6 +360,177 @@ def test_frozen_kernels_equal_the_new_product_kernels(outer):
         _assert_space_kernels_frozen(mixed, _sweep_stack(mixed.total_dim, rng))
     with np.errstate(all="ignore"):
         _assert_space_kernels_frozen(mixed, _nonfinite_stack(mixed.total_dim, rng), equal_nan=True)
+
+
+def _column_stack(cols):
+    # the columns as one contiguous (N, d, 1) stack of one-column slices
+    return np.stack([np.ascontiguousarray(c) for c in cols])[:, :, None]
+
+
+def _sweep_columns(d, rng):
+    # the 36 columns of a sweep stack, each a strided view: zero columns,
+    # ties, and slices scaled by 2^-540 and 2^540
+    X = _sweep_stack(d, rng)
+    return [X[s, :, j] for s in range(3) for j in range(12)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# products of one to eight blocks, with dims that cross numpy's 8-wide
+# pairwise block
+PRODUCT_DIMS = ([1], [17], [2, 1], [3, 3], [8, 9], [2, 9, 2], [1] * 8)
+
+
+def _sweep_products(outer):
+    # each dims once with one inner exponent (runs of equal blocks), once with
+    # the exponents in turn
+    sp = pg.SpaceSpec
+    for i, dims in enumerate(PRODUCT_DIMS):
+        same = SWEEP_EXPONENTS[i % len(SWEEP_EXPONENTS)]
+        turns = [SWEEP_EXPONENTS[(i + b) % len(SWEEP_EXPONENTS)] for b in range(len(dims))]
+        for rs in ([same] * len(dims), turns):
+            yield pg.ProductSpaceSpec(tuple(sp(d, r) for d, r in zip(dims, rs)), outer)
+
+
+def _product_columns(space, rng):
+    # the sweep columns, and one whose first block is scaled by 2^540 and the
+    # others by 2^-540
+    cols = _sweep_columns(space.total_dim, rng)
+    scale = np.full(space.total_dim, 2.0**-540)
+    scale[: space.components[0].dim] = 2.0**540
+    mixed = rng.standard_normal(space.total_dim) * scale
+    return cols + [mixed]
+
+
+@pytest.mark.parametrize("p", SWEEP_EXPONENTS)
+def test_each_scalar_route_is_a_column_of_its_kernel(p):
+    # every scalar norm and witness has the bits of its column in a stack of
+    # one-column slices, and of the one-column call on its strided view
+    rng = np.random.default_rng([67, SWEEP_EXPONENTS.index(p)])
+    for d in range(1, 18):
+        cols = _sweep_columns(d, rng)
+        S = _column_stack(cols)
+        space = pg.SpaceSpec(d, p)
+        norms, witnesses = pnorm_many(S, p)[:, 0], holder_witness_many(S, p)[..., 0]
+        assert _bits(space.norm_many(S)[:, 0]) == _bits(norms)
+        assert _bits(space.witness_many(S)[..., 0]) == _bits(witnesses)
+        for u, norm, w in zip(cols, norms, witnesses):
+            v = space.vector(u)
+            routes = (
+                pnorm(u, p), pnorm_many(u[:, None], p)[0], space.norm(u), v.norm(), pg.p_norm(v)
+            )
+            assert all(_bits(got) == _bits(norm) for got in routes)
+            assert _bits(pg.holder_witness(u, p)) == _bits(w)
+            assert _bits(space.witness(u)) == _bits(w)
+            assert _bits(holder_witness_many(u[:, None], p)[:, 0]) == _bits(w)
+    # no entries: norm 0 and an empty witness, on both routes
+    empty = np.empty((0, 1))
+    assert pnorm([], p) == 0.0 == pnorm_many(empty, p)[0]
+    assert pg.holder_witness([], p).shape == (0,) == holder_witness_many(empty, p)[:, 0].shape
+
+
+@pytest.mark.parametrize("outer", SWEEP_EXPONENTS)
+def test_each_product_scalar_route_is_a_column_of_its_kernel(outer):
+    rng = np.random.default_rng([73, SWEEP_EXPONENTS.index(outer)])
+    for space in _sweep_products(outer):
+        cols = _product_columns(space, rng)
+        S = _column_stack(cols)
+        norms, witnesses = space.norm_many(S)[:, 0], space.witness_many(S)[..., 0]
+        for u, norm, w in zip(cols, norms, witnesses):
+            pv = space.vector(u)
+            routes = (space.norm(u), pv.norm(), pg.mixed_norm(pv), space.norm_many(u[:, None])[0])
+            assert all(_bits(got) == _bits(norm) for got in routes)
+            assert _bits(space.witness(u)) == _bits(w)
+        # a product has at least one entry, on both routes
+        with pytest.raises(ValueError):
+            space.norm([])
+        with pytest.raises(ValueError):
+            space.norm_many(np.empty((0, 1)))
+
+
+# How far the scalar routes moved from their frozen copies, as a bound.
+# With u = 2^-53 and gamma_n = n u / (1 - n u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3), take each pow call, libm's or
+# numpy's vectorized one, to be within 4 ulps, so within e = 8u relative.
+#
+# * Every route's p-norm of d entries has relative error at most
+#   g(d) = (1 + u)^2 (1 + e)^2 (1 + gamma_d) - 1, about (d + 18) u:
+#   - p = inf is a max, exact; p = 1 is a sum of d nonnegative terms in some
+#     order, within gamma_(d-1);
+#   - the unscaled p = 2 form sums d rounded squares in some order (or a BLAS
+#     dot product, with or without fused multiply-adds), within gamma_d, and
+#     its square root halves that and adds u;
+#   - the scaled form m (sum t_i)^(1/p), t_i = pow(a_i / m, p), rounds each
+#     quotient (u) and power (e), so each t_i lies within the factors
+#     (1 -+ u)^p (1 -+ e) of its exact value; the sum adds gamma_(d-1), and
+#     the terms lost to underflow at most d 2^-1074 against a sum of at
+#     least 1 (the largest term is pow(1, p) = 1 exactly), which gamma_d
+#     covers; the root takes the 1/p-th power of those factors, which for
+#     p >= 1 are no wider than (1 -+ u)(1 -+ e)(1 -+ gamma_d), and adds e;
+#     the product with m adds u.
+# * Two values each within relative g of one exact value differ by at most
+#   2g / (1 - g) of either: _agree(g).  For the norms that is about
+#   2 (d + 18) u <= 40 d u.
+# * A witness entry is w_i / n with w_i = sign(u_i) pow(|u_i| / top, q - 1):
+#   w_i is within h = (1 + u)^(q-1) (1 + e) - 1 of its exact value (the
+#   lower factor (1 - u)^(q-1) (1 - e) taken too), so the exact norm of the
+#   computed w is within h of the exact n, the computed norm within
+#   nu = (1 + g(d)) (1 + h) - 1 of it, and the quotient adds u.  That is
+#   about (d + 2(q - 1) + 35) u per route; q - 1 is at most 4 here (p = 1.25).
+# * A product's block norms are each within g(max d_i) of exact; the outer
+#   norm is monotone and homogeneous, so it moves by at most that factor,
+#   and its own rounding over k blocks adds g(k).
+U = 2.0**-53
+POW_ERR = 8.0 * U
+
+
+def _gamma(n):
+    return n * U / (1.0 - n * U)
+
+
+def _norm_err(d):
+    return (1.0 + U) ** 2 * (1.0 + POW_ERR) ** 2 * (1.0 + _gamma(d)) - 1.0
+
+
+def _witness_err(d, p):
+    a = pg.conjugate_exponent(p) - 1.0
+    h = max((1.0 + U) ** a * (1.0 + POW_ERR) - 1.0, 1.0 - (1.0 - U) ** a * (1.0 - POW_ERR))
+    nu = (1.0 + _norm_err(d)) * (1.0 + h) - 1.0
+    return max((1.0 + h) * (1.0 + U) / (1.0 - nu) - 1.0, 1.0 - (1.0 - h) * (1.0 - U) / (1.0 + nu))
+
+
+def _product_err(space):
+    dmax, k = max(c.dim for c in space.components), len(space.components)
+    return (1.0 + _norm_err(dmax)) * (1.0 + _norm_err(k)) - 1.0
+
+
+def _agree(g):
+    return 2.0 * g / (1.0 - g)
+
+
+@pytest.mark.parametrize("p", SWEEP_EXPONENTS)
+def test_frozen_scalar_routes_move_within_the_rounding_bound(p):
+    rng = np.random.default_rng([79, SWEEP_EXPONENTS.index(p)])
+    endpoint = p == 1.0 or math.isinf(p)
+    for d in range(1, 18):
+        assert _agree(_norm_err(d)) <= 40 * d * U
+        for u in _sweep_columns(d, rng):
+            old = frozen.pnorm(u, p)
+            assert abs(pnorm(u, p) - old) <= _agree(_norm_err(d)) * old
+            old_w, new_w = frozen.holder_witness(u, p), pg.holder_witness(u, p)
+            if endpoint:  # an indicator or a sign vector, on either route
+                assert _bits(new_w) == _bits(old_w)
+            else:
+                assert np.all(np.abs(new_w - old_w) <= _agree(_witness_err(d, p)) * np.abs(old_w))
+    for space in _sweep_products(p):
+        bound = _agree(_product_err(space))
+        for u in _product_columns(space, rng):
+            old = frozen.product_norm(space, u)
+            pv = space.vector(u)
+            for new in (space.norm(u), pv.norm(), pg.mixed_norm(pv)):
+                assert abs(new - old) <= bound * old
 
 
 def test_p1_witness_takes_the_first_of_tied_entries():

@@ -20,8 +20,8 @@ from .frames import NotRieszError, classify, dual_riesz_basis, riesz_equivalence
 from .gridsearch import OracleBudgetError
 from .instances import Instance
 from .multipliers import Symbol, SymbolTooSmallError, assemble, invert, norm_bounds
-from .operators import OperatorSequence, analysis_upper, synthesis_matrix
-from .opnorm import operator_norm_bounds_many
+from .operators import OperatorSequence, synthesis_matrix
+from .opnorm import ANALYSIS_STREAM, BESSEL_STREAM, certificate_ledger, operator_norm_bounds_many
 from .perturbation import (
     CONTINUITY_KINDS,
     ContinuityViolation,
@@ -338,9 +338,8 @@ def _perturbed_family(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Op
     return OperatorSequence(lam.domain, lam.codomains, tuple(mats), lam.frame_exponent)
 
 
-def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed, bessel, analysis) -> CheckResult:
-    shared = {} if analysis is None else {"analysis": analysis}
-    rep = perturbation_check(inst.lam_sequence(), perturbed(), cfg, bessel=bessel("lam"), **shared)
+def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed) -> CheckResult:
+    rep = perturbation_check(inst.lam_sequence(), perturbed(), cfg)
     ok = rep.slack >= -1e-9
     notes = []
     if not ok:
@@ -359,7 +358,7 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed, bessel, analy
     return CheckResult("perturb", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResult:
+def _check_continuity(inst: Instance, cfg: NumericsConfig) -> CheckResult:
     m = inst.symbol_obj()
     lam, theta = inst.lam_sequence(), inst.theta_sequence()
     p1 = 2.0 if inst.p1 is None else inst.p1
@@ -368,10 +367,7 @@ def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResul
     measured = continuity_gaps(CONTINUITY_KINDS, m, lam, theta, cfg)
     for kind in CONTINUITY_KINDS:
         try:
-            traces = continuity_suite(
-                kind, m, lam, theta, p1, cfg,
-                bessel=(bessel("lam"), bessel("theta")), measured=measured[kind],
-            )
+            traces = continuity_suite(kind, m, lam, theta, p1, cfg, measured=measured[kind])
         except ContinuityViolation as exc:
             ok = False
             notes.append(f"{kind}: {exc}")
@@ -382,32 +378,21 @@ def _check_continuity(inst: Instance, cfg: NumericsConfig, bessel) -> CheckResul
     return CheckResult("continuity", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _shared_lam_pairs(lam: OperatorSequence, perturbed, cfg: NumericsConfig):
-    """classify's Bessel pair of lam and perturb's two analysis pairs, from
-    one ``operator_norm_bounds_many`` call.
-
-    All three matrices map lam's domain to its analysis space: lam's stacked
-    matrix F on stream 21, as ``classify`` ascends it, and the perturbed
-    family and its difference from lam on stream 11, as
-    ``perturbation_check`` ascends them, so each pair has the bits of the
-    call its suite would make.  A perturbed family that cannot be built (an
-    overflowing epsilon), or whose difference from lam is not finite, stays
-    out: perturb then makes its own call and fails as it would alone, and
-    classify is not touched.  Returns (lam's pair, perturb's pairs or None).
-    """
+def _certify_lam_pairs(lam: OperatorSequence, perturbed, cfg: NumericsConfig) -> None:
+    """Put classify's Bessel pair of lam's matrix F and perturb's analysis
+    pairs of the perturbed T and of F - T in the ledger with one ascent on
+    lam's spaces.  A T that cannot be built (an overflowing epsilon), or with
+    F - T not finite, stays out, and perturb fails as it would alone."""
     F = lam.stacked()
-    stacks, streams = [F], [21]
+    stacks, streams = [F], [BESSEL_STREAM]
     try:
         T = perturbed().stacked()
     except SpaceError:  # perturb raises it again when it runs
         T = None
     if T is not None and np.isfinite(F - T).all():
         stacks += [T, F - T]
-        streams += [11, 11]
-    pairs = operator_norm_bounds_many(
-        np.stack(stacks), lam.domain, lam.analysis_space(), cfg, streams
-    )
-    return pairs[0], (tuple(pairs[1:]) or None)
+        streams += [ANALYSIS_STREAM, ANALYSIS_STREAM]
+    operator_norm_bounds_many(np.stack(stacks), lam.domain, lam.analysis_space(), cfg, streams)
 
 
 def run_checks(
@@ -416,14 +401,19 @@ def run_checks(
     cfg: NumericsConfig | None = None,
     epsilon: float = 0.01,
 ) -> CheckReport:
-    """Run the selected suites (all of them by default) over an instance.
+    """Run the selected suites (all of them when ``suites`` is None) over an instance.
 
     ``cfg`` carries every setting but ``epsilon``, the finite size of the
     ``perturb`` suite's perturbation; the continuity runs take ``cfg.n_max``
-    steps.  The report echoes the settings it ran with.
+    steps.  An empty selection, an unknown suite and a non-finite epsilon
+    raise ``ValueError`` before any suite runs.  The suites share one
+    certificate ledger (``opnorm``), closed when the call returns or raises.
+    The report echoes the settings it ran with.
     """
     cfg = cfg or DEFAULT_CONFIG
-    chosen = list(suites) if suites else list(SUITES)
+    chosen = list(SUITES) if suites is None else list(suites)
+    if not chosen:
+        raise ValueError(f"no suites selected; expected a subset of {SUITES}")
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
@@ -431,14 +421,9 @@ def run_checks(
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     # the perturb suite's family, built once
     perturbed = functools.cache(lambda: _perturbed_family(inst, cfg, epsilon))
-    # When classify and perturb both run, lam's Bessel pair and perturb's two
-    # analysis pairs share lam's spaces and one lockstep ascent; each is
-    # handed to its suite as a caller-vouched value that leaves its report
-    # unchanged.  A suite that runs alone makes its own call.
-    both = "classify" in chosen and "perturb" in chosen
-    lam_side = functools.cache(
-        lambda: _shared_lam_pairs(inst.lam_sequence(), perturbed, cfg) if both else (None, None)
-    )
+    # when classify and perturb both run, the first of them to run puts
+    # lam's three pairs in the ledger with one lockstep ascent
+    shared_ascent = "classify" in chosen and "perturb" in chosen
 
     # classify, equivalences, bounds and dual share one report per sequence,
     # made on first use so that a failure lands in the suite that asked for it
@@ -447,56 +432,46 @@ def run_checks(
 
     def classified(tag):
         if tag not in reports:
-            pair = lam_side()[0] if tag == "lam" else None
-            shared = {} if pair is None else {"bessel": pair}
-            reports[tag] = classify(sequences[tag](), cfg, **shared)
+            reports[tag] = classify(sequences[tag](), cfg)
         return reports[tag]
 
-    # perturb and continuity assume one certified Bessel bound per sequence.
-    # Once a sequence is classified, its report holds that bound, and lam's
-    # shared pair holds it before: the same upper_certificate_only route as
-    # analysis_upper, so the same bits.  They never classify to get it, so a
-    # failing classify fails only the suites that asked for its report
-    def bessel_bound(tag):
-        if tag in reports:
-            return reports[tag].bessel_bound
-        pair = lam_side()[0] if tag == "lam" else None
-        return analysis_upper(sequences[tag](), cfg) if pair is None else pair.upper
-
-    bessel = functools.cache(bessel_bound)
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(
         lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
     )
     results = []
-    for name in chosen:
-        t0 = time.perf_counter()
-        try:
-            if name == "classify":
-                res = _check_classify(inst, cfg, classified)
-            elif name == "equivalences":
-                res = _check_equivalences(inst, classified)
-            elif name == "duality":
-                res = _check_duality(inst, cfg)
-            elif name == "bounds":
-                res = _check_bounds(inst, cfg, classified, forward)
-            elif name == "dual":
-                res = _check_dual(inst, cfg, classified)
-            elif name == "multiply":
-                res = _check_multiply(cfg, forward)
-            elif name == "invert":
-                res = _check_invert(cfg, forward)
-            elif name == "perturb":
-                res = _check_perturb(inst, cfg, perturbed, bessel, lam_side()[1])
-            else:
-                res = _check_continuity(inst, cfg, bessel)
-        except Exception as exc:
-            res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
-        wall = (time.perf_counter() - t0) * 1000.0
-        # names such as "lam.A" are built per report; interned, every report
-        # kept alive shares one copy of each instead of holding its own
-        values = {sys.intern(k): v for k, v in res.values.items()}
-        results.append(CheckResult(res.name, res.status, res.reason, values, wall))
+    with certificate_ledger():
+        for name in chosen:
+            t0 = time.perf_counter()
+            try:
+                if shared_ascent and name in ("classify", "perturb"):
+                    shared_ascent = False
+                    _certify_lam_pairs(inst.lam_sequence(), perturbed, cfg)
+                if name == "classify":
+                    res = _check_classify(inst, cfg, classified)
+                elif name == "equivalences":
+                    res = _check_equivalences(inst, classified)
+                elif name == "duality":
+                    res = _check_duality(inst, cfg)
+                elif name == "bounds":
+                    res = _check_bounds(inst, cfg, classified, forward)
+                elif name == "dual":
+                    res = _check_dual(inst, cfg, classified)
+                elif name == "multiply":
+                    res = _check_multiply(cfg, forward)
+                elif name == "invert":
+                    res = _check_invert(cfg, forward)
+                elif name == "perturb":
+                    res = _check_perturb(inst, cfg, perturbed)
+                else:
+                    res = _check_continuity(inst, cfg)
+            except Exception as exc:
+                res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
+            wall = (time.perf_counter() - t0) * 1000.0
+            # names such as "lam.A" are built per report; interned, every report
+            # kept alive shares one copy of each instead of holding its own
+            values = {sys.intern(k): v for k, v in res.values.items()}
+            results.append(CheckResult(res.name, res.status, res.reason, values, wall))
     # the instance's own specs, rendered by to_dict: a report kept alive holds
     # no per-component copies
     summary = {

@@ -176,7 +176,9 @@ def _run_suites(args, cfg, suites, **kwargs) -> int:
 
 
 def _cmd_check(args, cfg) -> int:
-    suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
+    suites = args.suites
+    if suites is not None:  # an empty selection stays empty, and run_checks refuses it
+        suites = [s.strip() for s in suites.split(",")] if suites.strip() else []
     return _run_suites(args, cfg, suites, epsilon=args.epsilon)
 
 

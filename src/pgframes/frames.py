@@ -35,8 +35,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .opnorm import (
+    BESSEL_STREAM,
+    INVERSE_STREAM,
     BoundCertificate,
-    BoundPair,
     min_ratio_estimate,
     operator_norm_bounds,
     upper_certificate_only,
@@ -93,16 +94,16 @@ class FrameReport:
     zero_members: tuple[int, ...]
 
 
-def _infimum_certificates(A, rank, dom, cod, cfg, stream):
+def _infimum_certificates(A, rank, dom, cod, cfg):
     """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
 
     ``rank`` is the rank of ``A``.  ``observed`` is :func:`min_ratio_estimate`
-    (>= true infimum, witness-backed).  ``safe`` is a proven lower bound:
-    the smallest singular value on Euclidean spaces, 0 with a kernel vector
-    when ``A`` is rank deficient, and otherwise the left-inverse bound.  With
-    P A = I, ||x|| <= ||P|| ||A x||, so 1 / upper(||P||) is below the
-    infimum; P is the inverse of a square ``A`` and the pseudo-inverse of a
-    tall one.
+    on ``INVERSE_STREAM`` (>= true infimum, witness-backed).  ``safe`` is a
+    proven lower bound: the smallest singular value on Euclidean spaces, 0
+    with a kernel vector when ``A`` is rank deficient, and otherwise the
+    left-inverse bound.  With P A = I, ||x|| <= ||P|| ||A x||, so
+    1 / upper(||P||) is below the infimum; P is the inverse of a square ``A``
+    and the pseudo-inverse of a tall one.
     """
     A = np.asarray(A, dtype=float)
     euclidean = dom.is_euclidean and cod.is_euclidean
@@ -113,7 +114,7 @@ def _infimum_certificates(A, rank, dom, cod, cfg, stream):
         cert = BoundCertificate(0.0, "exact", "kernel", kernel)
         obs = BoundCertificate(observed, "upper_certificate", "kernel", kernel)
         return cert, obs
-    value, witness = min_ratio_estimate(A, dom, cod, cfg, stream)
+    value, witness = min_ratio_estimate(A, dom, cod, cfg, INVERSE_STREAM)
     if euclidean:
         cert = BoundCertificate(value, "exact", "singular-value", witness)
         return cert, cert
@@ -129,29 +130,20 @@ def _infimum_certificates(A, rank, dom, cod, cfg, stream):
     return safe, BoundCertificate(value, "upper_certificate", method, witness)
 
 
-def classify(
-    seq: OperatorSequence,
-    cfg: NumericsConfig | None = None,
-    bessel: BoundPair | None = None,
-) -> FrameReport:
+def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameReport:
     """Full classification of an operator sequence at its frame exponent.
 
-    ``bessel``, when given, is taken as the certificate pair of the analysis
-    operator's norm and must hold a proven upper side and a witness-backed
-    lower side.  Only ``operator_norm_bounds(F, ..., stream=21)`` on the
-    stacked matrix F, which runs when it is None, leaves the report
-    unchanged; a caller may take it from an ``operator_norm_bounds_many``
-    call that gives F's slice stream 21 and so shares its lockstep ascent.
+    The Bessel pair is ``operator_norm_bounds`` of the stacked matrix on
+    ``BESSEL_STREAM``, taken from the run's ledger inside ``run_checks``.
     """
     cfg = cfg or DEFAULT_CONFIG
     F = seq.stacked()
     dom = seq.domain
     prod = seq.analysis_space()
 
-    if bessel is None:
-        bessel = operator_norm_bounds(F, dom, prod, cfg, stream=21)
+    bessel = operator_norm_bounds(F, dom, prod, cfg, stream=BESSEL_STREAM)
     rank = int(np.linalg.matrix_rank(F))
-    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg, stream=24)
+    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg)
     g_complete = rank == dom.dim
     is_frame = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value
 

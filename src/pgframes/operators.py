@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .opnorm import BoundCertificate, BoundPair, operator_norm_bounds_many, upper_certificate_only
+from .opnorm import (
+    ANALYSIS_STREAM,
+    BoundCertificate,
+    BoundPair,
+    operator_norm_bounds_many,
+    upper_certificate_only,
+)
 from .spaces import (
     DimensionMismatchError,
     ProductSpaceSpec,
@@ -150,12 +156,12 @@ def synthesis_matrix(seq: OperatorSequence) -> np.ndarray:
 def analysis_opnorm(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> BoundPair:
     """Norm of x -> mixed_norm({L_i x}) from (X, l^p_X); the Bessel bound machinery.
 
-    The ascent runs on stream 11: a stack of analysis matrices on the same
-    spaces sent to ``operator_norm_bounds_many`` with stream 11 gives each
-    this pair, bit for bit.
+    The ascent runs on ``ANALYSIS_STREAM``: a stack of analysis matrices on
+    the same spaces sent to ``operator_norm_bounds_many`` with that stream
+    gives each this pair, bit for bit.
     """
     return operator_norm_bounds_many(
-        seq.stacked()[None], seq.domain, seq.analysis_space(), cfg, 11
+        seq.stacked()[None], seq.domain, seq.analysis_space(), cfg, ANALYSIS_STREAM
     )[0]
 
 

@@ -26,13 +26,22 @@ one-matrix case.  Both stacked routes take a random stream per slice (one
 int, or one int per slice): a slice draws its start columns from its own
 stream, so callers whose ascents use different streams on the same spaces
 share one lockstep ascent, and each slice keeps the bits of its own call.
+The package's ascent streams are named here (``*_STREAM``).
 Between plain spaces with no closed form, the stack's upper sides come from
 one pass too: stacked column and row norms, one stacked SVD, and the outer
-step per slice, with the bits of ``upper_certificate_only`` on each slice.
-``perturbation_check`` sends its two Bessel-bound lower sides to one call,
-``run_checks`` adds ``classify``'s Bessel pair of the same sequence when
-both suites run, and ``continuity_gaps`` sends the distinct gaps of all
-four continuity modes.
+step per slice, with the bits of ``upper_certificate_only`` on each slice;
+on product spaces each run of equal blocks takes one such pass.
+
+While a ``certificate_ledger()`` block is open (``run_checks`` opens one per
+call), ``upper_certificate_only`` and ``operator_norm_bounds_many`` look up
+each slice's certificate, block ones included, before computing it and
+store it after.  The key is the matrix the route computes on, divided by its
+largest entry, with its shape, its strides (the rounding of a column sum
+depends on the layout), the two spaces and an ascent's stream; a hit is the
+stored result of a computation, bit for bit.  No entry outlives the block: a
+process-wide store would turn repeated runs into lookups, and their timing
+into a timing of the store.
+
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
 inverse.
@@ -44,7 +53,9 @@ exactly 1.0, so the value at A equals s times the value at A / s.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,6 +74,7 @@ __all__ = [
     "BoundCertificate",
     "BoundPair",
     "VertexLimitError",
+    "certificate_ledger",
     "matrix_opnorm",
     "operator_norm_bounds",
     "operator_norm_bounds_many",
@@ -75,6 +87,13 @@ __all__ = [
 KINDS = ("exact", "upper_certificate", "lower_estimate")
 RATIO_TOL = 1e-12    # relative stop criterion of the ascent on successive ratios
 SAMPLE_BATCH = 2048  # vectorized random candidates for minima
+
+MATRIX_STREAM = 0     # matrix_opnorm and the continuity gaps
+ANALYSIS_STREAM = 11  # analysis_opnorm and perturbation_check
+BESSEL_STREAM = 21    # classify's Bessel pair
+INVERSE_STREAM = 24   # classify's ascent on the inverse
+
+_ledger: ContextVar[dict | None] = ContextVar("pgframes_certificate_ledger", default=None)
 
 
 class VertexLimitError(RuntimeError):
@@ -122,6 +141,39 @@ def _rng(cfg: NumericsConfig, stream: int, index: int) -> np.random.Generator:
 def _per_slice(stream, k: int) -> np.ndarray:
     """A stream argument, one int or one int per slice, as k ints."""
     return np.broadcast_to(np.asarray(stream, dtype=np.int64), (k,))
+
+
+@contextlib.contextmanager
+def certificate_ledger():
+    """Hold a certificate ledger open for the ``with`` block (module docstring);
+    an enclosing block's ledger is set aside and given back on exit."""
+    token = _ledger.set({})
+    try:
+        yield
+    finally:
+        _ledger.reset(token)
+
+
+def _ledgered(Bs: np.ndarray, dom, cod, streams: list, compute) -> list:
+    """``compute(Bs, streams)``, through the open ledger: only the distinct
+    slices it lacks are computed, as one stack, and stored.  ``Bs`` is
+    divided by its largest entries; ``streams`` has one stream (or None, for
+    an upper certificate) per slice."""
+    ledger = _ledger.get()
+    if ledger is None:
+        return compute(Bs, streams)
+    # one table per space pair, so a lookup hashes the spaces once per call
+    table = ledger.setdefault((dom, cod), {})
+    keys = [(st, B.shape, B.strides, B.tobytes()) for B, st in zip(Bs, streams)]
+    todo = {}  # the first slice of each key the table lacks
+    for i, key in enumerate(keys):
+        if key not in table:
+            todo.setdefault(key, i)
+    if todo:
+        idx = list(todo.values())
+        sub = Bs if len(idx) == len(Bs) else Bs[idx]
+        table.update(zip(todo, compute(sub, [streams[i] for i in idx])))
+    return [table[key] for key in keys]
 
 
 def _normalize(space, x: np.ndarray) -> np.ndarray | None:
@@ -389,10 +441,6 @@ def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCe
     return certs
 
 
-def _block_slices(space: ProductSpaceSpec):
-    return [slice(o, o + c.dim) for o, c in zip(space.offsets, space.components)]
-
-
 def upper_certificate_only(
     A: np.ndarray, dom, cod, cfg: NumericsConfig | None = None
 ) -> BoundCertificate:
@@ -402,87 +450,78 @@ def upper_certificate_only(
     flattened block coordinates).  In order: zero matrix, plain closed forms,
     singular value when both sides are Euclidean, then the plain candidates or
     the blockwise aggregate.  Closed forms are ``exact`` and carry a witness.
+    It is :func:`_upper_many` on the one-matrix stack ``A[None]``.
     """
     cfg = cfg or DEFAULT_CONFIG
-    A = np.asarray(A, dtype=float)
-    if A.shape != (cod.total_dim, dom.total_dim):
-        raise ValueError(
-            f"matrix shape {A.shape} does not map dim {dom.total_dim} to {cod.total_dim}"
-        )
-    scale = float(np.abs(A).max(initial=0.0))
-    if scale == 0.0:
-        return BoundCertificate(0.0, "exact", "zero-matrix", np.zeros(dom.total_dim))
-    B = A / scale
-    plain = isinstance(dom, SpaceSpec) and isinstance(cod, SpaceSpec)
-    if plain and _has_closed_form(B.shape, dom.exponent, cod.exponent, cfg):
-        cert = _exact_simple(B, dom.exponent, cod.exponent, cfg)
-    elif dom.is_euclidean and cod.is_euclidean:
-        _, s, vt = np.linalg.svd(B)
-        cert = BoundCertificate(s[0], "exact", "singular-value", vt[0])
-    elif plain:
-        cert = _upper_candidates_simple(B[None], dom.exponent, cod.exponent)[0]
-    else:
-        cert = _upper_from_blocks(B, dom, cod, cfg)
-    return cert.scaled(scale)
+    return _upper_many(np.asarray(A, dtype=float)[None], dom, cod, cfg)[0]
 
 
 def _upper_many(As: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[BoundCertificate]:
-    """:func:`upper_certificate_only` of each slice of a (k, m, n) stack, bit for bit.
+    """The upper certificate of each slice of a (k, m, n) stack, each with the
+    bits of a call on its slice alone.
 
-    A plain stack with no closed form, between spaces that are not both
-    Euclidean, sends its nonzero finite slices to one
-    :func:`_upper_candidates_simple` pass; they take the route that
-    :func:`upper_certificate_only` takes on each, with the same division by
-    the largest entry and the same scaling back.  Every other slice, and
-    every other stack, goes through :func:`upper_certificate_only` one slice
-    at a time.
+    A zero slice gets the zero matrix's exact certificate.  The others are
+    divided by their largest entries and certified by
+    :func:`_upper_normalized` through the open ledger.
     """
-    plain = isinstance(dom, SpaceSpec) and isinstance(cod, SpaceSpec)
-    if (
-        not plain
-        or (dom.is_euclidean and cod.is_euclidean)
-        or As.shape[1:] != (cod.dim, dom.dim)
-        or _has_closed_form(As.shape[1:], dom.exponent, cod.exponent, cfg)
-    ):
-        return [upper_certificate_only(A, dom, cod, cfg) for A in As]
+    if As.shape[1:] != (cod.total_dim, dom.total_dim):
+        raise ValueError(
+            f"matrix shape {As.shape[1:]} does not map dim {dom.total_dim} to {cod.total_dim}"
+        )
     scales = np.abs(As).max(axis=(-2, -1), initial=0.0)
-    regular = (scales > 0.0) & np.isfinite(scales)
-    certs = [None if ok else upper_certificate_only(A, dom, cod, cfg) for A, ok in zip(As, regular)]
-    idx = np.flatnonzero(regular)
-    if idx.size:
-        # the stack as given when every slice is regular: a copy could change
-        # a slice's memory layout, and so the rounding of its column sums
-        group = As if idx.size == len(As) else As[idx]
-        s = scales[idx]
-        cands = _upper_candidates_simple(group / s[:, None, None], dom.exponent, cod.exponent)
-        for i, si, c in zip(idx.tolist(), s.tolist(), cands):
-            certs[i] = c.scaled(si)
-    return certs
+    if not scales.all():
+        # the nonzero slices as a stack of their own: indexing keeps the order
+        # of each slice's axes in memory, and so the rounding of its sums
+        zero = BoundCertificate(0.0, "exact", "zero-matrix", np.zeros(dom.total_dim))
+        certs, idx = [zero] * len(As), np.flatnonzero(scales).tolist()
+        for i, c in zip(idx, _upper_many(As[idx], dom, cod, cfg) if idx else []):
+            certs[i] = c
+        return certs
+    normalized = _ledgered(
+        As / scales[:, None, None], dom, cod, [None] * len(As),
+        lambda Bs, _: _upper_normalized(Bs, dom, cod, cfg),
+    )
+    return [c.scaled(s) for s, c in zip(scales.tolist(), normalized)]
+
+
+def _upper_normalized(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[BoundCertificate]:
+    """The upper certificate of each slice of a stack divided by its largest
+    entries: plain closed forms, the singular value between Euclidean spaces,
+    one stacked candidates pass between other plain spaces, and the
+    blockwise aggregate on a product."""
+    plain = isinstance(dom, SpaceSpec) and isinstance(cod, SpaceSpec)
+    if plain and _has_closed_form(Bs.shape[1:], dom.exponent, cod.exponent, cfg):
+        return [_exact_simple(B, dom.exponent, cod.exponent, cfg) for B in Bs]
+    if dom.is_euclidean and cod.is_euclidean:
+        svds = (np.linalg.svd(B) for B in Bs)
+        return [BoundCertificate(s[0], "exact", "singular-value", vt[0]) for _, s, vt in svds]
+    if plain:
+        return _upper_candidates_simple(Bs, dom.exponent, cod.exponent)
+    return [_upper_from_blocks(B, dom, cod, cfg) for B in Bs]
 
 
 def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCertificate:
-    """Aggregate per-block upper certificates through the outer Hoelder bound."""
-    if isinstance(cod, ProductSpaceSpec) and isinstance(dom, SpaceSpec):
+    """Aggregate per-block upper certificates through the outer Hoelder bound;
+    each run of equal blocks is one :func:`_upper_many` stack of views of ``A``,
+    so each block keeps its strides, and so the bits of a call alone."""
+    rows = isinstance(cod, ProductSpaceSpec)
+    if rows == isinstance(dom, ProductSpaceSpec):
+        raise NotImplementedError("product-to-product norms are not needed here")
+    if rows:
         # row blocks: ||{A_i x}||_mixed <= (sum ||A_i||^s)^(1/s) ||x||
-        vals = [
-            upper_certificate_only(A[sl], dom, c, cfg).value
-            for sl, c in zip(_block_slices(cod), cod.components)
-        ]
-        total = pnorm(np.array(vals), cod.outer_exponent)
-        return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")
-    if isinstance(dom, ProductSpaceSpec) and isinstance(cod, SpaceSpec):
+        certs = [c for run in cod.runs for c in _upper_many(run.slab(A), dom, run.space, cfg)]
+        outer = cod.outer_exponent
+    else:
         # column blocks: ||sum_i D_i g_i|| <= (sum ||D_i||^s')^(1/s') N(g)
-        vals = [
-            upper_certificate_only(A[:, sl], c, cod, cfg).value
-            for sl, c in zip(_block_slices(dom), dom.components)
-        ]
-        total = pnorm(np.array(vals), conjugate_exponent(dom.outer_exponent))
-        return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")
-    raise NotImplementedError("product-to-product norms are not needed here")
+        blocks = [(np.swapaxes(run.slab(A.T), -1, -2), run.space) for run in dom.runs]
+        certs = [c for D, space in blocks for c in _upper_many(D, space, cod, cfg)]
+        outer = conjugate_exponent(dom.outer_exponent)
+    total = pnorm(np.array([c.value for c in certs]), outer)
+    return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")
 
 
 def operator_norm_bounds_many(
-    As, dom, cod, cfg: NumericsConfig | None = None, stream=0
+    As, dom, cod, cfg: NumericsConfig | None = None, stream=MATRIX_STREAM
 ) -> list[BoundPair]:
     """Certificate pairs for the dom -> cod operator norms of the slices of a
     (k, m, n) stack.
@@ -490,11 +529,11 @@ def operator_norm_bounds_many(
     Each slice's upper side is :func:`upper_certificate_only`'s, from one
     stacked pass where the spaces are plain and no closed form applies (see
     :func:`_upper_many`); it doubles as the lower side when exact.  Every
-    other slice is divided by its largest entry, and all of them go to one
-    :func:`multistart_lower_many` call, whose certificates are scaled back.
-    ``stream`` is one int for every slice or one int per slice, so stacks of
-    callers with different streams can share the ascent; each pair has the
-    bits of a call on its slice alone with its own stream.
+    other slice is divided by its largest entry, and those the open ledger
+    lacks go to one :func:`multistart_lower_many` call, whose certificates
+    are scaled back.  ``stream`` is one int for every slice or one int per
+    slice, so stacks of callers with different streams can share the ascent;
+    each pair has the bits of a call on its slice alone with its own stream.
     """
     cfg = cfg or DEFAULT_CONFIG
     As = np.asarray(As, dtype=float)
@@ -507,8 +546,9 @@ def operator_norm_bounds_many(
         # slice's memory layout, and so the rounding of its products
         group = As if len(idx) == len(As) else As[idx]
         scales = np.abs(group).max(axis=(-2, -1))
-        certs = multistart_lower_many(
-            group / scales[:, None, None], dom, cod, cfg, streams[idx]
+        certs = _ledgered(
+            group / scales[:, None, None], dom, cod, streams[idx].tolist(),
+            lambda sub, sub_streams: multistart_lower_many(sub, dom, cod, cfg, sub_streams),
         )
         for i, s, c in zip(idx, scales.tolist(), certs):
             lowers[i] = c.scaled(s)
@@ -521,7 +561,7 @@ def operator_norm_bounds(
     cod,
     cfg: NumericsConfig | None = None,
     exact: str = "auto",
-    stream: int = 0,
+    stream: int = MATRIX_STREAM,
 ) -> BoundPair:
     """Certificate pair for the dom -> cod operator norm of ``A``:
     :func:`operator_norm_bounds_many` on the one-matrix stack ``A[None]``.

@@ -42,11 +42,9 @@ give, bit for bit.  The Bessel bounds B1, B2 of the perturbed sequences in a
 in one entry, so a norm of it is convex along the schedule (proof in
 :func:`continuity_suite`).
 
-Both functions take the base Bessel bounds the theorems assume as
-``bessel=``, and certify them with ``analysis_upper`` when it is None;
-``perturbation_check`` takes its two analysis pairs as ``analysis=`` in the
-same way, so that ``run_checks`` can ascend them with ``classify``'s
-Bessel pair of the same sequence.
+Both functions certify the base Bessel bounds the theorems assume with
+``analysis_upper``; inside ``run_checks`` these, like ``perturbation_check``'s
+analysis pairs, come from the run's certificate ledger (``opnorm``).
 """
 from __future__ import annotations
 
@@ -59,8 +57,9 @@ from .config import DEFAULT_CONFIG, NumericsConfig
 from .multipliers import Symbol, check_pairing
 from .operators import OperatorSequence, analysis_upper
 from .opnorm import (
+    ANALYSIS_STREAM,
+    MATRIX_STREAM,
     BoundCertificate,
-    BoundPair,
     matrix_opnorm,
     operator_norm_bounds_many,
     upper_certificate_only,
@@ -109,24 +108,14 @@ def perturbation_check(
     lam: OperatorSequence,
     theta: OperatorSequence,
     cfg: NumericsConfig | None = None,
-    bessel: BoundCertificate | None = None,
-    analysis: tuple[BoundPair, BoundPair] | None = None,
 ) -> PerturbationReport:
     """Certify the Bessel-bound and operator-gap consequences of a perturbation.
 
-    ``bessel``, when given, is taken as ``B_base`` and must be a proven upper
-    Bessel bound of ``lam``.  Any such bound keeps the report's bound valid;
-    only ``analysis_upper(lam, cfg)``, which runs when it is None, leaves the
-    report's values unchanged.
-
-    ``analysis``, when given, is taken as the analysis-operator certificate
-    pairs of ``theta`` and of the difference family lam - theta, and must
-    hold a witness-backed lower side each.  Only the pairs of one
+    ``B_base`` is ``analysis_upper(lam, cfg)``.  The analysis pairs of
+    ``theta`` and of the difference family lam - theta come from one
     ``operator_norm_bounds_many`` call on their stacked matrices, between
-    lam's domain and analysis space with stream 11, leave the report's
-    values unchanged; that call runs when it is None, so a caller that
-    stacks these two slices with others of the same spaces can share one
-    lockstep ascent.
+    lam's domain and analysis space on ``ANALYSIS_STREAM``, so their lower
+    sides share one lockstep ascent.
     """
     cfg = cfg or DEFAULT_CONFIG
     _same_shape(lam, theta)
@@ -140,13 +129,14 @@ def perturbation_check(
     k_kind = "exact" if all(c.kind == "exact" for c in per_term) else "upper_certificate"
     K = BoundCertificate(k_val, k_kind, "per-term-aggregate")
 
-    B_base = analysis_upper(lam, cfg) if bessel is None else bessel
-    if analysis is None:
-        # both lower sides from one lockstep ascent, each with the bits of its
-        # own analysis_opnorm call; _same_shape put theta on lam's spaces
-        diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
-        stack = np.stack([theta.stacked(), diff_seq.stacked()])
-        analysis = operator_norm_bounds_many(stack, lam.domain, lam.analysis_space(), cfg, 11)
+    B_base = analysis_upper(lam, cfg)
+    # both lower sides from one lockstep ascent, each with the bits of its
+    # own analysis_opnorm call; _same_shape put theta on lam's spaces
+    diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
+    stack = np.stack([theta.stacked(), diff_seq.stacked()])
+    analysis = operator_norm_bounds_many(
+        stack, lam.domain, lam.analysis_space(), cfg, ANALYSIS_STREAM
+    )
     B_pert, analysis_gap = (pair.lower for pair in analysis)
     slack = B_base.value + K.value - B_pert.value
     return PerturbationReport(
@@ -243,7 +233,7 @@ def _dense_gap_norms(gaps: np.ndarray, dom, cod, cfg) -> np.ndarray:
     non-finite gaps go straight to the oracle, one at a time.
 
     The distinct normalized gaps go to one ``operator_norm_bounds_many``
-    call with stream 0, the stream ``matrix_opnorm`` uses: its division by
+    call on ``MATRIX_STREAM``, as ``matrix_opnorm`` makes: its division by
     their largest entry, 1.0, and the scaling back are exact, so the values
     are those of one ``matrix_opnorm`` call per gap.
     """
@@ -257,7 +247,7 @@ def _dense_gap_norms(gaps: np.ndarray, dom, cod, cfg) -> np.ndarray:
         B = gaps[idx] / scales[idx, None, None]
         keys = B.reshape(len(B), -1).view(np.dtype((np.void, B[0].nbytes)))[:, 0]
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        pairs = operator_norm_bounds_many(B[first], dom, cod, cfg, 0)
+        pairs = operator_norm_bounds_many(B[first], dom, cod, cfg, MATRIX_STREAM)
         lowers = np.array([pair.lower.value for pair in pairs])
         values[idx] = scales[idx] * lowers[which.ravel()]
     return values
@@ -362,7 +352,6 @@ def continuity_suite(
     theta: OperatorSequence,
     p1: float,
     cfg: NumericsConfig | None = None,
-    bessel: tuple[BoundCertificate, BoundCertificate] | None = None,
     measured: list[float] | None = None,
 ) -> list[ContinuityTrace]:
     """Run one continuity mode over ``cfg.n_max`` steps and return their traces.
@@ -394,12 +383,9 @@ def continuity_suite(
     member is that member's norm, so every distance is |s|, as the oracle
     and ``pnorm`` would give it bit for bit.
 
-    ``bessel``, when given, is the pair (B_lam, B_theta) that the theorem
-    bounds assume and must hold proven upper Bessel bounds of ``lam`` and
-    ``theta``.  Any such bounds keep the theorem bounds valid; only
-    ``analysis_upper`` of each, which runs when it is None, leaves the traces
-    unchanged.  ``measured``, when given, is taken as the run's measured
-    gaps, one per step; only this kind's values from a
+    The Bessel bounds B_lam, B_theta of the theorem bounds are
+    ``analysis_upper`` of ``lam`` and ``theta``.  ``measured``, when given,
+    is taken as the run's measured gaps, one per step; only this kind's values from a
     :func:`continuity_gaps` call, which runs when it is None, leave the
     traces unchanged.  So several kinds measured in one batch each keep
     their own traces and their own violations.
@@ -433,9 +419,7 @@ def continuity_suite(
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_run((kind,), m, lam, theta, cfg, p1)
-    if bessel is None:
-        bessel = (analysis_upper(lam, cfg), analysis_upper(theta, cfg))
-    B_lam, B_theta = (b.value for b in bessel)
+    B_lam, B_theta = (analysis_upper(seq, cfg).value for seq in (lam, theta))
     m_p1 = m.p_norm(p1)
     d, L1, T1 = _schedule(kind, m, lam, theta, cfg.n_max)
 

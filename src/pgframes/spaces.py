@@ -262,7 +262,7 @@ class ProductSpaceSpec:
         return tuple(itertools.accumulate((c.dim for c in self.components[:-1]), initial=0))
 
     @cached_property
-    def _runs(self) -> tuple[_Run, ...]:
+    def runs(self) -> tuple[_Run, ...]:
         runs, block = [], 0
         for c, same in itertools.groupby(self.components):
             k, row = len(tuple(same)), self.offsets[block]
@@ -302,7 +302,7 @@ class ProductSpaceSpec:
         (..., total_dim, N) stack."""
         cols = np.asarray(cols, dtype=float)
         inner = np.empty((*cols.shape[:-2], len(self.components), cols.shape[-1]))
-        for run in self._runs:
+        for run in self.runs:
             inner[..., run.blocks, :] = pnorm_many(run.slab(cols), run.space.exponent)
         return pnorm_many(inner, self.outer_exponent)
 
@@ -321,13 +321,13 @@ class ProductSpaceSpec:
         norm.  A zero functional gets the zero vector.
         """
         U = np.asarray(functionals, dtype=float)
-        slabs = [run.slab(U) for run in self._runs]
+        slabs = [run.slab(U) for run in self.runs]
         duals = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
-        for run, S in zip(self._runs, slabs):
+        for run, S in zip(self.runs, slabs):
             duals[..., run.blocks, :] = pnorm_many(S, conjugate_exponent(run.space.exponent))
         weights = holder_witness_many(duals, self.outer_exponent)
         out = np.empty_like(U)
-        for run, S in zip(self._runs, slabs):
+        for run, S in zip(self.runs, slabs):
             W = weights[..., run.blocks, None, :] * holder_witness_many(S, run.space.exponent)
             *lead, k, d, n = S.shape
             out[..., run.rows, :] = W.reshape(*lead, k * d, n)

@@ -11,6 +11,11 @@ A X once for the norm step and again for the next iteration's norming
 functional.  The current kernels and ``opnorm._ascend`` must give the same
 bits.
 
+``upper_from_blocks`` is the blockwise upper certificate before the blocks of
+a run of equal components went to one stacked pass: one
+``upper_certificate_only`` call per block.  The stacked pass must give the
+same bits.
+
 The scalar ``pnorm`` took its p = 2 norm from ``np.linalg.norm`` (a BLAS
 dot product) and every other root from Python's float pow, ``holder_witness``
 normalized by that ``pnorm``, and a product's scalar norm looped over its
@@ -22,7 +27,9 @@ import math
 
 import numpy as np
 
-from pgframes.spaces import INF, as_exponent, conjugate_exponent
+from pgframes import spaces
+from pgframes.opnorm import BoundCertificate, upper_certificate_only
+from pgframes.spaces import INF, ProductSpaceSpec, as_exponent, conjugate_exponent
 
 _SQUARES_BIG, _SQUARES_TINY = 2.0**480, 2.0**-500
 
@@ -329,3 +336,21 @@ def continuity_suite(kind, m, lam, theta, p1, cfg, bessel=None):
     if len(traces) >= 2 and traces[0][3] > 0.0 and traces[-1][3] > 0.5 * traces[0][3]:
         return f"bounds do not decay: {traces[0][3]:.3e} -> {traces[-1][3]:.3e}"
     return traces
+
+
+def upper_from_blocks(A, dom, cod, cfg):
+    """The blockwise aggregate upper certificate, one call per block; the
+    aggregate is the current ``pnorm``, which the stacked pass keeps."""
+    if isinstance(cod, ProductSpaceSpec):
+        vals = [
+            upper_certificate_only(A[o : o + c.dim], dom, c, cfg).value
+            for o, c in zip(cod.offsets, cod.components)
+        ]
+        total = spaces.pnorm(np.array(vals), cod.outer_exponent)
+    else:
+        vals = [
+            upper_certificate_only(A[:, o : o + c.dim], c, cod, cfg).value
+            for o, c in zip(dom.offsets, dom.components)
+        ]
+        total = spaces.pnorm(np.array(vals), conjugate_exponent(dom.outer_exponent))
+    return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")

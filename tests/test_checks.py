@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import functools
 import json
@@ -9,6 +11,7 @@ import pytest
 
 import pgframes as pg
 import pgframes.checks as checks
+import pgframes.perturbation as perturbation
 from pgframes.opnorm import BoundCertificate
 
 
@@ -41,8 +44,8 @@ def test_every_suite_passes_on_a_rescaled_riesz_pair(space, family, k):
 def test_perturb_judges_its_one_gap_once(monkeypatch):
     real = checks.perturbation_check
 
-    def oversized_gap(lam, theta, cfg, bessel):
-        rep = real(lam, theta, cfg, bessel=bessel)
+    def oversized_gap(lam, theta, cfg):
+        rep = real(lam, theta, cfg)
         gap = BoundCertificate(2.0 * rep.K.value + 1.0, "lower_estimate", "forced")
         return dataclasses.replace(rep, analysis_gap=gap)
 
@@ -89,17 +92,45 @@ def _counted(monkeypatch, module: str, name: str) -> list:
     return calls
 
 
+def _computations(monkeypatch) -> list:
+    # the key of every certificate computed, as the ledger keys it: each slice
+    # of every upper certificate computation (block ones included) and each
+    # ascent slice, with the ascent's stream
+    op = pg.opnorm
+    keys = []
+    upper, ascend = op._upper_normalized, op.multistart_lower_many
+
+    def key(B, dom, cod, stream=None):
+        return (dom, cod, stream, B.shape, B.strides, B.tobytes())
+
+    def counted_upper(Bs, dom, cod, cfg):
+        keys.extend(key(B, dom, cod) for B in Bs)
+        return upper(Bs, dom, cod, cfg)
+
+    def counted_ascent(As, dom, cod, cfg, stream):
+        streams = np.broadcast_to(stream, (len(As),)).tolist()
+        keys.extend(key(A, dom, cod, s) for A, s in zip(As, streams))
+        return ascend(As, dom, cod, cfg, stream)
+
+    monkeypatch.setattr(op, "_upper_normalized", counted_upper)
+    monkeypatch.setattr(op, "multistart_lower_many", counted_ascent)
+    return keys
+
+
 def test_a_full_pass_certifies_each_bessel_bound_once(monkeypatch):
-    # the 4 joint endpoint bounds alone: perturb and continuity read the two
-    # base bounds off classify's reports
+    # classify certifies each sequence's Bessel bound, and perturb and
+    # continuity find it in the ledger: the other upper certificates on the
+    # analysis spaces are perturb's two and the 4 joint endpoint bounds
     inst = pg.gen(
         "riesz-pair", 16, [2] * 8, frame_exponent=1.5, y_exponents=[3] * 8, seed=3
     )
-    uppers = _counted(monkeypatch, "operators", "analysis_upper")
+    keys = _computations(monkeypatch)
     classifies = _counted(monkeypatch, "frames", "classify")
     report = checks.run_checks(inst)
     assert report.ok
-    assert (len(uppers), len(classifies)) == (4, 2)
+    spaces = {(s.domain, s.analysis_space()) for s in (inst.lam_sequence(), inst.theta_sequence())}
+    on_analysis = [k for k in keys if k[2] is None and k[:2] in spaces]
+    assert (len(on_analysis), len(classifies)) == (8, 2)
 
 
 def _workload_instances():
@@ -119,40 +150,111 @@ def _workload_instances():
     return [pg.parse(pg.serialize(pg.gen("riesz-pair", **spec))) for spec in specs]
 
 
-def test_no_bessel_bound_is_certified_again_after_classify(monkeypatch):
-    # key every upper certificate by (matrix bytes, spaces); one made for the
-    # perturb and continuity suites' shared Bessel bounds must not repeat one
-    # made before it in the same run (classify's, read off its report)
-    seen, repeats, inside = set(), [], []
-    upper = importlib.import_module("pgframes.opnorm").upper_certificate_only
+def _repeats_per_workload(keys) -> tuple[list, list]:
+    # repeated upper certificates and repeated ascent slices within each
+    # run_checks call, summed over the seed-1 instances of each workload
+    instances, uppers, ascents = _workload_instances(), [], []
+    for group in (slice(0, 4), slice(4, 8), slice(8, 20)):
+        uppers.append(0)
+        ascents.append(0)
+        for inst in instances[group]:
+            keys.clear()
+            assert checks.run_checks(inst).ok
+            for key, n in collections.Counter(keys).items():
+                if key[2] is None:
+                    uppers[-1] += n - 1
+                else:
+                    ascents[-1] += n - 1
+    return uppers, ascents
 
-    def keyed(A, dom, cod, cfg=None):
-        A = np.asarray(A, dtype=float)
-        key = (A.shape, A.tobytes(), dom, cod)
-        if inside and key in seen:
-            repeats.append(key)
-        seen.add(key)
-        return upper(A, dom, cod, cfg)
 
-    for key, mod in list(sys.modules.items()):
-        if mod is not None and key.startswith("pgframes"):
-            for attr, value in list(vars(mod).items()):
-                if value is upper:
-                    monkeypatch.setattr(mod, attr, keyed)
-    shared = checks.analysis_upper
+def test_no_certificate_is_computed_twice_in_a_run(monkeypatch):
+    # keyed as the ledger keys them, no upper certificate (block ones
+    # included) and no ascent slice is computed twice in a run.  Without the
+    # ledger perturb and continuity certify the Bessel bounds again, the joint
+    # end bounds repeat block certificates, and on small-grid the bounds
+    # suite's multiplier repeats a continuity gap's ascent
+    keys = _computations(monkeypatch)
+    assert _repeats_per_workload(keys) == ([0, 0, 0], [0, 0, 0])
+    monkeypatch.setattr(checks, "certificate_ledger", contextlib.nullcontext)
+    uppers, ascents = _repeats_per_workload(keys)
+    assert min(uppers) > 0 and ascents[0] > 0 and ascents[2] > 0
 
-    def shared_bound(seq, cfg=None):
-        inside.append(seq)
-        try:
-            return shared(seq, cfg)
-        finally:
-            inside.pop()
 
-    monkeypatch.setattr(checks, "analysis_upper", shared_bound)
-    for inst in _workload_instances():
-        seen.clear()
-        assert checks.run_checks(inst).ok
-    assert len(repeats) == 0
+def test_two_runs_compute_the_same_certificates(monkeypatch):
+    # the ledger lives for one run_checks call: a second run on the same
+    # instance finds nothing of the first's and computes all of it again
+    keys = _computations(monkeypatch)
+    ascents = _counted_ascents(monkeypatch)
+    inst = _workload_instances()[8]
+    runs = []
+    for _ in range(2):
+        keys.clear()
+        ascents.clear()
+        report = checks.run_checks(inst)
+        runs.append((list(keys), list(ascents), _results(report)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] and runs[0][1]
+    assert pg.opnorm._ledger.get() is None
+
+
+def test_no_ledger_stays_open_after_a_raise(monkeypatch):
+    inst, open_inside = _pair("lp"), []
+
+    def failing(seq, cfg):
+        open_inside.append(pg.opnorm._ledger.get() is not None)
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(checks, "classify", failing)
+    (res,) = checks.run_checks(inst, ["classify"]).results
+    assert (res.status, res.reason, open_inside) == ("fail", "RuntimeError: planted", [True])
+    assert pg.opnorm._ledger.get() is None
+
+    class Interrupt(BaseException):
+        pass
+
+    def interrupted(seq, cfg):
+        raise Interrupt
+
+    monkeypatch.setattr(checks, "classify", interrupted)
+    with pytest.raises(Interrupt):
+        checks.run_checks(inst, ["classify"])
+    assert pg.opnorm._ledger.get() is None
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        checks.run_checks(inst, epsilon=np.nan)
+    assert pg.opnorm._ledger.get() is None
+
+
+def test_without_a_ledger_every_call_computes(monkeypatch):
+    # outside run_checks two equal calls compute twice; inside an open ledger
+    # the second is a hit with the same bits, and a nested ledger starts empty
+    # and gives the outer one back when it closes
+    keys = _computations(monkeypatch)
+    lam = _pair("lp").lam_sequence()
+    first = pg.analysis_opnorm(lam)
+    assert _values(pg.analysis_opnorm(lam)) == _values(first)
+    assert len(keys) == 2 * len(set(keys)) > 0
+    with pg.opnorm.certificate_ledger():
+        outer = pg.opnorm._ledger.get()
+        keys.clear()
+        assert _values(pg.analysis_opnorm(lam)) == _values(first)
+        computed = len(keys)
+        assert _values(pg.analysis_opnorm(lam)) == _values(first)
+        assert len(keys) == computed
+        with pg.opnorm.certificate_ledger():
+            assert _values(pg.analysis_opnorm(lam)) == _values(first)
+            assert len(keys) == 2 * computed
+        assert pg.opnorm._ledger.get() is outer
+    assert pg.opnorm._ledger.get() is None
+
+
+def test_an_empty_suite_selection_raises(monkeypatch):
+    # only None selects every suite; an empty selection runs none
+    classifies = _counted(monkeypatch, "frames", "classify")
+    with pytest.raises(ValueError, match="no suites selected"):
+        checks.run_checks(_pair("l2"), [])
+    assert classifies == []
+    assert [r.name for r in checks.run_checks(_pair("l2"), None).results] == list(checks.SUITES)
 
 
 @pytest.mark.parametrize("suite", ["perturb", "continuity"])
@@ -191,21 +293,24 @@ def _values(obj):
 
 
 @pytest.mark.parametrize("space", ["l2", "lp"])
-def test_a_passed_bessel_bound_changes_no_value(space):
+def test_direct_calls_give_the_values_of_the_run_suites(monkeypatch, space):
+    # classify, perturbation_check and continuity_suite called directly, with
+    # no ledger open, return what the suites of run_checks got from them
     inst, cfg = _pair(space), pg.NumericsConfig(n_max=6)
-    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
-    b_lam, b_theta = pg.analysis_upper(lam, cfg), pg.analysis_upper(theta, cfg)
+    calls = []
+    for name in ("classify", "perturbation_check", "continuity_suite"):
+        def recording(*args, _real=getattr(checks, name), **kwargs):
+            calls.append((_real, args, kwargs, _real(*args, **kwargs)))
+            return calls[-1][-1]
 
-    near = pg.OperatorSequence(
-        lam.domain, lam.codomains, tuple(1.01 * a for a in lam.mats), lam.frame_exponent
-    )
-    assert _values(pg.perturbation_check(lam, near, cfg, bessel=b_lam)) == _values(
-        pg.perturbation_check(lam, near, cfg)
-    )
-    for kind in pg.CONTINUITY_KINDS:
-        shared = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel=(b_lam, b_theta))
-        own = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg)
-        assert [_values(t) for t in shared] == [_values(t) for t in own]
+        monkeypatch.setattr(checks, name, recording)
+    assert checks.run_checks(inst, cfg=cfg).ok
+    assert collections.Counter(real.__name__ for real, *_ in calls) == {
+        "classify": 2, "perturbation_check": 1, "continuity_suite": 4
+    }
+    for real, args, kwargs, out in calls:
+        kwargs.pop("measured", None)  # measured by the direct call itself
+        assert _values(real(*args, **kwargs)) == _values(out), real.__name__
 
 
 def _results(report) -> dict:
@@ -285,13 +390,13 @@ def test_a_bessel_bound_too_small_for_some_kinds_fails_only_those(monkeypatch):
     # lam's bound 100 times too small: the symbol and theta kinds fail, and
     # the lambda and joint kinds still report their values
     inst = _pair("lp")
-    real, L = checks.analysis_upper, inst.lam_sequence().stacked()
+    real, L = perturbation.analysis_upper, inst.lam_sequence().stacked()
 
     def small_for_lam(seq, cfg=None):
         cert = real(seq, cfg)
         return cert.scaled(0.01) if np.array_equal(seq.stacked(), L) else cert
 
-    monkeypatch.setattr(checks, "analysis_upper", small_for_lam)
+    monkeypatch.setattr(perturbation, "analysis_upper", small_for_lam)
     (res,) = checks.run_checks(inst, ["continuity"], pg.NumericsConfig(n_max=6)).results
     assert res.status == "fail"
     assert [note.split(":")[0] for note in res.reason.split("; ")] == ["symbol", "theta"]

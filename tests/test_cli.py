@@ -215,6 +215,16 @@ def test_unknown_suite_exits_2(tmp_path, capsys):
     assert "unknown suites ['bogus']" in capsys.readouterr().err
 
 
+def test_an_empty_suite_selection_exits_2(tmp_path, capsys):
+    # an empty --suites selects no suite, which is refused; it is not "all"
+    path, _ = _gen_instance(tmp_path)
+    for arg in ("", " "):
+        rc = main(["check", str(path), "--suites", arg])
+        assert rc == 2, arg
+        captured = capsys.readouterr()
+        assert "no suites selected" in captured.err and captured.out == "", arg
+
+
 def test_malformed_instance_fields_exit_2(tmp_path, capsys):
     path, _ = _gen_instance(tmp_path)
     doc = json.loads(path.read_text())

@@ -567,3 +567,38 @@ def test_stacked_upper_side_equals_upper_certificate_only(p, r, monkeypatch):
                 got = pg.opnorm.operator_norm_bounds_many(stack, dom, cod, cfg)
                 for A, pair in zip(stack, got):
                     _assert_same_pair([pair.upper], [pg.upper_certificate_only(A, dom, cod, cfg)])
+
+
+def _layouts(A):
+    # the same matrix in C order, in Fortran order, and as a strided view
+    big = np.zeros((2 * A.shape[0], 3 * A.shape[1]))
+    big[::2, ::3] = A
+    return {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A), "strided": big[::2, ::3]}
+
+
+@pytest.mark.parametrize("inner", [1.0, 1.5, 2.0, 3.0, INF])
+@pytest.mark.parametrize("outer", [1.5, 2.0, 3.0])
+def test_block_runs_equal_the_frozen_call_per_block(inner, outer):
+    # a run of equal blocks goes to one stacked pass as a view of the matrix;
+    # each block keeps the bits of its own upper_certificate_only call, on
+    # row and column blocks, in every layout, with zero and 2^+-540 blocks,
+    # and with blocks long enough for pairwise column sums
+    rng = np.random.default_rng([83, int(min(inner, 9) * 4), int(outer * 4)])
+    cfg = NumericsConfig()
+    block_dims = [[2] * k for k in range(1, 9)] + [[2, 3, 2], [9, 9, 1], [1, 1, 3]]
+    for dims in block_dims:
+        prod = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, inner) for d in dims), outer)
+        offsets = np.cumsum([0] + dims)
+        for n, p in ((3, 1.25), (10, 3.0), (4, 1.0)):
+            plain = pg.SpaceSpec(n, p)
+            A = rng.standard_normal((sum(dims), n))
+            for b, factor in zip(range(1, len(dims)), (0.0, 2.0**540, 2.0**-540)):
+                A[offsets[b] : offsets[b + 1]] *= factor
+            for layout, M in _layouts(A).items():
+                case = (dims, n, p, layout)
+                for args in ((M, plain, prod), (M.T, prod, plain)):
+                    got = pg.opnorm._upper_from_blocks(*args, cfg)
+                    assert got == frozen.upper_from_blocks(*args, cfg), case
+                    s = float(np.abs(M).max())
+                    whole = frozen.upper_from_blocks(args[0] / s, *args[1:], cfg).scaled(s)
+                    assert pg.upper_certificate_only(*args, cfg) == whole, case

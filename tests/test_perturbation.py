@@ -857,20 +857,24 @@ def test_continuity_gaps_reject_an_unknown_kind():
 
 
 @pytest.mark.parametrize("case", ["lp-pair", "l2-pair"])
-def test_batched_continuity_violations_equal_the_frozen_route(case):
+def test_batched_continuity_violations_equal_the_frozen_route(case, monkeypatch):
     # a Bessel bound of lam 100 times too small: the symbol and theta kinds,
     # whose bounds scale with it, raise the violation the per-kind route
     # raised; the lambda and joint kinds keep their traces (the joint bound
     # certifies its own B1 and carries the small bound in one term only)
     (m, lam, theta), n_max = FROZEN_CASES[case]
     cfg = pg.NumericsConfig(n_max=n_max)
-    b_lam, b_theta = pg.analysis_upper(lam, cfg), pg.analysis_upper(theta, cfg)
+    real = perturbation.analysis_upper
+    b_lam, b_theta = real(lam, cfg), real(theta, cfg)
     bessel = (b_lam.scaled(0.01), b_theta)
+    monkeypatch.setattr(
+        perturbation, "analysis_upper", lambda seq, cfg: bessel[0] if seq is lam else real(seq, cfg)
+    )
     measured = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, cfg)
     outcomes = {}
     for kind in pg.CONTINUITY_KINDS:
         try:
-            run = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, bessel, measured[kind])
+            run = pg.continuity_suite(kind, m, lam, theta, 2.0, cfg, measured=measured[kind])
         except pg.ContinuityViolation as exc:
             run = exc
         outcomes[kind] = _as_frozen(run)

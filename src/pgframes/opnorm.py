@@ -17,9 +17,11 @@ spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
 The ascent has one route, ``multistart_lower_many``, which runs a stack of
 matrices in lockstep and gives each the bits of a run on it alone;
-``multistart_lower`` is its one-matrix case.  Each iteration forms A X once:
-its codomain norms end the iteration and its norming functionals start the
-next one.
+``multistart_lower`` is its one-matrix case.  Each iteration takes the two
+steps of ``spaces.ascent_steps``, resolved once per ascent: ``lift`` maps the
+norming functionals through the domain's Hoelder witnesses, and ``measure``
+takes the codomain norms of A X, which end the iteration, and the norming
+functionals that start the next from one pass over |A X|.
 ``operator_norm_bounds_many`` gives a stack its certificate pairs with one
 ascent for all its non-exact slices; ``operator_norm_bounds`` is its
 one-matrix case.  Both stacked routes take a random stream per slice (one
@@ -65,6 +67,7 @@ from .config import DEFAULT_CONFIG, NumericsConfig
 from .spaces import (
     ProductSpaceSpec,
     SpaceSpec,
+    ascent_steps,
     conjugate_exponent,
     pnorm,
     pnorm_many,
@@ -252,6 +255,7 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
 
     Returns each slice's best value and its witness.  A slice leaves the
     active set at the iteration where all of its columns meet ``RATIO_TOL``.
+    Each iteration is one ``lift`` and one ``measure`` of ``ascent_steps``.
     """
     values, witnesses = np.empty(len(A)), np.empty(A.shape[::2])
 
@@ -263,40 +267,35 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
         witnesses[slices] = best_X[rows, :, j]
 
     live = np.arange(len(A))
-    cod_dual = cod.dual
-    # the product of each norm step is also the next iteration's functional
-    Y = A @ X
-    best_vals = cod.norm_many(Y)
+    measure, lift = ascent_steps(dom, cod)
+    # the norming functionals of each norm step start the next iteration
+    best_vals, Z = measure(A @ X)
     best_X = X.copy()
     prev = best_vals
     for _ in range(cfg.max_iterations):
-        Z = cod_dual.witness_many(Y)
-        Xn = dom.witness_many(np.swapaxes(A, -1, -2) @ Z)
-        # The same test as norm == 0, without the norm: pnorm_many is 0 only
-        # on an all-zero column.  Its sums and maxima of |x_i| are positive
-        # otherwise, the scaled form m * s^(1/p) has m > 0 and s >= 1, and the
-        # unscaled p = 2 form is used only where every column's value exceeds
-        # 2^-500.  A nonzero product column has a positive inner norm, hence a
-        # positive outer norm.
-        stalled = ~Xn.any(axis=-2)
-        if stalled.any():
-            np.copyto(Xn, X, where=stalled[:, None, :])
+        Xn, nonzero = lift(np.swapaxes(A, -1, -2) @ Z)
+        if not nonzero:
+            # the test norm == 0: a norm is 0 only on an all-zero column (sums,
+            # maxima and scaled forms of nonzero |x_i| are positive, and the
+            # unscaled p = 2 form is used only above 2^-500)
+            stalled = ~Xn.any(axis=-2)
+            if stalled.any():
+                np.copyto(Xn, X, where=stalled[:, None, :])
         X = Xn
-        Y = A @ X
-        vals = cod.norm_many(Y)
+        vals, Z = measure(A @ X)
         improved = vals > best_vals
         if improved.any():
             best_vals = np.where(improved, vals, best_vals)
             np.copyto(best_X, X, where=improved[:, None, :])
         # norms are nonnegative, so max(|vals|, |prev|) is max(vals, prev)
-        done = np.all(np.abs(vals - prev) <= RATIO_TOL * np.maximum(vals, prev), axis=-1)
+        done = (np.abs(vals - prev) <= RATIO_TOL * np.maximum(vals, prev)).all(axis=-1)
         if done.any():
             finish(live[done], best_vals[done], best_X[done])
             if done.all():
                 return values, witnesses
             on = ~done
-            live, A, X, Y, best_vals, best_X, vals = (
-                live[on], A[on], X[on], Y[on], best_vals[on], best_X[on], vals[on]
+            live, A, X, Z, best_vals, best_X, vals = (
+                live[on], A[on], X[on], Z[on], best_vals[on], best_X[on], vals[on]
             )
         prev = vals
     finish(live, best_vals, best_X)
@@ -316,7 +315,7 @@ def multistart_lower_many(
     codomain and back through the Hoelder witness of the domain; the achieved
     ratio is nondecreasing per column.  Each slice starts from its own bundle
     (see :func:`_start_bundles`), and the columns of all slices are iterated
-    in lockstep with stacked products and the stacked ``*_many`` kernels,
+    in lockstep with stacked products and the steps of ``ascent_steps``,
     which choose per slice, never on a flattened (d, k N) view.  A slice
     stops when every one of its columns' successive ratios agree to
     ``RATIO_TOL`` (relative), which is the iteration it would stop at alone,

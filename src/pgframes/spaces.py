@@ -10,8 +10,14 @@ Column norms and witnesses on a product reduce its components in runs.  A
 run is a maximal stretch of consecutive components that share (dim,
 exponent); its rows of a (total_dim, N) array are viewed as one (k, dim, N)
 stack (of each slice of a (..., total_dim, N) stack, as a (..., k, dim, N)
-stack), and one ``pnorm_many`` or ``holder_witness_many`` call reduces the
-stack over axis -2.  The values are bit for bit those of one call per block.
+stack), and one pass of the column kernel reduces the stack over axis -2,
+and one more the outer layer.  A pass forms |U|, the column maxima m and,
+where every m is positive and finite, |U| / m once for all the norms and
+witnesses asked of it, so an ascent step (``ascent_steps``) takes a
+codomain's norms and its norming functionals together.  Its witness skips
+``pnorm_many`` where every m is positive and finite and conj(p) > 1, and
+takes the zero-safe form elsewhere.  The values are bit for bit those of
+one ``pnorm_many`` or ``holder_witness_many`` call per block and quantity.
 numpy sums a block in an order fixed by its memory layout: row by row,
 elementwise, when the reduced axis is not innermost in memory (a C-ordered
 block), pairwise along it otherwise.  The stack is a view that keeps each
@@ -67,6 +73,7 @@ __all__ = [
     "dual_pairing",
     "mixed_norm",
     "holder_witness",
+    "ascent_steps",
     "product_duality_gap",
 ]
 
@@ -110,32 +117,47 @@ def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
     (..., d, N) stack gives the (..., N) column norms of each (d, N) slice,
     and the p = 2 choice between unscaled squares and the scaled form is made
     per slice, exactly as a separate call on that slice would make it.
-
-    Where every column's largest entry m is positive (a NaN is not), the
-    scaled form skips both ``np.where``: where(m > 0, m, 1) is then m itself
-    and where(m > 0, v, 0) is v, so the values keep their bits.
     """
-    a = np.abs(np.asarray(cols, dtype=float))
+    return _norm_from(np.abs(np.asarray(cols, dtype=float)), p)
+
+
+def _power_root(x: np.ndarray, p: float) -> np.ndarray:
+    """(sum_i x_i^p)^(1/p) down axis -2 of a nonnegative array."""
+    return np.power(x, p).sum(axis=-2) ** (1.0 / p)
+
+
+def _squares_root(x: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i x_i^2) down axis -2, from unscaled squares."""
+    return np.sqrt((x * x).sum(axis=-2))
+
+
+def _norm_from(a: np.ndarray, p: float, m=None, x=None) -> np.ndarray:
+    """``pnorm_many`` of a nonnegative array ``a``, taking its column maxima
+    m and, where every m is positive, x = a / m when given.  Where every m
+    is positive (a NaN is not), the scaled form skips both ``np.where``:
+    where(m > 0, m, 1) is then m itself and where(m > 0, v, 0) is v, so the
+    values keep their bits."""
     if math.isinf(p):
-        return a.max(axis=-2, initial=0.0)
+        return a.max(axis=-2, initial=0.0) if m is None else m
     if p == 1.0:
         return a.sum(axis=-2)
     if p == 2.0:
         # A slice with an entry of 2^480 or more is zeroed before squaring:
         # its r is then 0, and it takes the scaled form like a tiny slice.
         fits = a.max(axis=(-2, -1), initial=0.0) < _SQUARES_BIG
-        b = a if fits.all() else a * fits[..., None, None]
-        r = np.sqrt((b * b).sum(axis=-2))
+        r = _squares_root(a if fits.all() else a * fits[..., None, None])
         plain = r.min(axis=-1, initial=INF) > _SQUARES_TINY
         if plain.all():
             return r
-    m = a.max(axis=-2, initial=0.0)
-    if m.min(initial=INF) > 0.0:
-        scaled = m * np.power(a / m[..., None, :], p).sum(axis=-2) ** (1.0 / p)
+    if m is None:
+        m = a.max(axis=-2, initial=0.0)
+    if x is None and m.min(initial=INF) > 0.0:
+        x = a / m[..., None, :]
+    if x is not None:
+        scaled = m * _power_root(x, p)
     else:
         safe = np.where(m > 0.0, m, 1.0)
-        s = np.power(a / safe[..., None, :], p).sum(axis=-2)
-        scaled = np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+        scaled = np.where(m > 0.0, safe * _power_root(a / safe[..., None, :], p), 0.0)
     if p == 2.0 and plain.any():
         return np.where(plain[..., None], r, scaled)
     return scaled
@@ -300,11 +322,7 @@ class ProductSpaceSpec:
     def norm_many(self, cols: np.ndarray) -> np.ndarray:
         """Norms of the columns of a (total_dim, N) array, or of each slice of a
         (..., total_dim, N) stack."""
-        cols = np.asarray(cols, dtype=float)
-        inner = np.empty((*cols.shape[:-2], len(self.components), cols.shape[-1]))
-        for run in self.runs:
-            inner[..., run.blocks, :] = pnorm_many(run.slab(cols), run.space.exponent)
-        return pnorm_many(inner, self.outer_exponent)
+        return _step(self, True, False)(np.asarray(cols, dtype=float))[0]
 
     def witness(self, functional) -> np.ndarray:
         """The nested Hoelder witness of one functional: one column of
@@ -320,17 +338,26 @@ class ProductSpaceSpec:
         norms weights the blocks so that the pairing equals the dual mixed
         norm.  A zero functional gets the zero vector.
         """
-        U = np.asarray(functionals, dtype=float)
-        slabs = [run.slab(U) for run in self.runs]
-        duals = np.empty((*U.shape[:-2], len(self.components), U.shape[-1]))
-        for run, S in zip(self.runs, slabs):
-            duals[..., run.blocks, :] = pnorm_many(S, conjugate_exponent(run.space.exponent))
-        weights = holder_witness_many(duals, self.outer_exponent)
-        out = np.empty_like(U)
-        for run, S in zip(self.runs, slabs):
-            W = weights[..., run.blocks, None, :] * holder_witness_many(S, run.space.exponent)
-            *lead, k, d, n = S.shape
-            out[..., run.rows, :] = W.reshape(*lead, k * d, n)
+        return _step(self, False, True)(np.asarray(functionals, dtype=float))[1]
+
+    def _gather(self, parts: list, cols: np.ndarray) -> np.ndarray:
+        """Each run's (..., k, N) block values as one C-ordered array."""
+        if len(parts) == 1:
+            return np.ascontiguousarray(parts[0])
+        out = np.empty((*cols.shape[:-2], len(self.components), cols.shape[-1]))
+        for run, part in zip(self.runs, parts):
+            out[..., run.blocks, :] = part
+        return out
+
+    def _spread(self, weights: np.ndarray, parts: list, cols: np.ndarray) -> np.ndarray:
+        """Each run's block witnesses times their weights, laid out like ``cols``."""
+        Ws = [weights[..., run.blocks, None, :] * W for run, W in zip(self.runs, parts)]
+        if len(Ws) == 1 and cols.flags.c_contiguous and Ws[0].flags.c_contiguous:
+            return Ws[0].reshape(cols.shape)
+        out = np.empty_like(cols)
+        for run, W in zip(self.runs, Ws):
+            rows = out[..., run.rows, :]
+            rows[...] = W.reshape(rows.shape)
         return out
 
     def duality_gaps(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,46 +427,100 @@ def holder_witness_many(functionals: np.ndarray, p: float) -> np.ndarray:
 
     For p in (1, inf) the unnormalized witness is W = sign(U) P with
     P = (|U| / top)^(q - 1) columnwise, top the column's largest |entry|,
-    and it is divided by its p-norm.  Where every top is positive and finite
-    and q > 1, that norm is computed without ``pnorm_many`` and with the
-    same bits:
-
-    * Each column of P has largest entry exactly 1.0.  |u| / top is at most
-      1 (rounding is monotone) and exactly 1 at the top entry; pow(1, y) = 1;
-      for x < 1 the exact x^y is below 1, so a pow with error under one ulp
-      returns at most 1.0.
-    * |W| is P bit for bit: sign(U) is +-1 where U is nonzero, and where U
-      is zero P is 0 too, because q - 1 > 0.
-    * So ``pnorm_many(W, p)`` takes its scaled form with scale 1.0, which is
-      (sum P^p)^(1/p) (dividing by 1.0 and multiplying by it are exact), or
-      at p = 2 its unscaled form sqrt(sum P^2), since the largest entry 1.0
-      is below 2^480 and the norm, at least 1.0, is above 2^-500.  The norm
-      is at least 1, so the division by it needs no guard.
+    divided by its p-norm (see ``_layer``).
     """
     U = np.asarray(functionals, dtype=float)
     p = as_exponent(p)
     if not U.size:
         return np.zeros_like(U)
-    if p == 1.0:
-        top = np.abs(U).argmax(axis=-2)
-        hit = np.arange(U.shape[-2])[:, None] == top[..., None, :]
-        return np.where(hit, np.sign(U), 0.0)
-    if math.isinf(p):
-        return np.sign(U)
-    q = conjugate_exponent(p)
+    return _layer(U, (), (p, conjugate_exponent(p)))[1]
+
+
+def _layer(U: np.ndarray, ps: tuple, wit: tuple):
+    """``pnorm_many(U, r)`` for each r in ``ps`` (a dict by r), and given
+    wit = (p, conj(p)) ``holder_witness_many(U, p)``, bit for bit, from one
+    |U|, one column maximum m and, where every m is positive and finite and
+    a scaled form takes it, one x = |U| / m; and whether no witness column
+    is zero, which the sign witnesses of nonzero columns and the fast
+    witness guarantee.
+
+    The fast witness, where every m is positive and finite and q > 1, skips
+    ``pnorm_many`` on W = sign(U) P, P = x^(q - 1), and keeps its bits: each
+    column of P has largest entry exactly 1.0 (x <= 1, pow(1, y) = 1), and
+    |W| is P (where U is zero, so is P), so that norm is (sum P^p)^(1/p) with
+    scale 1.0, or sqrt(sum P^2) at p = 2, and at least 1.  At q = 2, P is x.
+    """
     a = np.abs(U)
-    top = a.max(axis=-2)
-    if q > 1.0 and top.min(initial=INF) > 0.0 and top.max(initial=0.0) < INF:
-        P = np.power(a / top[..., None, :], q - 1.0)
-        if p == 2.0:
-            norms = np.sqrt((P * P).sum(axis=-2))
-        else:
-            norms = np.power(P, p).sum(axis=-2) ** (1.0 / p)
-        return np.sign(U) * P / norms[..., None, :]
-    safe = np.where(top > 0.0, top, 1.0)
+    m = a.max(axis=-2, initial=0.0)
+    positive = m.min(initial=INF) > 0.0
+    finite = positive and m.max(initial=0.0) < INF
+    scaled = (wit and 1.0 < wit[0] < INF) or any(1.0 < r < INF and r != 2.0 for r in ps)
+    x = a / m[..., None, :] if finite and scaled else None
+    norms = {r: _norm_from(a, r, m, x) for r in ps}
+    if not wit:
+        return norms, None, positive
+    p, q = wit
+    if p == 1.0:
+        hit = np.arange(U.shape[-2])[:, None] == a.argmax(axis=-2)[..., None, :]
+        return norms, np.where(hit, np.sign(U), 0.0), positive
+    if math.isinf(p):
+        return norms, np.sign(U), positive
+    if finite and q > 1.0:
+        P = x if q == 2.0 else np.power(x, q - 1.0)
+        n = _squares_root(P) if p == 2.0 else _power_root(P, p)
+        return norms, np.sign(U) * P / n[..., None, :], True
+    safe = np.where(m > 0.0, m, 1.0)
     W = np.sign(U) * np.power(a / safe[..., None, :], q - 1.0)
-    norms = pnorm_many(W, p)
-    return W / np.where(norms > 0.0, norms, 1.0)[..., None, :]
+    n = _norm_from(np.abs(W), p)
+    return norms, W / np.where(n > 0.0, n, 1.0)[..., None, :], False
+
+
+def _step(space, norm: bool, witness: bool):
+    """U -> (norms or None, witnesses or None, nonzero) on ``space``: the
+    norms (``norm``) and witnesses (``witness``) of the columns of U, on the
+    dual's unit sphere when both are asked for, with exponents resolved here
+    once.  Each run of equal blocks and the outer layer take one
+    :func:`_layer` pass; the weights' block norms, at the conjugate of each
+    block's witness exponent, are its r-norms unless conjugating twice moves
+    r (r = 4)."""
+
+    def plan(r):  # a layer's norm exponents and its witness's (p, conj(p))
+        w = conjugate_exponent(r) if norm and witness else r
+        return ((r,) if norm else ()), ((w, conjugate_exponent(w)) if witness else ())
+
+    if isinstance(space, SpaceSpec):
+        ps, wit = plan(space.exponent)
+
+        def plain(U):
+            norms, W, nonzero = _layer(U, ps, wit)
+            return norms.get(space.exponent), W, nonzero
+
+        return plain
+    ps, wit = plan(space.outer_exponent)
+    runs = [(run, *plan(run.space.exponent)) for run in space.runs]
+    keys = [rwit[1] if witness else rps[0] for _, rps, rwit in runs]
+    apart = norm and witness and any(rps != rwit[1:] for _, rps, rwit in runs)
+
+    def product(U):
+        layers = [_layer(run.slab(U), rps + rwit[1:], rwit) for run, rps, rwit in runs]
+        blocks = space._gather([n[k] for (n, _, _), k in zip(layers, keys)], U)
+        norms, weights, nonzero = _layer(blocks, () if apart else ps, wit)
+        if apart:
+            inner = space._gather([n[r] for (n, _, _), (_, (r,), _) in zip(layers, runs)], U)
+            norms = _layer(inner, ps, ())[0]
+        W = space._spread(weights, [W for _, W, _ in layers], U) if witness else None
+        return norms.get(space.outer_exponent), W, nonzero and all(z for *_, z in layers)
+
+    return product
+
+
+def ascent_steps(dom, cod):
+    """The two steps of an ascent iteration, with the bits of the calls they
+    replace: ``measure(Y)`` -> (cod.norm_many(Y), cod.dual.witness_many(Y))
+    from one pass per layer over |Y|, and ``lift(U)`` -> (dom.witness_many(U),
+    nonzero), nonzero True where no witness column is zero."""
+    measure, lift = _step(cod, True, True), _step(dom, False, True)
+    return (lambda Y: measure(Y)[:2]), (lambda U: lift(U)[1:])
 
 
 def product_duality_gap(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -6,6 +7,8 @@ import pytest
 
 import frozen_kernels as frozen
 import pgframes as pg
+import seed_1_workloads
+from pgframes import checks, spaces
 from pgframes.config import NumericsConfig
 from pgframes.spaces import pnorm, pnorm_many
 
@@ -379,6 +382,35 @@ def test_lockstep_ascent_equals_the_frozen_loop(p, r):
             got = pg.opnorm._ascend(As[idx], X, dom, cod, cfg)
             expect = frozen.ascend(As[idx], X, dom, cod, cfg.max_iterations)
             assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+
+def test_no_general_kernel_call_inside_the_ascent(monkeypatch):
+    # every step of every ascent on the 20 seed-1 workload instances takes
+    # the fused pass, zero columns of stalled starts included: a silent fall
+    # back to the general kernels would undo its gain and move no value
+    calls, inside, ascents = collections.Counter(), [False], []
+    for name in ("pnorm_many", "holder_witness_many"):
+        def kernel(*args, _real=getattr(spaces, name), _name=name, **kwargs):
+            calls[_name, inside[0]] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, name, kernel)
+    real = pg.opnorm._ascend
+
+    def ascend(A, *args):
+        ascents.append(len(A))
+        inside[0] = True
+        try:
+            return real(A, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pg.opnorm, "_ascend", ascend)
+    for inst in seed_1_workloads.instances():
+        assert checks.run_checks(inst).ok
+    assert len(ascents) == 16 + 72
+    assert [n for (_, during), n in calls.items() if during] == []
+    assert calls["pnorm_many", False] > 0 and calls["holder_witness_many", False] > 0
 
 
 def test_lockstep_slices_stop_at_their_own_iteration():

@@ -332,6 +332,21 @@ def test_frozen_kernels_equal_the_new_plain_kernels(p):
             _assert_space_kernels_frozen(pg.SpaceSpec(d, p), X, equal_nan=True)
 
 
+def test_p2_witness_takes_no_power(monkeypatch):
+    # q - 1 = 1 at p = 2, and pow(x, 1) = x exactly, so the witness of a
+    # stack with no zero column calls no np.power at all (its bits are the
+    # frozen kernel's, which takes that power)
+    X = np.random.default_rng(89).standard_normal((3, 5, 7))
+    expect = frozen.holder_witness_many(X, 2.0)
+    power = np.power
+    calls = []
+    monkeypatch.setattr(np, "power", lambda *args: calls.append(args) or power(*args))
+    assert _bits(holder_witness_many(X, 2.0)) == _bits(expect)
+    assert calls == []
+    holder_witness_many(X, 3.0)
+    assert calls
+
+
 def test_frozen_witness_where_the_conjugate_is_one():
     # q = 1 makes the witness power 0, so P is 1 at zero entries too and its
     # sum counts them; at p = 2^54, 1000^(1/p) and 50^(1/p) round apart
@@ -360,6 +375,54 @@ def test_frozen_kernels_equal_the_new_product_kernels(outer):
         _assert_space_kernels_frozen(mixed, _sweep_stack(mixed.total_dim, rng))
     with np.errstate(all="ignore"):
         _assert_space_kernels_frozen(mixed, _nonfinite_stack(mixed.total_dim, rng), equal_nan=True)
+
+
+def _step_stack(space, rng):
+    # the sweep stack (zero columns, ties, slices scaled by 2^-540 and 2^540)
+    # with a zero first block in column 6 of slice 0 beside nonzero blocks
+    X = _sweep_stack(space.total_dim, rng)
+    if isinstance(space, pg.ProductSpaceSpec) and len(space.components) > 1:
+        X[0, : space.components[0].dim, 6] = 0.0
+    return X
+
+
+def _assert_steps_frozen(space, X):
+    # each of the ascent's two steps against the frozen calls it replaces:
+    # measure gives the norms and the dual witnesses, lift the witnesses
+    measure, lift = spaces.ascent_steps(space, space)
+    for x in _layouts(X):
+        norms, Z = measure(x)
+        assert _bits(norms) == _bits(frozen.norm_many(space, x))
+        assert _bits(Z) == _bits(frozen.witness_many(space.dual, x))
+        W, nonzero = lift(x)
+        assert _bits(W) == _bits(frozen.witness_many(space, x))
+        assert W.shape == x.shape and (not nonzero or W.any(axis=-2).all())
+
+
+@pytest.mark.parametrize("r", SWEEP_EXPONENTS)
+def test_fused_steps_equal_the_frozen_kernels(r):
+    # plain spaces, and products of one to eight blocks of exponent r under
+    # the outer exponents 1.25 to 4, and mixed runs beside them; r = 4 does
+    # not survive conjugating twice, so its dual witness weights its blocks
+    # by their norms at 4.000000000000001, not by the r-norms
+    sp = pg.SpaceSpec
+    rng = np.random.default_rng([83, SWEEP_EXPONENTS.index(r)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 9):
+            _assert_steps_frozen(sp(d, r), _sweep_stack(d, rng))
+        for outer in SWEEP_EXPONENTS[1:7]:
+            for dims in ([1], [3], [2, 1], [1, 1], [2, 3, 2], [2] * 4, [1] * 8):
+                space = pg.ProductSpaceSpec(tuple(sp(d, r) for d in dims), outer)
+                _assert_steps_frozen(space, _step_stack(space, rng))
+            mixed = pg.ProductSpaceSpec(
+                (sp(2, r), sp(2, r), sp(1, 3.0), sp(2, 4.0), sp(2, 1.5), sp(1, r), sp(2, 2.0)),
+                outer,
+            )
+            _assert_steps_frozen(mixed, _step_stack(mixed, rng))
+    with np.errstate(all="ignore"):
+        _assert_steps_frozen(sp(3, r), _nonfinite_stack(3, rng))
+        _assert_steps_frozen(mixed, _nonfinite_stack(mixed.total_dim, rng))
 
 
 def _column_stack(cols):
@@ -562,10 +625,13 @@ def test_product_layout_is_invisible():
 def test_one_kernel_call_per_run_of_equal_blocks(monkeypatch, dims, runs):
     space = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, 3.0) for d in dims), 1.5)
     calls = []
-    kernel = spaces.pnorm_many
-    monkeypatch.setattr(spaces, "pnorm_many", lambda a, p: calls.append(a.shape) or kernel(a, p))
+    layer = spaces._layer
+    monkeypatch.setattr(spaces, "_layer", lambda U, *args: calls.append(U.shape) or layer(U, *args))
     space.norm_many(np.ones((space.total_dim, 4)))
     assert len(calls) == runs + 1  # one per run, plus the outer norm
+    calls.clear()
+    space.witness_many(np.ones((space.total_dim, 4)))
+    assert len(calls) == runs + 1  # one per run, plus the outer weights
 
 
 def test_pnorm_many_needs_at_least_2d_input():

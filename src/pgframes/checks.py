@@ -5,6 +5,15 @@ duality of the product norm, multiplier bounds, dual bases, inversion,
 perturbation, continuity) and reports pass/fail/skipped with the values it
 computed.  Reports are deterministic for a fixed (instance, seed, config)
 triple, timing fields aside.
+
+A ``run_checks`` call builds each per-instance object once and hands it to
+every suite that needs it: the instance's two operator sequences (whose
+analysis and coefficient spaces are built on first use and kept), its
+symbol, the perturb suite's family, one classify report per sequence and
+one forward multiplier.  Its certificate ledger (``opnorm``) holds every
+certificate and every dual Riesz basis computed in the run, so the ``dual``
+suite and ``invert`` read lam's and theta's bases from one inversion each.
+Nothing outlives the call.
 """
 from __future__ import annotations
 
@@ -144,9 +153,9 @@ def _certificate_values(report) -> dict:
     return vals
 
 
-def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
+def _check_classify(sequences: dict, cfg: NumericsConfig, classified) -> CheckResult:
     values, ok, notes = {}, True, []
-    for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
+    for tag, seq in sequences.items():
         report = classified(tag)
         for k, v in _certificate_values(report).items():
             values[f"{tag}.{k}"] = v
@@ -166,9 +175,9 @@ def _check_classify(inst: Instance, cfg: NumericsConfig, classified) -> CheckRes
     return CheckResult("classify", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_equivalences(inst: Instance, classified) -> CheckResult:
+def _check_equivalences(sequences: dict, classified) -> CheckResult:
     values, ok, notes = {}, True, []
-    for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
+    for tag, seq in sequences.items():
         eq = riesz_equivalences_check(seq, classified(tag))
         values[f"{tag}.conditions"] = [eq.riesz_inequality, eq.full_rank]
         if not eq.agree:
@@ -177,9 +186,8 @@ def _check_equivalences(inst: Instance, classified) -> CheckResult:
     return CheckResult("equivalences", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_duality(inst: Instance, cfg: NumericsConfig) -> CheckResult:
-    seq = inst.lam_sequence()
-    coeff = seq.coefficient_space()
+def _check_duality(lam: OperatorSequence, cfg: NumericsConfig) -> CheckResult:
+    coeff = lam.coefficient_space()
     rng = _seeded(cfg, 2)
     # one (20, d) draw holds the numbers of 20 draws of d, in order, and
     # leaves the generator where they would; column j is draw j
@@ -227,11 +235,11 @@ def _check_bounds(inst: Instance, cfg: NumericsConfig, classified, forward) -> C
     return CheckResult("bounds", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_dual(inst: Instance, cfg: NumericsConfig, classified) -> CheckResult:
+def _check_dual(sequences: dict, cfg: NumericsConfig, classified) -> CheckResult:
     values, ok, notes = {}, True, []
     rng = _seeded(cfg, 3)
     any_run = False
-    for tag, seq in (("lam", inst.lam_sequence()), ("theta", inst.theta_sequence())):
+    for tag, seq in sequences.items():
         report = classified(tag)
         if not report.is_riesz:
             notes.append(f"{tag}: not a Riesz basis ({report.riesz_diagnosis})")
@@ -326,10 +334,11 @@ def _check_invert(cfg: NumericsConfig, forward) -> CheckResult:
     )
 
 
-def _perturbed_family(inst: Instance, cfg: NumericsConfig, epsilon: float) -> OperatorSequence:
+def _perturbed_family(
+    lam: OperatorSequence, cfg: NumericsConfig, epsilon: float
+) -> OperatorSequence:
     """The perturb suite's family: each member of lam plus epsilon times a
     unit-Frobenius normal matrix (rng stream 5)."""
-    lam = inst.lam_sequence()
     rng = _seeded(cfg, 5)
     mats = []
     for mat in lam.mats:
@@ -338,8 +347,8 @@ def _perturbed_family(inst: Instance, cfg: NumericsConfig, epsilon: float) -> Op
     return OperatorSequence(lam.domain, lam.codomains, tuple(mats), lam.frame_exponent)
 
 
-def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed) -> CheckResult:
-    rep = perturbation_check(inst.lam_sequence(), perturbed(), cfg)
+def _check_perturb(lam: OperatorSequence, cfg: NumericsConfig, perturbed) -> CheckResult:
+    rep = perturbation_check(lam, perturbed(), cfg)
     ok = rep.slack >= -1e-9
     notes = []
     if not ok:
@@ -358,9 +367,9 @@ def _check_perturb(inst: Instance, cfg: NumericsConfig, perturbed) -> CheckResul
     return CheckResult("perturb", "pass" if ok else "fail", "; ".join(notes), values)
 
 
-def _check_continuity(inst: Instance, cfg: NumericsConfig) -> CheckResult:
-    m = inst.symbol_obj()
-    lam, theta = inst.lam_sequence(), inst.theta_sequence()
+def _check_continuity(
+    inst: Instance, m: Symbol, lam: OperatorSequence, theta: OperatorSequence, cfg: NumericsConfig
+) -> CheckResult:
     p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
     # every kind's gaps from one batch, each kind's bounds checked on its own
@@ -408,7 +417,9 @@ def run_checks(
     steps.  An empty selection, an unknown suite and a non-finite epsilon
     raise ``ValueError`` before any suite runs.  The suites share one
     certificate ledger (``opnorm``), closed when the call returns or raises.
-    The report echoes the settings it ran with.
+    The call builds the instance's two sequences and its symbol once and
+    hands them to every suite; nothing it builds outlives it.  The report
+    echoes the settings it ran with.
     """
     cfg = cfg or DEFAULT_CONFIG
     chosen = list(SUITES) if suites is None else list(suites)
@@ -419,26 +430,27 @@ def run_checks(
         raise ValueError(f"unknown suites {unknown}; expected a subset of {SUITES}")
     if not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-    # the perturb suite's family, built once
-    perturbed = functools.cache(lambda: _perturbed_family(inst, cfg, epsilon))
+    # the instance's sequences and symbol, and the perturb suite's family,
+    # each built once
+    sequences = {"lam": inst.lam_sequence(), "theta": inst.theta_sequence()}
+    lam, theta = sequences["lam"], sequences["theta"]
+    m = inst.symbol_obj()
+    perturbed = functools.cache(lambda: _perturbed_family(lam, cfg, epsilon))
     # when classify and perturb both run, the first of them to run puts
     # lam's three pairs in the ledger with one lockstep ascent
     shared_ascent = "classify" in chosen and "perturb" in chosen
 
     # classify, equivalences, bounds and dual share one report per sequence,
     # made on first use so that a failure lands in the suite that asked for it
-    sequences = {"lam": inst.lam_sequence, "theta": inst.theta_sequence}
     reports = {}
 
     def classified(tag):
         if tag not in reports:
-            reports[tag] = classify(sequences[tag](), cfg)
+            reports[tag] = classify(sequences[tag], cfg)
         return reports[tag]
 
     # bounds, multiply and invert likewise share one forward multiplier
-    forward = functools.cache(
-        lambda: assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
-    )
+    forward = functools.cache(lambda: assemble(m, lam, theta))
     results = []
     with certificate_ledger():
         for name in chosen:
@@ -446,25 +458,25 @@ def run_checks(
             try:
                 if shared_ascent and name in ("classify", "perturb"):
                     shared_ascent = False
-                    _certify_lam_pairs(inst.lam_sequence(), perturbed, cfg)
+                    _certify_lam_pairs(lam, perturbed, cfg)
                 if name == "classify":
-                    res = _check_classify(inst, cfg, classified)
+                    res = _check_classify(sequences, cfg, classified)
                 elif name == "equivalences":
-                    res = _check_equivalences(inst, classified)
+                    res = _check_equivalences(sequences, classified)
                 elif name == "duality":
-                    res = _check_duality(inst, cfg)
+                    res = _check_duality(lam, cfg)
                 elif name == "bounds":
                     res = _check_bounds(inst, cfg, classified, forward)
                 elif name == "dual":
-                    res = _check_dual(inst, cfg, classified)
+                    res = _check_dual(sequences, cfg, classified)
                 elif name == "multiply":
                     res = _check_multiply(cfg, forward)
                 elif name == "invert":
                     res = _check_invert(cfg, forward)
                 elif name == "perturb":
-                    res = _check_perturb(inst, cfg, perturbed)
+                    res = _check_perturb(lam, cfg, perturbed)
                 else:
-                    res = _check_continuity(inst, cfg)
+                    res = _check_continuity(inst, m, lam, theta, cfg)
             except Exception as exc:
                 res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
             wall = (time.perf_counter() - t0) * 1000.0

@@ -25,7 +25,8 @@ by the ``classify`` suite and against [1/B, 1/A] by the ``dual`` suite.
 
 ``dual_riesz_basis`` inverts the synthesis matrix and reads its block rows as
 the coefficient-extracting dual sequence; biorthogonality and reconstruction
-are checked on construction.
+are checked on construction.  Inside ``run_checks`` each synthesis matrix is
+inverted once, through the run's ledger (``opnorm.from_ledger``).
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .opnorm import (
     BESSEL_STREAM,
     INVERSE_STREAM,
     BoundCertificate,
+    from_ledger,
     min_ratio_estimate,
     operator_norm_bounds,
     upper_certificate_only,
@@ -204,7 +206,13 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
     is numerically singular.  Construction verifies biorthogonality
     (dual_k @ L_i^T = delta_{k,i} I) and the reconstruction identity, both of
     which reduce to S^{-1} S = I on blocks; the residual of that identity is
-    kept on the result.
+    kept on the result.  The blocks are read-only views of the inverse.
+
+    While a certificate ledger is open (``run_checks`` opens one per call),
+    the inverse and its residual are made once per synthesis matrix and
+    ``tol_exact``, so the ``dual`` suite and ``invert`` share them; each call
+    still splits the inverse by its own codomains.  The matrix is keyed by
+    its bytes, shape and strides.
     """
     cfg = cfg or DEFAULT_CONFIG
     S = synthesis_matrix(seq)
@@ -214,20 +222,30 @@ def dual_riesz_basis(seq: OperatorSequence, cfg: NumericsConfig | None = None) -
         raise NotRieszError(
             f"synthesis is not square: stacked dual dim {total} != domain dim {n}"
         )
-    try:
-        Sinv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotRieszError("synthesis matrix is singular") from exc
-    residual = float(np.abs(Sinv @ S - np.eye(n)).max())
-    if residual > 100 * cfg.tol_exact:
-        raise NotRieszError(
-            f"synthesis matrix is numerically singular (residual {residual:.2e})"
-        )
+    # the layout too: the residual's rounding depends on it
+    key = (S.shape, S.strides, S.tobytes(), cfg.tol_exact)
+    Sinv, residual = from_ledger("dual_riesz_basis", key, lambda: _inverse(S, cfg))
     offs, mats = 0, []
     for c in seq.codomains:
         mats.append(Sinv[offs : offs + c.dim])
         offs += c.dim
     return DualSequence(tuple(mats), seq, residual)
+
+
+def _inverse(S: np.ndarray, cfg: NumericsConfig) -> tuple[np.ndarray, float]:
+    """The read-only inverse of a square synthesis matrix and its residual
+    max|S^-1 S - I|; raises :class:`NotRieszError` when it is singular."""
+    try:
+        Sinv = np.linalg.inv(S)
+    except np.linalg.LinAlgError as exc:
+        raise NotRieszError("synthesis matrix is singular") from exc
+    residual = float(np.abs(Sinv @ S - np.eye(len(S))).max())
+    if residual > 100 * cfg.tol_exact:
+        raise NotRieszError(
+            f"synthesis matrix is numerically singular (residual {residual:.2e})"
+        )
+    Sinv.flags.writeable = False
+    return Sinv, residual
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ acting between the dual coordinate spaces of the two domains.  Each entry is
 the correctly rounded value of its exact sum (what ``math.fsum`` returns), so
 reordering the index set reproduces the matrix bit for bit; a vectorized
 TwoSum cascade certifies almost every entry and ``math.fsum`` sums the rest
-(see :func:`_fsum_stack`).  :func:`assemble` builds the
+(see :func:`_fsum_stack`); a term of weight zero is left out, which keeps
+every sum (see :func:`assemble`).  :func:`assemble` builds the
 :class:`MultiplierOperator`, which carries (m, L, T) along with the matrix;
 :func:`norm_bounds`, :func:`invert` and :func:`injectivity_witness` all take
 that assembled operator.
@@ -196,12 +197,19 @@ def assemble(m: Symbol, left: OperatorSequence, right: OperatorSequence) -> Mult
     behind the defining series are vacuous at finite truncation, so their
     failures (zero members, mismatched aggregation exponents) are recorded as
     advisory notes instead of errors.
+
+    A term whose weight m_i is zero is left out where ``math.fsum`` returns
+    +0.0 for every exact zero sum: its exact value is 0, so the exact sum of
+    every entry is unchanged, and where that sum is 0 both give +0.0 (a
+    symbol of zeros gives the zero matrix).  This holds also for a pair
+    whose product overflows: its term is 0, where 0 * inf would be NaN.
     """
     check_pairing(m, left, right)
-    terms = np.empty((len(m), left.domain.dim, right.domain.dim))
-    for term, mi, ml, mr in zip(terms, m.entries, left.mats, right.mats):
-        np.multiply(mi, ml.T @ mr, out=term)
-    matrix = _fsum_stack(terms)
+    present = np.flatnonzero(m.entries) if _FSUM_UNSIGNED_ZERO else range(len(m))
+    terms = np.empty((len(present), left.domain.dim, right.domain.dim))
+    for term, i in zip(terms, present):
+        np.multiply(m.entries[i], left.mats[i].T @ right.mats[i], out=term)
+    matrix = _fsum_stack(terms) if len(terms) else np.zeros(terms.shape[1:])
     advisories: list[str] = []
     if not math.isclose(right.frame_exponent, conjugate_exponent(left.frame_exponent)):
         advisories.append(

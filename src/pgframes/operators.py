@@ -10,6 +10,7 @@ certificate machinery in ``opnorm``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .spaces import (
     SpaceError,
     SpaceSpec,
     Vector,
-    conjugate_exponent,
 )
 
 __all__ = [
@@ -47,6 +47,12 @@ class OperatorSequence:
 
     ``frame_exponent`` is the aggregation exponent p of the mixed norm
     (sum_i ||L_i x||^p)^(1/p) and must lie strictly between 1 and infinity.
+
+    The analysis and coefficient spaces depend on the codomains and the
+    exponent alone, so they are built on first use and kept, outside the
+    dataclass fields (equality, hashing and ``repr`` do not see them).  The
+    stacked matrix is not kept: the members are the caller's arrays, which
+    may change.
     """
 
     domain: SpaceSpec
@@ -83,14 +89,16 @@ class OperatorSequence:
 
     def analysis_space(self) -> ProductSpaceSpec:
         """Target of the analysis operator: (sum + Y_i)_{l^p}."""
-        return ProductSpaceSpec(self.codomains, self.frame_exponent)
+        return self._analysis_space
 
     def coefficient_space(self) -> ProductSpaceSpec:
-        """Domain of the synthesis operator: (sum + Y_i*)_{l^q}."""
-        return ProductSpaceSpec(
-            tuple(c.dual for c in self.codomains),
-            conjugate_exponent(self.frame_exponent),
-        )
+        """Domain of the synthesis operator: (sum + Y_i*)_{l^q}, the dual of
+        the analysis space."""
+        return self._analysis_space.dual
+
+    @cached_property
+    def _analysis_space(self) -> ProductSpaceSpec:
+        return ProductSpaceSpec(self.codomains, self.frame_exponent)
 
     def stacked(self) -> np.ndarray:
         """All members stacked vertically: the analysis operator's matrix."""

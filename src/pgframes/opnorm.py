@@ -34,15 +34,24 @@ one pass too: stacked column and row norms, one stacked SVD, and the outer
 step per slice, with the bits of ``upper_certificate_only`` on each slice;
 on product spaces each run of equal blocks takes one such pass.
 
+``block_upper_certificates`` gives each block of a matrix on a product
+space its own upper certificate, with one stacked pass per run of equal
+blocks; the blockwise aggregate sums them, and ``perturbation_check`` takes
+the per-member certificates of its gap K from it.  Between Euclidean spaces
+a stack's upper certificates come from stacked SVDs, in chunks that bound
+the singular vectors held at once (``SVD_CHUNK``).
+
 While a ``certificate_ledger()`` block is open (``run_checks`` opens one per
-call), ``upper_certificate_only`` and ``operator_norm_bounds_many`` look up
-each slice's certificate, block ones included, before computing it and
-store it after.  The key is the matrix the route computes on, divided by its
-largest entry, with its shape, its strides (the rounding of a column sum
-depends on the layout), the two spaces and an ascent's stream; a hit is the
-stored result of a computation, bit for bit.  No entry outlives the block: a
-process-wide store would turn repeated runs into lookups, and their timing
-into a timing of the store.
+call), ``upper_certificate_only``, ``block_upper_certificates`` and
+``operator_norm_bounds_many`` look up each slice's certificate, block ones
+included, before computing it and store it after.  The key is the matrix the
+route computes on, divided by its largest entry, with its shape, its strides
+(the rounding of a column sum depends on the layout), the two spaces and an
+ascent's stream; a hit is the stored result of a computation, bit for bit.
+The same ledger keeps other objects of the run under keys of their own
+(``from_ledger``): ``frames.dual_riesz_basis`` keeps each inverse synthesis
+matrix there.  No entry outlives the block: a process-wide store would turn
+repeated runs into lookups, and their timing into a timing of the store.
 
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
@@ -77,7 +86,9 @@ __all__ = [
     "BoundCertificate",
     "BoundPair",
     "VertexLimitError",
+    "block_upper_certificates",
     "certificate_ledger",
+    "from_ledger",
     "matrix_opnorm",
     "operator_norm_bounds",
     "operator_norm_bounds_many",
@@ -90,6 +101,7 @@ __all__ = [
 KINDS = ("exact", "upper_certificate", "lower_estimate")
 RATIO_TOL = 1e-12    # relative stop criterion of the ascent on successive ratios
 SAMPLE_BATCH = 2048  # vectorized random candidates for minima
+SVD_CHUNK = 1 << 14  # floats of singular vectors per stacked SVD call (128 KiB)
 
 MATRIX_STREAM = 0     # matrix_opnorm and the continuity gaps
 ANALYSIS_STREAM = 11  # analysis_opnorm and perturbation_check
@@ -157,6 +169,21 @@ def certificate_ledger():
         _ledger.reset(token)
 
 
+def from_ledger(table: str, key, compute):
+    """``compute()``, kept under ``key`` in the open ledger's ``table``: made
+    once per ``certificate_ledger`` block, and by every call while none is
+    open.  A call that raises stores nothing.  This is how objects other
+    than certificates, such as ``frames``' dual bases, are made once per
+    run."""
+    ledger = _ledger.get()
+    if ledger is None:
+        return compute()
+    store = ledger.setdefault(table, {})
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
 def _ledgered(Bs: np.ndarray, dom, cod, streams: list, compute) -> list:
     """``compute(Bs, streams)``, through the open ledger: only the distinct
     slices it lacks are computed, as one stack, and stored.  ``Bs`` is
@@ -190,21 +217,28 @@ def _stacked_svd(As: np.ndarray, pick, shape: tuple, **kwargs):
     """``pick`` of each slice's ``np.linalg.svd``, as a (k, *shape) array, and
     which slices have one.
 
-    One stacked SVD: LAPACK runs on each slice alone, so a slice's row has
-    the bits of an SVD of that slice.  numpy raises for the whole stack when
-    any slice fails, so then each slice is retried alone and only the
-    failing ones go without (their rows are zero).
+    Stacked SVDs: LAPACK runs on each slice alone, so a slice's row has the
+    bits of an SVD of that slice.  A stacked call's singular vectors hold at
+    most ``SVD_CHUNK`` floats (one slice where a slice's alone exceed it),
+    so the stack goes in chunks of slices: a wide m x n slice has an n x n
+    factor, and on ``ladder-l2`` larger transient stacks raised the peak
+    resident memory.  numpy raises for a whole chunk when any slice fails,
+    so then each of its slices is retried alone and only the failing ones go
+    without (their rows are zero).
     """
-    try:
-        return pick(np.linalg.svd(As, **kwargs)), np.ones(len(As), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
+    m, n = As.shape[1:]
+    step = max(1, SVD_CHUNK // (m * m + n * n))
     rows, ok = np.zeros((len(As), *shape)), np.zeros(len(As), dtype=bool)
-    for i in range(len(As)):
+    for start in range(0, len(As), step):
+        part = slice(start, start + step)
         try:
-            rows[i], ok[i] = pick(np.linalg.svd(As[i : i + 1], **kwargs))[0], True
+            rows[part], ok[part] = pick(np.linalg.svd(As[part], **kwargs)), True
         except np.linalg.LinAlgError:
-            pass
+            for i in range(start, min(start + step, len(As))):
+                try:
+                    rows[i], ok[i] = pick(np.linalg.svd(As[i : i + 1], **kwargs))[0], True
+                except np.linalg.LinAlgError:
+                    pass
     return rows, ok
 
 
@@ -492,28 +526,55 @@ def _upper_normalized(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[Bou
     if plain and _has_closed_form(Bs.shape[1:], dom.exponent, cod.exponent, cfg):
         return [_exact_simple(B, dom.exponent, cod.exponent, cfg) for B in Bs]
     if dom.is_euclidean and cod.is_euclidean:
-        svds = (np.linalg.svd(B) for B in Bs)
-        return [BoundCertificate(s[0], "exact", "singular-value", vt[0]) for _, s, vt in svds]
+        # s[0] and the first row of vt, side by side, from one stacked SVD
+        n = Bs.shape[2]
+        tops, ok = _stacked_svd(
+            Bs, lambda usv: np.concatenate((usv[1][:, :1], usv[2][:, 0]), axis=-1), (n + 1,)
+        )
+        if not ok.all():  # the slice's own call raises
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return [BoundCertificate(t[0], "exact", "singular-value", t[1:]) for t in tops]
     if plain:
         return _upper_candidates_simple(Bs, dom.exponent, cod.exponent)
     return [_upper_from_blocks(B, dom, cod, cfg) for B in Bs]
 
 
-def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCertificate:
-    """Aggregate per-block upper certificates through the outer Hoelder bound;
-    each run of equal blocks is one :func:`_upper_many` stack of views of ``A``,
-    so each block keeps its strides, and so the bits of a call alone."""
+def block_upper_certificates(
+    A: np.ndarray, dom, cod, cfg: NumericsConfig | None = None
+) -> list[BoundCertificate]:
+    """The upper certificate of each block of ``A``, in block order: its row
+    blocks A_i when ``cod`` is a product, its column blocks D_i when ``dom``
+    is one (exactly one of them must be).
+
+    Each block's certificate has the bits of :func:`upper_certificate_only`
+    on that block alone, and goes through the open ledger as that call
+    would.  Each run of equal blocks is one :func:`_upper_many` stack of
+    views of ``A``, so each block keeps its strides.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    A = np.asarray(A, dtype=float)
     rows = isinstance(cod, ProductSpaceSpec)
     if rows == isinstance(dom, ProductSpaceSpec):
         raise NotImplementedError("product-to-product norms are not needed here")
+    if A.shape != (cod.total_dim, dom.total_dim):
+        raise ValueError(
+            f"matrix shape {A.shape} does not map dim {dom.total_dim} to {cod.total_dim}"
+        )
     if rows:
+        return [c for run in cod.runs for c in _upper_many(run.slab(A), dom, run.space, cfg)]
+    blocks = [(np.swapaxes(run.slab(A.T), -1, -2), run.space) for run in dom.runs]
+    return [c for D, space in blocks for c in _upper_many(D, space, cod, cfg)]
+
+
+def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCertificate:
+    """Aggregate the :func:`block_upper_certificates` of ``A`` through the
+    outer Hoelder bound."""
+    certs = block_upper_certificates(A, dom, cod, cfg)
+    if isinstance(cod, ProductSpaceSpec):
         # row blocks: ||{A_i x}||_mixed <= (sum ||A_i||^s)^(1/s) ||x||
-        certs = [c for run in cod.runs for c in _upper_many(run.slab(A), dom, run.space, cfg)]
         outer = cod.outer_exponent
     else:
         # column blocks: ||sum_i D_i g_i|| <= (sum ||D_i||^s')^(1/s') N(g)
-        blocks = [(np.swapaxes(run.slab(A.T), -1, -2), run.space) for run in dom.runs]
-        certs = [c for D, space in blocks for c in _upper_many(D, space, cod, cfg)]
         outer = conjugate_exponent(dom.outer_exponent)
     total = pnorm(np.array([c.value for c in certs]), outer)
     return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")

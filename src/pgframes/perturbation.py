@@ -60,9 +60,9 @@ from .opnorm import (
     ANALYSIS_STREAM,
     MATRIX_STREAM,
     BoundCertificate,
+    block_upper_certificates,
     matrix_opnorm,
     operator_norm_bounds_many,
-    upper_certificate_only,
 )
 from .spaces import DimensionMismatchError, pnorm
 
@@ -111,19 +111,21 @@ def perturbation_check(
 ) -> PerturbationReport:
     """Certify the Bessel-bound and operator-gap consequences of a perturbation.
 
-    ``B_base`` is ``analysis_upper(lam, cfg)``.  The analysis pairs of
-    ``theta`` and of the difference family lam - theta come from one
-    ``operator_norm_bounds_many`` call on their stacked matrices, between
-    lam's domain and analysis space on ``ANALYSIS_STREAM``, so their lower
-    sides share one lockstep ascent.
+    The per-member certificates of K are ``block_upper_certificates`` of the
+    difference family's stacked matrix on lam's analysis space: one stacked
+    call per run of equal codomains, each certificate with the bits of
+    ``upper_certificate_only`` on its member.  ``B_base`` is
+    ``analysis_upper(lam, cfg)``.  The analysis pairs of ``theta`` and of the
+    difference family lam - theta come from one ``operator_norm_bounds_many``
+    call on their stacked matrices, between lam's domain and analysis space
+    on ``ANALYSIS_STREAM``, so their lower sides share one lockstep ascent.
     """
     cfg = cfg or DEFAULT_CONFIG
     _same_shape(lam, theta)
     p = lam.frame_exponent
-    diffs = [ml - mt for ml, mt in zip(lam.mats, theta.mats)]
-    per_term = tuple(
-        upper_certificate_only(d, lam.domain, y, cfg)
-        for d, y in zip(diffs, lam.codomains)
+    diffs = tuple(ml - mt for ml, mt in zip(lam.mats, theta.mats))
+    per_term = block_upper_certificates(
+        np.vstack(diffs), lam.domain, lam.analysis_space(), cfg
     )
     k_val = pnorm(np.array([c.value for c in per_term]), p)
     k_kind = "exact" if all(c.kind == "exact" for c in per_term) else "upper_certificate"
@@ -132,7 +134,7 @@ def perturbation_check(
     B_base = analysis_upper(lam, cfg)
     # both lower sides from one lockstep ascent, each with the bits of its
     # own analysis_opnorm call; _same_shape put theta on lam's spaces
-    diff_seq = OperatorSequence(lam.domain, lam.codomains, tuple(diffs), p)
+    diff_seq = OperatorSequence(lam.domain, lam.codomains, diffs, p)
     stack = np.stack([theta.stacked(), diff_seq.stacked()])
     analysis = operator_norm_bounds_many(
         stack, lam.domain, lam.analysis_space(), cfg, ANALYSIS_STREAM

@@ -176,8 +176,9 @@ class SpaceSpec:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "exponent", as_exponent(self.exponent))
 
-    @property
+    @cached_property
     def dual(self) -> "SpaceSpec":
+        """The conjugate-exponent space, built on first use."""
         return SpaceSpec(self.dim, conjugate_exponent(self.exponent))
 
     @property
@@ -260,9 +261,10 @@ class ProductSpaceSpec:
     """Mixed-norm product: tuples (x_1, ..., x_k), x_i in R^{d_i} with its own
     l^{r_i} norm, aggregated by the outer l^p norm of (||x_1||, ..., ||x_k||).
 
-    The block offsets and the runs of equal components are computed on first
-    use and cached outside the dataclass fields, so equality, hashing and
-    ``repr`` see only the components and the outer exponent.
+    The total dimension, the block offsets, the runs of equal components and
+    the dual are computed on first use and cached outside the dataclass
+    fields, so equality, hashing and ``repr`` see only the components and the
+    outer exponent.
     """
 
     components: tuple[SpaceSpec, ...]
@@ -275,7 +277,7 @@ class ProductSpaceSpec:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "outer_exponent", as_exponent(self.outer_exponent))
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(c.dim for c in self.components)
 
@@ -292,7 +294,7 @@ class ProductSpaceSpec:
             block += k
         return tuple(runs)
 
-    @property
+    @cached_property
     def dual(self) -> "ProductSpaceSpec":
         return ProductSpaceSpec(
             tuple(c.dual for c in self.components),
@@ -482,7 +484,7 @@ def _step(space, norm: bool, witness: bool):
     once.  Each run of equal blocks and the outer layer take one
     :func:`_layer` pass; the weights' block norms, at the conjugate of each
     block's witness exponent, are its r-norms unless conjugating twice moves
-    r (r = 4)."""
+    r (r = 4); a run's layer forms each distinct norm it is asked for once."""
 
     def plan(r):  # a layer's norm exponents and its witness's (p, conj(p))
         w = conjugate_exponent(r) if norm and witness else r
@@ -500,9 +502,12 @@ def _step(space, norm: bool, witness: bool):
     runs = [(run, *plan(run.space.exponent)) for run in space.runs]
     keys = [rwit[1] if witness else rps[0] for _, rps, rwit in runs]
     apart = norm and witness and any(rps != rwit[1:] for _, rps, rwit in runs)
+    # each run's norms: its r-norm and its weights' norm, one exponent where
+    # conj(conj(r)) == r
+    asked = [tuple(dict.fromkeys(rps + rwit[1:])) for _, rps, rwit in runs]
 
     def product(U):
-        layers = [_layer(run.slab(U), rps + rwit[1:], rwit) for run, rps, rwit in runs]
+        layers = [_layer(run.slab(U), rs, rwit) for (run, _, rwit), rs in zip(runs, asked)]
         blocks = space._gather([n[k] for (n, _, _), k in zip(layers, keys)], U)
         norms, weights, nonzero = _layer(blocks, () if apart else ps, wit)
         if apart:

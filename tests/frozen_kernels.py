@@ -354,3 +354,11 @@ def upper_from_blocks(A, dom, cod, cfg):
         ]
         total = spaces.pnorm(np.array(vals), conjugate_exponent(dom.outer_exponent))
     return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")
+
+
+def euclidean_uppers(Bs):
+    """The upper certificates of a stack between Euclidean spaces, divided by
+    its largest entries, before the slices went to one stacked SVD: one
+    ``np.linalg.svd`` call per slice."""
+    svds = (np.linalg.svd(B) for B in Bs)
+    return [BoundCertificate(s[0], "exact", "singular-value", vt[0]) for _, s, vt in svds]

@@ -208,6 +208,92 @@ def test_no_ledger_stays_open_after_a_raise(monkeypatch):
         checks.run_checks(inst, epsilon=np.nan)
     assert pg.opnorm._ledger.get() is None
 
+    # a suite that raises after a dual basis went into the run's store: the
+    # store closes with the ledger, and a later call computes its own basis
+    _, inverses = _counted_builds(monkeypatch)
+
+    def storing_then_failing(M, cfg):
+        pg.frames.dual_riesz_basis(M.left, cfg)
+        pg.frames.dual_riesz_basis(M.left, cfg)
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(checks, "invert", storing_then_failing)
+    (res,) = checks.run_checks(inst, ["invert"]).results
+    assert (res.status, res.reason, len(inverses)) == ("fail", "RuntimeError: planted", 1)
+    assert pg.opnorm._ledger.get() is None
+    pg.frames.dual_riesz_basis(inst.lam_sequence())
+    assert len(inverses) == 2
+
+
+def _counted_builds(monkeypatch) -> tuple[list, list]:
+    # every OperatorSequence built, and the synthesis matrix of every dual
+    # basis computed, not read from the run's store
+    builds, inverses = [], []
+    post, inverse = pg.OperatorSequence.__post_init__, pg.frames._inverse
+
+    def counting_post(seq):
+        builds.append(len(seq.mats))
+        post(seq)
+
+    monkeypatch.setattr(pg.OperatorSequence, "__post_init__", counting_post)
+    monkeypatch.setattr(
+        pg.frames, "_inverse", lambda S, cfg: inverses.append(S.shape) or inverse(S, cfg)
+    )
+    return builds, inverses
+
+
+def test_two_runs_build_the_same_sequences_and_dual_bases(monkeypatch):
+    # a run builds the instance's two sequences once: its 14 builds are those
+    # two, perturb's perturbed and difference families, the dual suite's two
+    # duals, multiply's two permuted sequences, invert's two duals and the
+    # joint kind's four end sequences.  It computes four dual bases, lam's,
+    # theta's and their duals'; invert reads lam's and theta's from the dual
+    # suite.  Nothing carries over to the next run
+    builds, inverses = _counted_builds(monkeypatch)
+    inst = _workload_instances()[4]  # ladder-l2, seed 1, dim 16
+    runs = []
+    for _ in range(2):
+        builds.clear()
+        inverses.clear()
+        results = _results(checks.run_checks(inst))
+        runs.append((len(builds), len(inverses), results))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (14, 4)
+    assert pg.opnorm._ledger.get() is None
+
+
+@pytest.mark.parametrize("space", ["l2", "lp"])
+def test_the_dual_suite_and_invert_share_dual_bases(monkeypatch, space):
+    # in one run the dual suite and invert read lam's and theta's dual bases
+    # from one computation, and each reports what it reports alone
+    inst = _pair(space)
+    alone = {name: _results(checks.run_checks(inst, [name]))[name] for name in ("dual", "invert")}
+    _, inverses = _counted_builds(monkeypatch)
+    counts = []
+    for suites in (["dual"], ["invert"], ["dual", "invert"], ["invert", "dual"]):
+        inverses.clear()
+        results = _results(checks.run_checks(inst, suites))
+        counts.append(len(inverses))
+        assert results == {name: alone[name] for name in suites}, suites
+    assert counts == [4, 2, 4, 4]
+
+
+def test_a_direct_invert_computes_its_own_dual_bases(monkeypatch):
+    # with no run open nothing is stored: every invert call inverts both
+    # synthesis matrices; inside an open ledger the second call reads the
+    # first's bases and returns the same bits
+    _, inverses = _counted_builds(monkeypatch)
+    inst = _pair("l2")
+    M = pg.assemble(inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence())
+    first = pg.invert(M)
+    second = pg.invert(M)
+    assert len(inverses) == 4
+    with pg.opnorm.certificate_ledger():
+        third, fourth = pg.invert(M), pg.invert(M)
+    assert len(inverses) == 6
+    for out in (second, third, fourth):
+        assert _values(out[0].matrix) == _values(first[0].matrix) and out[1:] == first[1:]
+
 
 def test_without_a_ledger_every_call_computes(monkeypatch):
     # outside run_checks two equal calls compute twice; inside an open ledger

@@ -397,3 +397,46 @@ def test_assemble_certifies_almost_every_entry(monkeypatch):
     zero = pg.assemble(pg.Symbol(np.zeros(48)), lam, theta)
     assert np.all(zero.matrix == 0.0)
     assert len(calls) == 0
+
+
+def _terms(m, lam, theta):
+    # every term m_i L_i^T T_i of the defining sum, zero weights included
+    return np.stack([mi * (ml.T @ mt) for mi, ml, mt in zip(m.entries, lam.mats, theta.mats)])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "integers-times-powers-of-two", "cancellation"])
+def test_zero_weight_terms_leave_the_exact_sum(monkeypatch, family):
+    # a zero weight's term is left out, and every entry is still the
+    # correctly rounded sum of all the terms, bit for bit; a symbol of zeros
+    # (signed zeros too) sums nothing and gives +0.0 everywhere
+    sums = []
+    real = multipliers._fsum_stack
+    monkeypatch.setattr(multipliers, "_fsum_stack", lambda s: sums.append(len(s)) or real(s))
+    rng = np.random.default_rng(list(family.encode()))
+    k, n = 7, 5
+    lam = rows(*_family(family, rng, k, 2 * n).reshape(k, 2, n), domain_dim=n)
+    theta = rows(*_family(family, rng, k, 2 * n).reshape(k, 2, n), domain_dim=n)
+    for zeros in ([0], [1, 4], [0, 2, 3, 5, 6], list(range(k))):
+        entries = rng.standard_normal(k)
+        entries[zeros] = rng.choice([0.0, -0.0], len(zeros))
+        m = pg.Symbol(entries)
+        sums.clear()
+        got = pg.assemble(m, lam, theta).matrix
+        want = _fsum_reference(_terms(m, lam, theta))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (family, zeros)
+        assert sums == ([k - len(zeros)] if len(zeros) < k else []), zeros
+    assert not np.signbit(got).any() and not got.any()
+
+
+def test_a_zero_weight_on_an_overflowing_pair_gives_zero(monkeypatch):
+    # member 0's product overflows to inf; its weight is 0, so its term is
+    # 0, and the multiplier is member 1's term alone.  The term 0 * inf would
+    # be NaN, as it is where fsum keeps a negative zero and every term is summed
+    lam = rows([[1e200]], [[1.0]], domain_dim=1)
+    theta = rows([[1e200]], [[3.0]], domain_dim=1)
+    m = pg.Symbol([0.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(lam.mats[0].T @ theta.mats[0]).all()
+        assert pg.assemble(m, lam, theta).matrix.tolist() == [[6.0]]
+        monkeypatch.setattr(multipliers, "_FSUM_UNSIGNED_ZERO", False)
+        assert np.isnan(pg.assemble(m, lam, theta).matrix).all()

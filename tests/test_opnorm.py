@@ -490,6 +490,60 @@ def _assert_same_pair(got, expect):
         assert g.witness is None or g.witness.tobytes() == e.witness.tobytes()
 
 
+def test_stacked_euclidean_svd_equals_the_frozen_call_per_slice(monkeypatch):
+    # between Euclidean spaces a stack's upper certificates come from stacked
+    # SVDs, and each slice keeps the bits of its own SVD call: square, tall
+    # and wide slices, C- and column-major stacks, one call or chunks of one
+    # and two slices; block certificates of a Euclidean product keep those of
+    # upper_certificate_only on each block, in every layout; a slice whose
+    # SVD fails raises as its call alone does
+    rng = np.random.default_rng(97)
+    cfg = NumericsConfig()
+    default = pg.opnorm.SVD_CHUNK
+    for m, n in [(2, 2), (3, 5), (6, 4), (2, 40), (17, 24)]:
+        dom, cod = pg.SpaceSpec(n, 2.0), pg.SpaceSpec(m, 2.0)
+        Bs = rng.standard_normal((5, m, n)) * 10.0 ** rng.integers(-30, 30, (5, 1, 1))
+        Bs /= np.abs(Bs).max(axis=(1, 2), keepdims=True)
+        for stack in (Bs, np.ascontiguousarray(Bs.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            want = frozen.euclidean_uppers(stack)
+            for chunk in (default, 1, 2 * (m * m + n * n)):
+                monkeypatch.setattr(pg.opnorm, "SVD_CHUNK", chunk)
+                _assert_same_pair(pg.opnorm._upper_normalized(stack, dom, cod, cfg), want)
+            for B, w in zip(stack, want):
+                _assert_same_pair([pg.upper_certificate_only(B, dom, cod, cfg)], [w])
+    monkeypatch.setattr(pg.opnorm, "SVD_CHUNK", default)
+    dims = [2, 2, 2, 3, 3, 1, 2]
+    prod = pg.ProductSpaceSpec(tuple(pg.SpaceSpec(d, 2.0) for d in dims), 2.0)
+    offsets = np.cumsum([0] + dims)
+    A = rng.standard_normal((sum(dims), 6))
+    A[offsets[1] : offsets[2]] = 0.0
+    A[offsets[3] : offsets[4]] *= 2.0**540
+    for layout, M in _layouts(A).items():
+        for args in ((M, pg.SpaceSpec(6, 2.0), prod), (M.T, prod, pg.SpaceSpec(6, 2.0))):
+            rows = args[2] is prod
+            blocks = [
+                (M[o : o + d], args[1], c) if rows else (M.T[:, o : o + d], c, args[2])
+                for o, d, c in zip(offsets, dims, prod.components)
+            ]
+            got = pg.opnorm.block_upper_certificates(*args, cfg)
+            _assert_same_pair(got, [pg.upper_certificate_only(*b, cfg) for b in blocks])
+            assert len(got) == len(dims), layout
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        # the poisoned slice's entry (0, 0) is its largest: 1.0 once divided
+        if np.any(np.asarray(a)[..., 0, 0] == 1.0):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    Bs = rng.uniform(-0.5, 0.5, (4, 3, 3))
+    Bs[:, 0, 0] = 0.1
+    Bs[2, 0, 0] = 7.0
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        pg.opnorm.operator_norm_bounds_many(Bs, pg.SpaceSpec(3, 2.0), pg.SpaceSpec(3, 2.0), cfg)
+
+
 STREAMS = [21, 11, 11, 0, 21, 5]
 
 

@@ -116,6 +116,54 @@ def test_perturb_pair_with_an_exact_zero_gap():
     assert rep.B_perturbed.kind == "lower_estimate"
 
 
+def _cert_bits(c):
+    return (
+        np.float64(c.value).tobytes(), c.kind, c.method,
+        None if c.witness is None else c.witness.tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, r, dom_exp",
+    [([2] * 4, 2.0, 2.0), ([2, 3, 2], 3.0, 1.5), ([1, 1, 2, 2], 1.5, 3.0), ([2] * 3, 2.0, 1.5)],
+)
+def test_k_stack_gives_each_member_its_own_certificate(monkeypatch, dims, r, dom_exp):
+    # perturbation_check takes K's per-member certificates from one stacked
+    # upper-certificate call per run of equal codomains; each has the bits of
+    # upper_certificate_only on its member, and so K keeps its bits
+    rng = np.random.default_rng([101, len(dims), int(r * 4)])
+    cfg = pg.NumericsConfig()
+    n = sum(dims)
+    lam = pg.OperatorSequence(
+        pg.SpaceSpec(n, dom_exp), tuple(pg.SpaceSpec(d, r) for d in dims),
+        tuple(rng.standard_normal((d, n)) for d in dims), 1.5,
+    )
+    theta = pg.OperatorSequence(
+        lam.domain, lam.codomains,
+        tuple(m + 1e-3 * rng.standard_normal(m.shape) for m in lam.mats), 1.5,
+    )
+    stacks, recorded = [], []
+    real_many, real_blocks = pg.opnorm._upper_many, perturbation.block_upper_certificates
+    monkeypatch.setattr(
+        pg.opnorm, "_upper_many", lambda As, *a: stacks.append(len(As)) or real_many(As, *a)
+    )
+    monkeypatch.setattr(
+        perturbation, "block_upper_certificates",
+        lambda *a: recorded.append(real_blocks(*a)) or recorded[-1],
+    )
+    rep = pg.perturbation_check(lam, theta, cfg)
+    runs = lam.analysis_space().runs
+    assert stacks[: len(runs)] == [run.blocks.stop - run.blocks.start for run in runs]
+    (per_term,) = recorded
+    alone = [
+        pg.upper_certificate_only(ml - mt, lam.domain, y, cfg)
+        for ml, mt, y in zip(lam.mats, theta.mats, lam.codomains)
+    ]
+    assert [_cert_bits(c) for c in per_term] == [_cert_bits(c) for c in alone]
+    K = pg.spaces.pnorm(np.array([c.value for c in alone]), lam.frame_exponent)
+    assert np.float64(rep.K.value).tobytes() == np.float64(K).tobytes()
+
+
 def test_perturbation_properties_random():
     rng = np.random.default_rng(0)
     for p in (1.5, 2.0, 3.0):
@@ -488,7 +536,9 @@ def test_l2_gap_route_forms_no_gap(monkeypatch, recorded_uppers, kind, inst):
     )
 
     def svd(A, *args, **kwargs):
-        svd_shapes.append(np.shape(A))
+        # the certificate route sends a matrix as a stack of one
+        shape = np.shape(A)
+        svd_shapes.append(shape[1:] if len(shape) == 3 and shape[0] == 1 else shape)
         return real_svd(A, *args, **kwargs)
 
     monkeypatch.setattr(perturbation, "_multiplier_gaps", lambda *a: gaps.append(a) or real_gaps(*a))
@@ -616,7 +666,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # deviations need none
     member_shaped = []
     upper, opnorm, bounds, many = (
-        perturbation.upper_certificate_only,
+        perturbation.block_upper_certificates,
         perturbation.matrix_opnorm,
         perturbation.operator_norm_bounds_many,
         pg.opnorm.multistart_lower_many,
@@ -648,7 +698,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         ascents.append(len(As))
         return many(As, *args)
 
-    monkeypatch.setattr(perturbation, "upper_certificate_only", counting_upper)
+    monkeypatch.setattr(perturbation, "block_upper_certificates", counting_upper)
     monkeypatch.setattr(perturbation, "matrix_opnorm", counting_opnorm)
     monkeypatch.setattr(perturbation, "operator_norm_bounds_many", counting_bounds)
     monkeypatch.setattr(pg.opnorm, "multistart_lower_many", counting_many)

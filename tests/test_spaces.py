@@ -425,6 +425,26 @@ def test_fused_steps_equal_the_frozen_kernels(r):
         _assert_steps_frozen(mixed, _nonfinite_stack(mixed.total_dim, rng))
 
 
+@pytest.mark.parametrize("r, passes", [(3.0, 2), (4.0, 3)])
+def test_measure_forms_each_block_norm_once(monkeypatch, r, passes):
+    # a product's measure takes one norm pass per run of equal blocks and
+    # one for the outer layer: at r = 3 the weights' block norms are the
+    # r-norms; conjugating 4 twice gives 4.000000000000001, so at r = 4 the
+    # run takes both and the outer norm takes its own pass.  The bits are
+    # the frozen kernels' (test_fused_steps_equal_the_frozen_kernels)
+    assert (spaces.conjugate_exponent(spaces.conjugate_exponent(r)) == r) == (r == 3.0)
+    calls = []
+    real = spaces._norm_from
+    monkeypatch.setattr(spaces, "_norm_from", lambda *a: calls.append(a[1]) or real(*a))
+    space = pg.ProductSpaceSpec((pg.SpaceSpec(2, r),) * 4, 1.5)
+    measure, _ = spaces.ascent_steps(space, space)
+    X = np.random.default_rng(89).standard_normal((3, 8, 5))
+    norms, Z = measure(X)
+    assert len(calls) == passes, calls
+    assert _bits(norms) == _bits(frozen.norm_many(space, X))
+    assert _bits(Z) == _bits(frozen.witness_many(space.dual, X))
+
+
 def _column_stack(cols):
     # the columns as one contiguous (N, d, 1) stack of one-column slices
     return np.stack([np.ascontiguousarray(c) for c in cols])[:, :, None]

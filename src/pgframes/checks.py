@@ -11,9 +11,11 @@ every suite that needs it: the instance's two operator sequences (whose
 analysis and coefficient spaces are built on first use and kept), its
 symbol, the perturb suite's family, one classify report per sequence and
 one forward multiplier.  Its certificate ledger (``opnorm``) holds every
-certificate and every dual Riesz basis computed in the run, so the ``dual``
-suite and ``invert`` read lam's and theta's bases from one inversion each.
-Nothing outlives the call.
+certificate computed in the run, the rank and inverse of each stacked matrix
+that ``classify`` takes, and lam's and theta's dual Riesz bases, so the
+``dual`` suite and ``invert`` read those bases from one inversion each.  The
+double duals that the ``dual`` suite checks are made in a ledger of their
+own, since no later suite reads them.  Nothing outlives the call.
 """
 from __future__ import annotations
 
@@ -257,7 +259,10 @@ def _check_dual(sequences: dict, cfg: NumericsConfig, classified) -> CheckResult
             (xstar.norm_many(recon_mat @ xs) / np.maximum(xstar.norm_many(xs), 1e-30)).max()
         )
         dual_seq = dual.as_operator_sequence()
-        dd = dual_riesz_basis(dual_seq, cfg)
+        # no later suite reads the double dual: a ledger of its own keeps it
+        # out of the run's store
+        with certificate_ledger():
+            dd = dual_riesz_basis(dual_seq, cfg)
         # relative to max_i max|L_i|, so a rescaled family reads the same
         L = seq.stacked()
         double = float(np.abs(np.vstack(dd.mats) - L).max() / np.abs(L).max())

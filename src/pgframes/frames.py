@@ -14,7 +14,10 @@ these numbers is computed once, on the analysis side.  The lower bound has a
 single proven route: the smallest singular value on Euclidean spaces, and a
 left-inverse certificate 1/upper(||P||) with P F = I otherwise.  Its
 witness-backed companion has a single route too, ``min_ratio_estimate``,
-which for a square F of full rank is one over the ascent on F^{-1}.
+which for a square F of full rank is one over the ascent on F^{-1}.  Inside
+``run_checks`` F's rank and its inverse are computed once, and ``classify``
+and ``min_ratio_estimate`` share them through the run's ledger
+(``opnorm.linalg_once``).
 
 ``riesz_equivalences_check`` reads the paper's two Riesz-basis
 characterizations (g-complete with the two-sided synthesis inequality, and
@@ -40,6 +43,7 @@ from .opnorm import (
     INVERSE_STREAM,
     BoundCertificate,
     from_ledger,
+    linalg_once,
     min_ratio_estimate,
     operator_norm_bounds,
     upper_certificate_only,
@@ -122,7 +126,7 @@ def _infimum_certificates(A, rank, dom, cod, cfg):
         return cert, cert
 
     square = A.shape[0] == A.shape[1]
-    P = np.linalg.inv(A) if square else np.linalg.pinv(A)
+    P = linalg_once(np.linalg.inv, A) if square else np.linalg.pinv(A)
     safe = BoundCertificate(
         1.0 / upper_certificate_only(P, cod, dom, cfg).value,
         "lower_estimate",
@@ -136,7 +140,8 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
     """Full classification of an operator sequence at its frame exponent.
 
     The Bessel pair is ``operator_norm_bounds`` of the stacked matrix on
-    ``BESSEL_STREAM``, taken from the run's ledger inside ``run_checks``.
+    ``BESSEL_STREAM``, taken from the run's ledger inside ``run_checks``, as
+    are the stacked matrix's rank and inverse (``linalg_once``).
     """
     cfg = cfg or DEFAULT_CONFIG
     F = seq.stacked()
@@ -144,7 +149,7 @@ def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameR
     prod = seq.analysis_space()
 
     bessel = operator_norm_bounds(F, dom, prod, cfg, stream=BESSEL_STREAM)
-    rank = int(np.linalg.matrix_rank(F))
+    rank = int(linalg_once(np.linalg.matrix_rank, F))
     a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg)
     g_complete = rank == dom.dim
     is_frame = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value

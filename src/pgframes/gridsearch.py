@@ -75,7 +75,12 @@ def _unit_blocks(space, axis, budget: int):
         )
 
     def unit(y: np.ndarray) -> np.ndarray:
-        return y / space.norm_many(y.T)[:, None]
+        # norms of a C-ordered (dim, N) copy, reduced row by row: faster than
+        # the transposed view's strided columns, and numpy sums fewer than 8
+        # terms in order in both layouts, so the bits are the view's; the
+        # (N, dim) rows stay for the pairing matvec
+        cols = np.ascontiguousarray(y.T) if dim < 8 else y.T
+        return y / space.norm_many(cols)[:, None]
 
     def blocks():
         grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")

@@ -50,8 +50,10 @@ route computes on, divided by its largest entry, with its shape, its strides
 ascent's stream; a hit is the stored result of a computation, bit for bit.
 The same ledger keeps other objects of the run under keys of their own
 (``from_ledger``): ``frames.dual_riesz_basis`` keeps each inverse synthesis
-matrix there.  No entry outlives the block: a process-wide store would turn
-repeated runs into lookups, and their timing into a timing of the store.
+matrix there, and ``linalg_once`` the rank and the inverse of each matrix
+that ``classify`` and ``min_ratio_estimate`` both take.  No entry outlives
+the block: a process-wide store would turn repeated runs into lookups, and
+their timing into a timing of the store.
 
 ``min_ratio_estimate`` is the one witness-backed estimate of the smallest
 ratio; for a square matrix of full rank it is one over the ascent on the
@@ -89,6 +91,7 @@ __all__ = [
     "block_upper_certificates",
     "certificate_ledger",
     "from_ledger",
+    "linalg_once",
     "matrix_opnorm",
     "operator_norm_bounds",
     "operator_norm_bounds_many",
@@ -182,6 +185,22 @@ def from_ledger(table: str, key, compute):
     if key not in store:
         store[key] = compute()
     return store[key]
+
+
+def linalg_once(fn, A: np.ndarray):
+    """``fn(A)`` for a ``np.linalg`` function of one matrix (``matrix_rank``,
+    ``inv``), kept in the open ledger under the function's name and A's
+    shape, strides and bytes; an array result is read-only.  ``classify``
+    and ``min_ratio_estimate`` take the rank and the inverse of the stacked
+    matrix from here, so a run computes each once."""
+
+    def compute():
+        out = fn(A)
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return out
+
+    return from_ledger(fn.__name__, (A.shape, A.strides, A.tobytes()), compute)
 
 
 def _ledgered(Bs: np.ndarray, dom, cod, streams: list, compute) -> list:
@@ -681,10 +700,10 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
     if dom.is_euclidean and cod.is_euclidean:
         _, s, vt = np.linalg.svd(A)
         return (float(s[-1]) if m >= n else 0.0), vt[-1]
-    full_rank = np.linalg.matrix_rank(A) == n
+    full_rank = linalg_once(np.linalg.matrix_rank, A) == n
     if full_rank and m == n:
         # a witness y of ||P y|| / ||y|| = r maps to x = P y with ratio 1/r
-        P = np.linalg.inv(A)
+        P = linalg_once(np.linalg.inv, A)
         inv_lower = multistart_lower(P, cod, dom, cfg, stream)
         x = P @ inv_lower.witness
         return 1.0 / inv_lower.value, x / dom.norm(x)

@@ -27,6 +27,17 @@ argmax, are made per (dim, N) slice.  Every scalar norm and witness is the
 one-column case of its stacked kernel, on its entries as one contiguous
 (d, 1) column, and no norm calls BLAS, so no norm depends on the BLAS build.
 
+A trivial product is a plain space: a pg-Bessel family with one member is one
+operator, and one whose codomains are one-dimensional is a p-Bessel sequence
+of functionals.  The mixed norm of one block is that block's l^r norm, and
+that of k one-entry blocks is l^outer(k), and the ascent's steps run such a
+product as its plain space (``ProductSpaceSpec.plain``) with the same bits
+on finite input.
+numpy sums fewer than ``_IN_ORDER_TERMS`` = 8 terms in order in every layout,
+and from 8 terms along an innermost axis it sums pairwise, so k stays below
+8: at k >= 8 a Fortran-ordered input would be summed in another order than
+the product's gathered, C-ordered block norms.
+
 The duality of a product with its conjugate-exponent dual is checked on a
 stack: ``duality_gaps`` takes a (total_dim, N) array of functionals, their
 norms from ``norm_many``, their witnesses on the predual sphere from one
@@ -56,6 +67,9 @@ INF = math.inf
 # square lost to underflow moves its square by at most 2^-75 relative.
 # Elsewhere the p = 2 norm takes the scaled form m * ||a / m||, m = max |a_i|.
 _SQUARES_BIG, _SQUARES_TINY = 2.0**480, 2.0**-500
+# numpy sums fewer terms than this in order in every layout; from this many
+# terms along an axis that is innermost in memory it sums pairwise
+_IN_ORDER_TERMS = 8
 
 __all__ = [
     "INF",
@@ -261,10 +275,10 @@ class ProductSpaceSpec:
     """Mixed-norm product: tuples (x_1, ..., x_k), x_i in R^{d_i} with its own
     l^{r_i} norm, aggregated by the outer l^p norm of (||x_1||, ..., ||x_k||).
 
-    The total dimension, the block offsets, the runs of equal components and
-    the dual are computed on first use and cached outside the dataclass
-    fields, so equality, hashing and ``repr`` see only the components and the
-    outer exponent.
+    The total dimension, the block offsets, the runs of equal components, the
+    plain equivalent and the dual are computed on first use and cached
+    outside the dataclass fields, so equality, hashing and ``repr`` see only
+    the components and the outer exponent.
     """
 
     components: tuple[SpaceSpec, ...]
@@ -293,6 +307,20 @@ class ProductSpaceSpec:
             runs.append(_Run(c, slice(block, block + k), slice(row, row + k * c.dim)))
             block += k
         return tuple(runs)
+
+    @cached_property
+    def plain(self) -> "SpaceSpec | ProductSpaceSpec":
+        """The plain space whose ascent steps give this product's bits on
+        finite input in any layout (``ascent_steps``): its one component, or
+        l^outer(k) for k < ``_IN_ORDER_TERMS`` components of dimension 1 when
+        neither the outer exponent nor its conjugate is 1; otherwise itself."""
+        comps, outer = self.components, self.outer_exponent
+        if len(comps) == 1:
+            return comps[0]
+        one_entry = len(comps) < _IN_ORDER_TERMS and all(c.dim == 1 for c in comps)
+        if one_entry and 1.0 < outer and conjugate_exponent(outer) > 1.0:
+            return SpaceSpec(len(comps), outer)
+        return self
 
     @cached_property
     def dual(self) -> "ProductSpaceSpec":
@@ -523,7 +551,21 @@ def ascent_steps(dom, cod):
     """The two steps of an ascent iteration, with the bits of the calls they
     replace: ``measure(Y)`` -> (cod.norm_many(Y), cod.dual.witness_many(Y))
     from one pass per layer over |Y|, and ``lift(U)`` -> (dom.witness_many(U),
-    nonzero), nonzero True where no witness column is zero."""
+    nonzero), nonzero True where no witness column is zero.
+
+    A product that is a plain space (``ProductSpaceSpec.plain``) runs as that
+    space, with the same bits on finite input in every layout: a one-block
+    outer layer maps a block norm b to b with weight 1.0, and a one-entry
+    block u has norm |u| and witness sign(u) at every exponent, so weight
+    times witness, (P / n) sign(u), is the plain (sign(u) P) / n.  Products
+    of one-entry blocks keep their layers from ``_IN_ORDER_TERMS`` = 8 blocks
+    on, where numpy sums a Fortran-ordered input pairwise but the gathered
+    block norms in order, and where a step's outer witness exponent is 1,
+    whose indicator weight 0.0 gives 0.0 sign(u) = -0.0 for u < 0.
+    Non-finite input can differ (at r = 1.5 a one-block product gives a
+    column holding an infinity the norm 0, the plain space NaN); an ascent's
+    A X and A^T Z are finite unless a matrix product overflows."""
+    dom, cod = (s.plain if isinstance(s, ProductSpaceSpec) else s for s in (dom, cod))
     measure, lift = _step(cod, True, True), _step(dom, False, True)
     return (lambda Y: measure(Y)[:2]), (lambda U: lift(U)[1:])
 

@@ -262,6 +262,47 @@ def test_two_runs_build_the_same_sequences_and_dual_bases(monkeypatch):
     assert pg.opnorm._ledger.get() is None
 
 
+def test_a_run_computes_each_rank_and_inverse_once(monkeypatch):
+    # classify and min_ratio_estimate take the stacked matrix's rank and
+    # inverse from the run's ledger, where each was computed twice per
+    # sequence before; no np.linalg input repeats in a run
+    seen = collections.Counter()
+
+    def counted(real):
+        @functools.wraps(real)
+        def counting(A, *args, **kwargs):
+            seen[(real.__name__, np.asarray(A).tobytes())] += 1
+            return real(A, *args, **kwargs)
+
+        return counting
+
+    for name in ("matrix_rank", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    for inst in _workload_instances()[8:12] + _workload_instances()[:1]:
+        seen.clear()
+        checks.run_checks(inst, ["classify", "dual"])
+        ranks = sum(n for (name, _), n in seen.items() if name == "matrix_rank")
+        assert (ranks, max(seen.values())) == (2, 1), inst.seed
+
+
+def test_the_run_keeps_only_the_dual_bases_a_later_suite_reads(monkeypatch):
+    # lam's and theta's dual bases stay in the run's store for invert; the
+    # dual suite makes each double dual in a ledger of its own, which holds
+    # that one basis and closes with it
+    stores = []
+    ledger = checks.certificate_ledger
+
+    @contextlib.contextmanager
+    def recording():
+        with ledger():
+            stores.append(pg.opnorm._ledger.get())
+            yield
+
+    monkeypatch.setattr(checks, "certificate_ledger", recording)
+    checks.run_checks(_workload_instances()[4])  # ladder-l2, seed 1, dim 16
+    assert [len(store.get("dual_riesz_basis", ())) for store in stores] == [2, 1, 1]
+
+
 @pytest.mark.parametrize("space", ["l2", "lp"])
 def test_the_dual_suite_and_invert_share_dual_bases(monkeypatch, space):
     # in one run the dual suite and invert read lam's and theta's dual bases
@@ -417,6 +458,39 @@ def test_ascents_per_seed_1_workload_pass(monkeypatch):
             checks.run_checks(inst)
         counts.append(len(calls))
     assert counts == [16, 0, 72]
+
+
+def test_ascent_layer_passes_per_seed_1_workload_pass(monkeypatch):
+    # a product's ascent step takes one _layer pass per run and one for the
+    # outer layer; a one-block product, or one of fewer than 8 one-entry
+    # blocks, steps as its plain space in one pass.  2607 -> 2112 passes on
+    # small-grid, where every product but [2, 1] is such a product; 1731 on
+    # ladder-lp, whose products of 2 to 8 blocks of dimension 2 keep theirs
+    calls = _counted_ascents(monkeypatch)
+    inside, passes = [], []
+    ascend, layer = pg.opnorm._ascend, pg.spaces._layer
+
+    def counting_ascend(*args):
+        inside.append(True)
+        try:
+            return ascend(*args)
+        finally:
+            inside.pop()
+
+    def counting_layer(*args):
+        passes.append(bool(inside))
+        return layer(*args)
+
+    monkeypatch.setattr(pg.opnorm, "_ascend", counting_ascend)
+    monkeypatch.setattr(pg.spaces, "_layer", counting_layer)
+    counts = []
+    for group in (slice(0, 4), slice(4, 8), slice(8, 20)):
+        calls.clear()
+        passes.clear()
+        for inst in _workload_instances()[group]:
+            checks.run_checks(inst)
+        counts.append((len(calls), sum(passes)))
+    assert counts == [(16, 1731), (0, 0), (72, 2112)]
 
 
 @pytest.mark.parametrize(

@@ -445,6 +445,69 @@ def test_measure_forms_each_block_norm_once(monkeypatch, r, passes):
     assert _bits(Z) == _bits(frozen.witness_many(space.dual, X))
 
 
+def _assert_finite_slices_frozen(space, X):
+    # the steps on a stack with non-finite entries, which takes the zero-safe
+    # forms throughout, against the frozen calls on its slices of finite
+    # entries; a slice holding an infinity or a NaN has no value to keep
+    measure, lift = spaces.ascent_steps(space, space)
+    for x in _layouts(X):
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        norms, Z = measure(x)
+        W, _ = lift(x)
+        pairs = [
+            (norms, frozen.norm_many(space, x)),
+            (Z, frozen.witness_many(space.dual, x)),
+            (W, frozen.witness_many(space, x)),
+        ]
+        for got, expect in pairs:
+            assert _bits(got[finite]) == _bits(expect[finite])
+
+
+@pytest.mark.parametrize("r", SWEEP_EXPONENTS)
+def test_trivial_products_step_as_their_plain_spaces(r):
+    # a product of one block runs its ascent steps as that block, and one of
+    # k < 8 blocks of dimension 1 as l^outer(k) where neither the outer
+    # exponent nor its conjugate is 1; each gives the frozen product
+    # kernels' bits in C and Fortran order, with zero columns, ties and
+    # 2^+-540 slices, and on the finite slices of a non-finite stack
+    sp = pg.SpaceSpec
+    rng = np.random.default_rng([97, SWEEP_EXPONENTS.index(r)])
+    for outer in SWEEP_EXPONENTS:
+        one_entry = 1.0 < outer and pg.conjugate_exponent(outer) > 1.0
+        trivial = [pg.ProductSpaceSpec((sp(d, r),), outer) for d in (1, 2, 3, 9)]
+        trivial += [pg.ProductSpaceSpec((sp(1, r),) * k, outer) for k in range(2, 8)]
+        for space in trivial:
+            k = len(space.components)
+            assert space.plain == (
+                space.components[0] if k == 1 else sp(k, outer) if one_entry else space
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _assert_steps_frozen(space, _step_stack(space, rng))
+            with np.errstate(all="ignore"):
+                _assert_finite_slices_frozen(space, _nonfinite_stack(space.total_dim, rng))
+
+
+def test_eight_one_entry_blocks_keep_the_product_path(monkeypatch):
+    # from 8 terms along an innermost axis numpy sums pairwise, so 8 blocks
+    # of dimension 1 keep their run and outer layers: two passes per step
+    space = pg.ProductSpaceSpec((pg.SpaceSpec(1, 3.0),) * 8, 1.5)
+    pairs = pg.ProductSpaceSpec((pg.SpaceSpec(2, 3.0),) * 2, 1.5)
+    assert space.plain is space and pairs.plain is pairs
+    assert pg.ProductSpaceSpec((pg.SpaceSpec(1, 3.0),) * 7, 1.5).plain == pg.SpaceSpec(7, 1.5)
+    calls = []
+    layer = spaces._layer
+    monkeypatch.setattr(spaces, "_layer", lambda U, *args: calls.append(U.shape) or layer(U, *args))
+    measure, lift = spaces.ascent_steps(space, space)
+    X = np.asfortranarray(np.random.default_rng(101).standard_normal((8, 5)))
+    norms, Z = measure(X)
+    W, _ = lift(X)
+    assert calls == [(8, 1, 5), (8, 5)] * 2
+    assert _bits(norms) == _bits(frozen.norm_many(space, X))
+    assert _bits(Z) == _bits(frozen.witness_many(space.dual, X))
+    assert _bits(W) == _bits(frozen.witness_many(space, X))
+
+
 def _column_stack(cols):
     # the columns as one contiguous (N, d, 1) stack of one-column slices
     return np.stack([np.ascontiguousarray(c) for c in cols])[:, :, None]
@@ -747,6 +810,39 @@ def _full_grid_sup(space, u, axis_points=240):
         space, np.linspace(-1.0, 1.0, axis_points), 10**7
     )
     return float(np.abs(samples @ u).max())
+
+
+def _transposed_view_samples(space, axis):
+    # the sphere samples as the grid built them when it normed each face's
+    # rows through their transposed (dim, N) view
+    dim = space.total_dim
+    grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
+    face = np.stack([g.ravel() for g in grids], axis=1)
+    blocks = []
+    for k in range(dim):
+        block = np.empty((face.shape[0], dim))
+        block[:, k] = 1.0
+        block[:, [j for j in range(dim) if j != k]] = face
+        blocks.append(block)
+    blocks.append(np.eye(dim))
+    return np.vstack([y / space.norm_many(y.T)[:, None] for y in blocks])
+
+
+@pytest.mark.parametrize("p", SWEEP_EXPONENTS)
+def test_grid_face_norms_equal_the_transposed_view_norms(p):
+    # numpy sums fewer than 8 terms in order in every layout, so the faces
+    # normed as C-ordered columns keep the bits of the transposed view; from
+    # dim 8 the grid keeps the view, whose columns it sums pairwise
+    sp = pg.SpaceSpec
+    for dim in range(2, 10):
+        grids = [sp(dim, p), pg.ProductSpaceSpec((sp(1, p),) * dim, 1.5)]
+        if dim > 2:
+            grids.append(pg.ProductSpaceSpec((sp(2, 3.0), sp(dim - 2, p)), p))
+        n = 3 if dim > 5 else 6  # axis points, so that 9 * n^8 rows stay few
+        for axis in (np.linspace(-1.0, 1.0, n), gridsearch._orthant_axis(2 * n - 1)):
+            for space in grids:
+                samples, _ = gridsearch.sphere_samples(space, axis, 10**6)
+                assert _bits(samples) == _bits(_transposed_view_samples(space, axis)), space
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -12,12 +12,12 @@ rank F and ||S|| = ||F||.  For a Riesz basis S^{-1} = (F^{-1})^T as well, so
 the lower Riesz constant is the lower frame bound 1/||F^{-1}||.  Every one of
 these numbers is computed once, on the analysis side.  The lower bound has a
 single proven route: the smallest singular value on Euclidean spaces, and a
-left-inverse certificate 1/upper(||P||) with P F = I otherwise.  Its
-witness-backed companion has a single route too, ``min_ratio_estimate``,
-which for a square F of full rank is one over the ascent on F^{-1}.  Inside
-``run_checks`` F's rank and its inverse are computed once, and ``classify``
-and ``min_ratio_estimate`` share them through the run's ledger
-(``opnorm.linalg_once``).
+left-inverse certificate 1/upper(||P||) with P F = I otherwise.  For a
+square F of full rank it and its witness-backed companion 1/lower(||P||)
+are the two sides of one certificate pair of P = F^{-1}
+(``opnorm.infimum_bounds``), which ``min_ratio_estimate`` reads too.  A
+``classify`` call computes F's rank, its inverse and that pair once each,
+through the run's ledger inside ``run_checks`` (``opnorm.linalg_once``).
 
 ``riesz_equivalences_check`` reads the paper's two Riesz-basis
 characterizations (g-complete with the two-sided synthesis inequality, and
@@ -43,6 +43,7 @@ from .opnorm import (
     INVERSE_STREAM,
     BoundCertificate,
     from_ledger,
+    infimum_bounds,
     linalg_once,
     min_ratio_estimate,
     operator_norm_bounds,
@@ -103,37 +104,31 @@ class FrameReport:
 def _infimum_certificates(A, rank, dom, cod, cfg):
     """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
 
-    ``rank`` is the rank of ``A``.  ``observed`` is :func:`min_ratio_estimate`
-    on ``INVERSE_STREAM`` (>= true infimum, witness-backed).  ``safe`` is a
-    proven lower bound: the smallest singular value on Euclidean spaces, 0
-    with a kernel vector when ``A`` is rank deficient, and otherwise the
-    left-inverse bound.  With P A = I, ||x|| <= ||P|| ||A x||, so
-    1 / upper(||P||) is below the infimum; P is the inverse of a square ``A``
-    and the pseudo-inverse of a tall one.
+    ``rank`` is the rank of ``A``.  ``safe`` is a proven lower bound and
+    ``observed`` a witness-backed value at or above the infimum: the smallest
+    singular value on Euclidean spaces; 0 and a kernel vector's ratio when
+    ``A`` is rank deficient; ``infimum_bounds`` for a square ``A``; and for a
+    tall one 1 / upper(||pinv(A)||) and :func:`min_ratio_estimate`.
     """
     A = np.asarray(A, dtype=float)
-    euclidean = dom.is_euclidean and cod.is_euclidean
-    if rank < dom.total_dim and not euclidean:
-        _, _, vt = np.linalg.svd(A)
-        kernel = vt[-1]
-        observed = cod.norm(A @ kernel)
-        cert = BoundCertificate(0.0, "exact", "kernel", kernel)
-        obs = BoundCertificate(observed, "upper_certificate", "kernel", kernel)
-        return cert, obs
-    value, witness = min_ratio_estimate(A, dom, cod, cfg, INVERSE_STREAM)
-    if euclidean:
-        cert = BoundCertificate(value, "exact", "singular-value", witness)
+    if dom.is_euclidean and cod.is_euclidean:
+        _, s, vt = np.linalg.svd(A)
+        value = float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0
+        cert = BoundCertificate(value, "exact", "singular-value", vt[-1])
         return cert, cert
-
-    square = A.shape[0] == A.shape[1]
-    P = linalg_once(np.linalg.inv, A) if square else np.linalg.pinv(A)
+    if rank < dom.total_dim:
+        kernel = np.linalg.svd(A)[2][-1]
+        obs = BoundCertificate(cod.norm(A @ kernel), "upper_certificate", "kernel", kernel)
+        return BoundCertificate(0.0, "exact", "kernel", kernel), obs
+    if A.shape[0] == A.shape[1]:
+        return infimum_bounds(A, dom, cod, cfg, INVERSE_STREAM)
+    value, witness = min_ratio_estimate(A, dom, cod, cfg, INVERSE_STREAM)
     safe = BoundCertificate(
-        1.0 / upper_certificate_only(P, cod, dom, cfg).value,
+        1.0 / upper_certificate_only(np.linalg.pinv(A), cod, dom, cfg).value,
         "lower_estimate",
         "left-inverse",
     )
-    method = "inverse-ascent" if square else "candidate-search"
-    return safe, BoundCertificate(value, "upper_certificate", method, witness)
+    return safe, BoundCertificate(value, "upper_certificate", "candidate-search", witness)
 
 
 def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameReport:

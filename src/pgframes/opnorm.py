@@ -47,17 +47,17 @@ call), ``upper_certificate_only``, ``block_upper_certificates`` and
 included, before computing it and store it after.  The key is the matrix the
 route computes on, divided by its largest entry, with its shape, its strides
 (the rounding of a column sum depends on the layout), the two spaces and an
-ascent's stream; a hit is the stored result of a computation, bit for bit.
-The same ledger keeps other objects of the run under keys of their own
+ascent's stream; a hit is the stored result of a computation, bit for bit
+(with no block open, a call computes each distinct slice once).  The same
+ledger keeps other objects of the run under keys of their own
 (``from_ledger``): ``frames.dual_riesz_basis`` keeps each inverse synthesis
 matrix there, and ``linalg_once`` the rank and the inverse of each matrix
-that ``classify`` and ``min_ratio_estimate`` both take.  No entry outlives
-the block: a process-wide store would turn repeated runs into lookups, and
-their timing into a timing of the store.
+``classify`` takes.  No entry outlives the block: a process-wide store would
+turn repeated runs into lookups, and their timing into a timing of the store.
 
-``min_ratio_estimate`` is the one witness-backed estimate of the smallest
-ratio; for a square matrix of full rank it is one over the ascent on the
-inverse.
+``infimum_bounds`` certifies the smallest ratio of a square matrix of full
+rank with one certificate pair of its inverse; ``min_ratio_estimate`` reads
+its upper side for such a matrix.
 
 All certificate values are computed on the matrix scaled by its largest entry
 and rescaled afterwards, so both sides are exactly homogeneous.  Callers may
@@ -91,6 +91,7 @@ __all__ = [
     "block_upper_certificates",
     "certificate_ledger",
     "from_ledger",
+    "infimum_bounds",
     "linalg_once",
     "matrix_opnorm",
     "operator_norm_bounds",
@@ -191,8 +192,8 @@ def linalg_once(fn, A: np.ndarray):
     """``fn(A)`` for a ``np.linalg`` function of one matrix (``matrix_rank``,
     ``inv``), kept in the open ledger under the function's name and A's
     shape, strides and bytes; an array result is read-only.  ``classify``
-    and ``min_ratio_estimate`` take the rank and the inverse of the stacked
-    matrix from here, so a run computes each once."""
+    takes the rank of the stacked matrix from here, and ``infimum_bounds``
+    its inverse, so a run computes each once."""
 
     def compute():
         out = fn(A)
@@ -205,14 +206,13 @@ def linalg_once(fn, A: np.ndarray):
 
 def _ledgered(Bs: np.ndarray, dom, cod, streams: list, compute) -> list:
     """``compute(Bs, streams)``, through the open ledger: only the distinct
-    slices it lacks are computed, as one stack, and stored.  ``Bs`` is
-    divided by its largest entries; ``streams`` has one stream (or None, for
-    an upper certificate) per slice."""
+    slices it lacks are computed, as one stack, and stored; with no ledger
+    open, in a table of the call's own.  ``Bs`` is divided by its largest
+    entries; ``streams`` has one stream (or None, for an upper certificate)
+    per slice."""
     ledger = _ledger.get()
-    if ledger is None:
-        return compute(Bs, streams)
     # one table per space pair, so a lookup hashes the spaces once per call
-    table = ledger.setdefault((dom, cod), {})
+    table = {} if ledger is None else ledger.setdefault((dom, cod), {})
     keys = [(st, B.shape, B.strides, B.tobytes()) for B, st in zip(Bs, streams)]
     todo = {}  # the first slice of each key the table lacks
     for i, key in enumerate(keys):
@@ -679,6 +679,24 @@ def matrix_opnorm(
     )
 
 
+def infimum_bounds(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = INVERSE_STREAM):
+    """Certificate pair for inf ||A x||_cod / ||x||_dom of a square ``A`` of
+    full rank, which is 1 / ||P|| for P = inv(A) (``linalg_once``) between
+    the swapped spaces: the proven 1 / upper(||P||) (``left-inverse``), and
+    1 / lower(||P||) (``inverse-ascent``, Boyd's power method run on the
+    inverse), achieved at x = P y / ||P y|| for the lower side's witness y.
+    """
+    P = linalg_once(np.linalg.inv, np.asarray(A, dtype=float))
+    pair = operator_norm_bounds(P, cod, dom, cfg, stream=stream)
+    x = P @ pair.lower.witness
+    return BoundPair(
+        BoundCertificate(1.0 / pair.upper.value, "lower_estimate", "left-inverse"),
+        BoundCertificate(
+            1.0 / pair.lower.value, "upper_certificate", "inverse-ascent", x / dom.norm(x)
+        ),
+    )
+
+
 def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = 1):
     """Best found value of min ||A x||_cod / ||x||_dom; returns (value, witness).
 
@@ -687,9 +705,7 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
 
     * both sides Euclidean: the smallest singular value and its right
       singular vector (0.0 with a kernel vector for a wide ``A``);
-    * square ``A`` of full rank: 1 / r with r from :func:`multistart_lower`
-      on inv(A) between the swapped spaces (Boyd's power method run on the
-      inverse); its witness y maps to x = inv(A) y with ratio 1 / r;
+    * square ``A`` of full rank: the upper side of :func:`infimum_bounds`;
     * otherwise: the best of sampled candidates (singular vectors, coordinate
       vectors, a random batch), plus x = P y for a tall ``A`` of full rank,
       where P = pinv(A) and y is the ascent witness of P.
@@ -702,11 +718,8 @@ def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: i
         return (float(s[-1]) if m >= n else 0.0), vt[-1]
     full_rank = linalg_once(np.linalg.matrix_rank, A) == n
     if full_rank and m == n:
-        # a witness y of ||P y|| / ||y|| = r maps to x = P y with ratio 1/r
-        P = linalg_once(np.linalg.inv, A)
-        inv_lower = multistart_lower(P, cod, dom, cfg, stream)
-        x = P @ inv_lower.witness
-        return 1.0 / inv_lower.value, x / dom.norm(x)
+        observed = infimum_bounds(A, dom, cod, cfg, stream).upper
+        return observed.value, observed.witness
 
     cands = [np.ones(n)]
     try:

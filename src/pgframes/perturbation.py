@@ -27,20 +27,19 @@ measures its own mode as a batch of one.
 When both gap spaces are Euclidean, every gap is measured from its factors:
 the gap is P Q^T with thin factors of 3k columns (k the row count of member
 0), and its spectral norm is that of a core of at most 3k x 3k, so no n x n
-gap is formed, and the cores of every mode share one QR/SVD stack.  The
-memo and the lockstep ascent serve non-Euclidean gap spaces only.  There
-each distinct normalized gap of the batch is measured once: the opnorm
-values are exactly homogeneous (value(A) = s value(A / s) bit for bit, with
-s = max|A|), so a step whose gap is a scalar multiple of an earlier step's,
-as on a base^-n schedule that bumps one ingredient, reuses that step's
-value.  The distinct gaps of all modes go to one
-``opnorm.operator_norm_bounds_many`` call, in which those whose upper
-certificate is not exact, such as the 40 distinct gaps of a ``joint`` run,
-share one lockstep ascent that gives each the value a call of its own would
-give, bit for bit.  The Bessel bounds B1, B2 of the perturbed sequences in a
-``joint`` run come from the two ends of the schedule, whose bump is affine
-in one entry, so a norm of it is convex along the schedule (proof in
-:func:`continuity_suite`).
+gap is formed, and the cores of every mode share one QR/SVD stack.
+Between other spaces the gaps of all modes go to one
+``opnorm.operator_norm_bounds_many`` call, which certifies each distinct
+gap divided by its largest entry once: the opnorm values are exactly
+homogeneous (value(A) = s value(A / s) bit for bit, with s = max|A|), so a
+step whose gap is a scalar multiple of an earlier step's, as on a base^-n
+schedule that bumps one ingredient, reuses that step's certificates.  The
+distinct gaps whose upper certificate is not exact, such as the 40 of a
+``joint`` run, share one lockstep ascent that gives each the value a call
+of its own would give, bit for bit.  The Bessel bounds B1, B2 of the
+perturbed sequences in a ``joint`` run come from the two ends of the
+schedule, whose bump is affine in one entry, so a norm of it is convex
+along the schedule (proof in :func:`continuity_suite`).
 
 Both functions certify the base Bessel bounds the theorems assume with
 ``analysis_upper``; inside ``run_checks`` these, like ``perturbation_check``'s
@@ -228,30 +227,21 @@ def _multiplier_gaps(m, lam, theta, d, L1, T1) -> np.ndarray:
 def _dense_gap_norms(gaps: np.ndarray, dom, cod, cfg) -> np.ndarray:
     """``matrix_opnorm(A, ...).lower.value`` of each slice of a gap stack, bit for bit.
 
-    One certificate pair per distinct normalized gap, and exact: with s = max|A|,
-    the largest entry of A / s is exactly 1.0, and the opnorm routes compute
-    on the matrix divided by its largest entry, so value(A) == s * value(A / s)
-    bit for bit.  Gaps are distinct when their bytes are.  Zero and
-    non-finite gaps go straight to the oracle, one at a time.
-
-    The distinct normalized gaps go to one ``operator_norm_bounds_many``
-    call on ``MATRIX_STREAM``, as ``matrix_opnorm`` makes: its division by
-    their largest entry, 1.0, and the scaling back are exact, so the values
-    are those of one ``matrix_opnorm`` call per gap.
+    The finite gaps go to one ``operator_norm_bounds_many`` call on
+    ``MATRIX_STREAM``, as ``matrix_opnorm`` makes, which certifies each
+    distinct gap divided by its largest entry once: the values are exactly
+    homogeneous (value(A) == s * value(A / s) bit for bit, with s = max|A|),
+    so a gap that is a scalar multiple of another reuses its certificates.
+    Non-finite gaps go straight to the oracle, one at a time.
     """
-    scales = np.abs(gaps).max(axis=(1, 2), initial=0.0)
-    regular = (scales > 0.0) & np.isfinite(scales)
+    finite = np.isfinite(gaps).all(axis=(1, 2))
     values = np.empty(len(gaps))
-    for i in np.flatnonzero(~regular):
+    for i in np.flatnonzero(~finite):
         values[i] = matrix_opnorm(gaps[i], dom.exponent, cod.exponent, cfg).lower.value
-    idx = np.flatnonzero(regular)
+    idx = np.flatnonzero(finite)
     if idx.size:
-        B = gaps[idx] / scales[idx, None, None]
-        keys = B.reshape(len(B), -1).view(np.dtype((np.void, B[0].nbytes)))[:, 0]
-        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        pairs = operator_norm_bounds_many(B[first], dom, cod, cfg, MATRIX_STREAM)
-        lowers = np.array([pair.lower.value for pair in pairs])
-        values[idx] = scales[idx] * lowers[which.ravel()]
+        pairs = operator_norm_bounds_many(gaps[idx], dom, cod, cfg, MATRIX_STREAM)
+        values[idx] = [pair.lower.value for pair in pairs]
     return values
 
 
@@ -372,10 +362,7 @@ def continuity_suite(
     :func:`_euclidean_gap_norms` reads all of them off the SVDs of small
     cores of their factors (proof there): no gap is formed, and ``measured``
     is the gap's spectral norm up to rounding.  Otherwise the gaps go to
-    :func:`_dense_gap_norms` as one stack, which measures each distinct
-    normalized gap once, so a step whose gap is a scalar multiple of an
-    earlier one (a base^-n bump of the symbol or of one sequence) reuses
-    that step's value, and ``measured`` is what
+    :func:`_dense_gap_norms` as one stack, and ``measured`` is what
     ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
 
     The parameter distances are read off the bumped entries.  The symbol

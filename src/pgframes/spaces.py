@@ -149,8 +149,8 @@ def _norm_from(a: np.ndarray, p: float, m=None, x=None) -> np.ndarray:
     """``pnorm_many`` of a nonnegative array ``a``, taking its column maxima
     m and, where every m is positive, x = a / m when given.  Where every m
     is positive (a NaN is not), the scaled form skips both ``np.where``:
-    where(m > 0, m, 1) is then m itself and where(m > 0, v, 0) is v, so the
-    values keep their bits."""
+    where(m > 0, m, 1) is then m itself and where(m > 0, v, m) is v, so the
+    values keep their bits.  Elsewhere a column of m <= 0 or NaN takes m."""
     if math.isinf(p):
         return a.max(axis=-2, initial=0.0) if m is None else m
     if p == 1.0:
@@ -171,7 +171,7 @@ def _norm_from(a: np.ndarray, p: float, m=None, x=None) -> np.ndarray:
         scaled = m * _power_root(x, p)
     else:
         safe = np.where(m > 0.0, m, 1.0)
-        scaled = np.where(m > 0.0, safe * _power_root(a / safe[..., None, :], p), 0.0)
+        scaled = np.where(m > 0.0, safe * _power_root(a / safe[..., None, :], p), m)
     if p == 2.0 and plain.any():
         return np.where(plain[..., None], r, scaled)
     return scaled
@@ -562,9 +562,10 @@ def ascent_steps(dom, cod):
     on, where numpy sums a Fortran-ordered input pairwise but the gathered
     block norms in order, and where a step's outer witness exponent is 1,
     whose indicator weight 0.0 gives 0.0 sign(u) = -0.0 for u < 0.
-    Non-finite input can differ (at r = 1.5 a one-block product gives a
-    column holding an infinity the norm 0, the plain space NaN); an ascent's
-    A X and A^T Z are finite unless a matrix product overflows."""
+    A column holding an infinity or a NaN gets a non-finite norm from both,
+    but not always the same value or witness (at r = 1 a one-block product
+    gives an infinity the norm NaN, the plain space inf); an ascent's A X
+    and A^T Z are finite unless a matrix product overflows."""
     dom, cod = (s.plain if isinstance(s, ProductSpaceSpec) else s for s in (dom, cod))
     measure, lift = _step(cod, True, True), _step(dom, False, True)
     return (lambda Y: measure(Y)[:2]), (lambda U: lift(U)[1:])

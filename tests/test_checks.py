@@ -262,10 +262,8 @@ def test_two_runs_build_the_same_sequences_and_dual_bases(monkeypatch):
     assert pg.opnorm._ledger.get() is None
 
 
-def test_a_run_computes_each_rank_and_inverse_once(monkeypatch):
-    # classify and min_ratio_estimate take the stacked matrix's rank and
-    # inverse from the run's ledger, where each was computed twice per
-    # sequence before; no np.linalg input repeats in a run
+def _counted_rank_and_inverse(monkeypatch) -> collections.Counter:
+    # (function name, input bytes) of every np.linalg.matrix_rank and inv call
     seen = collections.Counter()
 
     def counted(real):
@@ -278,11 +276,65 @@ def test_a_run_computes_each_rank_and_inverse_once(monkeypatch):
 
     for name in ("matrix_rank", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return seen
+
+
+def test_a_run_computes_each_rank_and_inverse_once(monkeypatch):
+    # classify takes the stacked matrix's rank and inverse from the run's
+    # ledger: one rank per sequence, and no np.linalg input repeats in a run
+    seen = _counted_rank_and_inverse(monkeypatch)
     for inst in _workload_instances()[8:12] + _workload_instances()[:1]:
         seen.clear()
         checks.run_checks(inst, ["classify", "dual"])
         ranks = sum(n for (name, _), n in seen.items() if name == "matrix_rank")
         assert (ranks, max(seen.values())) == (2, 1), inst.seed
+
+
+def _square_lp_sequences():
+    # lam and theta of seed-1 ladder-lp and small-grid instances: square F
+    # between spaces that are not both Euclidean
+    instances = _workload_instances()
+    return [s for i in (0, 1, 8, 13, 18) for s in (instances[i].lam_sequence(),
+                                                   instances[i].theta_sequence())]
+
+
+def test_classify_infimum_pair_is_one_pair_on_the_inverse():
+    # both sides of the lower Riesz constant come from one certificate pair
+    # of P = inv(F) between the swapped spaces, and min_ratio_estimate
+    # returns the observed side
+    for seq in _square_lp_sequences():
+        F, dom, prod = seq.stacked(), seq.domain, seq.analysis_space()
+        assert F.shape[0] == F.shape[1] and not (dom.is_euclidean and prod.is_euclidean)
+        P = np.linalg.inv(F)
+        pair = pg.operator_norm_bounds(P, prod, dom, stream=pg.opnorm.INVERSE_STREAM)
+        x = P @ pair.lower.witness
+        report = pg.classify(seq)
+        assert report.lower_bound == BoundCertificate(
+            1.0 / pair.upper.value, "lower_estimate", "left-inverse"
+        )
+        observed = report.lower_observed
+        assert (observed.value, observed.kind, observed.method) == (
+            1.0 / pair.lower.value, "upper_certificate", "inverse-ascent"
+        )
+        assert observed.witness.tobytes() == (x / dom.norm(x)).tobytes()
+        value, witness = pg.min_ratio_estimate(F, dom, prod, stream=pg.opnorm.INVERSE_STREAM)
+        assert (value, witness.tobytes()) == (observed.value, observed.witness.tobytes())
+
+
+def test_a_direct_classify_computes_the_infimum_pair_once(monkeypatch):
+    # with no ledger open, classify computes F's rank, its inverse and the
+    # inverse's upper certificate and ascent slice once each
+    seen = _counted_rank_and_inverse(monkeypatch)
+    keys = _computations(monkeypatch)
+    for seq in _square_lp_sequences():
+        seen.clear()
+        keys.clear()
+        pg.classify(seq)
+        F = seq.stacked().tobytes()
+        assert seen == {("matrix_rank", F): 1, ("inv", F): 1}
+        on_inverse = [k[2] for k in keys if k[:2] == (seq.analysis_space(), seq.domain)]
+        assert on_inverse == [None, pg.opnorm.INVERSE_STREAM]
+    assert pg.opnorm._ledger.get() is None
 
 
 def test_the_run_keeps_only_the_dual_bases_a_later_suite_reads(monkeypatch):
@@ -377,12 +429,15 @@ def test_suites_that_assume_a_bessel_bound_do_not_classify(monkeypatch, suite):
 
 
 def test_equivalences_reads_the_classify_reports(monkeypatch):
-    # one classify per sequence, shared by both suites, and no ascent of its own
+    # one classify per sequence, shared by both suites, and no infimum of its
+    # own: each classify takes one pair on its inverse, and none goes
+    # through min_ratio_estimate
     classifies = _counted(monkeypatch, "frames", "classify")
-    ascents = _counted(monkeypatch, "opnorm", "min_ratio_estimate")
+    infima = _counted(monkeypatch, "opnorm", "infimum_bounds")
+    estimates = _counted(monkeypatch, "opnorm", "min_ratio_estimate")
     report = checks.run_checks(_pair("lp"), ["classify", "equivalences"])
     assert [r.status for r in report.results] == ["pass", "pass"]
-    assert (len(classifies), len(ascents)) == (2, 2)
+    assert (len(classifies), len(infima), len(estimates)) == (2, 2, 0)
 
 
 def test_kept_reports_share_their_value_names():

@@ -427,7 +427,9 @@ def test_lockstep_slices_stop_at_their_own_iteration():
 
 
 def test_lockstep_slice_with_huge_entries_beside_ordinary_ones():
-    # min_ratio_estimate runs the ascent on an unnormalized inv(A)
+    # the ascent takes unnormalized stacks too, such as min_ratio_estimate's
+    # pinv(A) for a tall A: slices scaled by 2^490 and 2^-540 beside
+    # ordinary ones keep the bits of their own calls
     rng = np.random.default_rng(47)
     for dom, cod in [(pg.SpaceSpec(3, 2.0), pg.SpaceSpec(3, 3.0)),
                      (pg.SpaceSpec(3, 1.5), pg.SpaceSpec(3, 2.0))]:

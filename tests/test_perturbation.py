@@ -650,10 +650,12 @@ def _reference_traces(kind, m, lam, theta, p1, n_max, cfg):
 
 def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # on a base^-n schedule that bumps one ingredient, every gap is a scalar
-    # multiple of the first, so the memo serves most steps; the joint gaps
+    # multiple of the first, so once divided by its largest entry it repeats
+    # an earlier step's and its ascent slice is computed once; the joint gaps
     # carry cross-terms and differ step to step.  Run alone, each kind sends
-    # its distinct gaps to one oracle call and one lockstep ascent; in one
-    # batch, the four kinds send all of theirs to one call and one ascent
+    # its gaps to one oracle call, which ascends on its distinct slices in
+    # one lockstep ascent; in one batch, the four kinds send all of theirs to
+    # one call and one ascent
     inst = SMALL_GRID_PAIR
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
     cfg = pg.NumericsConfig(n_max=40)
@@ -661,7 +663,7 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         kind: _reference_traces(kind, m, lam, theta, 2.0, 40, cfg) for kind in pg.CONTINUITY_KINDS
     }
     gap_spaces = (theta.domain, lam.domain.dual)
-    sent, ascents = [], []  # the gaps of each oracle call; stack sizes of the ascents
+    sent, ascents = [], []  # the gaps of each oracle call; slices of each ascent
     # matrices of member 0's shape that perturbation sends to an oracle: the
     # deviations need none
     member_shaped = []
@@ -710,17 +712,16 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     for kind in pg.CONTINUITY_KINDS:
         before = len(sent), len(ascents)
         traces = pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=cfg)
-        assert len(sent) - before[0] == 1, kind
-        per_kind[kind] = len(sent[-1]), ascents[before[1]:]
+        assert len(sent) - before[0] == 1 and len(sent[-1]) == 40, kind
+        per_kind[kind] = ascents[before[1]:]
         assert traced(traces) == references[kind], kind
-    assert sum(per_kind[k][0] for k in ("symbol", "theta", "lambda")) <= 10, per_kind
-    assert per_kind["joint"] == (40, [40]), per_kind
+    assert per_kind == {"symbol": [5], "theta": [1], "lambda": [1], "joint": [40]}, per_kind
 
     before = len(sent), len(ascents)
     measured = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta, cfg)
     (batch,) = sent[before[0]:]
-    assert len(batch) == sum(n for n, _ in per_kind.values())
-    assert ascents[before[1]:] == [sum(sum(a) for _, a in per_kind.values())]
+    assert len(batch) == 4 * 40
+    assert ascents[before[1]:] == [sum(sum(a) for a in per_kind.values())]
     for kind in pg.CONTINUITY_KINDS:
         traces = pg.continuity_suite(
             kind, m, lam, theta, p1=2.0, cfg=cfg, measured=measured[kind]

@@ -16,6 +16,13 @@ that ``classify`` takes, and lam's and theta's dual Riesz bases, so the
 ``dual`` suite and ``invert`` read those bases from one inversion each.  The
 double duals that the ``dual`` suite checks are made in a ledger of their
 own, since no later suite reads them.  Nothing outlives the call.
+
+Two suites that certify stacks on the same pair of spaces, when both run,
+have them certified up front in one call, and so with one lockstep ascent,
+by the first of the two to run: ``classify``'s Bessel pair of lam with
+``perturb``'s analysis pairs, and the ``bounds`` suite's multiplier
+estimate with the continuity gaps, which that call measures for
+``continuity``.  Each suite then finds its certificates in the ledger.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .gridsearch import OracleBudgetError
 from .instances import Instance
 from .multipliers import Symbol, SymbolTooSmallError, assemble, invert, norm_bounds
 from .operators import OperatorSequence, synthesis_matrix
-from .opnorm import ANALYSIS_STREAM, BESSEL_STREAM, certificate_ledger, operator_norm_bounds_many
+from .opnorm import ANALYSIS_STREAM, BESSEL_STREAM, certificate_ledger, operator_norm_values_many
 from .perturbation import (
     CONTINUITY_KINDS,
     ContinuityViolation,
@@ -373,12 +380,14 @@ def _check_perturb(lam: OperatorSequence, cfg: NumericsConfig, perturbed) -> Che
 
 
 def _check_continuity(
-    inst: Instance, m: Symbol, lam: OperatorSequence, theta: OperatorSequence, cfg: NumericsConfig
+    inst: Instance, m: Symbol, lam: OperatorSequence, theta: OperatorSequence, cfg: NumericsConfig,
+    measured: dict | None,
 ) -> CheckResult:
     p1 = 2.0 if inst.p1 is None else inst.p1
     values, ok, notes = {}, True, []
-    # every kind's gaps from one batch, each kind's bounds checked on its own
-    measured = continuity_gaps(CONTINUITY_KINDS, m, lam, theta, cfg)
+    # every kind's gaps from one batch, each kind's bounds checked on its own,
+    # unless the run's shared certification measured them already
+    measured = measured or continuity_gaps(CONTINUITY_KINDS, m, lam, theta, cfg)
     for kind in CONTINUITY_KINDS:
         try:
             traces = continuity_suite(kind, m, lam, theta, p1, cfg, measured=measured[kind])
@@ -406,7 +415,20 @@ def _certify_lam_pairs(lam: OperatorSequence, perturbed, cfg: NumericsConfig) ->
     if T is not None and np.isfinite(F - T).all():
         stacks += [T, F - T]
         streams += [ANALYSIS_STREAM, ANALYSIS_STREAM]
-    operator_norm_bounds_many(np.stack(stacks), lam.domain, lam.analysis_space(), cfg, streams)
+    operator_norm_values_many(np.stack(stacks), lam.domain, lam.analysis_space(), cfg, streams)
+
+
+def _gaps_beside_multiplier(m: Symbol, lam, theta, forward, cfg: NumericsConfig):
+    """The continuity gaps of every kind, measured in one call with the
+    forward multiplier's matrix alongside: both map theta's domain to the
+    dual of lam's on ``MATRIX_STREAM``, so the bounds suite's estimate shares
+    the gaps' ascent and finds its pair in the ledger.  None when either
+    cannot be built or measured: then bounds and continuity each meet the
+    failure, or not, as they would alone."""
+    try:
+        return continuity_gaps(CONTINUITY_KINDS, m, lam, theta, cfg, [forward().matrix])
+    except (ValueError, ArithmeticError):
+        return None
 
 
 def run_checks(
@@ -441,9 +463,6 @@ def run_checks(
     lam, theta = sequences["lam"], sequences["theta"]
     m = inst.symbol_obj()
     perturbed = functools.cache(lambda: _perturbed_family(lam, cfg, epsilon))
-    # when classify and perturb both run, the first of them to run puts
-    # lam's three pairs in the ledger with one lockstep ascent
-    shared_ascent = "classify" in chosen and "perturb" in chosen
 
     # classify, equivalences, bounds and dual share one report per sequence,
     # made on first use so that a failure lands in the suite that asked for it
@@ -456,14 +475,25 @@ def run_checks(
 
     # bounds, multiply and invert likewise share one forward multiplier
     forward = functools.cache(lambda: assemble(m, lam, theta))
+    # two suites that certify on one space pair, when both run, have their
+    # stacks certified in one call, and so with one lockstep ascent, by the
+    # first of them to run: lam's three pairs for classify and perturb, and
+    # the forward multiplier beside the continuity gaps for bounds and
+    # continuity, whose measured values continuity reads
+    shared = {}
+    for a, b, certify in (
+        ("classify", "perturb", lambda: _certify_lam_pairs(lam, perturbed, cfg)),
+        ("bounds", "continuity", lambda: _gaps_beside_multiplier(m, lam, theta, forward, cfg)),
+    ):
+        if a in chosen and b in chosen:
+            shared[a] = shared[b] = functools.cache(certify)
     results = []
     with certificate_ledger():
         for name in chosen:
             t0 = time.perf_counter()
             try:
-                if shared_ascent and name in ("classify", "perturb"):
-                    shared_ascent = False
-                    _certify_lam_pairs(lam, perturbed, cfg)
+                # the shared certification first; continuity's is its measured gaps
+                measured = shared[name]() if name in shared else None
                 if name == "classify":
                     res = _check_classify(sequences, cfg, classified)
                 elif name == "equivalences":
@@ -481,7 +511,7 @@ def run_checks(
                 elif name == "perturb":
                     res = _check_perturb(lam, cfg, perturbed)
                 else:
-                    res = _check_continuity(inst, m, lam, theta, cfg)
+                    res = _check_continuity(inst, m, lam, theta, cfg, measured)
             except Exception as exc:
                 res = CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
             wall = (time.perf_counter() - t0) * 1000.0

@@ -31,13 +31,15 @@ share one lockstep ascent, and each slice keeps the bits of its own call.
 The package's ascent streams are named here (``*_STREAM``).
 Between plain spaces with no closed form, the stack's upper sides come from
 one pass too: stacked column and row norms, one stacked SVD, and the outer
-step per slice, with the bits of ``upper_certificate_only`` on each slice;
-on product spaces each run of equal blocks takes one such pass.
+step per slice, with the bits of ``upper_certificate_only`` on each slice.
+On product spaces each run of equal blocks of every slice of the stack is
+one such stack of blocks, and each slice's block bounds are aggregated on
+their own (the blockwise aggregate).
 
 ``block_upper_certificates`` gives each block of a matrix on a product
 space its own upper certificate, with one stacked pass per run of equal
-blocks; the blockwise aggregate sums them, and ``perturbation_check`` takes
-the per-member certificates of its gap K from it.  Between Euclidean spaces
+blocks, and ``perturbation_check`` takes the per-member certificates of its
+gap K from it.  Between Euclidean spaces
 a stack's upper certificates come from stacked SVDs, in chunks that bound
 the singular vectors held at once (``SVD_CHUNK``).
 
@@ -48,7 +50,15 @@ included, before computing it and store it after.  The key is the matrix the
 route computes on, divided by its largest entry, with its shape, its strides
 (the rounding of a column sum depends on the layout), the two spaces and an
 ascent's stream; a hit is the stored result of a computation, bit for bit
-(with no block open, a call computes each distinct slice once).  The same
+(with no block open, a call computes each distinct slice once).  A call
+divides each slice of its stack by its largest entry and keys it once,
+and the upper side and the ascent share that key.  Inside this module a
+certificate is a row (value, kind, method, witness) of the divided slice;
+the ledger keeps rows, and a :class:`BoundCertificate` is made only where a
+public function returns one.  ``operator_norm_values_many`` gives the
+values of ``operator_norm_bounds_many``'s pairs as arrays, with none made.
+Each block of an ascent's normal start columns is drawn once per block
+too (``from_ledger``).  The same
 ledger keeps other objects of the run under keys of their own
 (``from_ledger``): ``frames.dual_riesz_basis`` keeps each inverse synthesis
 matrix there, and ``linalg_once`` the rank and the inverse of each matrix
@@ -67,6 +77,7 @@ exactly 1.0, so the value at A equals s times the value at A / s.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -96,6 +107,7 @@ __all__ = [
     "matrix_opnorm",
     "operator_norm_bounds",
     "operator_norm_bounds_many",
+    "operator_norm_values_many",
     "min_ratio_estimate",
     "multistart_lower",
     "multistart_lower_many",
@@ -141,16 +153,35 @@ class BoundCertificate:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
         if self.witness is not None:
-            # an owned copy: a row of an SVD factor would keep the factor alive
+            # an owned, read-only copy: a row of an SVD factor would keep the
+            # factor alive, and ``scaled`` certificates share it
             object.__setattr__(self, "witness", np.array(self.witness))
+            self.witness.flags.writeable = False
 
     def scaled(self, factor: float) -> "BoundCertificate":
-        return BoundCertificate(factor * self.value, self.kind, self.method, self.witness)
+        """This certificate with its value times ``factor``, on the witness it owns."""
+        out = copy.copy(self)
+        object.__setattr__(out, "value", float(factor * self.value))
+        return out
 
 
 class BoundPair(NamedTuple):
     lower: BoundCertificate
     upper: BoundCertificate
+
+
+class _Row(NamedTuple):
+    """A certificate as the ledger keeps it: of a slice divided by its largest
+    entry, made a :class:`BoundCertificate` only where a public function
+    returns one."""
+
+    value: float
+    kind: str
+    method: str
+    witness: np.ndarray | None = None
+
+    def certificate(self, scale: float) -> BoundCertificate:
+        return BoundCertificate(scale * self.value, self.kind, self.method, self.witness)
 
 
 def _rng(cfg: NumericsConfig, stream: int, index: int) -> np.random.Generator:
@@ -204,25 +235,75 @@ def linalg_once(fn, A: np.ndarray):
     return from_ledger(fn.__name__, (A.shape, A.strides, A.tobytes()), compute)
 
 
-def _ledgered(Bs: np.ndarray, dom, cod, streams: list, compute) -> list:
-    """``compute(Bs, streams)``, through the open ledger: only the distinct
-    slices it lacks are computed, as one stack, and stored; with no ledger
-    open, in a table of the call's own.  ``Bs`` is divided by its largest
-    entries; ``streams`` has one stream (or None, for an upper certificate)
-    per slice."""
-    ledger = _ledger.get()
-    # one table per space pair, so a lookup hashes the spaces once per call
-    table = {} if ledger is None else ledger.setdefault((dom, cod), {})
-    keys = [(st, B.shape, B.strides, B.tobytes()) for B, st in zip(Bs, streams)]
-    todo = {}  # the first slice of each key the table lacks
+def _through(table: dict, keys: list, compute) -> list:
+    """Each key's entry in ``table``.  The keys it lacks get theirs from one
+    ``compute(positions)`` call, on the position of each one's first slice,
+    and keep them."""
+    todo = {}
     for i, key in enumerate(keys):
         if key not in table:
             todo.setdefault(key, i)
     if todo:
-        idx = list(todo.values())
-        sub = Bs if len(idx) == len(Bs) else Bs[idx]
-        table.update(zip(todo, compute(sub, [streams[i] for i in idx])))
+        table.update(zip(todo, compute(list(todo.values()))))
     return [table[key] for key in keys]
+
+
+def _take(Bs: np.ndarray, idx: list) -> np.ndarray:
+    # the stack as given when it is all of it: a copy could change a slice's
+    # memory layout, and so the rounding of its products and sums
+    return Bs if len(idx) == len(Bs) else Bs[idx]
+
+
+def _check_shape(shape: tuple, dom, cod) -> None:
+    if shape != (cod.total_dim, dom.total_dim):
+        raise ValueError(
+            f"matrix shape {shape} does not map dim {dom.total_dim} to {cod.total_dim}"
+        )
+
+
+def _slice_keys(B: np.ndarray) -> list[bytes]:
+    """One ledger key per slice of a stack: its bytes (the table holds the
+    slices' shape and strides)."""
+    return [b.tobytes() for b in B]
+
+
+def _certify(As, dom, cod, cfg: NumericsConfig | None, stream=None):
+    """(scales, uppers, lowers) of a (k, m, n) stack: each slice's largest
+    entry, and its upper and lower certificate rows on the slice divided by it.
+
+    Each nonzero slice is divided once and keyed once, by its bytes.  The
+    open ledger's table for the two spaces and the slices' shape and strides
+    (with none open, a table of the call's own) gives each key its rows, and
+    only the distinct slices it lacks are computed: their upper rows in one
+    :func:`_upper_normalized` stack, then, with a ``stream`` (one int, or one
+    int per slice), the lower rows of those whose upper row is not exact in
+    one :func:`_lower_rows` ascent, keyed by (stream, bytes).  An exact upper
+    row is its slice's lower row too; a zero slice has scale 0 and the zero
+    matrix's exact row on both sides.  With ``stream`` None no slice
+    ascends, and ``lowers`` holds the upper rows.
+    """
+    cfg, As = cfg or DEFAULT_CONFIG, np.asarray(As, dtype=float)
+    _check_shape(As.shape[1:], dom, cod)
+    streams = None if stream is None else _per_slice(stream, len(As))
+    scales = np.abs(As).max(axis=(-2, -1), initial=0.0)
+    zero = _Row(0.0, "exact", "zero-matrix", np.zeros(dom.total_dim))
+    uppers, lowers, nz = [zero] * len(As), [zero] * len(As), np.flatnonzero(scales).tolist()
+    if nz:
+        # the nonzero slices as a stack of their own: indexing keeps the order
+        # of each slice's axes in memory, and so the rounding of its sums
+        B = _take(As, nz) / scales[nz, None, None]
+        ledger, at = _ledger.get(), (dom, cod, B.shape[1:], B.strides[1:])
+        table = {} if ledger is None else ledger.setdefault(at, {})
+        keys = _slice_keys(B)
+        ups = _through(table, keys, lambda pos: _upper_normalized(_take(B, pos), dom, cod, cfg))
+        ascend = [] if streams is None else [j for j, row in enumerate(ups) if row.kind != "exact"]
+        lower_keys = [(int(streams[nz[j]]), keys[j]) for j in ascend]
+        lows = dict(zip(ascend, _through(table, lower_keys, lambda pos: _lower_rows(
+            _take(B, [ascend[p] for p in pos]), dom, cod, cfg, [lower_keys[p][0] for p in pos]
+        ))))
+        for j, (i, row) in enumerate(zip(nz, ups)):
+            uppers[i], lowers[i] = row, lows.get(j, row)
+    return scales, uppers, lowers
 
 
 def _normalize(space, x: np.ndarray) -> np.ndarray | None:
@@ -268,28 +349,31 @@ def _start_bundles(As: np.ndarray, dom, cfg: NumericsConfig, stream):
     where the SVD failed), the ones vector, the first eight coordinate
     vectors, and ``cfg.restarts`` normal columns of (its stream, index 0);
     ``stream`` is one int for every slice or one int per slice.
-    Each distinct stream's normal columns are drawn once; the ones and
-    coordinate vectors are the same for every slice.  Columns of zero or
+    Each (seed, stream, n) block of normal columns is drawn once per run
+    (``from_ledger``); the ones and coordinate vectors are the same for
+    every slice.  Columns of zero or
     non-finite norm are dropped; the ones vector never is.  A group may mix
     streams: it holds the slices that keep the same columns.  Yields (slice
     indices, (g, n, N) normalized columns).
     """
     n = As.shape[2]
-    shared = [np.ones((n, 1)), np.eye(n)[:, : min(n, 8)]]
-    uniq, which = np.unique(_per_slice(stream, len(As)), return_inverse=True)
-    if cfg.restarts > 0 and uniq.size:
-        normals = np.stack(
-            [_rng(cfg, int(s), 0).standard_normal((n, cfg.restarts)) for s in uniq]
-        )
+    shared = np.concatenate((np.ones((n, 1)), np.eye(n)[:, : min(n, 8)]), axis=1)
+    streams = _per_slice(stream, len(As)).tolist()
+    uniq = {s: i for i, s in enumerate(dict.fromkeys(streams))}  # each stream's normals
+    if cfg.restarts > 0 and uniq:
+        normals = np.stack([from_ledger(
+            "start_normals", (cfg.seed, s, n, cfg.restarts),
+            lambda s=s: _rng(cfg, s, 0).standard_normal((n, cfg.restarts)),
+        ) for s in uniq])
     tops, has_top = _stacked_svd(As, lambda usv: usv[2][:, 0], (n,))
     for present in (True, False):
         idx = np.flatnonzero(has_top == present)
         if idx.size == 0:
             continue
         cols = [tops[idx, :, None]] if present else []
-        cols += [np.broadcast_to(s, (idx.size, *s.shape)) for s in shared]
+        cols.append(np.broadcast_to(shared, (idx.size, *shared.shape)))
         if cfg.restarts > 0:
-            cols.append(normals[which[idx]])
+            cols.append(normals[[uniq[streams[i]] for i in idx]])
         X = np.concatenate(cols, -1)
         norms = dom.norm_many(X)
         keep = norms > 0.0
@@ -355,6 +439,15 @@ def _ascend(A: np.ndarray, X: np.ndarray, dom, cod, cfg: NumericsConfig):
     return values, witnesses
 
 
+def _lower_rows(As: np.ndarray, dom, cod, cfg: NumericsConfig, stream) -> list[_Row]:
+    """The rows of :func:`multistart_lower_many`, the route of every ascent."""
+    values, witnesses = np.empty(len(As)), np.empty(As.shape[::2])
+    for idx, X in _start_bundles(As, dom, cfg, stream):
+        values[idx], witnesses[idx] = _ascend(_take(As, idx), X, dom, cod, cfg)
+    rows = zip(values.tolist(), witnesses)
+    return [_Row(max(v, 0.0), "lower_estimate", "boyd-multistart", w) for v, w in rows]
+
+
 def multistart_lower_many(
     As, dom, cod, cfg: NumericsConfig, stream
 ) -> list[BoundCertificate]:
@@ -377,17 +470,8 @@ def multistart_lower_many(
     has the bits of a run on its slice alone; the tests pin this, because
     numpy does not promise it.
     """
-    As = np.asarray(As, dtype=float)
-    values, witnesses = np.empty(len(As)), np.empty(As.shape[::2])
-    for idx, X in _start_bundles(As, dom, cfg, stream):
-        # the stack as given when the group is all of it: a copy could change
-        # a slice's memory layout, and so the rounding of its products
-        group = As if len(idx) == len(As) else As[idx]
-        values[idx], witnesses[idx] = _ascend(group, X, dom, cod, cfg)
-    return [
-        BoundCertificate(max(float(v), 0.0), "lower_estimate", "boyd-multistart", w)
-        for v, w in zip(values, witnesses)
-    ]
+    rows = _lower_rows(np.asarray(As, dtype=float), dom, cod, cfg, stream)
+    return [BoundCertificate(*row) for row in rows]
 
 
 def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCertificate:
@@ -433,33 +517,32 @@ def _has_closed_form(shape: tuple, p: float, r: float, cfg: NumericsConfig) -> b
     )
 
 
-def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig) -> BoundCertificate:
+def _exact_simple(B: np.ndarray, p: float, r: float, cfg: NumericsConfig) -> _Row:
     """Closed-form certificate for a plain l^p -> l^r matrix norm; the caller
     checks :func:`_has_closed_form` first."""
     m, n = B.shape
     if m == 1:
         # a single row is a functional; its norm is the conjugate p-norm
         w = SpaceSpec(n, p).witness(B[0])
-        val = pnorm(B[0], conjugate_exponent(p))
-        return BoundCertificate(val, "exact", "row-functional", w)
+        return _Row(pnorm(B[0], conjugate_exponent(p)), "exact", "row-functional", w)
     if n == 1:
-        return BoundCertificate(pnorm(B[:, 0], r), "exact", "column-vector", np.ones(1))
+        return _Row(pnorm(B[:, 0], r), "exact", "column-vector", np.ones(1))
     if p == 1.0:
         cols = pnorm_many(B, r)
         j = int(np.argmax(cols))
         w = np.zeros(n)
         w[j] = 1.0
-        return BoundCertificate(cols[j], "exact", "max-column", w)
+        return _Row(float(cols[j]), "exact", "max-column", w)
     if math.isinf(r):
         rows = pnorm_many(B.T, conjugate_exponent(p))
         i = int(np.argmax(rows))
         w = SpaceSpec(n, p).witness(B[i])
-        return BoundCertificate(rows[i], "exact", "max-row", w)
+        return _Row(float(rows[i]), "exact", "max-row", w)
     val, sigma = _vertex_norm(B, r)
-    return BoundCertificate(val, "exact", "vertex-enumeration", sigma)
+    return _Row(val, "exact", "vertex-enumeration", sigma)
 
 
-def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCertificate]:
+def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[_Row]:
     """Smallest of the Hoelder and singular-dimension upper bounds of each
     slice of a (k, m, n) stack.
 
@@ -476,21 +559,19 @@ def _upper_candidates_simple(Bs: np.ndarray, p: float, r: float) -> list[BoundCe
     """
     _, m, n = Bs.shape
     q = conjugate_exponent(p)
-    holders = [(pnorm_many(pnorm_many(Bs, r)[..., None], q), "columns-holder")]
+    cands = {"columns-holder": pnorm_many(pnorm_many(Bs, r)[..., None], q)[:, 0]}
     if not math.isinf(r):
         rows = pnorm_many(np.swapaxes(Bs, -1, -2), q)
-        holders.append((pnorm_many(rows[..., None], r), "rows-holder"))
+        cands["rows-holder"] = pnorm_many(rows[..., None], r)[:, 0]
     smax, has_smax = _stacked_svd(Bs, lambda s: s[:, 0], (), compute_uv=False)
     fac_in = n ** max(0.0, 0.5 - (0.0 if math.isinf(p) else 1.0 / p))
     fac_out = 1.0 if math.isinf(r) else m ** max(0.0, 1.0 / r - 0.5)
-    certs = []
-    for i in range(len(Bs)):
-        cands = [(float(vals[i, 0]), tag) for vals, tag in holders]
-        if has_smax[i]:
-            cands.append((float(smax[i]) * fac_in * fac_out, "singular-dimension"))
-        val, tag = min(cands, key=lambda t: t[0])
-        certs.append(BoundCertificate(val, "upper_certificate", tag))
-    return certs
+    cands["singular-dimension"] = np.where(has_smax, smax * fac_in * fac_out, np.inf)
+    vals, tags = np.stack(list(cands.values())), list(cands)
+    # each slice's first smallest candidate, as min picks it: a NaN only as the first
+    later_nans = np.isnan(vals) & (np.arange(len(vals)) > 0)[:, None]
+    pick = np.argmin(np.where(later_nans, np.inf, vals), axis=0).tolist()
+    return [_Row(float(vals[j, i]), "upper_certificate", tags[j]) for i, j in enumerate(pick)]
 
 
 def upper_certificate_only(
@@ -502,41 +583,13 @@ def upper_certificate_only(
     flattened block coordinates).  In order: zero matrix, plain closed forms,
     singular value when both sides are Euclidean, then the plain candidates or
     the blockwise aggregate.  Closed forms are ``exact`` and carry a witness.
-    It is :func:`_upper_many` on the one-matrix stack ``A[None]``.
+    It is the upper side of :func:`_certify` on the one-matrix stack ``A[None]``.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    return _upper_many(np.asarray(A, dtype=float)[None], dom, cod, cfg)[0]
+    scales, uppers, _ = _certify(np.asarray(A, dtype=float)[None], dom, cod, cfg)
+    return uppers[0].certificate(scales[0])
 
 
-def _upper_many(As: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[BoundCertificate]:
-    """The upper certificate of each slice of a (k, m, n) stack, each with the
-    bits of a call on its slice alone.
-
-    A zero slice gets the zero matrix's exact certificate.  The others are
-    divided by their largest entries and certified by
-    :func:`_upper_normalized` through the open ledger.
-    """
-    if As.shape[1:] != (cod.total_dim, dom.total_dim):
-        raise ValueError(
-            f"matrix shape {As.shape[1:]} does not map dim {dom.total_dim} to {cod.total_dim}"
-        )
-    scales = np.abs(As).max(axis=(-2, -1), initial=0.0)
-    if not scales.all():
-        # the nonzero slices as a stack of their own: indexing keeps the order
-        # of each slice's axes in memory, and so the rounding of its sums
-        zero = BoundCertificate(0.0, "exact", "zero-matrix", np.zeros(dom.total_dim))
-        certs, idx = [zero] * len(As), np.flatnonzero(scales).tolist()
-        for i, c in zip(idx, _upper_many(As[idx], dom, cod, cfg) if idx else []):
-            certs[i] = c
-        return certs
-    normalized = _ledgered(
-        As / scales[:, None, None], dom, cod, [None] * len(As),
-        lambda Bs, _: _upper_normalized(Bs, dom, cod, cfg),
-    )
-    return [c.scaled(s) for s, c in zip(scales.tolist(), normalized)]
-
-
-def _upper_normalized(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[BoundCertificate]:
+def _upper_normalized(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[_Row]:
     """The upper certificate of each slice of a stack divided by its largest
     entries: plain closed forms, the singular value between Euclidean spaces,
     one stacked candidates pass between other plain spaces, and the
@@ -552,10 +605,36 @@ def _upper_normalized(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> list[Bou
         )
         if not ok.all():  # the slice's own call raises
             raise np.linalg.LinAlgError("SVD did not converge")
-        return [BoundCertificate(t[0], "exact", "singular-value", t[1:]) for t in tops]
+        return [_Row(float(t[0]), "exact", "singular-value", t[1:]) for t in tops]
     if plain:
         return _upper_candidates_simple(Bs, dom.exponent, cod.exponent)
-    return [_upper_from_blocks(B, dom, cod, cfg) for B in Bs]
+    aggregate = _upper_from_blocks(Bs, dom, cod, cfg).tolist()
+    return [_Row(v, "upper_certificate", "blockwise-aggregate") for v in aggregate]
+
+
+def _merged(S: np.ndarray) -> np.ndarray:
+    """A (k, c, m, n) array of blocks as a (k c, m, n) stack, slice-major: a
+    view where one exists, and otherwise a copy in which each block keeps
+    the order of its axes in memory, and so the rounding of its sums."""
+    m, n = S.shape[-2:]
+    if S.strides[-1] <= S.strides[-2]:
+        return S.reshape(-1, m, n)
+    return np.swapaxes(np.swapaxes(S, -1, -2).reshape(-1, n, m), -1, -2)
+
+
+def _block_stacks(As: np.ndarray, dom, cod) -> list:
+    """Each run of equal blocks of every slice of a (k, m, n) stack as one
+    :func:`_merged` stack, with the two spaces its blocks map between: the
+    row blocks A_i when ``cod`` is a product, the column blocks D_i when
+    ``dom`` is one (exactly one of them must be)."""
+    rows = isinstance(cod, ProductSpaceSpec)
+    if rows == isinstance(dom, ProductSpaceSpec):
+        raise NotImplementedError("product-to-product norms are not needed here")
+    _check_shape(As.shape[1:], dom, cod)
+    if rows:
+        return [(_merged(run.slab(As)), dom, run.space) for run in cod.runs]
+    Ds = np.swapaxes(As, -1, -2)
+    return [(_merged(np.swapaxes(run.slab(Ds), -1, -2)), run.space, cod) for run in dom.runs]
 
 
 def block_upper_certificates(
@@ -567,36 +646,31 @@ def block_upper_certificates(
 
     Each block's certificate has the bits of :func:`upper_certificate_only`
     on that block alone, and goes through the open ledger as that call
-    would.  Each run of equal blocks is one :func:`_upper_many` stack of
-    views of ``A``, so each block keeps its strides.
+    would.  Each run of equal blocks is one :func:`_certify` stack of views
+    of ``A``, so each block keeps its strides.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    A = np.asarray(A, dtype=float)
+    return [
+        row.certificate(s)
+        for blocks, d, c in _block_stacks(np.asarray(A, dtype=float)[None], dom, cod)
+        for s, row in zip(*_certify(blocks, d, c, cfg)[:2])
+    ]
+
+
+def _upper_from_blocks(Bs: np.ndarray, dom, cod, cfg: NumericsConfig) -> np.ndarray:
+    """The outer Hoelder aggregate of the block upper certificates of each
+    slice of a stack, each with the bits of the slice's
+    :func:`block_upper_certificates` aggregated alone: each run of equal
+    blocks of every slice is one :func:`_certify` stack."""
+    # row blocks: ||{A_i x}||_mixed <= (sum ||A_i||^s)^(1/s) ||x||; column
+    # blocks: ||sum_i D_i g_i|| <= (sum ||D_i||^s')^(1/s') N(g)
     rows = isinstance(cod, ProductSpaceSpec)
-    if rows == isinstance(dom, ProductSpaceSpec):
-        raise NotImplementedError("product-to-product norms are not needed here")
-    if A.shape != (cod.total_dim, dom.total_dim):
-        raise ValueError(
-            f"matrix shape {A.shape} does not map dim {dom.total_dim} to {cod.total_dim}"
-        )
-    if rows:
-        return [c for run in cod.runs for c in _upper_many(run.slab(A), dom, run.space, cfg)]
-    blocks = [(np.swapaxes(run.slab(A.T), -1, -2), run.space) for run in dom.runs]
-    return [c for D, space in blocks for c in _upper_many(D, space, cod, cfg)]
-
-
-def _upper_from_blocks(A: np.ndarray, dom, cod, cfg: NumericsConfig) -> BoundCertificate:
-    """Aggregate the :func:`block_upper_certificates` of ``A`` through the
-    outer Hoelder bound."""
-    certs = block_upper_certificates(A, dom, cod, cfg)
-    if isinstance(cod, ProductSpaceSpec):
-        # row blocks: ||{A_i x}||_mixed <= (sum ||A_i||^s)^(1/s) ||x||
-        outer = cod.outer_exponent
-    else:
-        # column blocks: ||sum_i D_i g_i|| <= (sum ||D_i||^s')^(1/s') N(g)
-        outer = conjugate_exponent(dom.outer_exponent)
-    total = pnorm(np.array([c.value for c in certs]), outer)
-    return BoundCertificate(total, "upper_certificate", "blockwise-aggregate")
+    outer = cod.outer_exponent if rows else conjugate_exponent(dom.outer_exponent)
+    runs = [
+        operator_norm_values_many(blocks, d, c, cfg, None)[1].reshape(len(Bs), -1)
+        for blocks, d, c in _block_stacks(Bs, dom, cod)
+    ]
+    # each slice's block values as one contiguous column, as pnorm takes them
+    return pnorm_many(np.concatenate(runs, axis=1)[..., None], outer)[:, 0]
 
 
 def operator_norm_bounds_many(
@@ -606,32 +680,30 @@ def operator_norm_bounds_many(
     (k, m, n) stack.
 
     Each slice's upper side is :func:`upper_certificate_only`'s, from one
-    stacked pass where the spaces are plain and no closed form applies (see
-    :func:`_upper_many`); it doubles as the lower side when exact.  Every
-    other slice is divided by its largest entry, and those the open ledger
-    lacks go to one :func:`multistart_lower_many` call, whose certificates
-    are scaled back.  ``stream`` is one int for every slice or one int per
+    stacked pass where the spaces are plain and no closed form applies; it
+    doubles as the lower side when exact.  Every other slice's lower side
+    comes from one :func:`multistart_lower_many` ascent on the slices the
+    open ledger lacks, divided by their largest entries (:func:`_certify`).
+    ``stream`` is one int for every slice or one int per
     slice, so stacks of callers with different streams can share the ascent;
     each pair has the bits of a call on its slice alone with its own stream.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    As = np.asarray(As, dtype=float)
-    streams = _per_slice(stream, len(As))
-    uppers = _upper_many(As, dom, cod, cfg)
-    idx = [i for i, u in enumerate(uppers) if u.kind != "exact"]
-    lowers = list(uppers)
-    if idx:
-        # the stack as given when every slice ascends: a copy could change a
-        # slice's memory layout, and so the rounding of its products
-        group = As if len(idx) == len(As) else As[idx]
-        scales = np.abs(group).max(axis=(-2, -1))
-        certs = _ledgered(
-            group / scales[:, None, None], dom, cod, streams[idx].tolist(),
-            lambda sub, sub_streams: multistart_lower_many(sub, dom, cod, cfg, sub_streams),
-        )
-        for i, s, c in zip(idx, scales.tolist(), certs):
-            lowers[i] = c.scaled(s)
-    return [BoundPair(lo, up) for lo, up in zip(lowers, uppers)]
+    scales, uppers, lowers = _certify(As, dom, cod, cfg, stream)
+    return [
+        BoundPair(lo.certificate(s), up.certificate(s))
+        for s, lo, up in zip(scales.tolist(), lowers, uppers)
+    ]
+
+
+def operator_norm_values_many(
+    As, dom, cod, cfg: NumericsConfig | None = None, stream=MATRIX_STREAM
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The values of :func:`operator_norm_bounds_many`'s pairs as two arrays
+    (lower, upper), bit for bit, with no certificate object built.  With
+    ``stream`` None only the upper side is certified, and lower is None."""
+    scales, *sides = _certify(As, dom, cod, cfg, stream)
+    upper, lower = (scales * np.array([row.value for row in rows]) for rows in sides)
+    return (None if stream is None else lower), upper
 
 
 def operator_norm_bounds(

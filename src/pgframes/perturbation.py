@@ -29,7 +29,7 @@ the gap is P Q^T with thin factors of 3k columns (k the row count of member
 0), and its spectral norm is that of a core of at most 3k x 3k, so no n x n
 gap is formed, and the cores of every mode share one QR/SVD stack.
 Between other spaces the gaps of all modes go to one
-``opnorm.operator_norm_bounds_many`` call, which certifies each distinct
+``opnorm.operator_norm_values_many`` call, which certifies each distinct
 gap divided by its largest entry once: the opnorm values are exactly
 homogeneous (value(A) = s value(A / s) bit for bit, with s = max|A|), so a
 step whose gap is a scalar multiple of an earlier step's, as on a base^-n
@@ -39,7 +39,9 @@ distinct gaps whose upper certificate is not exact, such as the 40 of a
 of its own would give, bit for bit.  The Bessel bounds B1, B2 of the
 perturbed sequences in a ``joint`` run come from the two ends of the
 schedule, whose bump is affine in one entry, so a norm of it is convex
-along the schedule (proof in :func:`continuity_suite`).
+along the schedule (proof in :func:`continuity_suite`); both ends of a
+sequence are one stacked upper-side call.  Internal callers read value
+arrays (``opnorm.operator_norm_values_many``), not certificate objects.
 
 Both functions certify the base Bessel bounds the theorems assume with
 ``analysis_upper``; inside ``run_checks`` these, like ``perturbation_check``'s
@@ -60,8 +62,8 @@ from .opnorm import (
     MATRIX_STREAM,
     BoundCertificate,
     block_upper_certificates,
-    matrix_opnorm,
     operator_norm_bounds_many,
+    operator_norm_values_many,
 )
 from .spaces import DimensionMismatchError, pnorm
 
@@ -224,27 +226,6 @@ def _multiplier_gaps(m, lam, theta, d, L1, T1) -> np.ndarray:
     return gaps
 
 
-def _dense_gap_norms(gaps: np.ndarray, dom, cod, cfg) -> np.ndarray:
-    """``matrix_opnorm(A, ...).lower.value`` of each slice of a gap stack, bit for bit.
-
-    The finite gaps go to one ``operator_norm_bounds_many`` call on
-    ``MATRIX_STREAM``, as ``matrix_opnorm`` makes, which certifies each
-    distinct gap divided by its largest entry once: the values are exactly
-    homogeneous (value(A) == s * value(A / s) bit for bit, with s = max|A|),
-    so a gap that is a scalar multiple of another reuses its certificates.
-    Non-finite gaps go straight to the oracle, one at a time.
-    """
-    finite = np.isfinite(gaps).all(axis=(1, 2))
-    values = np.empty(len(gaps))
-    for i in np.flatnonzero(~finite):
-        values[i] = matrix_opnorm(gaps[i], dom.exponent, cod.exponent, cfg).lower.value
-    idx = np.flatnonzero(finite)
-    if idx.size:
-        pairs = operator_norm_bounds_many(gaps[idx], dom, cod, cfg, MATRIX_STREAM)
-        values[idx] = [pair.lower.value for pair in pairs]
-    return values
-
-
 def _euclidean_gap_norms(m, lam, theta, schedules) -> list[list[float]]:
     """The spectral norm of each step's multiplier gap, per schedule, from its factors.
 
@@ -312,6 +293,7 @@ def continuity_gaps(
     lam: OperatorSequence,
     theta: OperatorSequence,
     cfg: NumericsConfig | None = None,
+    alongside=(),
 ) -> dict[str, list[float]]:
     """The measured multiplier gap of every step of each kind's schedule, as one batch.
 
@@ -319,8 +301,13 @@ def continuity_gaps(
     ``measured`` fields :func:`continuity_suite` gives that kind, bit for
     bit.  The kinds share their gap spaces, so all their gaps are measured
     together: on the l^2 route in one QR/SVD stack of factor cores, and
-    otherwise in one :func:`_dense_gap_norms` call, whose distinct
-    normalized gaps share one lockstep ascent.
+    otherwise in one ``operator_norm_values_many`` call on ``MATRIX_STREAM``,
+    as ``matrix_opnorm`` makes, whose distinct normalized gaps share one
+    lockstep ascent (a non-finite gap included: each slice of the stack
+    keeps the bits of its own call).  On that route the matrices
+    ``alongside`` (of the gaps' shape, such as the assembled multiplier's)
+    join the call, so their certificate pairs share its ascent and go to
+    the open ledger, where a later ``matrix_opnorm`` of them finds them.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_run(kinds, m, lam, theta, cfg)
@@ -331,9 +318,11 @@ def continuity_gaps(
     if gap_dom.is_euclidean and gap_cod.is_euclidean:
         runs = _euclidean_gap_norms(m, lam, theta, schedules)
     else:
-        gaps = np.concatenate([_multiplier_gaps(m, lam, theta, *sched) for sched in schedules])
-        values = _dense_gap_norms(gaps, gap_dom, gap_cod, cfg)
-        runs = [run.tolist() for run in np.split(values, len(kinds))]
+        gaps = [_multiplier_gaps(m, lam, theta, *sched) for sched in schedules]
+        extra = np.reshape(alongside, (-1, *gaps[0].shape[1:]))
+        stack = np.concatenate([extra, *gaps])
+        values = operator_norm_values_many(stack, gap_dom, gap_cod, cfg, MATRIX_STREAM)[0]
+        runs = [run.tolist() for run in np.split(values[len(extra):], len(kinds))]
     return dict(zip(kinds, runs))
 
 
@@ -362,7 +351,7 @@ def continuity_suite(
     :func:`_euclidean_gap_norms` reads all of them off the SVDs of small
     cores of their factors (proof there): no gap is formed, and ``measured``
     is the gap's spectral norm up to rounding.  Otherwise the gaps go to
-    :func:`_dense_gap_norms` as one stack, and ``measured`` is what
+    ``operator_norm_values_many`` as one stack, and ``measured`` is what
     ``matrix_opnorm(gap, ...).lower.value`` gives, bit for bit.
 
     The parameter distances are read off the bumped entries.  The symbol
@@ -382,7 +371,9 @@ def continuity_suite(
     The ``joint`` bound needs B1 >= ||U(L_n)|| and B2 >= ||U(T_n)|| at every
     step, U the analysis operator.  The two ends of the schedule suffice, so
     B1 = max(upper(L_1), upper(L_{n_max})) and B2 likewise, four
-    certificates per run.  The proof, for L (T is the same):
+    certificates per run, made by one stacked upper-side call per sequence
+    on its matrix with member 0 replaced by each end's; no sequence is
+    built.  The proof, for L (T is the same):
 
     * The schedule changes only entry (0, 0) of member 0, from
       a to a_n = fl(a + base^-n); every other entry x becomes x + 0 = x.
@@ -412,18 +403,18 @@ def continuity_suite(
     m_p1 = m.p_norm(p1)
     d, L1, T1 = _schedule(kind, m, lam, theta, cfg.n_max)
 
-    def upper_with(seq: OperatorSequence, M1: np.ndarray) -> float:
-        # the certified Bessel bound of seq with member 0 replaced by M1
-        bumped = OperatorSequence(
-            seq.domain, seq.codomains, (M1,) + seq.mats[1:], seq.frame_exponent
-        )
-        return analysis_upper(bumped, cfg).value
+    def end_bound(seq: OperatorSequence, M1: np.ndarray) -> float:
+        # the largest certified Bessel bound of seq with member 0 replaced by
+        # M1 at an end of the schedule: one stacked call for both ends
+        U = np.repeat(seq.stacked()[None], len(ends), axis=0)
+        U[:, : len(M1[0])] = M1[ends]
+        upper = operator_norm_values_many(U, seq.domain, seq.analysis_space(), cfg, None)[1]
+        return max(upper.tolist())
 
     B1 = B2 = None
     if kind == "joint":  # the schedule is convex in its bump (docstring)
-        ends = (0,) if cfg.n_max == 1 else (0, cfg.n_max - 1)
-        B1 = max(upper_with(lam, L1[i]) for i in ends)
-        B2 = max(upper_with(theta, T1[i]) for i in ends)
+        ends = [0] if cfg.n_max == 1 else [0, cfg.n_max - 1]
+        B1, B2 = end_bound(lam, L1), end_bound(theta, T1)
 
     if measured is None:
         measured = continuity_gaps((kind,), m, lam, theta, cfg)[kind]

@@ -99,7 +99,7 @@ def _computations(monkeypatch) -> list:
     # ascent slice, with the ascent's stream
     op = pg.opnorm
     keys = []
-    upper, ascend = op._upper_normalized, op.multistart_lower_many
+    upper, ascend = op._upper_normalized, op._lower_rows
 
     def key(B, dom, cod, stream=None):
         return (dom, cod, stream, B.shape, B.strides, B.tobytes())
@@ -114,7 +114,7 @@ def _computations(monkeypatch) -> list:
         return ascend(As, dom, cod, cfg, stream)
 
     monkeypatch.setattr(op, "_upper_normalized", counted_upper)
-    monkeypatch.setattr(op, "multistart_lower_many", counted_ascent)
+    monkeypatch.setattr(op, "_lower_rows", counted_ascent)
     return keys
 
 
@@ -243,12 +243,12 @@ def _counted_builds(monkeypatch) -> tuple[list, list]:
 
 
 def test_two_runs_build_the_same_sequences_and_dual_bases(monkeypatch):
-    # a run builds the instance's two sequences once: its 14 builds are those
+    # a run builds the instance's two sequences once: its 10 builds are those
     # two, perturb's perturbed and difference families, the dual suite's two
-    # duals, multiply's two permuted sequences, invert's two duals and the
-    # joint kind's four end sequences.  It computes four dual bases, lam's,
-    # theta's and their duals'; invert reads lam's and theta's from the dual
-    # suite.  Nothing carries over to the next run
+    # duals, multiply's two permuted sequences and invert's two duals (the
+    # joint kind's end bounds stack matrices, not sequences).  It computes
+    # four dual bases, lam's, theta's and their duals'; invert reads lam's
+    # and theta's from the dual suite.  Nothing carries over to the next run
     builds, inverses = _counted_builds(monkeypatch)
     inst = _workload_instances()[4]  # ladder-l2, seed 1, dim 16
     runs = []
@@ -258,7 +258,7 @@ def test_two_runs_build_the_same_sequences_and_dual_bases(monkeypatch):
         results = _results(checks.run_checks(inst))
         runs.append((len(builds), len(inverses), results))
     assert runs[0] == runs[1]
-    assert runs[0][:2] == (14, 4)
+    assert runs[0][:2] == (10, 4)
     assert pg.opnorm._ledger.get() is None
 
 
@@ -503,8 +503,10 @@ def _counted_ascents(monkeypatch) -> list:
 
 
 def test_ascents_per_seed_1_workload_pass(monkeypatch):
-    # the four continuity kinds share one ascent, and lam's Bessel ascent
-    # shares perturb's: 20 -> 16 ascents on ladder-lp, 120 -> 72 on small-grid
+    # the four continuity kinds share one ascent, lam's Bessel ascent shares
+    # perturb's, and the bounds suite's multiplier estimate shares the
+    # continuity gaps': 20 -> 16 ascents on ladder-lp, 120 -> 72 -> 60 on
+    # small-grid
     calls = _counted_ascents(monkeypatch)
     counts = []
     for group in (slice(0, 4), slice(4, 8), slice(8, 20)):
@@ -512,15 +514,87 @@ def test_ascents_per_seed_1_workload_pass(monkeypatch):
         for inst in _workload_instances()[group]:
             checks.run_checks(inst)
         counts.append(len(calls))
-    assert counts == [16, 0, 72]
+    assert counts == [16, 0, 60]
+
+
+def test_certificates_keys_and_ascents_per_seed_1_workload_pass(monkeypatch):
+    # per seed-1 pass of each workload (ladder-lp, ladder-l2, small-grid):
+    # BoundCertificate objects made, ledger keys made (one per nonzero slice
+    # of every certified stack) and lockstep ascents.  Certificates inside
+    # opnorm are rows, made objects only where a public function returns
+    # one, and a call keys each slice once: 596/348/5934 objects, 348/188/4434
+    # keys and 16/0/72 ascents before
+    op, counts = pg.opnorm, collections.Counter()
+    post, keys, ascend = op.BoundCertificate.__post_init__, op._slice_keys, op._ascend
+
+    def counting_post(cert):
+        counts["certificates"] += 1
+        post(cert)
+
+    def counting_keys(B):
+        counts["keys"] += len(B)
+        return keys(B)
+
+    def counting_ascend(*args):
+        counts["ascents"] += 1
+        return ascend(*args)
+
+    monkeypatch.setattr(op.BoundCertificate, "__post_init__", counting_post)
+    monkeypatch.setattr(op, "_slice_keys", counting_keys)
+    monkeypatch.setattr(op, "_ascend", counting_ascend)
+    per_workload = []
+    for group in (slice(0, 4), slice(4, 8), slice(8, 20)):
+        counts.clear()
+        for inst in _workload_instances()[group]:
+            assert checks.run_checks(inst).ok
+        per_workload.append((counts["certificates"], counts["keys"], counts["ascents"]))
+    assert per_workload == [(140, 312, 16), (200, 188, 0), (378, 2406, 60)]
+
+
+@pytest.mark.parametrize("space", ["lp", "l2"])
+def test_bounds_estimate_and_gaps_equal_their_direct_calls(monkeypatch, space):
+    # inside a run the multiplier estimate and the continuity gaps share one
+    # certification; each value still has the bits of a direct norm_bounds
+    # or continuity_gaps call with no ledger open.  On the l^p pair the
+    # multiplier joins the gaps' one ascent; the l^2 pair's gaps take the
+    # QR/SVD core route and no gap or multiplier ascends
+    inst = _pair(space)
+    m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    traced, real = {}, checks.continuity_suite
+
+    def recording(kind, *args, **kwargs):
+        traces = real(kind, *args, **kwargs)
+        traced[kind] = [t.measured for t in traces]
+        return traces
+
+    monkeypatch.setattr(checks, "continuity_suite", recording)
+    ascents = _counted_ascents(monkeypatch)
+    values = checks.run_checks(inst).to_dict()["checks"][3]["values"]
+    gap_spaces = (theta.domain, lam.domain.dual)
+    on_gaps = [n for n, dom, cod in ascents if (dom, cod) == gap_spaces]
+    assert pg.opnorm._ledger.get() is None
+    nb = pg.norm_bounds(pg.assemble(m, lam, theta))
+    gaps = perturbation.continuity_gaps(pg.CONTINUITY_KINDS, m, lam, theta)
+
+    def bits(xs):
+        return np.array(xs, dtype=float).tobytes()
+
+    assert bits([values["estimate"], values["estimate_upper"]]) == bits(
+        [nb.estimate.value, nb.estimate_upper.value]
+    )
+    assert list(traced) == list(pg.CONTINUITY_KINDS)
+    for kind in pg.CONTINUITY_KINDS:
+        assert bits(traced[kind]) == bits(gaps[kind]), kind
+    assert len(on_gaps) == (1 if space == "lp" else 0)
 
 
 def test_ascent_layer_passes_per_seed_1_workload_pass(monkeypatch):
     # a product's ascent step takes one _layer pass per run and one for the
     # outer layer; a one-block product, or one of fewer than 8 one-entry
     # blocks, steps as its plain space in one pass.  2607 -> 2112 passes on
-    # small-grid, where every product but [2, 1] is such a product; 1731 on
-    # ladder-lp, whose products of 2 to 8 blocks of dimension 2 keep theirs
+    # small-grid, where every product but [2, 1] is such a product, and 1882
+    # once the multiplier estimate joins the gaps' ascent; 1731 on ladder-lp,
+    # whose products of 2 to 8 blocks of dimension 2 keep theirs
     calls = _counted_ascents(monkeypatch)
     inside, passes = [], []
     ascend, layer = pg.opnorm._ascend, pg.spaces._layer
@@ -545,7 +619,7 @@ def test_ascent_layer_passes_per_seed_1_workload_pass(monkeypatch):
         for inst in _workload_instances()[group]:
             checks.run_checks(inst)
         counts.append((len(calls), sum(passes)))
-    assert counts == [(16, 1731), (0, 0), (72, 2112)]
+    assert counts == [(16, 1731), (0, 0), (60, 1882)]
 
 
 @pytest.mark.parametrize(

@@ -143,9 +143,9 @@ def test_k_stack_gives_each_member_its_own_certificate(monkeypatch, dims, r, dom
         tuple(m + 1e-3 * rng.standard_normal(m.shape) for m in lam.mats), 1.5,
     )
     stacks, recorded = [], []
-    real_many, real_blocks = pg.opnorm._upper_many, perturbation.block_upper_certificates
+    real_many, real_blocks = pg.opnorm._certify, perturbation.block_upper_certificates
     monkeypatch.setattr(
-        pg.opnorm, "_upper_many", lambda As, *a: stacks.append(len(As)) or real_many(As, *a)
+        pg.opnorm, "_certify", lambda As, *a: stacks.append(len(As)) or real_many(As, *a)
     )
     monkeypatch.setattr(
         perturbation, "block_upper_certificates",
@@ -525,26 +525,53 @@ def test_l2_gap_route_matches_dense(kind, ingredients, n_max):
         assert abs(t.measured - dense) <= 1e-15 * dense, (t.n, t.measured, dense)
 
 
+@pytest.mark.parametrize("p, r", [(1.5, 3.0), (3.0, 1.25), (math.inf, 1.5), (1.0, 2.0)])
+def test_non_finite_gaps_keep_their_own_bits_in_the_gap_stack(p, r):
+    # the dense route sends every gap to one stacked call, a non-finite one
+    # too: each value has the bits of that gap's own matrix_opnorm call
+    rng = np.random.default_rng([97, int(min(p, 9) * 4), int(r * 4)])
+    As = rng.standard_normal((6, 4, 3))
+    As[1, 0, 0], As[3, 2, 1], As[4, 1, 2] = np.inf, np.nan, -np.inf
+    As[5] = 2.0 * As[3]
+    with np.errstate(all="ignore"):
+        got = pg.opnorm.operator_norm_values_many(
+            As, pg.SpaceSpec(3, p), pg.SpaceSpec(4, r), None, pg.opnorm.MATRIX_STREAM
+        )[0]
+        want = np.array([pg.matrix_opnorm(A, p, r).lower.value for A in As])
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("inst", [PAIR6, BESSEL_PAIR], ids=["riesz-pair", "bessel"])
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
 def test_l2_gap_route_forms_no_gap(monkeypatch, recorded_uppers, kind, inst):
     # no dense gap is formed, deduplicated for the oracle, or given an SVD:
     # every n_L x n_T SVD of the run is a Bessel certificate's
     gaps, dense, svd_shapes = [], [], []
-    real_gaps, real_dense, real_svd = (
-        perturbation._multiplier_gaps, perturbation._dense_gap_norms, np.linalg.svd
+    real_gaps, real_values, real_svd = (
+        perturbation._multiplier_gaps, perturbation.operator_norm_values_many, np.linalg.svd
     )
 
     def svd(A, *args, **kwargs):
-        # the certificate route sends a matrix as a stack of one
+        # the certificate route sends a matrix as a stack of one, and the
+        # joint kind's two end matrices as a stack of two; the gap cores come
+        # as one stack of n_max
         shape = np.shape(A)
-        svd_shapes.append(shape[1:] if len(shape) == 3 and shape[0] == 1 else shape)
+        stacked = len(shape) == 3 and shape[0] <= 2
+        svd_shapes.extend([shape[1:]] * shape[0] if stacked else [shape])
         return real_svd(A, *args, **kwargs)
 
-    monkeypatch.setattr(perturbation, "_multiplier_gaps", lambda *a: gaps.append(a) or real_gaps(*a))
-    monkeypatch.setattr(perturbation, "_dense_gap_norms", lambda *a: dense.append(a) or real_dense(*a))
-    monkeypatch.setattr(np.linalg, "svd", svd)
     m, lam, theta = inst.symbol_obj(), inst.lam_sequence(), inst.theta_sequence()
+    gap_spaces = (theta.domain, lam.domain.dual)
+
+    def values(As, dom, cod, *args):
+        # the dense route's one call on the gap spaces
+        if (dom, cod) == gap_spaces:
+            dense.append(As)
+        return real_values(As, dom, cod, *args)
+
+    monkeypatch.setattr(perturbation, "_multiplier_gaps", lambda *a: gaps.append(a) or real_gaps(*a))
+    monkeypatch.setattr(perturbation, "operator_norm_values_many", values)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     pg.continuity_suite(kind, m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
     assert gaps == [] and dense == []
     gap_shape = (lam.domain.dim, theta.domain.dim)
@@ -554,11 +581,12 @@ def test_l2_gap_route_forms_no_gap(monkeypatch, recorded_uppers, kind, inst):
 
 @pytest.mark.parametrize(
     "kind, n_max, built",
-    [("symbol", 40, 0), ("theta", 40, 0), ("lambda", 40, 0), ("joint", 40, 4), ("joint", 1, 2)],
+    [("symbol", 40, 0), ("theta", 40, 0), ("lambda", 40, 0), ("joint", 40, 0), ("joint", 1, 0)],
 )
 def test_continuity_builds_sequences_at_the_joint_ends_only(monkeypatch, kind, n_max, built):
-    # a step holds member 0 of each sequence, not a whole sequence; only the
-    # joint Bessel bounds need one, at each end of the schedule
+    # a step holds member 0 of each sequence, not a whole sequence; the joint
+    # Bessel bounds at the ends of the schedule stack the sequence's matrix
+    # with member 0 replaced, and build no sequence either
     calls = []
     real = perturbation.OperatorSequence
 
@@ -667,11 +695,10 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
     # matrices of member 0's shape that perturbation sends to an oracle: the
     # deviations need none
     member_shaped = []
-    upper, opnorm, bounds, many = (
+    upper, bounds, many = (
         perturbation.block_upper_certificates,
-        perturbation.matrix_opnorm,
-        perturbation.operator_norm_bounds_many,
-        pg.opnorm.multistart_lower_many,
+        perturbation.operator_norm_values_many,
+        pg.opnorm._lower_rows,
     )
 
     member_shapes = (lam.mats[0].shape, theta.mats[0].shape)
@@ -685,11 +712,6 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         note_member_shaped(A)
         return upper(A, dom, cod, *args)
 
-    def counting_opnorm(A, *args):
-        sent.append([A])
-        note_member_shaped(A)
-        return opnorm(A, *args)
-
     def counting_bounds(As, dom, cod, *args):
         if (dom, cod) == gap_spaces:
             sent.append(list(As))
@@ -701,9 +723,8 @@ def test_continuity_memo_reuses_oracle_calls_exactly(monkeypatch):
         return many(As, *args)
 
     monkeypatch.setattr(perturbation, "block_upper_certificates", counting_upper)
-    monkeypatch.setattr(perturbation, "matrix_opnorm", counting_opnorm)
-    monkeypatch.setattr(perturbation, "operator_norm_bounds_many", counting_bounds)
-    monkeypatch.setattr(pg.opnorm, "multistart_lower_many", counting_many)
+    monkeypatch.setattr(perturbation, "operator_norm_values_many", counting_bounds)
+    monkeypatch.setattr(pg.opnorm, "_lower_rows", counting_many)
 
     def traced(traces):
         return [(t.deviation, t.measured, t.bound) for t in traces]
@@ -741,16 +762,25 @@ GRID_PAIR_1006 = pg.gen(
 
 @pytest.fixture
 def recorded_uppers(monkeypatch):
-    # (stacked matrix, value) of every analysis_upper call the suite makes
+    # (stacked matrix, value) of every Bessel bound the suite certifies: one
+    # per analysis_upper call, and one per end matrix of the joint kind's
+    # stacked upper-side calls (stream None)
     calls = []
-    real = perturbation.analysis_upper
+    real, real_values = perturbation.analysis_upper, perturbation.operator_norm_values_many
 
     def recording(seq, *args):
         cert = real(seq, *args)
         calls.append((seq.stacked(), cert.value))
         return cert
 
+    def recording_values(As, dom, cod, cfg, stream):
+        lower, upper = real_values(As, dom, cod, cfg, stream)
+        if stream is None:
+            calls.extend(zip(As, upper.tolist()))
+        return lower, upper
+
     monkeypatch.setattr(perturbation, "analysis_upper", recording)
+    monkeypatch.setattr(perturbation, "operator_norm_values_many", recording_values)
     return calls
 
 

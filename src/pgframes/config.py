@@ -8,9 +8,9 @@ has this one home: no function takes a parameter that overrides it.
 Identical (input, seed, config) triples reproduce identical results.
 
 Fixed numeric policy lives as constants beside its one reader:
-``frames.FRAME_REL_THRESHOLD``, ``opnorm.RATIO_TOL``, ``opnorm.SAMPLE_BATCH``,
-``multipliers.MIN_SYMBOL``, ``generate.MAX_CONDITION``,
-``generate.FRAME_RESTARTS`` and ``perturbation.DEVIATION_BASE``.
+``frames.FRAME_REL_THRESHOLD``, ``opnorm.RATIO_TOL``, ``multipliers.MIN_SYMBOL``,
+``generate.MAX_CONDITION``, ``generate.FRAME_RESTARTS`` and
+``perturbation.DEVIATION_BASE``.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ class NumericsConfig:
     # tolerances
     tol_exact: float = 1e-10      # relative, for closed-form identities
 
-    # multistart ascent (norm maximization; infima of square full-rank
-    # matrices are one over the ascent on the inverse)
+    # multistart ascent (norm maximization; infima of full-rank matrices
+    # come from the ascent on a left inverse)
     restarts: int = 16
     max_iterations: int = 500
     seed: int = 0

@@ -10,14 +10,15 @@ The synthesis matrix S is the transpose of the stacked analysis matrix F and
 the synthesis operator is the adjoint of the analysis operator, so rank S =
 rank F and ||S|| = ||F||.  For a Riesz basis S^{-1} = (F^{-1})^T as well, so
 the lower Riesz constant is the lower frame bound 1/||F^{-1}||.  Every one of
-these numbers is computed once, on the analysis side.  The lower bound has a
-single proven route: the smallest singular value on Euclidean spaces, and a
-left-inverse certificate 1/upper(||P||) with P F = I otherwise.  For a
-square F of full rank it and its witness-backed companion 1/lower(||P||)
-are the two sides of one certificate pair of P = F^{-1}
-(``opnorm.infimum_bounds``), which ``min_ratio_estimate`` reads too.  A
-``classify`` call computes F's rank, its inverse and that pair once each,
-through the run's ledger inside ``run_checks`` (``opnorm.linalg_once``).
+these numbers is computed once, on the analysis side.  The lower bound and
+its witness-backed companion have one route, ``opnorm.infimum_bounds``: the
+smallest singular value on Euclidean spaces, 0 at a kernel vector when F is
+rank deficient, and otherwise the proven 1/upper(||P||) of a left inverse P
+(P F = I: F^{-1} when F is square, pinv(F) when it is tall) beside the ratio
+at the witness of the ascent on P.  A ``classify`` call computes F's rank,
+its left inverse and P's certificate pair at most once each, in the run's
+ledger inside ``run_checks`` and in one of its own on a direct call
+(``opnorm.in_a_ledger``, ``opnorm.linalg_once``).
 
 ``riesz_equivalences_check`` reads the paper's two Riesz-basis
 characterizations (g-complete with the two-sided synthesis inequality, and
@@ -40,14 +41,12 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .opnorm import (
     BESSEL_STREAM,
-    INVERSE_STREAM,
     BoundCertificate,
     from_ledger,
+    in_a_ledger,
     infimum_bounds,
     linalg_once,
-    min_ratio_estimate,
     operator_norm_bounds,
-    upper_certificate_only,
 )
 from .operators import OperatorSequence, synthesis_matrix
 from .spaces import conjugate_exponent
@@ -101,51 +100,23 @@ class FrameReport:
     zero_members: tuple[int, ...]
 
 
-def _infimum_certificates(A, rank, dom, cod, cfg):
-    """(safe, observed) certificates for inf ||A x||_cod over the dom sphere.
-
-    ``rank`` is the rank of ``A``.  ``safe`` is a proven lower bound and
-    ``observed`` a witness-backed value at or above the infimum: the smallest
-    singular value on Euclidean spaces; 0 and a kernel vector's ratio when
-    ``A`` is rank deficient; ``infimum_bounds`` for a square ``A``; and for a
-    tall one 1 / upper(||pinv(A)||) and :func:`min_ratio_estimate`.
-    """
-    A = np.asarray(A, dtype=float)
-    if dom.is_euclidean and cod.is_euclidean:
-        _, s, vt = np.linalg.svd(A)
-        value = float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0
-        cert = BoundCertificate(value, "exact", "singular-value", vt[-1])
-        return cert, cert
-    if rank < dom.total_dim:
-        kernel = np.linalg.svd(A)[2][-1]
-        obs = BoundCertificate(cod.norm(A @ kernel), "upper_certificate", "kernel", kernel)
-        return BoundCertificate(0.0, "exact", "kernel", kernel), obs
-    if A.shape[0] == A.shape[1]:
-        return infimum_bounds(A, dom, cod, cfg, INVERSE_STREAM)
-    value, witness = min_ratio_estimate(A, dom, cod, cfg, INVERSE_STREAM)
-    safe = BoundCertificate(
-        1.0 / upper_certificate_only(np.linalg.pinv(A), cod, dom, cfg).value,
-        "lower_estimate",
-        "left-inverse",
-    )
-    return safe, BoundCertificate(value, "upper_certificate", "candidate-search", witness)
-
-
 def classify(seq: OperatorSequence, cfg: NumericsConfig | None = None) -> FrameReport:
     """Full classification of an operator sequence at its frame exponent.
 
     The Bessel pair is ``operator_norm_bounds`` of the stacked matrix on
-    ``BESSEL_STREAM``, taken from the run's ledger inside ``run_checks``, as
-    are the stacked matrix's rank and inverse (``linalg_once``).
+    ``BESSEL_STREAM`` and the lower pair its ``infimum_bounds``, both taken
+    from the open ledger, as is the stacked matrix's rank (``linalg_once``);
+    with none open the call holds a ledger of its own (``in_a_ledger``).
     """
     cfg = cfg or DEFAULT_CONFIG
     F = seq.stacked()
     dom = seq.domain
     prod = seq.analysis_space()
 
-    bessel = operator_norm_bounds(F, dom, prod, cfg, stream=BESSEL_STREAM)
-    rank = int(linalg_once(np.linalg.matrix_rank, F))
-    a_safe, a_observed = _infimum_certificates(F, rank, dom, prod, cfg)
+    with in_a_ledger():
+        bessel = operator_norm_bounds(F, dom, prod, cfg, stream=BESSEL_STREAM)
+        rank = int(linalg_once(np.linalg.matrix_rank, F))
+        a_safe, a_observed = infimum_bounds(F, dom, prod, cfg)
     g_complete = rank == dom.dim
     is_frame = a_safe.value > FRAME_REL_THRESHOLD * bessel.lower.value
 

@@ -16,8 +16,8 @@ and singular-value-times-dimension bounds, aggregated blockwise on product
 spaces.  ``upper_certificate_only`` is the one route to the upper side;
 ``operator_norm_bounds`` adds the ascent only when that side is not exact.
 The ascent has one route, ``multistart_lower_many``, which runs a stack of
-matrices in lockstep and gives each the bits of a run on it alone;
-``multistart_lower`` is its one-matrix case.  Each iteration takes the two
+matrices in lockstep and gives each the bits of a run on it alone (a
+one-matrix stack ``A[None]`` is a single ascent).  Each iteration takes the two
 steps of ``spaces.ascent_steps``, resolved once per ascent: ``lift`` maps the
 norming functionals through the domain's Hoelder witnesses, and ``measure``
 takes the codomain norms of A X, which end the iteration, and the norming
@@ -61,13 +61,17 @@ Each block of an ascent's normal start columns is drawn once per block
 too (``from_ledger``).  The same
 ledger keeps other objects of the run under keys of their own
 (``from_ledger``): ``frames.dual_riesz_basis`` keeps each inverse synthesis
-matrix there, and ``linalg_once`` the rank and the inverse of each matrix
-``classify`` takes.  No entry outlives the block: a process-wide store would
+matrix there, and ``linalg_once`` the rank and the left inverse of each
+matrix ``classify`` takes.  No entry outlives the block: a process-wide store would
 turn repeated runs into lookups, and their timing into a timing of the store.
+``in_a_ledger()`` is the open block, or a block of its own when none is
+open, so a direct ``classify`` call computes each of these once too.
 
-``infimum_bounds`` certifies the smallest ratio of a square matrix of full
-rank with one certificate pair of its inverse; ``min_ratio_estimate`` reads
-its upper side for such a matrix.
+``infimum_bounds`` is the one route for the smallest ratio inf ||A x|| / ||x||
+on every shape: the smallest singular value between Euclidean spaces, 0 at
+a kernel vector for a rank-deficient matrix, and otherwise one certificate
+pair of a left inverse (``inv`` of a square matrix, ``pinv`` of a tall one).
+``min_ratio_estimate`` returns its upper side as (value, witness).
 
 All certificate values are computed on the matrix scaled by its largest entry
 and rescaled afterwards, so both sides are exactly homogeneous.  Callers may
@@ -102,6 +106,7 @@ __all__ = [
     "block_upper_certificates",
     "certificate_ledger",
     "from_ledger",
+    "in_a_ledger",
     "infimum_bounds",
     "linalg_once",
     "matrix_opnorm",
@@ -109,14 +114,12 @@ __all__ = [
     "operator_norm_bounds_many",
     "operator_norm_values_many",
     "min_ratio_estimate",
-    "multistart_lower",
     "multistart_lower_many",
     "upper_certificate_only",
 ]
 
 KINDS = ("exact", "upper_certificate", "lower_estimate")
 RATIO_TOL = 1e-12    # relative stop criterion of the ascent on successive ratios
-SAMPLE_BATCH = 2048  # vectorized random candidates for minima
 SVD_CHUNK = 1 << 14  # floats of singular vectors per stacked SVD call (128 KiB)
 
 MATRIX_STREAM = 0     # matrix_opnorm and the continuity gaps
@@ -204,6 +207,12 @@ def certificate_ledger():
         _ledger.reset(token)
 
 
+def in_a_ledger():
+    """The open ``certificate_ledger`` block, or one of its own when none is
+    open, for a ``with`` block whose calls share what they compute."""
+    return contextlib.nullcontext() if _ledger.get() is not None else certificate_ledger()
+
+
 def from_ledger(table: str, key, compute):
     """``compute()``, kept under ``key`` in the open ledger's ``table``: made
     once per ``certificate_ledger`` block, and by every call while none is
@@ -221,10 +230,10 @@ def from_ledger(table: str, key, compute):
 
 def linalg_once(fn, A: np.ndarray):
     """``fn(A)`` for a ``np.linalg`` function of one matrix (``matrix_rank``,
-    ``inv``), kept in the open ledger under the function's name and A's
-    shape, strides and bytes; an array result is read-only.  ``classify``
-    takes the rank of the stacked matrix from here, and ``infimum_bounds``
-    its inverse, so a run computes each once."""
+    ``inv``, ``pinv``), kept in the open ledger under the function's name and
+    A's shape, strides and bytes; an array result is read-only.  ``classify``
+    and ``infimum_bounds`` take the rank of the stacked matrix from here, and
+    ``infimum_bounds`` its left inverse, so a run computes each once."""
 
     def compute():
         out = fn(A)
@@ -304,13 +313,6 @@ def _certify(As, dom, cod, cfg: NumericsConfig | None, stream=None):
         for j, (i, row) in enumerate(zip(nz, ups)):
             uppers[i], lowers[i] = row, lows.get(j, row)
     return scales, uppers, lowers
-
-
-def _normalize(space, x: np.ndarray) -> np.ndarray | None:
-    n = space.norm(x)
-    if n == 0.0 or not math.isfinite(n):
-        return None
-    return x / n
 
 
 def _stacked_svd(As: np.ndarray, pick, shape: tuple, **kwargs):
@@ -453,10 +455,9 @@ def multistart_lower_many(
 ) -> list[BoundCertificate]:
     """Alternating ascent on the norm ratio of each (m, n) slice of a (k, m, n) stack.
 
-    This is the one ascent route; :func:`multistart_lower` is its k = 1 case.
-    ``stream`` is one int for every slice or one int per slice: it picks the
-    slice's random start columns, so a slice gets the certificate of a call
-    on it alone with its own stream.
+    This is the one ascent route.  ``stream`` is one int for every slice or
+    one int per slice: it picks the slice's random start columns, so a slice
+    gets the certificate of a call on it alone with its own stream.
     Each step maps the current iterates through the norming functional of the
     codomain and back through the Hoelder witness of the domain; the achieved
     ratio is nondecreasing per column.  Each slice starts from its own bundle
@@ -472,12 +473,6 @@ def multistart_lower_many(
     """
     rows = _lower_rows(np.asarray(As, dtype=float), dom, cod, cfg, stream)
     return [BoundCertificate(*row) for row in rows]
-
-
-def multistart_lower(A, dom, cod, cfg: NumericsConfig, stream: int) -> BoundCertificate:
-    """Witness-backed lower estimate of the dom -> cod norm of ``A``:
-    :func:`multistart_lower_many` on the one-matrix stack ``A[None]``."""
-    return multistart_lower_many(np.asarray(A, dtype=float)[None], dom, cod, cfg, stream)[0]
 
 
 def _vertex_norm(B: np.ndarray, r: float):
@@ -752,73 +747,51 @@ def matrix_opnorm(
 
 
 def infimum_bounds(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = INVERSE_STREAM):
-    """Certificate pair for inf ||A x||_cod / ||x||_dom of a square ``A`` of
-    full rank, which is 1 / ||P|| for P = inv(A) (``linalg_once``) between
-    the swapped spaces: the proven 1 / upper(||P||) (``left-inverse``), and
-    1 / lower(||P||) (``inverse-ascent``, Boyd's power method run on the
-    inverse), achieved at x = P y / ||P y|| for the lower side's witness y.
-    """
-    P = linalg_once(np.linalg.inv, np.asarray(A, dtype=float))
-    pair = operator_norm_bounds(P, cod, dom, cfg, stream=stream)
-    x = P @ pair.lower.witness
-    return BoundPair(
-        BoundCertificate(1.0 / pair.upper.value, "lower_estimate", "left-inverse"),
-        BoundCertificate(
-            1.0 / pair.lower.value, "upper_certificate", "inverse-ascent", x / dom.norm(x)
-        ),
-    )
-
-
-def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = 1):
-    """Best found value of min ||A x||_cod / ||x||_dom; returns (value, witness).
-
-    One branch by shape, each achieved by its witness, so the value is an
-    upper bound on the true infimum:
+    """Certificate pair for inf ||A x||_cod / ||x||_dom: a proven lower side,
+    and an upper side achieved at its witness.  One branch by shape:
 
     * both sides Euclidean: the smallest singular value and its right
-      singular vector (0.0 with a kernel vector for a wide ``A``);
-    * square ``A`` of full rank: the upper side of :func:`infimum_bounds`;
-    * otherwise: the best of sampled candidates (singular vectors, coordinate
-      vectors, a random batch), plus x = P y for a tall ``A`` of full rank,
-      where P = pinv(A) and y is the ascent witness of P.
+      singular vector on both sides (0.0 and a kernel vector for a wide A);
+    * rank deficient (the rank from ``linalg_once``): exact 0, and the ratio
+      at a kernel vector;
+    * full column rank: one certificate pair of the left inverse P (P A = I;
+      ``inv`` of a square A, ``pinv`` of a tall one, from ``linalg_once``)
+      between the swapped spaces.  ||x|| <= ||P|| ||A x|| proves the lower
+      side 1 / upper(||P||) (``left-inverse``).  The upper side sits at
+      x = P y / ||P y|| for the witness y of the ascent on P: 1 / lower(||P||)
+      for a square A, where A x = y / ||P y|| (``inverse-ascent``), and the
+      ratio evaluated at x for a tall one (``left-inverse-ascent``).
     """
-    cfg = cfg or DEFAULT_CONFIG
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if dom.is_euclidean and cod.is_euclidean:
         _, s, vt = np.linalg.svd(A)
-        return (float(s[-1]) if m >= n else 0.0), vt[-1]
-    full_rank = linalg_once(np.linalg.matrix_rank, A) == n
-    if full_rank and m == n:
-        observed = infimum_bounds(A, dom, cod, cfg, stream).upper
-        return observed.value, observed.witness
+        smin = float(s[-1]) if m >= n else 0.0
+        cert = BoundCertificate(smin, "exact", "singular-value", vt[-1])
+        return BoundPair(cert, cert)
+    if linalg_once(np.linalg.matrix_rank, A) < n:
+        kernel = np.linalg.svd(A)[2][-1]
+        return BoundPair(
+            BoundCertificate(0.0, "exact", "kernel", kernel),
+            BoundCertificate(cod.norm(A @ kernel), "upper_certificate", "kernel", kernel),
+        )
+    P = linalg_once(np.linalg.inv if m == n else np.linalg.pinv, A)
+    pair = operator_norm_bounds(P, cod, dom, cfg, stream=stream)
+    x = P @ pair.lower.witness
+    x = x / dom.norm(x)
+    if m == n:
+        value, method = 1.0 / pair.lower.value, "inverse-ascent"
+    else:
+        value, method = cod.norm(A @ x), "left-inverse-ascent"
+    return BoundPair(
+        BoundCertificate(1.0 / pair.upper.value, "lower_estimate", "left-inverse"),
+        BoundCertificate(value, "upper_certificate", method, x),
+    )
 
-    cands = [np.ones(n)]
-    try:
-        _, _, vt = np.linalg.svd(A)
-        cands.append(vt[-1])
-        cands.append(vt[0])
-    except np.linalg.LinAlgError:
-        pass
-    for j in range(min(n, 16)):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cands.append(e)
-    if full_rank:
-        P = np.linalg.pinv(A)
-        cands.append(P @ multistart_lower(P, cod, dom, cfg, stream).witness)
-    batch = _rng(cfg, stream, 0).standard_normal((n, SAMPLE_BATCH))
-    norms = dom.norm_many(batch)
-    good = norms > 0.0
-    batch = batch[:, good] / norms[good]
-    ratios = cod.norm_many(A @ batch)
-    j = int(np.argmin(ratios))
-    best_v, best_x = float(ratios[j]), batch[:, j]
-    for c in cands:
-        u = _normalize(dom, c)
-        if u is None:
-            continue
-        val = cod.norm(A @ u)
-        if val < best_v:
-            best_v, best_x = val, u
-    return best_v, best_x
+
+def min_ratio_estimate(A, dom, cod, cfg: NumericsConfig | None = None, stream: int = 1):
+    """Best found value of min ||A x||_cod / ||x||_dom; returns (value, witness):
+    the upper side of :func:`infimum_bounds`, achieved at its witness, so the
+    value is at or above the true infimum."""
+    observed = infimum_bounds(A, dom, cod, cfg, stream).upper
+    return observed.value, observed.witness

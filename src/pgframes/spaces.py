@@ -130,7 +130,9 @@ def pnorm_many(cols: np.ndarray, p: float) -> np.ndarray:
     The input is at least 2-D (a single vector is a (d, 1) column).  A
     (..., d, N) stack gives the (..., N) column norms of each (d, N) slice,
     and the p = 2 choice between unscaled squares and the scaled form is made
-    per slice, exactly as a separate call on that slice would make it.
+    per slice, exactly as a separate call on that slice would make it.  A
+    column holding an infinity and no NaN has the norm +inf, and one holding
+    a NaN the norm NaN.
     """
     return _norm_from(np.abs(np.asarray(cols, dtype=float)), p)
 
@@ -147,10 +149,12 @@ def _squares_root(x: np.ndarray) -> np.ndarray:
 
 def _norm_from(a: np.ndarray, p: float, m=None, x=None) -> np.ndarray:
     """``pnorm_many`` of a nonnegative array ``a``, taking its column maxima
-    m and, where every m is positive, x = a / m when given.  Where every m
-    is positive (a NaN is not), the scaled form skips both ``np.where``:
-    where(m > 0, m, 1) is then m itself and where(m > 0, v, m) is v, so the
-    values keep their bits.  Elsewhere a column of m <= 0 or NaN takes m."""
+    m and, where every m is positive and finite, x = a / m when given.
+    Where every m is positive and finite (a NaN is neither), the scaled form
+    skips both ``np.where``: the safe divisor is then m itself and the
+    selection the scaled value, so the values keep their bits.  Elsewhere a
+    column whose m is not positive and finite takes m: 0, NaN for a column
+    holding a NaN, and +inf for one holding an infinity and no NaN."""
     if math.isinf(p):
         return a.max(axis=-2, initial=0.0) if m is None else m
     if p == 1.0:
@@ -159,19 +163,20 @@ def _norm_from(a: np.ndarray, p: float, m=None, x=None) -> np.ndarray:
         # A slice with an entry of 2^480 or more is zeroed before squaring:
         # its r is then 0, and it takes the scaled form like a tiny slice.
         fits = a.max(axis=(-2, -1), initial=0.0) < _SQUARES_BIG
-        r = _squares_root(a if fits.all() else a * fits[..., None, None])
+        r = _squares_root(a if fits.all() else np.where(fits[..., None, None], a, 0.0))
         plain = r.min(axis=-1, initial=INF) > _SQUARES_TINY
         if plain.all():
             return r
     if m is None:
         m = a.max(axis=-2, initial=0.0)
-    if x is None and m.min(initial=INF) > 0.0:
+    if x is None and m.min(initial=INF) > 0.0 and m.max(initial=0.0) < INF:
         x = a / m[..., None, :]
     if x is not None:
         scaled = m * _power_root(x, p)
     else:
-        safe = np.where(m > 0.0, m, 1.0)
-        scaled = np.where(m > 0.0, safe * _power_root(a / safe[..., None, :], p), m)
+        ok = (m > 0.0) & (m < INF)
+        safe = np.where(ok, m, 1.0)
+        scaled = np.where(ok, safe * _power_root(a / safe[..., None, :], p), m)
     if p == 2.0 and plain.any():
         return np.where(plain[..., None], r, scaled)
     return scaled
@@ -562,10 +567,10 @@ def ascent_steps(dom, cod):
     on, where numpy sums a Fortran-ordered input pairwise but the gathered
     block norms in order, and where a step's outer witness exponent is 1,
     whose indicator weight 0.0 gives 0.0 sign(u) = -0.0 for u < 0.
-    A column holding an infinity or a NaN gets a non-finite norm from both,
-    but not always the same value or witness (at r = 1 a one-block product
-    gives an infinity the norm NaN, the plain space inf); an ascent's A X
-    and A^T Z are finite unless a matrix product overflows."""
+    A column holding an infinity and no NaN gets the norm +inf from both,
+    and one holding a NaN the norm NaN, but the two may give such a column
+    different witnesses; an ascent's A X and A^T Z are finite unless a
+    matrix product overflows."""
     dom, cod = (s.plain if isinstance(s, ProductSpaceSpec) else s for s in (dom, cod))
     measure, lift = _step(cod, True, True), _step(dom, False, True)
     return (lambda Y: measure(Y)[:2]), (lambda U: lift(U)[1:])

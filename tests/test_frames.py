@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -286,10 +287,55 @@ def test_lower_frame_bound_below_witnessed_infimum():
     seq = inst.lam_sequence()
     cfg = NumericsConfig()
     rep = pg.classify(seq, cfg)
-    ascent = opnorm.multistart_lower(
-        np.linalg.inv(seq.stacked()), seq.analysis_space(), seq.domain, cfg, stream=5
-    )
+    ascent = opnorm.multistart_lower_many(
+        np.linalg.inv(seq.stacked())[None], seq.analysis_space(), seq.domain, cfg, stream=5
+    )[0]
     assert rep.lower_bound.value <= 1.0 / ascent.value
+
+
+def _tall_family():
+    # three functionals on a 2-dim l^1.5 domain: a frame, and never Riesz
+    return pg.OperatorSequence(
+        pg.SpaceSpec(2, 1.5),
+        tuple(pg.SpaceSpec(1, 3.0) for _ in range(3)),
+        (np.array([[1.0, 0.2]]), np.array([[-0.3, 1.0]]), np.array([[1.0, 1.0]])),
+        1.5,
+    )
+
+
+def test_a_direct_classify_of_a_tall_family_computes_rank_and_pinv_once(monkeypatch):
+    # with no ledger open, classify of a tall F takes its rank and its left
+    # inverse pinv(F) once each, and never inverts; the wrappers keep the
+    # functions' names, which key linalg_once's tables
+    calls = []
+    for name in ("matrix_rank", "pinv", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, real=real, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, functools.wraps(real)(counting))
+    seq = _tall_family()
+    rep = pg.classify(seq)
+    assert sorted(calls) == ["matrix_rank", "pinv"]
+    assert opnorm._ledger.get() is None
+    F, dom, prod = seq.stacked(), seq.domain, seq.analysis_space()
+    left = 1.0 / pg.upper_certificate_only(np.linalg.pinv(F), prod, dom).value
+    assert np.float64(rep.lower_bound.value).tobytes() == np.float64(left).tobytes()
+    assert (rep.lower_bound.method, rep.lower_observed.method) == (
+        "left-inverse", "left-inverse-ascent"
+    )
+    # the observed side is the ratio at its own witness, a unit vector
+    w = rep.lower_observed.witness
+    assert rep.lower_observed.value == prod.norm(F @ w)
+    assert dom.norm(w) == pytest.approx(1.0, rel=1e-15)
+    cfg = NumericsConfig()
+    _, _, sampled = gridsearch.certified_min_ratio(
+        F, dom, prod, rep.bessel_bound.value, cfg.grid_axis_points, cfg.grid_budget
+    )
+    assert rep.lower_bound.value <= sampled
+    assert (rep.is_frame, rep.is_riesz) == (True, False)
 
 
 def test_classify_witnesses_own_their_memory():
@@ -320,7 +366,7 @@ tall = pg.OperatorSequence(
 rep = pg.classify(tall)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-assert rep.lower_observed.method == "candidate-search"
+assert rep.lower_observed.method == "left-inverse-ascent"
 """
 
 

@@ -203,6 +203,8 @@ def _min_ratio_case(case):
         return rng.standard_normal((4, 3)), 2.0, 2.0
     if case == "wide-euclidean":
         return rng.standard_normal((2, 4)), 2.0, 2.0
+    if case == "tall-lp":
+        return rng.standard_normal((4, 3)), 1.5, 3.0
     A = rng.standard_normal((4, 4))
     if case == "singular-lp":
         A[1] = 0.0  # exactly singular: inv(A) would raise LinAlgError
@@ -210,12 +212,17 @@ def _min_ratio_case(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["tall-euclidean", "square-lp", "singular-lp", "wide-euclidean"]
+    "case", ["tall-euclidean", "square-lp", "singular-lp", "wide-euclidean", "tall-lp"]
 )
 def test_min_ratio_estimate_by_shape(case):
     A, p, r = _min_ratio_case(case)
     dom, cod = pg.SpaceSpec(A.shape[1], p), pg.SpaceSpec(A.shape[0], r)
     val, w = pg.min_ratio_estimate(A, dom, cod)
+    # the upper side of the one infimum route, in value and witness bytes
+    observed = pg.opnorm.infimum_bounds(A, dom, cod, stream=1).upper
+    assert (np.float64(val).tobytes(), w.tobytes()) == (
+        np.float64(observed.value).tobytes(), observed.witness.tobytes()
+    )
     ratio = cod.norm(A @ w) / dom.norm(w)
     if case == "tall-euclidean":
         smin = np.linalg.svd(A, compute_uv=False)[-1]
@@ -229,6 +236,10 @@ def test_min_ratio_estimate_by_shape(case):
     elif case == "singular-lp":
         assert val <= 1e-12 * np.abs(A).max()
         assert ratio == pytest.approx(val, abs=1e-15)
+    elif case == "tall-lp":
+        # the ratio at its own witness, at or above the proven left-inverse bound
+        assert ratio == pytest.approx(val, rel=1e-12)
+        assert val >= 1.0 / pg.upper_certificate_only(np.linalg.pinv(A), cod, dom).value
     else:
         assert val == 0.0
         assert ratio <= 1e-12 * np.abs(A).max()
@@ -341,7 +352,7 @@ def _assert_lockstep_is_per_call(As, dom, cod, cfg=None, stream=3):
         assert (cert.value, cert.kind, cert.method) == (ref.value, ref.kind, ref.method)
         assert np.array_equal(cert.witness, ref.witness)
         iterations.append(its)
-    one = pg.opnorm.multistart_lower(As[0], dom, cod, cfg, stream)
+    one = pg.opnorm.multistart_lower_many(As[0][None], dom, cod, cfg, stream)[0]
     assert one.value == got[0].value and np.array_equal(one.witness, got[0].witness)
     return iterations
 
@@ -427,9 +438,9 @@ def test_lockstep_slices_stop_at_their_own_iteration():
 
 
 def test_lockstep_slice_with_huge_entries_beside_ordinary_ones():
-    # the ascent takes unnormalized stacks too, such as min_ratio_estimate's
-    # pinv(A) for a tall A: slices scaled by 2^490 and 2^-540 beside
-    # ordinary ones keep the bits of their own calls
+    # a direct multistart_lower_many call takes unnormalized stacks too:
+    # slices scaled by 2^490 and 2^-540 beside ordinary ones keep the bits
+    # of their own calls
     rng = np.random.default_rng(47)
     for dom, cod in [(pg.SpaceSpec(3, 2.0), pg.SpaceSpec(3, 3.0)),
                      (pg.SpaceSpec(3, 1.5), pg.SpaceSpec(3, 2.0))]:
@@ -570,7 +581,8 @@ def test_mixed_stream_stack_equals_each_slices_own_stream(p, r):
         lowers = pg.opnorm.multistart_lower_many(As, dom, cod, cfg, STREAMS)
         for A, stream, pair, lower in zip(As, STREAMS, got, lowers):
             _assert_same_pair(pair, pg.operator_norm_bounds(A, dom, cod, cfg, stream=stream))
-            _assert_same_pair([lower], [pg.opnorm.multistart_lower(A, dom, cod, cfg, stream)])
+            alone = pg.opnorm.multistart_lower_many(A[None], dom, cod, cfg, stream)
+            _assert_same_pair([lower], alone)
 
 
 def test_mixed_stream_stack_where_the_kept_columns_differ_by_stream(monkeypatch):
@@ -615,7 +627,8 @@ def test_mixed_stream_stack_where_the_kept_columns_differ_by_stream(monkeypatch)
     # (top, stream 13), (top, others), (no top, 13), (no top, others)
     assert sorted(groups) == [(1, 4, 20), (1, 4, 21), (2, 4, 21), (2, 4, 22)], groups
     for A, stream, lower in zip(As, streams, lowers):
-        _assert_same_pair([lower], [pg.opnorm.multistart_lower(A, dom, cod, cfg, stream)])
+        alone = pg.opnorm.multistart_lower_many(A[None], dom, cod, cfg, stream)
+        _assert_same_pair([lower], alone)
 
 
 def test_a_stream_list_must_give_one_stream_per_slice():

@@ -78,7 +78,8 @@ def _per_call_bessel_lower(seq):
     if upper.kind == "exact":
         return upper
     s = float(np.abs(U).max())
-    return pg.opnorm.multistart_lower(U / s, dom, cod, pg.NumericsConfig(), 11).scaled(s)
+    lower = pg.opnorm.multistart_lower_many((U / s)[None], dom, cod, pg.NumericsConfig(), 11)
+    return lower[0].scaled(s)
 
 
 def _assert_same_certificate(got, expect):

@@ -353,6 +353,34 @@ def test_frozen_kernels_equal_the_new_plain_kernels(p):
             _assert_space_kernels_frozen(pg.SpaceSpec(d, p), X, nonfinite=True)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF])
+def test_an_infinity_gets_the_norm_inf_and_a_nan_stays_nan(p):
+    # a column holding +-inf and no NaN has the norm +inf on every route,
+    # plain and one-block product (the infinite block norm meets the outer
+    # layer too), and a NaN stays NaN.  The finite columns beside them keep
+    # their values (at p = 2 the slice takes the scaled form), and a finite
+    # slice of the same stack keeps the bits of a call on it alone
+    X = np.array([[INF, 0.5, np.nan, 1.0, 3.0], [0.5, -INF, INF, -2.0, 0.25]])
+    F = np.random.default_rng(5).standard_normal(X.shape)
+    routes = [
+        lambda U: pnorm_many(U, p),
+        pg.SpaceSpec(2, p).norm_many,
+        pg.ProductSpaceSpec((pg.SpaceSpec(2, p),), 3.0).norm_many,
+        pg.ProductSpaceSpec((pg.SpaceSpec(2, 3.0),), p).norm_many,
+    ]
+    for norm_many in routes:
+        finite = norm_many(X[:, 3:])
+        for x in (X, np.asfortranarray(X), np.stack([X, F])):
+            with np.errstate(all="raise"):  # and no floating-point warning
+                got = norm_many(x)
+            first = got if x.ndim == 2 else got[0]
+            assert first[:2].tolist() == [INF, INF]
+            assert np.isnan(first[2])
+            assert first[3:] == pytest.approx(finite, rel=1e-15)
+            if x.ndim == 3:
+                assert _bits(got[1]) == _bits(norm_many(F))
+
+
 def test_p2_witness_takes_no_power(monkeypatch):
     # q - 1 = 1 at p = 2, and pow(x, 1) = x exactly, so the witness of a
     # stack with no zero column calls no np.power at all (its bits are the

@@ -753,7 +753,7 @@ def infimum_bounds(A, dom, cod, cfg: NumericsConfig | None = None, stream: int =
     * both sides Euclidean: the smallest singular value and its right
       singular vector on both sides (0.0 and a kernel vector for a wide A);
     * rank deficient (the rank from ``linalg_once``): exact 0, and the ratio
-      at a kernel vector;
+      at a kernel vector of unit norm in ``dom``;
     * full column rank: one certificate pair of the left inverse P (P A = I;
       ``inv`` of a square A, ``pinv`` of a tall one, from ``linalg_once``)
       between the swapped spaces.  ||x|| <= ||P|| ||A x|| proves the lower
@@ -771,6 +771,7 @@ def infimum_bounds(A, dom, cod, cfg: NumericsConfig | None = None, stream: int =
         return BoundPair(cert, cert)
     if linalg_once(np.linalg.matrix_rank, A) < n:
         kernel = np.linalg.svd(A)[2][-1]
+        kernel = kernel / dom.norm(kernel)  # the ratio at it is the value
         return BoundPair(
             BoundCertificate(0.0, "exact", "kernel", kernel),
             BoundCertificate(cod.norm(A @ kernel), "upper_certificate", "kernel", kernel),

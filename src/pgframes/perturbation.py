@@ -8,13 +8,20 @@ computation serves both).
 
 ``continuity_suite`` drives a deviation schedule through one of four
 parameter-convergence modes (symbol only, either sequence, or all three
-jointly) and records, per step, the measured multiplier gap next to the
-theorem bound it must respect.  The schedule moves symbol entry 0 and entry
-(0, 0) of member 0 of the sequences, so the gap is member 0's three terms,
-formed from the parameter differences themselves: no multiplier is assembled
-and no digits are lost to subtracting two nearly equal matrices.  The
-parameter distances of the bounds need no oracle: each is the norm of s e_1
-or s E with E = e_1 e_1^T, and ||s E|| = |s| for every exponent pair.
+jointly) and records, per step, the measured multiplier gap next to the one
+theorem bound every mode must respect, the joint estimate
+
+    B1 B2 |m_0' - m_0| + B2 ||m||_p1 ||L_0' - L_0|| + B_lam ||m||_p1 ||T_0' - T_0||
+
+over the whole schedule at once.  A single-parameter mode is this estimate
+with the other two parameters held: their distances are 0, their terms are
+left out, and B1 = B_lam, B2 = B_theta.  The schedule moves symbol entry 0
+and entry (0, 0) of member 0 of the sequences, so the gap is member 0's
+three terms, formed from the parameter differences themselves: no
+multiplier is assembled and no digits are lost to subtracting two nearly
+equal matrices.  The parameter distances of the bounds need no oracle: each
+is the norm of s e_1 or s E with E = e_1 e_1^T, and ||s E|| = |s| for every
+exponent pair.
 
 The gaps are measured in one batch per run of the ``continuity`` suite:
 ``continuity_gaps`` takes the schedules of several modes, builds each
@@ -161,7 +168,7 @@ class ContinuityTrace:
 
     n: int
     kind: str
-    deviation: float        # the parameter distance; for joint, the largest of the three
+    deviation: float        # the largest of the three parameter distances
     # the multiplier gap norm: exact up to rounding between Euclidean spaces,
     # a witness-backed lower estimate otherwise
     measured: float
@@ -361,12 +368,25 @@ def continuity_suite(
     member is that member's norm, so every distance is |s|, as the oracle
     and ``pnorm`` would give it bit for bit.
 
-    The Bessel bounds B_lam, B_theta of the theorem bounds are
-    ``analysis_upper`` of ``lam`` and ``theta``.  ``measured``, when given,
-    is taken as the run's measured gaps, one per step; only this kind's values from a
-    :func:`continuity_gaps` call, which runs when it is None, leave the
-    traces unchanged.  So several kinds measured in one batch each keep
-    their own traces and their own violations.
+    Every mode's bound is the joint estimate (m, L, T the base, m', L', T'
+    a step's parameters, member 0 only)
+
+        B1 B2 |m_0' - m_0| + B2 ||m||_p1 ||L_0' - L_0|| + B_lam ||m||_p1 ||T_0' - T_0||,
+
+    evaluated for all steps as arrays.  B_lam, B_theta are ``analysis_upper``
+    of ``lam`` and ``theta``; a ``joint`` run certifies B1, B2 on the
+    perturbed sequences (below), and every other mode takes B1 = B_lam and
+    B2 = B_theta.  A term whose distance is 0 at a step, such as a held
+    parameter's, is left out rather than multiplied by 0, so an infinite
+    coefficient there adds nothing.  The deviation is the largest of the
+    three distances, and only ``joint`` traces carry the three terms as
+    ``components``.
+
+    ``measured``, when given, is taken as the run's measured gaps, one per
+    step; only this kind's values from a :func:`continuity_gaps` call, which
+    runs when it is None, leave the traces unchanged.  So several kinds
+    measured in one batch each keep their own traces and their own
+    violations.
 
     The ``joint`` bound needs B1 >= ||U(L_n)|| and B2 >= ||U(T_n)|| at every
     step, U the analysis operator.  The two ends of the schedule suffice, so
@@ -394,8 +414,8 @@ def continuity_suite(
     maximum of the certificates; it is still a proven bound.
 
     Every step asserts measured <= bound + 1e-9 (the finite-step form of the
-    convergence statement) and the run asserts that the bounds decay; a
-    violation raises :class:`ContinuityViolation`.
+    convergence statement; a NaN measured gap fails it) and the run asserts
+    that the bounds decay; a violation raises :class:`ContinuityViolation`.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_run((kind,), m, lam, theta, cfg, p1)
@@ -411,7 +431,7 @@ def continuity_suite(
         upper = operator_norm_values_many(U, seq.domain, seq.analysis_space(), cfg, None)[1]
         return max(upper.tolist())
 
-    B1 = B2 = None
+    B1, B2 = B_lam, B_theta
     if kind == "joint":  # the schedule is convex in its bump (docstring)
         ends = [0] if cfg.n_max == 1 else [0, cfg.n_max - 1]
         B1, B2 = end_bound(lam, L1), end_bound(theta, T1)
@@ -422,46 +442,26 @@ def continuity_suite(
         raise ValueError(f"{len(measured)} measured gaps for {cfg.n_max} steps")
     L, T = lam.mats[0], theta.mats[0]
     # each parameter distance is the norm of a multiple of e_1 or E: |s| (docstring)
-    sym_gaps, lam_gaps, theta_gaps = (
-        np.broadcast_to(np.abs(g), (cfg.n_max,)).tolist()
-        for g in (d, L1[..., 0, 0] - L[0, 0], T1[..., 0, 0] - T[0, 0])
+    gaps = np.empty((3, cfg.n_max))  # a row takes n_max values or broadcasts one
+    gaps[0], gaps[1], gaps[2] = (
+        np.abs(g) for g in (d, L1[..., 0, 0] - L[0, 0], T1[..., 0, 0] - T[0, 0])
     )
-    traces: list[ContinuityTrace] = []
-    steps = zip(measured, sym_gaps, lam_gaps, theta_gaps)
-    for n, (measured_n, sym_gap, lam_gap, theta_gap) in enumerate(steps, start=1):
-        components = None
-        if kind == "symbol":
-            deviation = sym_gap
-            bound = B_lam * B_theta * sym_gap
-        elif kind == "theta":
-            deviation = theta_gap
-            bound = B_lam * m_p1 * theta_gap
-        elif kind == "lambda":
-            deviation = lam_gap
-            bound = B_theta * m_p1 * lam_gap
-        else:
-            components = (
-                B1 * B2 * sym_gap,
-                B2 * m_p1 * lam_gap,
-                B_lam * m_p1 * theta_gap,
-            )
-            deviation = max(sym_gap, lam_gap, theta_gap)
-            bound = sum(components)
-
-        if measured_n > bound + 1e-9:
-            raise ContinuityViolation(
-                f"step {n}: measured {measured_n:.3e} exceeds bound {bound:.3e}"
-            )
-        traces.append(
-            ContinuityTrace(
-                n=n,
-                kind=kind,
-                deviation=deviation,
-                measured=measured_n,
-                bound=bound,
-                components=components,
-            )
+    coefficients = np.array([B1 * B2, B2 * m_p1, B_lam * m_p1])
+    # a held parameter adds no term, so 0 * inf is never formed
+    terms = np.multiply(coefficients[:, None], gaps, where=gaps != 0.0, out=np.zeros_like(gaps))
+    bounds = terms.sum(axis=0)  # (row 0 + row 1) + row 2, elementwise
+    failed = np.flatnonzero(~(np.asarray(measured) <= bounds + 1e-9))
+    if failed.size:  # a NaN gap fails too
+        n = int(failed[0])
+        raise ContinuityViolation(
+            f"step {n + 1}: measured {measured[n]:.3e} exceeds bound {bounds[n]:.3e}"
         )
+    components = map(tuple, terms.T.tolist()) if kind == "joint" else [None] * cfg.n_max
+    rows = zip(gaps.max(axis=0).tolist(), measured, bounds.tolist(), components)
+    traces = [
+        ContinuityTrace(n, kind, deviation, measured_n, bound, parts)
+        for n, (deviation, measured_n, bound, parts) in enumerate(rows, start=1)
+    ]
 
     if len(traces) >= 2 and traces[0].bound > 0.0:
         if traces[-1].bound > 0.5 * traces[0].bound:

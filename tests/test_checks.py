@@ -42,6 +42,18 @@ def test_every_suite_passes_on_a_rescaled_riesz_pair(space, family, k):
     assert failed == {}
 
 
+def test_a_nan_dual_residual_verifies_nothing():
+    # lam x 2^-1060 is subnormal: inv(S) overflows, S^-1 S - I is NaN, and a
+    # NaN residual must not pass as a Riesz basis's dual
+    inst = _pair("lp")
+    tiny = dataclasses.replace(inst, lam=tuple(m * 2.0**-1060 for m in inst.lam))
+    with np.errstate(all="ignore"):
+        with pytest.raises(pg.NotRieszError, match=r"residual nan"):
+            pg.dual_riesz_basis(tiny.lam_sequence())
+        (res,) = checks.run_checks(tiny, suites=["invert"]).results
+    assert (res.status, res.reason.split(":")[0]) == ("skipped", "not-riesz")
+
+
 def test_perturb_judges_its_one_gap_once(monkeypatch):
     real = checks.perturbation_check
 

@@ -235,7 +235,8 @@ def test_min_ratio_estimate_by_shape(case):
         assert val <= cod.norm_many(A @ X).min()
     elif case == "singular-lp":
         assert val <= 1e-12 * np.abs(A).max()
-        assert ratio == pytest.approx(val, abs=1e-15)
+        # abs=0: approx's default absolute 1e-12 would dwarf a value near 1e-16
+        assert ratio == pytest.approx(val, rel=1e-12, abs=0.0)
     elif case == "tall-lp":
         # the ratio at its own witness, at or above the proven left-inverse bound
         assert ratio == pytest.approx(val, rel=1e-12)

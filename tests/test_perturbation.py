@@ -475,6 +475,50 @@ def test_continuity_schedule_that_rounds_away(kind):
     assert all(t.deviation == t.measured == t.bound == 0.0 for t in traces)
 
 
+def test_a_held_parameter_with_an_infinite_coefficient_adds_no_term(monkeypatch):
+    # B_lam = inf makes the theta term's coefficient infinite; no distance
+    # moves on this pair, and a term whose distance is 0 is left out, so
+    # every bound is 0.0 (inf * 0 would make it NaN, which passes silently)
+    m, lam, theta = _rounds_away_pair()
+    real = perturbation.analysis_upper
+    monkeypatch.setattr(
+        perturbation, "analysis_upper",
+        lambda seq, cfg: real(seq, cfg).scaled(math.inf) if seq is lam else real(seq, cfg),
+    )
+    traces = pg.continuity_suite("joint", m, lam, theta, p1=2.0, cfg=pg.NumericsConfig(n_max=40))
+    assert [t.bound for t in traces] == [0.0] * 40
+    assert all(t.components == (0.0, 0.0, 0.0) for t in traces)
+
+
+def _nan_gap_pair():
+    # an l^p pair at 1e160: the symbol bump's gap term overflows to inf - inf
+    inst = pg.gen(
+        "riesz-pair", x2_dim=3, y_dims=[2, 1], frame_exponent=1.5, y_exponents=[3, 3],
+        x1_exponent=1.5, x2_exponent=3, seed=11,
+    )
+    lam, theta = (
+        _with_mats(s, [a * 1e160 for a in s.mats])
+        for s in (inst.lam_sequence(), inst.theta_sequence())
+    )
+    return inst.symbol_obj(), lam, theta
+
+
+@pytest.mark.parametrize("kind, raises", [
+    ("symbol", True), ("theta", False), ("lambda", False), ("joint", True),
+])
+def test_a_nan_measured_gap_is_a_violation(kind, raises):
+    # the symbol and joint gaps are NaN against an infinite bound; the theta
+    # and lambda bumps round away at 1e160, so their gaps and bounds are 0
+    cfg = pg.NumericsConfig(n_max=6)
+    with np.errstate(all="ignore"):
+        if raises:
+            with pytest.raises(pg.ContinuityViolation, match="step 1: measured nan exceeds"):
+                pg.continuity_suite(kind, *_nan_gap_pair(), p1=2.0, cfg=cfg)
+        else:
+            traces = pg.continuity_suite(kind, *_nan_gap_pair(), p1=2.0, cfg=cfg)
+            assert all(t.measured == t.bound == 0.0 for t in traces)
+
+
 @pytest.mark.parametrize("kind", pg.CONTINUITY_KINDS)
 def test_dense_gaps_of_a_schedule_that_rounds_away(kind, recorded_gaps):
     # the same pair on non-Euclidean domains: the dense gaps are all zero
